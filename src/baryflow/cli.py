@@ -9,7 +9,8 @@ Subcommands (each takes a JSON config file):
 * ``msda``       — synthetic (or CSV-backed) multi-source domain adaptation
   with the functional ablation table.
 * ``gen``        — write generated datasets as CSV.
-* ``validate``   — check a config file and exit.
+* ``validate``   — parse a config and load or generate its inputs, as the
+  command would, then exit without writing anything.
 
 Configs are validated strictly (unknown keys are rejected) before any work.
 Exit codes: 0 success, 1 config error, 2 numerical failure. Machine-readable
@@ -68,9 +69,7 @@ from .gaussian import (
     save_gmm,
 )
 from .measures import BarycentricCoordinates, EmpiricalMeasure, LabeledEmpiricalMeasure
-from .pipeline import msda_adapt, snapshot, w2_to_reference
-
-REPORT_SCHEMA_VERSION = 1
+from .pipeline import REPORT_SCHEMA_VERSION, msda_adapt, snapshot, w2_to_reference
 
 
 class ConfigError(Exception):
@@ -267,9 +266,8 @@ def write_report(out_dir: Path, command: str, config: dict, timings: dict,
 
 
 def _out_dir(cfg: dict, ctx: str) -> Path:
-    out = Path(_get(cfg, "output_dir", str, ctx, required=True))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    """The configured output directory; created only when a command runs."""
+    return Path(_get(cfg, "output_dir", str, ctx, required=True))
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +332,7 @@ def _prepare_barycenter(cfg: dict):
     if flow_kind not in ("empirical", "gmm"):
         raise ConfigError(f"{ctx}: flow must be 'empirical' or 'gmm'")
     seed = _get(cfg, "seed", int, ctx, 0)
+    out = _out_dir(cfg, ctx)
     inputs_cfg = _get(cfg, "inputs", list, ctx, required=True)
     if not inputs_cfg:
         raise ConfigError(f"{ctx}: inputs must be a non-empty list")
@@ -348,36 +347,35 @@ def _prepare_barycenter(cfg: dict):
     if flow_kind == "empirical":
         flow_cfg = _parse_empirical_flow(
             flow_cfg_raw, coords, functional, seed, f"{ctx}: flow_config")
-        samplers = [p[0] for p in parsed]
-        return flow_kind, flow_cfg, samplers
-    flow_cfg = _parse_gmm_flow(
-        flow_cfg_raw, coords, functional, seed, f"{ctx}: flow_config")
-    gmms = [_input_to_gmm(d, i, p, flow_cfg.n_components, rng)
-            for i, (d, p) in enumerate(zip(inputs_cfg, parsed))]
-    return flow_kind, flow_cfg, gmms
-
-
-def cmd_barycenter(cfg: dict) -> int:
-    flow_kind, flow_cfg, inputs = _prepare_barycenter(cfg)
-    out = _out_dir(cfg, "barycenter config")
-    timings = {}
-    t0 = time.perf_counter()
-    if flow_kind == "empirical":
-        final, trace = run_flow(inputs, flow_cfg)
-        final_path = out / "final_measure.csv"
-        save_csv(final, final_path)
+        inputs = [p[0] for p in parsed]
     else:
-        final, trace = run_gmm_flow(inputs, flow_cfg)
-        final_path = out / "final_mixture.json"
-        save_gmm(final, final_path)
-    timings["flow_ms"] = 1e3 * (time.perf_counter() - t0)
-    trace_path = out / "trace.csv"
-    write_trace_csv(trace, trace_path)
-    summary = {"final_objective": trace[-1].f, "n_iterations": trace[-1].iter}
-    report = write_report(out, "barycenter", cfg, timings,
-                          [final_path, trace_path], summary)
-    print(f"barycenter: wrote {final_path}, {trace_path}, {report}")
-    return 0
+        flow_cfg = _parse_gmm_flow(
+            flow_cfg_raw, coords, functional, seed, f"{ctx}: flow_config")
+        inputs = [_input_to_gmm(d, i, p, flow_cfg.n_components, rng)
+                  for i, (d, p) in enumerate(zip(inputs_cfg, parsed))]
+
+    def run() -> int:
+        out.mkdir(parents=True, exist_ok=True)
+        timings = {}
+        t0 = time.perf_counter()
+        if flow_kind == "empirical":
+            final, trace = run_flow(inputs, flow_cfg)
+            final_path = out / "final_measure.csv"
+            save_csv(final, final_path)
+        else:
+            final, trace = run_gmm_flow(inputs, flow_cfg)
+            final_path = out / "final_mixture.json"
+            save_gmm(final, final_path)
+        timings["flow_ms"] = 1e3 * (time.perf_counter() - t0)
+        trace_path = out / "trace.csv"
+        write_trace_csv(trace, trace_path)
+        summary = {"final_objective": trace[-1].f, "n_iterations": trace[-1].iter}
+        report = write_report(out, "barycenter", cfg, timings,
+                              [final_path, trace_path], summary)
+        print(f"barycenter: wrote {final_path}, {trace_path}, {report}")
+        return 0
+
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +386,7 @@ TOY_KEYS = ["command", "seed", "output_dir", "base", "n_family", "n_samples",
 TOY_SOLVERS = ("wgf", "wgf_gmm", "fixed_point")
 
 
-def cmd_toy(cfg: dict) -> int:
+def _prepare_toy(cfg: dict):
     ctx = "toy config"
     _check_keys(cfg, TOY_KEYS, ctx)
     seed = _get(cfg, "seed", int, ctx, 0)
@@ -402,12 +400,14 @@ def cmd_toy(cfg: dict) -> int:
     for s in solvers:
         if s not in TOY_SOLVERS:
             raise ConfigError(f"{ctx}: unknown solver {s!r}")
-    flow_over = cfg.get("flow", {})
-    gmm_over = cfg.get("gmm", {})
     out = _out_dir(cfg, ctx)
+    coords = BarycentricCoordinates.uniform(k)
+    emp_cfg = _parse_empirical_flow(
+        cfg.get("flow", {}), coords, FunctionalSpec(), seed, f"{ctx}: flow")
+    gmm_cfg = _parse_gmm_flow(
+        cfg.get("gmm", {}), coords, FunctionalSpec(), seed, f"{ctx}: gmm")
 
     rng = np.random.default_rng(seed)
-    coords = BarycentricCoordinates.uniform(k)
     if base == "gaussian":
         mean0 = np.zeros(2)
         cov0 = np.array([[1.0, 0.3], [0.3, 0.6]])
@@ -434,46 +434,45 @@ def cmd_toy(cfg: dict) -> int:
         reference = EmpiricalMeasure(avg.apply(q0.points))
     inputs = location_scatter_family(q0, maps)
 
-    emp_cfg = _parse_empirical_flow(
-        flow_over, coords, FunctionalSpec(), seed, f"{ctx}: flow")
-    gmm_cfg = _parse_gmm_flow(
-        gmm_over, coords, FunctionalSpec(), seed, f"{ctx}: gmm")
+    def run() -> int:
+        out.mkdir(parents=True, exist_ok=True)
+        rows = []
+        timings = {}
+        init_measure, _ = run_flow(
+            [EmpiricalSampler(m, i) for i, m in enumerate(inputs)],
+            _replace_iters(emp_cfg, 0))
+        rows.append(("init", w2_to_reference(init_measure, reference,
+                                             max_points=eval_points, seed=seed)))
+        for solver in solvers:
+            t0 = time.perf_counter()
+            if solver == "wgf":
+                result, _ = run_flow(
+                    [EmpiricalSampler(m, i) for i, m in enumerate(inputs)], emp_cfg)
+            elif solver == "fixed_point":
+                result = fixed_point_baseline(inputs, emp_cfg)
+            else:
+                gmms = [em_fit(m.points, components_per_class=gmm_cfg.n_components,
+                               seed=np.random.default_rng(seed + 17 * i))
+                        for i, m in enumerate(inputs)]
+                mixture, _ = run_gmm_flow(gmms, gmm_cfg)
+                pts, _, _ = sample_reparam(mixture, n, np.random.default_rng(seed + 1))
+                result = EmpiricalMeasure(pts)
+            w2 = w2_to_reference(result, reference, max_points=eval_points, seed=seed)
+            timings[f"{solver}_ms"] = 1e3 * (time.perf_counter() - t0)
+            rows.append((solver, w2))
 
-    rows = []
-    timings = {}
-    init_measure, _ = run_flow(
-        [EmpiricalSampler(m, i) for i, m in enumerate(inputs)],
-        _replace_iters(emp_cfg, 0))
-    rows.append(("init", w2_to_reference(init_measure, reference,
-                                         max_points=eval_points, seed=seed)))
-    for solver in solvers:
-        t0 = time.perf_counter()
-        if solver == "wgf":
-            result, _ = run_flow(
-                [EmpiricalSampler(m, i) for i, m in enumerate(inputs)], emp_cfg)
-        elif solver == "fixed_point":
-            result = fixed_point_baseline(inputs, emp_cfg)
-        else:
-            gmms = [em_fit(m.points, components_per_class=gmm_cfg.n_components,
-                           seed=np.random.default_rng(seed + 17 * i))
-                    for i, m in enumerate(inputs)]
-            mixture, _ = run_gmm_flow(gmms, gmm_cfg)
-            pts, _, _ = sample_reparam(mixture, n, np.random.default_rng(seed + 1))
-            result = EmpiricalMeasure(pts)
-        w2 = w2_to_reference(result, reference, max_points=eval_points, seed=seed)
-        timings[f"{solver}_ms"] = 1e3 * (time.perf_counter() - t0)
-        rows.append((solver, w2))
+        table_path = out / "toy_table.csv"
+        with open(table_path, "w", newline="") as fh:
+            w = _csv.writer(fh)
+            w.writerow(["solver", "w2_to_ref"])
+            for name, val in rows:
+                w.writerow([name, format(val, ".17g")])
+        report = write_report(out, "toy", cfg, timings, [table_path],
+                              {"table": {name: val for name, val in rows}})
+        print(f"toy: wrote {table_path}, {report}")
+        return 0
 
-    table_path = out / "toy_table.csv"
-    with open(table_path, "w", newline="") as fh:
-        w = _csv.writer(fh)
-        w.writerow(["solver", "w2_to_ref"])
-        for name, val in rows:
-            w.writerow([name, format(val, ".17g")])
-    report = write_report(out, "toy", cfg, timings, [table_path],
-                          {"table": {name: val for name, val in rows}})
-    print(f"toy: wrote {table_path}, {report}")
-    return 0
+    return run
 
 
 class AffineMapAverage:
@@ -504,7 +503,7 @@ TASK_KEYS = ["n_classes", "dim", "k_sources", "n_samples", "class_sep",
 MSDA_COMBOS = ("B", "B+V", "B+U", "B+V+U")
 
 
-def cmd_msda(cfg: dict) -> int:
+def _prepare_msda(cfg: dict):
     ctx = "msda config"
     _check_keys(cfg, MSDA_KEYS, ctx)
     seed = _get(cfg, "seed", int, ctx, 0)
@@ -556,12 +555,7 @@ def cmd_msda(cfg: dict) -> int:
     target_sub = EmpiricalMeasure(target_features.points[idx])
     functional = _parse_functional(
         cfg.get("functional", {}), f"{ctx}: functional", target_measure=target_sub)
-    if functional.target_weight > 0 and functional.target_measure is None:
-        raise ConfigError(f"{ctx}: functional.target_weight needs a target")
-
-    rows = []
-    timings = {}
-    reports = {}
+    runs = []
     for combo in combos:
         spec = functional.with_mask("V" in combo, "U" in combo)
         if method == "gmm":
@@ -570,24 +564,34 @@ def cmd_msda(cfg: dict) -> int:
         else:
             run_cfg = _parse_empirical_flow(cfg.get("flow", {}), coords, spec,
                                             seed, f"{ctx}: flow")
-        t0 = time.perf_counter()
-        rep = msda_adapt(sources, target_features, eval_labels, method, run_cfg)
-        timings[f"{combo}_ms"] = 1e3 * (time.perf_counter() - t0)
-        rows.append((combo, rep.accuracy_adapted, rep.accuracy_source_only))
-        reports[combo] = {"accuracy_adapted": rep.accuracy_adapted,
-                          "accuracy_source_only": rep.accuracy_source_only,
-                          "timings_ms": rep.timings_ms}
+        runs.append((combo, run_cfg))
 
-    table_path = out / "ablation_table.csv"
-    with open(table_path, "w", newline="") as fh:
-        w = _csv.writer(fh)
-        w.writerow(["combo", "accuracy_adapted", "accuracy_source_only"])
-        for combo, acc_a, acc_s in rows:
-            w.writerow([combo, format(acc_a, ".17g"), format(acc_s, ".17g")])
-    report = write_report(out, "msda", cfg, timings, [table_path],
-                          {"method": method, "reports": reports})
-    print(f"msda: wrote {table_path}, {report}")
-    return 0
+    def run() -> int:
+        out.mkdir(parents=True, exist_ok=True)
+        rows = []
+        timings = {}
+        reports = {}
+        for combo, run_cfg in runs:
+            t0 = time.perf_counter()
+            rep = msda_adapt(sources, target_features, eval_labels, method, run_cfg)
+            timings[f"{combo}_ms"] = 1e3 * (time.perf_counter() - t0)
+            rows.append((combo, rep.accuracy_adapted, rep.accuracy_source_only))
+            reports[combo] = {"accuracy_adapted": rep.accuracy_adapted,
+                              "accuracy_source_only": rep.accuracy_source_only,
+                              "timings_ms": rep.timings_ms}
+
+        table_path = out / "ablation_table.csv"
+        with open(table_path, "w", newline="") as fh:
+            w = _csv.writer(fh)
+            w.writerow(["combo", "accuracy_adapted", "accuracy_source_only"])
+            for combo, acc_a, acc_s in rows:
+                w.writerow([combo, format(acc_a, ".17g"), format(acc_s, ".17g")])
+        report = write_report(out, "msda", cfg, timings, [table_path],
+                              {"method": method, "reports": reports})
+        print(f"msda: wrote {table_path}, {report}")
+        return 0
+
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +601,7 @@ GEN_KEYS = ["command", "seed", "output_dir", "dataset"]
 GEN_KINDS = ("swiss_roll", "location_scatter", "synthetic_msda")
 
 
-def cmd_gen(cfg: dict) -> int:
+def _prepare_gen(cfg: dict):
     ctx = "gen config"
     _check_keys(cfg, GEN_KEYS, ctx)
     seed = _get(cfg, "seed", int, ctx, 0)
@@ -605,16 +609,14 @@ def cmd_gen(cfg: dict) -> int:
     ds = _get(cfg, "dataset", dict, ctx, required=True)
     kind = _get(ds, "kind", str, f"{ctx}: dataset", required=True)
     rng = np.random.default_rng(seed)
-    artifacts = []
+    files = []  # (file name, measure)
 
     if kind == "swiss_roll":
         _check_keys(ds, ["kind", "n", "noise_std", "n_classes"], ctx)
         m = swiss_roll(_get(ds, "n", int, ctx, 1000),
                        _get(ds, "noise_std", float, ctx, 0.0),
                        seed=rng, n_classes=_get(ds, "n_classes", int, ctx, 4))
-        path = out / "swiss_roll.csv"
-        save_csv(m, path)
-        artifacts.append(path)
+        files.append(("swiss_roll.csv", m))
     elif kind == "location_scatter":
         _check_keys(ds, ["kind", "n", "k", "noise_std", "family"], ctx)
         k = _get(ds, "k", int, ctx, 4)
@@ -627,64 +629,45 @@ def cmd_gen(cfg: dict) -> int:
             maps = pd_affine_family(k, dim=2, seed=rng, shift_scale=3.0)
         else:
             raise ConfigError(f"{ctx}: family must be 'default' or 'pd'")
-        for i, m in enumerate(location_scatter_family(q0, maps)):
-            path = out / f"family_{i}.csv"
-            save_csv(m, path)
-            artifacts.append(path)
+        files += [(f"family_{i}.csv", m)
+                  for i, m in enumerate(location_scatter_family(q0, maps))]
     elif kind == "synthetic_msda":
         _check_keys(ds, ["kind"] + TASK_KEYS, ctx)
         params = {k: v for k, v in ds.items() if k != "kind"}
         specs = synthetic_domain_specs(seed=rng, **params)
         data = synthetic_msda(specs, seed=rng)
-        for i, s in enumerate(data.sources):
-            path = out / f"source_{i}.csv"
-            save_csv(s, path)
-            artifacts.append(path)
-        tgt = LabeledEmpiricalMeasure.from_hard_labels(
+        files += [(f"source_{i}.csv", s) for i, s in enumerate(data.sources)]
+        files.append(("target.csv", LabeledEmpiricalMeasure.from_hard_labels(
             data.target_features.points, data.target_labels,
-            int(data.target_labels.max()) + 1)
-        path = out / "target.csv"
-        save_csv(tgt, path)
-        artifacts.append(path)
+            int(data.target_labels.max()) + 1)))
     else:
         raise ConfigError(f"{ctx}: dataset kind must be one of {GEN_KINDS}")
 
-    report = write_report(out, "gen", cfg, {}, artifacts, {"kind": kind})
-    print(f"gen: wrote {len(artifacts)} file(s), {report}")
-    return 0
+    def run() -> int:
+        out.mkdir(parents=True, exist_ok=True)
+        artifacts = []
+        for name, measure in files:
+            path = out / name
+            save_csv(measure, path)
+            artifacts.append(path)
+        report = write_report(out, "gen", cfg, {}, artifacts, {"kind": kind})
+        print(f"gen: wrote {len(artifacts)} file(s), {report}")
+        return 0
+
+    return run
 
 
 # ---------------------------------------------------------------------------
 
+# Each command parses its config and loads or generates its inputs without
+# touching output_dir, then returns the step that runs it and writes the
+# artifacts; `validate` stops after the first half.
 COMMANDS = {
-    "barycenter": cmd_barycenter,
-    "toy": cmd_toy,
-    "msda": cmd_msda,
-    "gen": cmd_gen,
+    "barycenter": _prepare_barycenter,
+    "toy": _prepare_toy,
+    "msda": _prepare_msda,
+    "gen": _prepare_gen,
 }
-
-
-def validate_config(cfg: dict) -> str:
-    command = _get(cfg, "command", str, "config", required=True)
-    if command not in COMMANDS:
-        raise ConfigError(f"config: command must be one of {sorted(COMMANDS)}")
-    # dry-run the command-specific parsing without touching the output dir
-    probe = dict(cfg)
-    if command == "barycenter":
-        _prepare_barycenter(probe)
-    elif command == "toy":
-        _check_keys(probe, TOY_KEYS, "toy config")
-    elif command == "msda":
-        _check_keys(probe, MSDA_KEYS, "msda config")
-        if "sources_csv" in probe or "target_csv" in probe:
-            for p in _get(probe, "sources_csv", list, "msda config", required=True):
-                _existing_path(p, "msda config")
-            _existing_path(
-                _get(probe, "target_csv", str, "msda config", required=True),
-                "msda config")
-    else:
-        _check_keys(probe, GEN_KEYS, "gen config")
-    return command
 
 
 def main(argv=None) -> int:
@@ -706,15 +689,18 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
-        command = validate_config(cfg)
-        if args.subcommand == "validate":
-            print(f"config ok: command={command}")
-            return 0
-        if command != args.subcommand:
+        command = _get(cfg, "command", str, "config", required=True)
+        if command not in COMMANDS:
+            raise ConfigError(f"config: command must be one of {sorted(COMMANDS)}")
+        if args.subcommand not in ("validate", command):
             raise ConfigError(
                 f"config declares command {command!r}; invoked as "
                 f"{args.subcommand!r}")
-        return COMMANDS[command](cfg)
+        run = COMMANDS[command](cfg)
+        if args.subcommand == "validate":
+            print(f"config ok: command={command}")
+            return 0
+        return run()
     except ConfigError as e:
         print(f"baryflow-error[config]: {e}", file=sys.stderr)
         return 1

@@ -15,12 +15,13 @@ evaluated on the batches used in step t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import ot
-from .functionals import FunctionalSpec, entropy_potential, hinge_repulsion, target_potential
+from .functionals import FunctionalSpec, _label_energies, target_potential
+from .functionals import hinge_repulsion  # noqa: F401  (bench/tests trace it here)
 from .gaussian import LabeledGMM, sample_reparam
 from .measures import (
     BarycentricCoordinates,
@@ -98,6 +99,9 @@ class EmpiricalFlowConfig:
             raise ValueError(f"label_init must be one of {LABEL_INIT_MODES}")
         if self.solver not in SOLVERS:
             raise ValueError(f"solver must be one of {SOLVERS}")
+        if self.functional.internal_weight > 0:
+            raise ValueError("the empirical flow has no internal energy; "
+                             "functional.internal_weight must be 0")
 
 
 @dataclass(frozen=True)
@@ -186,22 +190,36 @@ class GmmSampler:
 
 # ---------------------------------------------------------------------------
 
-def _solve_plan(points, soft_labels, batch: MiniBatch, cfg: EmpiricalFlowConfig):
-    beta = cfg.label_weight
+def _batch_cost(points, soft_labels, batch: MiniBatch, beta: float):
+    """Ground cost from particles to a batch; labels enter when beta > 0."""
     if beta > 0:
-        cost = ot.joint_cost(points, batch.points, soft_labels, batch.labels, beta)
-    else:
-        cost = ot.joint_cost(points, batch.points)
-    n, m = cost.shape
-    a = np.full(n, 1.0 / n)
-    b = np.full(m, 1.0 / m)
-    if cfg.solver == "exact":
-        return ot.solve_exact(a, b, cost)
-    eps = cfg.entropic_eps
-    if eps is None:
-        med = float(np.median(cost.values))
-        eps = 0.05 * med if med > 0 else 1e-6
-    return ot.solve_entropic(a, b, cost, epsilon=eps, max_iter=2000, tol=1e-9)
+        return ot.joint_cost(points, batch.points, soft_labels, batch.labels, beta)
+    return ot.joint_cost(points, batch.points)
+
+
+def _solve_plans(points, soft_labels, batches, cfg: EmpiricalFlowConfig):
+    """One uniform-marginal plan per batch at fixed particles, as a list of
+    (plan, cost) pairs."""
+    def solve(batch):
+        cost = _batch_cost(points, soft_labels, batch, cfg.label_weight)
+        n, m = cost.shape
+        a = np.full(n, 1.0 / n)
+        b = np.full(m, 1.0 / m)
+        if cfg.solver == "exact":
+            return ot.solve_exact(a, b, cost)
+        eps = cfg.entropic_eps
+        if eps is None:
+            eps = ot._default_epsilon(cost.values)
+        return ot.solve_entropic(a, b, cost, epsilon=eps, max_iter=2000, tol=1e-9)
+
+    return ot.parallel_map(solve, batches)
+
+
+def _lam_map(lam, results, targets):
+    """sum_k lam_k T_k(targets_k): the coordinate-weighted barycentric maps
+    of the plans in ``results``."""
+    return sum(l * ot.barycentric_map(plan, y)
+               for l, (plan, _), y in zip(lam, results, targets))
 
 
 def _check_batches(measure, batches, cfg):
@@ -214,75 +232,39 @@ def _check_batches(measure, batches, cfg):
             raise ValueError("label_weight > 0 requires labeled batches")
 
 
-def _energy_value_and_grads(points, logits, spec: FunctionalSpec):
-    """Weighted (V, U) energy values and their gradients for particles.
+def _plans_and_energies(measure, batches, cfg: EmpiricalFlowConfig):
+    """Plans and weighted energies at fixed particles: the first half of a
+    step, and the whole of trace entry 0.
 
-    Also returns the target-potential plan so callers can re-cost it at
-    updated particles without a second solve.
+    Returns (logits, soft labels, plans, (v, u, particle gradient, logit
+    gradient, target plan)); the target plan lets a step re-cost the target
+    potential at the moved particles without a second solve.
     """
-    v = u = 0.0
-    g_pts = np.zeros_like(points)
-    g_log = None if logits is None else np.zeros_like(logits)
+    labeled = isinstance(measure, LabeledEmpiricalMeasure)
+    logits = measure.label_logits if labeled else None
+    soft = softmax(logits) if labeled else None
+    x = measure.points
+    results = _solve_plans(x, soft, batches, cfg)
+    spec = cfg.functional
+    v, u, g_pts, g_log = _label_energies(x, logits, spec)
     target_plan = None
-    if spec.entropy_weight > 0:
-        if logits is None:
-            raise ValueError("entropy energy requires a labeled measure")
-        ev, eg = entropy_potential(logits)
-        v += spec.entropy_weight * ev
-        g_log = g_log + spec.entropy_weight * eg
     if spec.target_weight > 0:
-        tv, tg, target_plan = _target_with_plan(points, spec)
+        tv, tg, target_plan = target_potential(EmpiricalMeasure(x), spec.target_measure)
         v += spec.target_weight * tv
         g_pts = g_pts + spec.target_weight * tg
-    if spec.repulsion_weight > 0:
-        if logits is None:
-            raise ValueError("repulsion energy requires a labeled measure")
-        hard = np.argmax(softmax(logits), axis=1)
-        rv, rg = hinge_repulsion(points, hard, spec.repulsion_margin,
-                                 spec.repulsion_metric)
-        u += spec.repulsion_weight * rv
-        g_pts = g_pts + spec.repulsion_weight * rg
-    return v, u, g_pts, g_log, target_plan
+    return logits, soft, results, (v, u, g_pts, g_log, target_plan)
 
 
-def _target_with_plan(points, spec):
-    measure = EmpiricalMeasure(points)
-    cost = ot.joint_cost(points, spec.target_measure.points)
-    plan, value = ot.solve_auto(measure.weights, spec.target_measure.weights, cost)
-    mapped = ot.barycentric_map(plan, spec.target_measure.points)
-    grad = 2.0 * measure.weights[:, None] * (points - mapped)
-    return float(value), grad, plan
-
-
-def _energy_values_at(points, logits, spec: FunctionalSpec, target_plan):
-    """Energy values only, reusing a previously solved target plan."""
-    v = u = 0.0
-    if spec.entropy_weight > 0:
-        v += spec.entropy_weight * entropy_potential(logits)[0]
-    if spec.target_weight > 0 and target_plan is not None:
-        cost = ot.joint_cost(points, spec.target_measure.points)
-        v += spec.target_weight * float((target_plan.coupling * cost.values).sum())
-    if spec.repulsion_weight > 0:
-        hard = np.argmax(softmax(logits), axis=1)
-        u += spec.repulsion_weight * hinge_repulsion(
-            points, hard, spec.repulsion_margin, spec.repulsion_metric)[0]
-    return v, u
+def _record(it: int, b_hat, v: float, u: float, points) -> TraceRecord:
+    return TraceRecord(it, float(b_hat), v, u, 0.0, float(b_hat + v + u),
+                       float(np.linalg.norm(points)))
 
 
 def _evaluate(measure, batches, cfg, it: int) -> TraceRecord:
-    """Objective at a measure with freshly solved plans (used for entry 0
-    of the trace and for standalone diagnostics)."""
-    labeled = isinstance(measure, LabeledEmpiricalMeasure)
-    soft = measure.soft_labels() if labeled else None
-    lam = cfg.coordinates.lam
-    results = ot.parallel_map(
-        lambda b: _solve_plan(measure.points, soft, b, cfg), batches)
-    b_hat = float(sum(l * c for l, (_, c) in zip(lam, results)))
-    logits = measure.label_logits if labeled else None
-    v, u, _, _, _ = _energy_value_and_grads(measure.points, logits, cfg.functional)
-    f = b_hat + v + u
-    return TraceRecord(it, b_hat, v, u, 0.0, f,
-                       float(np.linalg.norm(measure.points)))
+    """Objective at a measure with freshly solved plans (trace entry 0)."""
+    _, _, results, (v, u, *_) = _plans_and_energies(measure, batches, cfg)
+    b_hat = sum(l * c for l, (_, c) in zip(cfg.coordinates.lam, results))
+    return _record(it, b_hat, v, u, measure.points)
 
 
 def flow_step(state: FlowState, batches, cfg: EmpiricalFlowConfig) -> FlowState:
@@ -299,35 +281,23 @@ def flow_step(state: FlowState, batches, cfg: EmpiricalFlowConfig) -> FlowState:
     labeled = isinstance(measure, LabeledEmpiricalMeasure)
     x = measure.points
     n = x.shape[0]
-    logits = measure.label_logits if labeled else None
-    soft = softmax(logits) if labeled else None
     lam = cfg.coordinates.lam
     beta = cfg.label_weight
+    spec = cfg.functional
+    logits, soft, results, (_, _, e_gx, e_glog, target_plan) = \
+        _plans_and_energies(measure, batches, cfg)
 
-    results = ot.parallel_map(lambda b: _solve_plan(x, soft, b, cfg), batches)
-
-    mapped = np.zeros_like(x)
-    for l, (plan, _), batch in zip(lam, results, batches):
-        mapped += l * ot.barycentric_map(plan, batch.points)
-    grad_x = (2.0 / n) * (x - mapped)
-
-    grad_logits = None
+    grad_x = (2.0 / n) * (x - _lam_map(lam, results, [b.points for b in batches]))
+    raw_step = cfg.step_size * n / 2.0
+    x_new = x - raw_step * (grad_x + e_gx)
+    logits_new = None
     if labeled:
         grad_logits = np.zeros_like(logits)
         if beta > 0:
-            mapped_y = np.zeros_like(soft)
-            for l, (plan, _), batch in zip(lam, results, batches):
-                mapped_y += l * ot.barycentric_map(plan, batch.labels)
-            resid = soft - mapped_y
+            resid = soft - _lam_map(lam, results, [b.labels for b in batches])
             # softmax chain rule J v = y * v - y (y . v), row-wise
             grad_logits = (2.0 * beta / n) * (
                 soft * resid - soft * (soft * resid).sum(axis=1, keepdims=True))
-
-    _, _, e_gx, e_glog, target_plan = _energy_value_and_grads(
-        x, logits, cfg.functional)
-    raw_step = cfg.step_size * n / 2.0
-    x_new = x - raw_step * (grad_x + e_gx)
-    if labeled:
         logits_new = logits - raw_step * (grad_logits + e_glog)
         new_measure = LabeledEmpiricalMeasure(
             EmpiricalMeasure(x_new, measure.weights), logits_new,
@@ -339,15 +309,13 @@ def flow_step(state: FlowState, batches, cfg: EmpiricalFlowConfig) -> FlowState:
     soft_new = softmax(logits_new) if labeled else None
     b_hat = 0.0
     for l, (plan, _), batch in zip(lam, results, batches):
-        if beta > 0:
-            cost = ot.joint_cost(x_new, batch.points, soft_new, batch.labels, beta)
-        else:
-            cost = ot.joint_cost(x_new, batch.points)
+        cost = _batch_cost(x_new, soft_new, batch, beta)
         b_hat += l * float((plan.coupling * cost.values).sum())
-    v, u = _energy_values_at(
-        x_new, logits_new if labeled else None, cfg.functional, target_plan)
-    record = TraceRecord(state.iter + 1, b_hat, v, u, 0.0, b_hat + v + u,
-                         float(np.linalg.norm(x_new)))
+    v, u, _, _ = _label_energies(x_new, logits_new, spec)
+    if target_plan is not None:
+        cost = ot.joint_cost(x_new, spec.target_measure.points)
+        v += spec.target_weight * float((target_plan.coupling * cost.values).sum())
+    record = _record(state.iter + 1, b_hat, v, u, x_new)
     return FlowState(new_measure, state.iter + 1, state.trace + (record,))
 
 
@@ -448,21 +416,14 @@ def fixed_point_baseline(datasets, cfg: EmpiricalFlowConfig, alpha: float | None
     x = np.array(measure.points)
     y = softmax(measure.label_logits) if labeled else None
     lam = cfg.coordinates.lam
-    beta = cfg.label_weight
 
     for _ in range(cfg.n_iter):
-        soft = y if (labeled and beta > 0) else None
-        results = ot.parallel_map(
-            lambda b: _solve_plan(x, soft, b, cfg), full_batches)
-        mapped = np.zeros_like(x)
-        mapped_y = np.zeros_like(y) if labeled else None
-        for l, (plan, _), batch in zip(lam, results, full_batches):
-            mapped += l * ot.barycentric_map(plan, batch.points)
-            if labeled:
-                mapped_y += l * ot.barycentric_map(plan, batch.labels)
-        x = (1.0 - a) * x + a * mapped
+        results = _solve_plans(x, y, full_batches, cfg)
+        x = (1.0 - a) * x + a * _lam_map(
+            lam, results, [b.points for b in full_batches])
         if labeled:
-            y = (1.0 - a) * y + a * mapped_y
+            y = (1.0 - a) * y + a * _lam_map(
+                lam, results, [b.labels for b in full_batches])
 
     if labeled:
         return LabeledEmpiricalMeasure(

@@ -20,11 +20,11 @@ from . import ot
 from .flow_empirical import TraceRecord
 from .functionals import (
     FunctionalSpec,
-    entropy_potential,
-    hinge_repulsion,
+    _label_energies,
     internal_energy_mc,
     target_potential,
 )
+from .functionals import hinge_repulsion  # noqa: F401  (bench/tests trace it here)
 from .gaussian import (
     GaussianComponent,
     LabeledGMM,
@@ -116,40 +116,23 @@ def _nu_logits(nu: np.ndarray) -> np.ndarray:
     return np.log(np.maximum(nu, 1e-12))
 
 
-def _energy_grads(mus, chols, nu_logits, weights, cfg, rng):
-    """Weighted energies for a mixture state: entropy on component labels,
-    repulsion on means, target potential and internal energy by Monte-Carlo.
+def _energy_grads(state: LabeledGMM, cfg: GmmFlowConfig, rng):
+    """Weighted energies of a mixture state: entropy and repulsion on the
+    component labels and means, then the target potential and the internal
+    energy by Monte-Carlo, drawn from ``rng`` in that order.
 
-    Returns (v, u, g, grads) where grads update (mu, L, nu_logits, w_logits).
+    Returns (v, u, g, g_mu, g_l, g_nu, g_w); the gradients update
+    (mu, L, nu_logits, w_logits).
     """
     spec = cfg.functional
-    k, d = mus.shape
-    v = u = g = 0.0
-    g_mu = np.zeros((k, d))
+    k, d = state.n_components, state.dim
+    nu_logits = None if state.nu is None else _nu_logits(state.nu)
+    v, u, g_mu, g_nu = _label_energies(state.means(), nu_logits, spec)
+    g = 0.0
     g_l = np.zeros((k, d, d))
-    g_nu = None if nu_logits is None else np.zeros_like(nu_logits)
     g_w = np.zeros(k)
-    if not spec.any_active:
-        return v, u, g, g_mu, g_l, g_nu, g_w
-
-    gmm = LabeledGMM(weights, tuple(
-        GaussianComponent(mus[i], chols[i]) for i in range(k)))
-    if spec.entropy_weight > 0:
-        if nu_logits is None:
-            raise ValueError("entropy energy requires component labels")
-        ev, eg = entropy_potential(nu_logits)
-        v += spec.entropy_weight * ev
-        g_nu = g_nu + spec.entropy_weight * eg
-    if spec.repulsion_weight > 0:
-        if nu_logits is None:
-            raise ValueError("repulsion energy requires component labels")
-        hard = np.argmax(nu_logits, axis=1)
-        rv, rg = hinge_repulsion(mus, hard, spec.repulsion_margin,
-                                 spec.repulsion_metric)
-        u += spec.repulsion_weight * rv
-        g_mu = g_mu + spec.repulsion_weight * rg
     if spec.target_weight > 0:
-        z, idx, eps = sample_reparam(gmm, cfg.mc_samples, rng)
+        z, idx, eps = sample_reparam(state, cfg.mc_samples, rng)
         tv, tg, _ = target_potential(EmpiricalMeasure(z), spec.target_measure)
         v += spec.target_weight * tv
         for j in range(k):
@@ -157,7 +140,7 @@ def _energy_grads(mus, chols, nu_logits, weights, cfg, rng):
             g_mu[j] += spec.target_weight * tg[sel].sum(axis=0)
             g_l[j] += spec.target_weight * np.tril(tg[sel].T @ eps[sel])
     if spec.internal_weight > 0:
-        iv, im, il, iw = internal_energy_mc(gmm, cfg.mc_samples, rng)
+        iv, im, il, iw = internal_energy_mc(state, cfg.mc_samples, rng)
         g += spec.internal_weight * iv
         g_mu = g_mu + spec.internal_weight * im
         g_l = g_l + spec.internal_weight * il
@@ -165,30 +148,46 @@ def _energy_grads(mus, chols, nu_logits, weights, cfg, rng):
     return v, u, g, g_mu, g_l, g_nu, g_w
 
 
+def _evaluate(state: LabeledGMM, inputs, cfg: GmmFlowConfig, rng, it: int):
+    """Objective at ``state`` with freshly solved component couplings.
+
+    Returns the trace record, the (cost, plan, value) of each input, and
+    the energy gradients (g_mu, g_l, g_nu, g_w).
+    """
+    def solve(q):
+        cost = mw2_cost_matrix(state, q, beta=cfg.label_weight)
+        plan, value = ot.solve_exact(state.weights, q.weights, cost)
+        return cost, plan, value
+
+    solved = ot.parallel_map(solve, inputs)
+    b_hat = 0.0
+    for l, (_, _, value) in zip(cfg.coordinates.lam, solved):
+        b_hat += l * value
+    v, u, g, *energy_grads = _energy_grads(state, cfg, rng)
+    mus, chols = state.means(), state.chols()
+    record = TraceRecord(
+        it, float(b_hat), float(v), float(u), float(g),
+        float(b_hat + v + u + g),
+        float(np.sqrt((mus ** 2).sum() + (chols ** 2).sum())))
+    return record, solved, energy_grads
+
+
 def _step(state: LabeledGMM, inputs, cfg: GmmFlowConfig, rng, it: int):
     """One descent step; returns (new state, trace record at the old state)."""
+    record, solved, (e_mu, e_l, e_nu, e_w) = _evaluate(state, inputs, cfg, rng, it)
     lam = cfg.coordinates.lam
     beta = cfg.label_weight
     k, d = state.n_components, state.dim
     mus = state.means()
     chols = state.chols()
-    nu_logits = None if state.nu is None else _nu_logits(state.nu)
     nu = state.nu
+    nu_logits = None if nu is None else _nu_logits(nu)
 
-    b_hat = 0.0
     grad_mu = np.zeros((k, d))
     grad_l = np.zeros((k, d, d))
     grad_nu_total = np.zeros_like(nu) if nu is not None else None
     grad_pi = np.zeros(k)
-
-    def solve_one(q):
-        cost = mw2_cost_matrix(state, q, beta=beta)
-        plan, value = ot.solve_exact(state.weights, q.weights, cost)
-        return cost, plan, value
-
-    results = ot.parallel_map(solve_one, inputs)
-    for l, q, (cost, plan, value) in zip(lam, inputs, results):
-        b_hat += l * value
+    for l, q, (cost, plan, _) in zip(lam, inputs, solved):
         _, gm, gl, gn = mw2_fixed_plan_value_grad(state, q, plan.coupling, beta)
         grad_mu += l * gm
         grad_l += l * gl
@@ -197,9 +196,6 @@ def _step(state: LabeledGMM, inputs, cfg: GmmFlowConfig, rng, it: int):
         if cfg.flow_weights:
             # envelope by row scaling: d cost / d pi_i at fixed conditionals
             grad_pi += l * (plan.coupling * cost).sum(axis=1) / state.weights
-
-    v, u, g, e_mu, e_l, e_nu, e_w = _energy_grads(
-        mus, chols, nu_logits, state.weights, cfg, rng)
 
     grad_mu += e_mu
     grad_l += e_l
@@ -237,10 +233,6 @@ def _step(state: LabeledGMM, inputs, cfg: GmmFlowConfig, rng, it: int):
         chain = state.weights * (grad_pi - float(state.weights @ grad_pi)) + e_w
         weights_new = softmax(w_logits - a * chain)
 
-    record = TraceRecord(
-        it, float(b_hat), float(v), float(u), float(g),
-        float(b_hat + v + u + g),
-        float(np.sqrt((mus ** 2).sum() + (chols ** 2).sum())))
     new_state = LabeledGMM(
         weights_new,
         tuple(GaussianComponent(mus_new[i], chols_new[i]) for i in range(k)),
@@ -267,22 +259,6 @@ def _check_inputs(state, inputs, cfg):
     if cfg.label_weight > 0:
         if state.nu is None or any(q.nu is None for q in inputs):
             raise ValueError("label_weight > 0 requires labeled mixtures")
-
-
-def _evaluate_state(state, inputs, cfg, rng, it):
-    lam = cfg.coordinates.lam
-    b_hat = 0.0
-    for l, q in zip(lam, inputs):
-        cost = mw2_cost_matrix(state, q, beta=cfg.label_weight)
-        _, value = ot.solve_exact(state.weights, q.weights, cost)
-        b_hat += l * value
-    nu_logits = None if state.nu is None else _nu_logits(state.nu)
-    v, u, g, *_ = _energy_grads(
-        state.means(), state.chols(), nu_logits, state.weights, cfg, rng)
-    mus, chols = state.means(), state.chols()
-    return TraceRecord(it, float(b_hat), float(v), float(u), float(g),
-                       float(b_hat + v + u + g),
-                       float(np.sqrt((mus ** 2).sum() + (chols ** 2).sum())))
 
 
 def _init_state(inputs, cfg: GmmFlowConfig, rng) -> LabeledGMM:
@@ -334,7 +310,7 @@ def run_gmm_flow(inputs, cfg: GmmFlowConfig, init: LabeledGMM | None = None):
     for it in range(cfg.n_iter):
         state, record = _step(state, inputs, cfg, rng, it)
         trace.append(record)
-    trace.append(_evaluate_state(state, inputs, cfg, rng, cfg.n_iter))
+    trace.append(_evaluate(state, inputs, cfg, rng, cfg.n_iter)[0])
     return state, trace
 
 

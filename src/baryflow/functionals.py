@@ -26,7 +26,7 @@ from scipy.special import logsumexp, xlogy
 
 from . import ot
 from .gaussian import LabeledGMM, component_log_probs, sample_reparam
-from .measures import EmpiricalMeasure, softmax
+from .measures import EmpiricalMeasure, softmax, softmax_decode
 
 __all__ = [
     "FunctionalSpec",
@@ -154,16 +154,15 @@ def hinge_repulsion(points: np.ndarray, hard_labels: np.ndarray,
     return value, grad
 
 
-def target_potential(p, target: EmpiricalMeasure, beta: float = 0.0
-                     ) -> tuple[float, np.ndarray, np.ndarray | None]:
+def target_potential(p, target: EmpiricalMeasure
+                     ) -> tuple[float, np.ndarray, ot.TransportPlan]:
     """Squared W2 from the measure to a target batch, feature cost only.
 
     The gradient descends the coupling objective with the optimal plan held
     fixed: at particle i it is 2 w_i (x_i - T(x_i)) with T the barycentric
-    map. Labels do not enter the cost; the logits gradient is zero (None for
-    unlabeled measures). ``beta`` is accepted for signature uniformity.
+    map. Labels do not enter the cost. The optimal plan is returned too, so
+    the value can be re-costed at moved particles without a second solve.
     """
-    del beta
     points = p.points
     weights = p.weights
     if target.n < 1:
@@ -172,10 +171,35 @@ def target_potential(p, target: EmpiricalMeasure, beta: float = 0.0
     plan, value = ot.solve_auto(weights, target.weights, cost)
     mapped = ot.barycentric_map(plan, target.points)
     grad_points = 2.0 * weights[:, None] * (points - mapped)
-    grad_logits = None
-    if hasattr(p, "label_logits"):
-        grad_logits = np.zeros_like(np.asarray(p.label_logits))
-    return float(value), grad_points, grad_logits
+    return float(value), grad_points, plan
+
+
+def _label_energies(points: np.ndarray, logits: np.ndarray | None,
+                    spec: FunctionalSpec):
+    """Weighted label entropy (V) and hinge repulsion (U) with gradients.
+
+    ``points`` are particles or mixture means and ``logits`` their label
+    logits (None when unlabeled); hard labels are decoded by
+    ``softmax_decode``. Returns (v, u, grad_points, grad_logits), with
+    grad_logits None for unlabeled input.
+    """
+    v = u = 0.0
+    g_pts = np.zeros_like(points)
+    g_log = None if logits is None else np.zeros_like(logits)
+    if spec.entropy_weight > 0:
+        if logits is None:
+            raise ValueError("entropy energy requires labels")
+        ev, eg = entropy_potential(logits)
+        v += spec.entropy_weight * ev
+        g_log = g_log + spec.entropy_weight * eg
+    if spec.repulsion_weight > 0:
+        if logits is None:
+            raise ValueError("repulsion energy requires labels")
+        rv, rg = hinge_repulsion(points, softmax_decode(logits)[1],
+                                 spec.repulsion_margin, spec.repulsion_metric)
+        u += spec.repulsion_weight * rv
+        g_pts = g_pts + spec.repulsion_weight * rg
+    return v, u, g_pts, g_log
 
 
 def internal_energy_mc(gmm: LabeledGMM, n_samples: int, seed=None

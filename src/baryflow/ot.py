@@ -330,19 +330,21 @@ def _logsumexp_cols(mat: np.ndarray) -> np.ndarray:
     return mx + np.log(np.exp(mat - mx[None, :]).sum(axis=0))
 
 
-def solve_auto(a, b, C: CostMatrix | np.ndarray) -> tuple[TransportPlan, float]:
-    """Exact plan up to EXACT_SIZE_LIMIT coupling entries, entropic above.
+def _default_epsilon(Cv: np.ndarray) -> float:
+    """Entropic epsilon 0.05 * median(C), which keeps the regularization
+    scale-invariant; 1e-6 when that is not positive."""
+    eps = 0.05 * float(np.median(Cv))
+    return eps if eps > 0 else 1e-6
 
-    The entropic epsilon is 0.05 * median(C), which keeps the regularization
-    scale-invariant.
-    """
+
+def solve_auto(a, b, C: CostMatrix | np.ndarray) -> tuple[TransportPlan, float]:
+    """Exact plan up to EXACT_SIZE_LIMIT coupling entries, entropic above,
+    with the default epsilon."""
     Cv = C.values if isinstance(C, CostMatrix) else np.asarray(C, dtype=float)
     if Cv.size <= EXACT_SIZE_LIMIT:
         return solve_exact(a, b, Cv)
-    eps = 0.05 * float(np.median(Cv))
-    if eps <= 0:
-        eps = 1e-6
-    return solve_entropic(a, b, Cv, epsilon=eps, max_iter=2000, tol=1e-7)
+    return solve_entropic(a, b, Cv, epsilon=_default_epsilon(Cv),
+                          max_iter=2000, tol=1e-7)
 
 
 def barycentric_map(plan: TransportPlan, y: np.ndarray) -> np.ndarray:

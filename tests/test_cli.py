@@ -37,6 +37,7 @@ class TestValidate:
         path = write_config(tmp_path, "c.json", bary_config(tmp_path / "out"))
         assert main(["validate", path]) == 0
         assert "config ok" in capsys.readouterr().out
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_key_named(self, tmp_path, capsys):
         cfg = bary_config(tmp_path / "out")
@@ -57,6 +58,19 @@ class TestValidate:
     def test_command_subcommand_mismatch(self, tmp_path, capsys):
         path = write_config(tmp_path, "c.json", bary_config(tmp_path / "out"))
         assert main(["toy", path]) == 1
+
+    @pytest.mark.parametrize("cfg, bad_key", [
+        ({"command": "toy", "flow": {"n_iters": 5}}, "n_iters"),
+        ({"command": "msda", "task": {"n_sample": 64}}, "n_sample"),
+        ({"command": "gen", "dataset": {"kind": "swiss_roll", "size": 10}},
+         "size"),
+    ])
+    def test_nested_unknown_key(self, tmp_path, capsys, cfg, bad_key):
+        cfg = dict(cfg, output_dir=str(tmp_path / "out"))
+        path = write_config(tmp_path, "c.json", cfg)
+        assert main(["validate", path]) == 1
+        assert bad_key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestBarycenterCommand:
@@ -102,6 +116,14 @@ class TestBarycenterCommand:
         path = write_config(tmp_path, "c.json", cfg)
         assert main(["barycenter", path]) == 1
         assert "flow" in capsys.readouterr().err
+
+    def test_empirical_internal_energy_rejected(self, tmp_path, capsys):
+        cfg = bary_config(tmp_path / "out")
+        cfg["functional"] = {"internal_weight": 0.1}
+        path = write_config(tmp_path, "c.json", cfg)
+        assert main(["barycenter", path]) == 1
+        assert "internal_weight" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_csv_input(self, tmp_path):
         from baryflow.datasets import save_csv, swiss_roll
@@ -191,6 +213,13 @@ class TestMsdaCommand:
         main(["msda", p2])
         assert (out1 / "ablation_table.csv").read_bytes() == \
             (out2 / "ablation_table.csv").read_bytes()
+
+    def test_empirical_internal_energy_rejected(self, tmp_path, capsys):
+        cfg = self.msda_config(tmp_path / "out")
+        cfg["functional"]["internal_weight"] = 0.1
+        path = write_config(tmp_path, "c.json", cfg)
+        assert main(["msda", path]) == 1
+        assert "internal_weight" in capsys.readouterr().err
 
     def test_missing_target_path_exit_1(self, tmp_path, capsys):
         cfg = {

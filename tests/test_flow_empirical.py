@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,12 @@ from baryflow.flow_empirical import (
     fixed_point_baseline,
     flow_step,
     run_flow,
+)
+from baryflow.functionals import (
+    FunctionalSpec,
+    entropy_potential,
+    hinge_repulsion,
+    target_potential,
 )
 from baryflow.gaussian import GaussianComponent, LabeledGMM
 from baryflow.measures import (
@@ -54,6 +62,12 @@ class TestConfigValidation:
     def test_bad_solver(self):
         with pytest.raises(ValueError):
             EmpiricalFlowConfig(8, 8, 1, UNIT, solver="magic")
+
+    def test_internal_energy_rejected(self):
+        # the empirical flow has no internal energy; it must not be ignored
+        with pytest.raises(ValueError, match="internal_weight"):
+            EmpiricalFlowConfig(8, 8, 1, UNIT,
+                                functional=FunctionalSpec(internal_weight=0.1))
 
 
 class TestFlowState:
@@ -196,6 +210,40 @@ class TestRunFlow:
         head = b[:20].mean()
         tail = b[-20:].mean()
         assert tail < head
+
+
+class TestTraceComposition:
+    def test_first_entry_from_public_functions(self):
+        rng = np.random.default_rng(3)
+        datasets = [LabeledEmpiricalMeasure.from_hard_labels(
+            rng.standard_normal((12, 2)) + shift, rng.integers(0, 3, 12), 3)
+            for shift in (0.0, 2.0)]
+        target = EmpiricalMeasure(rng.standard_normal((8, 2)) + 1.0)
+        spec = FunctionalSpec(entropy_weight=0.3, repulsion_weight=0.2,
+                              repulsion_margin=2.0, target_weight=0.5,
+                              target_measure=target)
+        cfg = EmpiricalFlowConfig(12, 12, 0, HALF, label_weight=2.0,
+                                  functional=spec, label_init="random", seed=4)
+        inputs = [FullBatchSampler(d, k) for k, d in enumerate(datasets)]
+        init, trace = run_flow(inputs, cfg)
+        _, longer = run_flow(inputs, replace(cfg, n_iter=3))
+        assert longer[0] == trace[0]
+
+        # entry 0: the initial measure against the first (here: full) batches
+        x = init.points
+        b_hat = 0.0
+        for lam, ds in zip(HALF.lam, datasets):
+            cost = ot.joint_cost(x, ds.points, init.soft_labels(),
+                                 one_hot(ds.hard_labels(), 3), 2.0)
+            b_hat += lam * ot.solve_exact(init.weights, ds.weights, cost)[1]
+        v = (0.3 * entropy_potential(init.label_logits)[0]
+             + 0.5 * target_potential(EmpiricalMeasure(x), target)[0])
+        u = 0.2 * hinge_repulsion(x, init.hard_labels(), 2.0)[0]
+        rec = trace[0]
+        assert rec.iter == 0 and rec.g == 0.0 and u > 0
+        np.testing.assert_allclose(
+            [rec.b_hat, rec.v, rec.u, rec.f, rec.param_norm],
+            [b_hat, v, u, b_hat + v + u, np.linalg.norm(x)], rtol=1e-12)
 
 
 class TestFullBatchInvariants:

@@ -9,6 +9,7 @@ from baryflow.flow_gmm import (
     mw2_fixed_plan_value_grad,
     run_gmm_flow,
 )
+from baryflow.functionals import FunctionalSpec, hinge_repulsion
 from baryflow.gaussian import (
     GaussianComponent,
     LabeledGMM,
@@ -16,7 +17,7 @@ from baryflow.gaussian import (
     mw2_cost_matrix,
     mw2_sq,
 )
-from baryflow.measures import BarycentricCoordinates
+from baryflow.measures import BarycentricCoordinates, EmpiricalMeasure
 
 from conftest import random_pd_component
 
@@ -264,6 +265,41 @@ class TestRunGmmFlow:
         final, _ = run_gmm_flow([q], cfg, init=state)
         assert abs(final.weights.sum() - 1.0) <= 1e-12
         assert not np.allclose(final.weights, [0.5, 0.5])
+
+
+class TestTraceComposition:
+    def test_last_entry_from_public_functions(self):
+        rng = np.random.default_rng(7)
+
+        def labeled_input(shift):
+            comps = tuple(random_pd_component(rng, 2) for _ in range(2))
+            comps = tuple(GaussianComponent(c.mu + shift, c.chol) for c in comps)
+            return LabeledGMM([0.4, 0.6], comps, nu=np.eye(2))
+
+        inputs = [labeled_input(0.0), labeled_input(3.0)]
+        spec = FunctionalSpec(
+            entropy_weight=0.1, repulsion_weight=0.1, repulsion_margin=5.0,
+            target_weight=0.1,
+            target_measure=EmpiricalMeasure(rng.standard_normal((16, 2)) + 1.5),
+            internal_weight=0.05)
+        cfg = GmmFlowConfig(2, 4, HALF, step_size=0.05, label_weight=1.0,
+                            mc_samples=32, functional=spec, seed=2)
+        state, trace = run_gmm_flow(inputs, cfg)
+
+        # the last entry: the final state with freshly solved couplings
+        b_hat = 0.0
+        for lam, q in zip(HALF.lam, inputs):
+            cost = mw2_cost_matrix(state, q, beta=1.0)
+            b_hat += lam * ot.solve_exact(state.weights, q.weights, cost)[1]
+        u = 0.1 * hinge_repulsion(state.means(), np.argmax(state.nu, axis=1),
+                                  5.0)[0]
+        norm = np.sqrt((state.means() ** 2).sum() + (state.chols() ** 2).sum())
+        last = trace[-1]
+        assert last.iter == 4 and u > 0 and last.g != 0.0
+        np.testing.assert_allclose([last.b_hat, last.u, last.param_norm],
+                                   [b_hat, u, norm], rtol=1e-12)
+        assert last.f == pytest.approx(last.b_hat + last.v + last.u + last.g,
+                                       rel=1e-12)
 
 
 class TestEmInit:

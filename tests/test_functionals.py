@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from baryflow import ot
 from baryflow.functionals import (
     FunctionalSpec,
     entropy_potential,
@@ -104,11 +105,13 @@ class TestTargetPotential:
     def test_zero_on_match(self):
         pts = np.array([[0.0, 1.0], [2.0, 3.0]])
         p = LabeledEmpiricalMeasure.from_hard_labels(pts, np.array([0, 1]), 2)
-        value, grad, grad_logits = target_potential(p, EmpiricalMeasure(pts))
+        target = EmpiricalMeasure(pts)
+        value, grad, plan = target_potential(p, target)
         assert value <= 1e-12
         assert np.max(np.abs(grad)) <= 1e-12
-        assert grad_logits.shape == (2, 2)
-        assert np.all(grad_logits == 0.0)
+        assert np.allclose(plan.coupling.sum(axis=1), p.weights, atol=1e-12)
+        cost = ot.joint_cost(pts, target.points).values
+        assert value == pytest.approx(float((plan.coupling * cost).sum()), rel=1e-12)
 
     def test_single_atom(self):
         p = LabeledEmpiricalMeasure.from_hard_labels(
@@ -129,11 +132,13 @@ class TestTargetPotential:
             assert value2 <= value + 1e-12
 
     def test_unlabeled_measure_accepted(self):
-        value, grad, grad_logits = target_potential(
-            EmpiricalMeasure(np.array([[0.0]])),
-            EmpiricalMeasure(np.array([[2.0]])))
+        p = EmpiricalMeasure(np.array([[0.0]]))
+        target = EmpiricalMeasure(np.array([[2.0]]))
+        value, grad, plan = target_potential(p, target)
         assert abs(value - 4.0) <= 1e-12
-        assert grad_logits is None
+        assert np.allclose(plan.coupling.sum(axis=1), p.weights, atol=1e-12)
+        cost = ot.joint_cost(p.points, target.points).values
+        assert value == pytest.approx(float((plan.coupling * cost).sum()), rel=1e-12)
 
 
 class TestInternalEnergyMc:
