@@ -13,6 +13,10 @@ Subcommands (each takes a JSON config file):
   command would, then exit without writing anything.
 
 Configs are validated strictly (unknown keys are rejected) before any work.
+A section that configures a library class or function takes its keys, their
+types and their defaults from that signature (``_build``); the CLI supplies
+only the values the library requires. A ValueError the library raises while a
+config is prepared is a config error.
 Exit codes: 0 success, 1 config error, 2 numerical failure. Machine-readable
 output goes to files; stdout carries human-readable progress. Trace and
 table CSVs are byte-stable for a fixed seed; wall-clock timings live in the
@@ -23,12 +27,14 @@ from __future__ import annotations
 
 import argparse
 import csv as _csv
+import dataclasses
+import inspect
 import json
 import os
-import dataclasses
 import subprocess
 import sys
 import time
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -59,7 +65,7 @@ from .flow_gmm import (
     fixed_point_gaussian_barycenter,
     run_gmm_flow,
 )
-from .functionals import REPULSION_METRICS, FunctionalSpec
+from .functionals import FunctionalSpec
 from .gaussian import (
     GaussianComponent,
     LabeledGMM,
@@ -69,7 +75,8 @@ from .gaussian import (
     save_gmm,
 )
 from .measures import BarycentricCoordinates, EmpiricalMeasure, LabeledEmpiricalMeasure
-from .pipeline import REPORT_SCHEMA_VERSION, msda_adapt, snapshot, w2_to_reference
+from .pipeline import (BARYCENTER_KINDS, REPORT_SCHEMA_VERSION, msda_adapt,
+                       snapshot, w2_to_reference)
 
 
 class ConfigError(Exception):
@@ -82,7 +89,8 @@ class ConfigError(Exception):
 def _check_keys(d: dict, allowed, ctx: str) -> None:
     unknown = sorted(set(d) - set(allowed))
     if unknown:
-        raise ConfigError(f"{ctx}: unknown key(s) {unknown}")
+        raise ConfigError(
+            f"{ctx}: unknown key(s) {unknown}; allowed: {sorted(allowed)}")
 
 
 def _get(d: dict, key: str, types, ctx: str, default=None, required=False):
@@ -107,11 +115,54 @@ def _get(d: dict, key: str, types, ctx: str, default=None, required=False):
     return val
 
 
-def _existing_path(raw: str, ctx: str) -> Path:
-    p = Path(raw)
-    if not p.exists():
+# Parameter annotations a config key can set, and the `_get` type of each;
+# JSON has no value for None, so a `float | None` key takes a number.
+_KEY_TYPES = {int: int, float: float, str: str, bool: bool, float | None: float}
+
+
+def _build(fn, section: dict, ctx: str, defaults=None, extra=(), /, **fixed):
+    """Call ``fn`` with the keys of one config section.
+
+    The section's keys are the parameters of ``fn`` annotated as in
+    ``_KEY_TYPES`` that the caller does not pass in ``fixed``, plus the
+    CLI-only keys in ``extra``, which the caller reads itself. A key left
+    out takes ``fn``'s own default, or ``defaults[key]`` for a parameter
+    ``fn`` requires. A ValueError from ``fn`` is a ConfigError.
+    """
+    hints = typing.get_type_hints(fn)
+    types = {name: _KEY_TYPES[hints[name]]
+             for name in inspect.signature(fn).parameters
+             if name not in fixed and hints.get(name) in _KEY_TYPES}
+    _check_keys(section, [*types, *extra], ctx)
+    kwargs = {**(defaults or {}), **fixed}
+    kwargs.update((k, _get(section, k, t, ctx)) for k, t in types.items()
+                  if k in section)
+    try:
+        return fn(**kwargs)
+    except ValueError as e:
+        raise ConfigError(f"{ctx}: {e}") from None
+
+
+def _load(loader, raw, ctx: str, *args):
+    """``loader(path, *args)`` for a file a config names; a missing or
+    malformed file is a ConfigError."""
+    if not isinstance(raw, str):
+        raise ConfigError(f"{ctx}: paths must be strings, got {raw!r}")
+    if not Path(raw).exists():
         raise ConfigError(f"{ctx}: path {raw!r} does not exist")
-    return p
+    try:
+        return loader(Path(raw), *args)
+    except (OSError, ValueError, KeyError) as e:
+        raise ConfigError(f"{ctx}: {e}") from None
+
+
+def _check_dims(dims, ctx: str) -> None:
+    """``dims`` pairs a name with a feature dimension; a run has one."""
+    (first, d0), *rest = dims
+    for name, d in rest:
+        if d != d0:
+            raise ConfigError(f"{ctx}: feature dimensions differ: {name} has "
+                              f"{d}, {first} has {d0}")
 
 
 def load_config(path) -> dict:
@@ -128,30 +179,28 @@ def load_config(path) -> dict:
     return cfg
 
 
-def _parse_functional(d: dict, ctx: str, target_measure=None) -> FunctionalSpec:
-    _check_keys(d, ["entropy_weight", "repulsion_weight", "repulsion_margin",
-                    "repulsion_metric", "target_weight", "target_csv",
-                    "internal_weight"], ctx)
-    target_csv = _get(d, "target_csv", str, ctx)
-    if target_csv is not None:
-        target_measure = load_csv(_existing_path(target_csv, ctx))
-        if isinstance(target_measure, LabeledEmpiricalMeasure):
-            target_measure = target_measure.base
-    metric = _get(d, "repulsion_metric", str, ctx, default="euclidean")
-    if metric not in REPULSION_METRICS:
-        raise ConfigError(f"{ctx}: repulsion_metric must be one of {REPULSION_METRICS}")
-    try:
-        return FunctionalSpec(
-            entropy_weight=_get(d, "entropy_weight", float, ctx, 0.0),
-            repulsion_weight=_get(d, "repulsion_weight", float, ctx, 0.0),
-            repulsion_margin=_get(d, "repulsion_margin", float, ctx, 1.0),
-            repulsion_metric=metric,
-            target_weight=_get(d, "target_weight", float, ctx, 0.0),
-            target_measure=target_measure,
-            internal_weight=_get(d, "internal_weight", float, ctx, 0.0),
-        )
-    except ValueError as e:
-        raise ConfigError(f"{ctx}: {e}") from None
+# The CLI's values for the parameters each flow config requires.
+FLOW_CONFIGS = {
+    "empirical": (EmpiricalFlowConfig,
+                  {"n_particles": 128, "batch_size": 128, "n_iter": 150}),
+    "gmm": (GmmFlowConfig, {"n_components": 4, "n_iter": 300}),
+}
+SWISS_ROLL_DEFAULTS = {"n": 1000}
+
+
+def _parse_flow(kind: str, cfg: dict, key: str, ctx: str, **fixed):
+    cls, defaults = FLOW_CONFIGS[kind]
+    return _build(cls, _get(cfg, key, dict, ctx, {}), f"{ctx}: {key}",
+                  defaults, **fixed)
+
+
+def _parse_functional(cfg: dict, ctx: str, target_measure=None) -> FunctionalSpec:
+    d = _get(cfg, "functional", dict, ctx, {})
+    ctx = f"{ctx}: functional"
+    if "target_csv" in d:
+        target_measure = _load(load_csv, d["target_csv"], ctx)
+    return _build(FunctionalSpec, d, ctx, None, ("target_csv",),
+                  target_measure=target_measure)
 
 
 def _parse_coordinates(cfg: dict, k: int, ctx: str) -> BarycentricCoordinates:
@@ -160,10 +209,7 @@ def _parse_coordinates(cfg: dict, k: int, ctx: str) -> BarycentricCoordinates:
         return BarycentricCoordinates.uniform(k)
     if not isinstance(coords, list) or len(coords) != k:
         raise ConfigError(f"{ctx}: coordinates must be a list of {k} numbers")
-    try:
-        return BarycentricCoordinates(np.asarray(coords, dtype=float))
-    except ValueError as e:
-        raise ConfigError(f"{ctx}: coordinates: {e}") from None
+    return BarycentricCoordinates(np.asarray(coords, dtype=float))
 
 
 INPUT_KINDS = ("csv", "gaussian", "gmm_json", "swiss_roll")
@@ -175,29 +221,24 @@ def _parse_input(d: dict, idx: int, rng: np.random.Generator):
     kind = _get(d, "kind", str, ctx, required=True)
     if kind == "csv":
         _check_keys(d, ["kind", "path", "label_column", "components_per_class"], ctx)
-        path = _existing_path(_get(d, "path", str, ctx, required=True), ctx)
-        measure = load_csv(path, _get(d, "label_column", str, ctx))
+        measure = _load(load_csv, _get(d, "path", str, ctx, required=True), ctx,
+                        _get(d, "label_column", str, ctx))
         return EmpiricalSampler(measure, idx), measure, None
     if kind == "gaussian":
         _check_keys(d, ["kind", "mean", "std"], ctx)
         mean = np.asarray(_get(d, "mean", list, ctx, required=True), dtype=float)
-        std = d.get("std", 1.0)
+        std = _get(d, "std", (int, float, list), ctx, 1.0)
         std = np.broadcast_to(np.asarray(std, dtype=float), mean.shape).copy()
         comp = GaussianComponent(mean, np.diag(std))
         return GaussianSampler(mean, std=std, source_index=idx), None, LabeledGMM(
             [1.0], (comp,))
     if kind == "gmm_json":
         _check_keys(d, ["kind", "path"], ctx)
-        gmm = load_gmm(_existing_path(_get(d, "path", str, ctx, required=True), ctx))
+        gmm = _load(load_gmm, _get(d, "path", str, ctx, required=True), ctx)
         return GmmSampler(gmm, idx), None, gmm
     if kind == "swiss_roll":
-        _check_keys(d, ["kind", "n", "noise_std", "n_classes", "components_per_class"], ctx)
-        measure = swiss_roll(
-            _get(d, "n", int, ctx, 1000),
-            _get(d, "noise_std", float, ctx, 0.0),
-            seed=rng,
-            n_classes=_get(d, "n_classes", int, ctx, 4),
-        )
+        measure = _build(swiss_roll, d, ctx, SWISS_ROLL_DEFAULTS,
+                         ("kind", "components_per_class"), seed=rng)
         return EmpiricalSampler(measure, idx), measure, None
     raise ConfigError(f"{ctx}: kind must be one of {INPUT_KINDS}")
 
@@ -207,11 +248,11 @@ def _input_to_gmm(d: dict, idx: int, parsed, cfg_gmm_components: int,
     sampler, measure, gmm = parsed
     if gmm is not None:
         return gmm
-    ctx = f"inputs[{idx}]"
-    per_class = _get(d, "components_per_class", int, ctx, 1)
     if isinstance(measure, LabeledEmpiricalMeasure):
-        return em_fit(measure.points, measure.hard_labels(),
-                      components_per_class=per_class, seed=rng)
+        per_class = {k: _get(d, k, int, f"inputs[{idx}]") for k in d
+                     if k == "components_per_class"}
+        return em_fit(measure.points, measure.hard_labels(), **per_class,
+                      seed=rng)
     return em_fit(measure.points, components_per_class=cfg_gmm_components,
                   seed=rng)
 
@@ -275,82 +316,34 @@ def _out_dir(cfg: dict, ctx: str) -> Path:
 
 BARY_KEYS = ["command", "seed", "output_dir", "flow", "coordinates", "inputs",
              "flow_config", "functional"]
-EMP_FLOW_KEYS = ["n_particles", "batch_size", "n_iter", "step_size",
-                 "label_weight", "init", "label_init", "solver", "entropic_eps"]
-GMM_FLOW_KEYS = ["n_components", "n_iter", "step_size", "label_weight",
-                 "mc_samples", "diag_only", "flow_weights", "init_mode",
-                 "init_samples"]
-
-
-def _parse_empirical_flow(d: dict, coords, functional, seed, ctx
-                          ) -> EmpiricalFlowConfig:
-    _check_keys(d, EMP_FLOW_KEYS, ctx)
-    try:
-        return EmpiricalFlowConfig(
-            n_particles=_get(d, "n_particles", int, ctx, 128),
-            batch_size=_get(d, "batch_size", int, ctx, 128),
-            n_iter=_get(d, "n_iter", int, ctx, 150),
-            coordinates=coords,
-            step_size=_get(d, "step_size", float, ctx, 0.5),
-            label_weight=_get(d, "label_weight", float, ctx, 0.0),
-            functional=functional,
-            init=_get(d, "init", str, ctx, "gaussian"),
-            label_init=_get(d, "label_init", str, ctx, "uniform"),
-            seed=seed,
-            solver=_get(d, "solver", str, ctx, "exact"),
-            entropic_eps=_get(d, "entropic_eps", float, ctx),
-        )
-    except ValueError as e:
-        raise ConfigError(f"{ctx}: {e}") from None
-
-
-def _parse_gmm_flow(d: dict, coords, functional, seed, ctx) -> GmmFlowConfig:
-    _check_keys(d, GMM_FLOW_KEYS, ctx)
-    try:
-        return GmmFlowConfig(
-            n_components=_get(d, "n_components", int, ctx, 4),
-            n_iter=_get(d, "n_iter", int, ctx, 300),
-            coordinates=coords,
-            step_size=_get(d, "step_size", float, ctx, 0.1),
-            label_weight=_get(d, "label_weight", float, ctx, 0.0),
-            mc_samples=_get(d, "mc_samples", int, ctx, 128),
-            functional=functional,
-            diag_only=_get(d, "diag_only", bool, ctx, False),
-            flow_weights=_get(d, "flow_weights", bool, ctx, False),
-            init_mode=_get(d, "init_mode", str, ctx, "em"),
-            init_samples=_get(d, "init_samples", int, ctx, 256),
-            seed=seed,
-        )
-    except ValueError as e:
-        raise ConfigError(f"{ctx}: {e}") from None
 
 
 def _prepare_barycenter(cfg: dict):
     ctx = "barycenter config"
     _check_keys(cfg, BARY_KEYS, ctx)
     flow_kind = _get(cfg, "flow", str, ctx, required=True)
-    if flow_kind not in ("empirical", "gmm"):
-        raise ConfigError(f"{ctx}: flow must be 'empirical' or 'gmm'")
+    if flow_kind not in FLOW_CONFIGS:
+        raise ConfigError(f"{ctx}: flow must be one of {sorted(FLOW_CONFIGS)}")
     seed = _get(cfg, "seed", int, ctx, 0)
     out = _out_dir(cfg, ctx)
     inputs_cfg = _get(cfg, "inputs", list, ctx, required=True)
     if not inputs_cfg:
         raise ConfigError(f"{ctx}: inputs must be a non-empty list")
     coords = _parse_coordinates(cfg, len(inputs_cfg), ctx)
-    functional = _parse_functional(cfg.get("functional", {}), f"{ctx}: functional")
-    flow_cfg_raw = cfg.get("flow_config", {})
-    if not isinstance(flow_cfg_raw, dict):
-        raise ConfigError(f"{ctx}: flow_config must be an object")
+    functional = _parse_functional(cfg, ctx)
+    flow_cfg = _parse_flow(flow_kind, cfg, "flow_config", ctx,
+                           coordinates=coords, functional=functional, seed=seed)
 
     rng = np.random.default_rng(seed)
     parsed = [_parse_input(d, i, rng) for i, d in enumerate(inputs_cfg)]
+    dims = [(f"inputs[{i}]", (gmm if gmm is not None else measure).dim)
+            for i, (_, measure, gmm) in enumerate(parsed)]
+    if functional.target_measure is not None:
+        dims.append(("functional: target_csv", functional.target_measure.dim))
+    _check_dims(dims, ctx)
     if flow_kind == "empirical":
-        flow_cfg = _parse_empirical_flow(
-            flow_cfg_raw, coords, functional, seed, f"{ctx}: flow_config")
         inputs = [p[0] for p in parsed]
     else:
-        flow_cfg = _parse_gmm_flow(
-            flow_cfg_raw, coords, functional, seed, f"{ctx}: flow_config")
         inputs = [_input_to_gmm(d, i, p, flow_cfg.n_components, rng)
                   for i, (d, p) in enumerate(zip(inputs_cfg, parsed))]
 
@@ -402,10 +395,9 @@ def _prepare_toy(cfg: dict):
             raise ConfigError(f"{ctx}: unknown solver {s!r}")
     out = _out_dir(cfg, ctx)
     coords = BarycentricCoordinates.uniform(k)
-    emp_cfg = _parse_empirical_flow(
-        cfg.get("flow", {}), coords, FunctionalSpec(), seed, f"{ctx}: flow")
-    gmm_cfg = _parse_gmm_flow(
-        cfg.get("gmm", {}), coords, FunctionalSpec(), seed, f"{ctx}: gmm")
+    emp_cfg = _parse_flow("empirical", cfg, "flow", ctx, coordinates=coords,
+                          seed=seed)
+    gmm_cfg = _parse_flow("gmm", cfg, "gmm", ctx, coordinates=coords, seed=seed)
 
     rng = np.random.default_rng(seed)
     if base == "gaussian":
@@ -440,7 +432,7 @@ def _prepare_toy(cfg: dict):
         timings = {}
         init_measure, _ = run_flow(
             [EmpiricalSampler(m, i) for i, m in enumerate(inputs)],
-            _replace_iters(emp_cfg, 0))
+            dataclasses.replace(emp_cfg, n_iter=0))
         rows.append(("init", w2_to_reference(init_measure, reference,
                                              max_points=eval_points, seed=seed)))
         for solver in solvers:
@@ -487,19 +479,12 @@ class AffineMapAverage:
         return np.asarray(points, dtype=float) @ self.a.T + self.b
 
 
-def _replace_iters(cfg: EmpiricalFlowConfig, n_iter: int) -> EmpiricalFlowConfig:
-    return dataclasses.replace(cfg, n_iter=n_iter)
-
-
 # ---------------------------------------------------------------------------
 # msda command
 
 MSDA_KEYS = ["command", "seed", "output_dir", "task", "sources_csv",
              "target_csv", "label_column", "method", "combos", "flow", "gmm",
              "functional", "target_batch"]
-TASK_KEYS = ["n_classes", "dim", "k_sources", "n_samples", "class_sep",
-             "class_std", "target_rotation_deg", "source_spread_deg",
-             "source_jitter"]
 MSDA_COMBOS = ("B", "B+V", "B+U", "B+V+U")
 
 
@@ -508,8 +493,8 @@ def _prepare_msda(cfg: dict):
     _check_keys(cfg, MSDA_KEYS, ctx)
     seed = _get(cfg, "seed", int, ctx, 0)
     method = _get(cfg, "method", str, ctx, "empirical")
-    if method not in ("empirical", "gmm", "discrete_baseline"):
-        raise ConfigError(f"{ctx}: method must be empirical|gmm|discrete_baseline")
+    if method not in BARYCENTER_KINDS:
+        raise ConfigError(f"{ctx}: method must be one of {BARYCENTER_KINDS}")
     combos = _get(cfg, "combos", list, ctx, list(MSDA_COMBOS))
     for c in combos:
         if c not in MSDA_COMBOS:
@@ -521,28 +506,15 @@ def _prepare_msda(cfg: dict):
         paths = _get(cfg, "sources_csv", list, ctx, required=True)
         tpath = _get(cfg, "target_csv", str, ctx, required=True)
         label_col = _get(cfg, "label_column", str, ctx, "label")
-        sources = [load_csv(_existing_path(p, ctx), label_col) for p in paths]
-        target = load_csv(_existing_path(tpath, ctx), label_col)
-        if not isinstance(target, LabeledEmpiricalMeasure):
-            raise ConfigError(f"{ctx}: target CSV needs the label column "
-                              f"{label_col!r} for evaluation")
+        sources = [_load(load_csv, p, ctx, label_col) for p in paths]
+        target = _load(load_csv, tpath, ctx, label_col)
+        if not sources:
+            raise ConfigError(f"{ctx}: sources_csv must be a non-empty list")
         target_features = target.base
         eval_labels = target.hard_labels()
     else:
-        task = cfg.get("task", {})
-        _check_keys(task, TASK_KEYS, f"{ctx}: task")
-        specs = synthetic_domain_specs(
-            n_classes=_get(task, "n_classes", int, ctx, 3),
-            dim=_get(task, "dim", int, ctx, 2),
-            k_sources=_get(task, "k_sources", int, ctx, 2),
-            n_samples=_get(task, "n_samples", int, ctx, 256),
-            class_sep=_get(task, "class_sep", float, ctx, 5.0),
-            class_std=_get(task, "class_std", float, ctx, 0.8),
-            target_rotation_deg=_get(task, "target_rotation_deg", float, ctx, 35.0),
-            source_spread_deg=_get(task, "source_spread_deg", float, ctx, 80.0),
-            source_jitter=_get(task, "source_jitter", float, ctx, 0.15),
-            seed=rng,
-        )
+        specs = _build(synthetic_domain_specs, _get(cfg, "task", dict, ctx, {}),
+                       f"{ctx}: task", seed=rng)
         data = synthetic_msda(specs, seed=rng)
         sources = list(data.sources)
         target_features = data.target_features
@@ -550,21 +522,23 @@ def _prepare_msda(cfg: dict):
 
     coords = BarycentricCoordinates.uniform(len(sources))
     target_batch = _get(cfg, "target_batch", int, ctx, 128)
+    if target_batch < 1:
+        raise ConfigError(f"{ctx}: target_batch must be >= 1")
     idx = rng.choice(target_features.n,
                      size=min(target_batch, target_features.n), replace=False)
     target_sub = EmpiricalMeasure(target_features.points[idx])
-    functional = _parse_functional(
-        cfg.get("functional", {}), f"{ctx}: functional", target_measure=target_sub)
-    runs = []
-    for combo in combos:
-        spec = functional.with_mask("V" in combo, "U" in combo)
-        if method == "gmm":
-            run_cfg = _parse_gmm_flow(cfg.get("gmm", {}), coords, spec, seed,
-                                      f"{ctx}: gmm")
-        else:
-            run_cfg = _parse_empirical_flow(cfg.get("flow", {}), coords, spec,
-                                            seed, f"{ctx}: flow")
-        runs.append((combo, run_cfg))
+    functional = _parse_functional(cfg, ctx, target_measure=target_sub)
+    _check_dims([(f"sources[{i}]", s.dim) for i, s in enumerate(sources)]
+                + [("target", target_features.dim),
+                   ("functional: target_csv", functional.target_measure.dim)], ctx)
+    if method == "discrete_baseline" and functional.any_active:
+        raise ConfigError(f"{ctx}: method 'discrete_baseline' applies no "
+                          f"energy; functional weights must be 0")
+    kind, key = ("gmm", "gmm") if method == "gmm" else ("empirical", "flow")
+    flow_cfg = _parse_flow(kind, cfg, key, ctx, coordinates=coords,
+                           functional=functional, seed=seed)
+    runs = [(combo, dataclasses.replace(flow_cfg, functional=functional.with_mask(
+        "V" in combo, "U" in combo))) for combo in combos]
 
     def run() -> int:
         out.mkdir(parents=True, exist_ok=True)
@@ -607,15 +581,13 @@ def _prepare_gen(cfg: dict):
     seed = _get(cfg, "seed", int, ctx, 0)
     out = _out_dir(cfg, ctx)
     ds = _get(cfg, "dataset", dict, ctx, required=True)
-    kind = _get(ds, "kind", str, f"{ctx}: dataset", required=True)
+    ctx = f"{ctx}: dataset"
+    kind = _get(ds, "kind", str, ctx, required=True)
     rng = np.random.default_rng(seed)
     files = []  # (file name, measure)
 
     if kind == "swiss_roll":
-        _check_keys(ds, ["kind", "n", "noise_std", "n_classes"], ctx)
-        m = swiss_roll(_get(ds, "n", int, ctx, 1000),
-                       _get(ds, "noise_std", float, ctx, 0.0),
-                       seed=rng, n_classes=_get(ds, "n_classes", int, ctx, 4))
+        m = _build(swiss_roll, ds, ctx, SWISS_ROLL_DEFAULTS, ("kind",), seed=rng)
         files.append(("swiss_roll.csv", m))
     elif kind == "location_scatter":
         _check_keys(ds, ["kind", "n", "k", "noise_std", "family"], ctx)
@@ -632,16 +604,14 @@ def _prepare_gen(cfg: dict):
         files += [(f"family_{i}.csv", m)
                   for i, m in enumerate(location_scatter_family(q0, maps))]
     elif kind == "synthetic_msda":
-        _check_keys(ds, ["kind"] + TASK_KEYS, ctx)
-        params = {k: v for k, v in ds.items() if k != "kind"}
-        specs = synthetic_domain_specs(seed=rng, **params)
+        specs = _build(synthetic_domain_specs, ds, ctx, None, ("kind",), seed=rng)
         data = synthetic_msda(specs, seed=rng)
         files += [(f"source_{i}.csv", s) for i, s in enumerate(data.sources)]
         files.append(("target.csv", LabeledEmpiricalMeasure.from_hard_labels(
             data.target_features.points, data.target_labels,
             int(data.target_labels.max()) + 1)))
     else:
-        raise ConfigError(f"{ctx}: dataset kind must be one of {GEN_KINDS}")
+        raise ConfigError(f"{ctx}: kind must be one of {GEN_KINDS}")
 
     def run() -> int:
         out.mkdir(parents=True, exist_ok=True)
@@ -677,17 +647,18 @@ def main(argv=None) -> int:
     parser.add_argument("subcommand",
                         choices=sorted(COMMANDS) + ["validate"])
     parser.add_argument("config", help="path to a JSON run config")
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--threads",
+                        default=os.environ.get("BARYFLOW_THREADS") or "1",
                         help="cap solver parallelism (default: "
                              "BARYFLOW_THREADS or 1)")
     args = parser.parse_args(argv)
 
-    if args.threads is not None:
-        ot.set_num_threads(args.threads)
-    elif os.environ.get("BARYFLOW_THREADS"):
-        ot.set_num_threads(int(os.environ["BARYFLOW_THREADS"]))
-
     try:
+        try:  # set on every invocation, so no cap outlives its call
+            ot.set_num_threads(int(args.threads))
+        except ValueError:
+            raise ConfigError("--threads/BARYFLOW_THREADS must be an integer "
+                              f">= 1, got {args.threads!r}") from None
         cfg = load_config(args.config)
         command = _get(cfg, "command", str, "config", required=True)
         if command not in COMMANDS:
@@ -696,7 +667,11 @@ def main(argv=None) -> int:
             raise ConfigError(
                 f"config declares command {command!r}; invoked as "
                 f"{args.subcommand!r}")
-        run = COMMANDS[command](cfg)
+        try:
+            run = COMMANDS[command](cfg)
+        except ValueError as e:
+            # preparing reads the config and builds the inputs it describes
+            raise ConfigError(f"{command} config: {e}") from None
         if args.subcommand == "validate":
             print(f"config ok: command={command}")
             return 0

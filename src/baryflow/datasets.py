@@ -129,7 +129,7 @@ def swiss_roll(n: int, noise_std: float = 0.0, seed=None,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     t = rng.uniform(1.5 * np.pi, 4.5 * np.pi, size=n)
     pts = np.column_stack([t * np.cos(t), t * np.sin(t)])
     if noise_std > 0:
@@ -163,7 +163,7 @@ def _rotation(deg: float) -> np.ndarray:
 def default_affine_family(k: int = 4, seed=0) -> list[AffineMap]:
     """2-D family: rotations of 0/45/90/135 degrees composed with scalings
     in [0.8, 1.3] and unit-norm shifts. Qualitative runs only (not PD)."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     angles = [0.0, 45.0, 90.0, 135.0]
     maps = []
     for i in range(k):
@@ -179,7 +179,7 @@ def pd_affine_family(k: int, dim: int = 2, seed=0,
                      ) -> list[AffineMap]:
     """Random symmetric-PD maps; keeps pushforward families inside the
     location-scatter class so Gaussian barycenter oracles apply."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     maps = []
     for _ in range(k):
         q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
@@ -212,7 +212,9 @@ def synthetic_domain_specs(n_classes: int = 3, dim: int = 2, k_sources: int = 2,
         raise ValueError("dim must be >= 2")
     if n_classes < 2:
         raise ValueError("need at least two classes")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    if k_sources < 1:
+        raise ValueError("k_sources must be >= 1")
+    rng = np.random.default_rng(seed)
     gap = source_spread_deg / 2.0
     angles = [0.0, gap]
     radii = [class_sep, class_sep]
@@ -254,7 +256,7 @@ def synthetic_msda(specs, seed=0) -> MsdaData:
     c0, d0 = specs[0].n_classes, specs[0].dim
     if any(s.n_classes != c0 or s.dim != d0 for s in specs):
         raise ValueError("all domain specs must share n_classes and dim")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
 
     domains = []
     for spec in specs:

@@ -400,13 +400,17 @@ def fixed_point_baseline(datasets, cfg: EmpiricalFlowConfig, alpha: float | None
 
     Particles interpolate toward the coordinate-weighted barycentric maps and
     label probability vectors are propagated through the same plans. ``alpha``
-    defaults to cfg.step_size; alpha = 0 returns the initialization.
+    defaults to cfg.step_size; alpha = 0 returns the initialization. No
+    energy applies, so ``cfg.functional`` must have no positive weight.
     """
     if len(datasets) != len(cfg.coordinates):
         raise ValueError("need one dataset per barycentric coordinate")
     a = cfg.step_size if alpha is None else float(alpha)
     if not 0.0 <= a <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
+    if cfg.functional.any_active:
+        raise ValueError("the fixed-point baseline applies no energy; "
+                         "cfg.functional must have no positive weight")
     rng = np.random.default_rng(cfg.seed)
     full_batches = [FullBatchSampler(ds, k).sample(0, rng)
                     for k, ds in enumerate(datasets)]

@@ -244,8 +244,7 @@ def gmm_flow_step(state: LabeledGMM, inputs, cfg: GmmFlowConfig,
                   rng=None) -> LabeledGMM:
     """One flow step on the mixture parameters (couplings held fixed)."""
     _check_inputs(state, inputs, cfg)
-    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(
-        cfg.seed if rng is None else rng)
+    rng = np.random.default_rng(cfg.seed if rng is None else rng)
     new_state, _ = _step(state, inputs, cfg, rng, 0)
     return new_state
 

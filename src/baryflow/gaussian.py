@@ -269,7 +269,7 @@ def sample_reparam(gmm: LabeledGMM, n: int, seed=None
     Returns (points, component_index, eps); eps is retained so gradients can
     be propagated through the means and Cholesky factors.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     d = gmm.dim
     if n == 0:
         return np.zeros((0, d)), np.zeros(0, dtype=int), np.zeros((0, d))
@@ -339,11 +339,12 @@ def em_fit(data, labels=None, components_per_class: int = 1,
     """Fit a GMM by EM; with labels, one GMM per class and one-hot nu rows.
 
     Global weights are class frequencies times the within-class mixture
-    weights. The log-likelihood trace of the last fitted (sub-)model is
-    attached as ``em_fit.last_logliks`` for diagnostics.
+    weights.
     """
+    if components_per_class < 1:
+        raise ValueError("components_per_class must be >= 1")
     data = np.atleast_2d(np.asarray(data, dtype=float))
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     if labels is None:
         pis, comps, _ = _em_single(
             data, components_per_class, max_iter, tol, rng, diag)

@@ -116,6 +116,8 @@ class BarycentricCoordinates:
 
     @staticmethod
     def uniform(k: int) -> "BarycentricCoordinates":
+        if k < 1:
+            raise ValueError("need at least one coordinate")
         return BarycentricCoordinates(np.full(k, 1.0 / k))
 
     def __len__(self) -> int:

@@ -12,7 +12,6 @@ solver with eps = 0.05 * median(C).
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -41,7 +40,7 @@ __all__ = [
 # Above this many coupling entries, solve_auto switches to the entropic solver.
 EXACT_SIZE_LIMIT = 250_000
 
-_num_threads = max(1, int(os.environ.get("BARYFLOW_THREADS", "1") or 1))
+_num_threads = 1
 
 
 class ConvergenceError(RuntimeError):
@@ -49,9 +48,12 @@ class ConvergenceError(RuntimeError):
 
 
 def set_num_threads(n: int) -> None:
-    """Cap the number of threads used for independent per-measure solves."""
+    """Cap the number of threads used for independent per-measure solves
+    (1 until a caller sets it)."""
     global _num_threads
-    _num_threads = max(1, int(n))
+    if int(n) < 1:
+        raise ValueError("the thread cap must be >= 1")
+    _num_threads = int(n)
 
 
 def get_num_threads() -> int:

@@ -280,7 +280,7 @@ def w2_to_reference(result, reference, max_points: int = 2000,
                     seed=0) -> float:
     """W2 between the feature clouds of two measures, subsampled to at most
     ``max_points`` support points each."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     clouds = []
     for m in (result, reference):
         pts = m.points

@@ -1,11 +1,19 @@
+import ast
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from baryflow import cli, ot
 from baryflow.cli import main
+from baryflow.datasets import save_csv, synthetic_domain_specs
+from baryflow.flow_empirical import EmpiricalFlowConfig
+from baryflow.flow_gmm import GmmFlowConfig
+from baryflow.functionals import FunctionalSpec
 from baryflow.gaussian import load_gmm
+from baryflow.measures import BarycentricCoordinates, LabeledEmpiricalMeasure
 
 
 def write_config(tmp_path, name, cfg):
@@ -30,6 +38,20 @@ def bary_config(out_dir, seed=7, flow="empirical"):
     else:
         cfg["flow_config"] = {"n_components": 1, "n_iter": 60, "step_size": 0.1}
     return cfg
+
+
+def csv_file(tmp_path, text):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    return str(path)
+
+
+def labeled_2d_csv(tmp_path):
+    """A 2-feature measure saved with its label column (3 CSV columns)."""
+    path = tmp_path / "labeled.csv"
+    save_csv(LabeledEmpiricalMeasure.from_hard_labels(
+        np.arange(8.0).reshape(4, 2), np.array([0, 1, 0, 1]), 2), path)
+    return str(path)
 
 
 class TestValidate:
@@ -71,6 +93,166 @@ class TestValidate:
         assert main(["validate", path]) == 1
         assert bad_key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+    @pytest.mark.parametrize("make_cfg", [
+        pytest.param(lambda t: {
+            "command": "barycenter", "flow": "empirical",
+            "inputs": [{"kind": "csv",
+                        "path": csv_file(t, "f0,f1\n1,2\nx,3\n")}]},
+            id="csv-non-numeric-cell"),
+        pytest.param(lambda t: {
+            "command": "barycenter", "flow": "empirical",
+            "inputs": [{"kind": "csv", "path": csv_file(t, "f0,f1\n1,2\n"),
+                        "label_column": "label"}]},
+            id="csv-missing-label-column"),
+        pytest.param(lambda t: {
+            "command": "gen",
+            "dataset": {"kind": "synthetic_msda", "n_classes": "3"}},
+            id="gen-n_classes-string"),
+        pytest.param(lambda t: {
+            "command": "gen", "dataset": {"kind": "synthetic_msda", "n_classes": 1}},
+            id="gen-one-class"),
+        pytest.param(lambda t: {"command": "msda", "task": {"n_classes": 1}},
+                     id="msda-one-class"),
+        pytest.param(lambda t: {
+            "command": "barycenter", "flow": "empirical",
+            "inputs": [{"kind": "swiss_roll", "n": 0}]},
+            id="swiss-roll-empty"),
+        pytest.param(lambda t: {
+            "command": "barycenter", "flow": "gmm",
+            "inputs": [{"kind": "swiss_roll", "n": 50,
+                        "components_per_class": 0}]},
+            id="em-no-components"),
+        pytest.param(lambda t: {"command": "toy", "n_family": 0},
+                     id="toy-empty-family"),
+        pytest.param(lambda t: {"command": "msda", "task": {"k_sources": 0}},
+                     id="msda-no-sources"),
+    ])
+    def test_library_error_is_config_error(self, tmp_path, capsys, make_cfg):
+        cfg = dict(make_cfg(tmp_path), output_dir=str(tmp_path / "out"))
+        path = write_config(tmp_path, "c.json", cfg)
+        assert main(["validate", path]) == 1
+        assert "baryflow-error[config]" in capsys.readouterr().err
+
+    def test_thread_cap_set_per_invocation(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("BARYFLOW_THREADS", raising=False)
+        path = write_config(tmp_path, "c.json", bary_config(tmp_path / "out"))
+        assert main(["validate", path, "--threads", "2"]) == 0
+        assert ot.get_num_threads() == 2
+        assert main(["validate", path]) == 0
+        assert ot.get_num_threads() == 1
+        monkeypatch.setenv("BARYFLOW_THREADS", "3")
+        assert main(["validate", path]) == 0
+        assert ot.get_num_threads() == 3
+        assert main(["validate", path, "--threads", "1"]) == 0
+        assert ot.get_num_threads() == 1
+
+    @pytest.mark.parametrize("flag, env", [
+        ("0", None), ("two", None), (None, "0"), (None, "1.5")])
+    def test_invalid_thread_cap(self, tmp_path, capsys, monkeypatch, flag, env):
+        monkeypatch.delenv("BARYFLOW_THREADS", raising=False)
+        if env is not None:
+            monkeypatch.setenv("BARYFLOW_THREADS", env)
+        path = write_config(tmp_path, "c.json", bary_config(tmp_path / "out"))
+        argv = ["validate", path] + ([] if flag is None else ["--threads", flag])
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "baryflow-error[config]" in err and "threads" in err.lower()
+
+
+class TestConfigSchema:
+    """Each section accepts exactly these keys, and a key left out takes
+    the value the library gives it."""
+
+    @pytest.mark.parametrize("cfg, section, keys", [
+        pytest.param({"command": "barycenter", "flow": "empirical",
+                      "inputs": [{"kind": "gaussian", "mean": [0.0]}]},
+                     ("flow_config",),
+                     ["batch_size", "entropic_eps", "init", "label_init",
+                      "label_weight", "n_iter", "n_particles", "solver",
+                      "step_size"], id="empirical-flow"),
+        pytest.param({"command": "barycenter", "flow": "gmm",
+                      "inputs": [{"kind": "gaussian", "mean": [0.0]}]},
+                     ("flow_config",),
+                     ["diag_only", "flow_weights", "init_mode", "init_samples",
+                      "label_weight", "mc_samples", "n_components", "n_iter",
+                      "step_size"], id="gmm-flow"),
+        pytest.param({"command": "barycenter", "flow": "empirical",
+                      "inputs": [{"kind": "gaussian", "mean": [0.0]}]},
+                     ("functional",),
+                     ["entropy_weight", "internal_weight", "repulsion_margin",
+                      "repulsion_metric", "repulsion_weight", "target_csv",
+                      "target_weight"], id="functional"),
+        pytest.param({"command": "msda"}, ("task",),
+                     ["class_sep", "class_std", "dim", "k_sources", "n_classes",
+                      "n_samples", "source_jitter", "source_spread_deg",
+                      "target_rotation_deg"], id="msda-task"),
+        pytest.param({"command": "gen", "dataset": {"kind": "synthetic_msda"}},
+                     ("dataset",),
+                     ["class_sep", "class_std", "dim", "k_sources", "kind",
+                      "n_classes", "n_samples", "source_jitter",
+                      "source_spread_deg", "target_rotation_deg"],
+                     id="gen-synthetic-msda"),
+        pytest.param({"command": "gen", "dataset": {"kind": "swiss_roll"}},
+                     ("dataset",), ["kind", "n", "n_classes", "noise_std"],
+                     id="gen-swiss-roll"),
+        pytest.param({"command": "barycenter", "flow": "empirical",
+                      "inputs": [{"kind": "swiss_roll"}]},
+                     ("inputs", 0),
+                     ["components_per_class", "kind", "n", "n_classes",
+                      "noise_std"], id="swiss-roll-input"),
+    ])
+    def test_section_keys(self, tmp_path, capsys, cfg, section, keys):
+        cfg = json.loads(json.dumps(cfg))
+        cfg["output_dir"] = str(tmp_path / "out")
+        d = cfg
+        for k in section:
+            d = d.setdefault(k, {}) if isinstance(k, str) else d[k]
+        d["bogus"] = 1
+        path = write_config(tmp_path, "c.json", cfg)
+        assert main(["validate", path]) == 1
+        err = capsys.readouterr().err
+        assert "unknown key(s) ['bogus']" in err
+        assert ast.literal_eval(err.split("allowed: ")[1].strip()) == keys
+
+    @pytest.mark.parametrize("fn, section, fixed, required, expected", [
+        pytest.param(EmpiricalFlowConfig, {
+            "n_particles": 128, "batch_size": 128, "n_iter": 150,
+            "step_size": 0.5, "label_weight": 0.0, "init": "gaussian",
+            "label_init": "uniform", "solver": "exact"},
+            # entropic_eps defaults to None, which JSON cannot give
+            {"coordinates": BarycentricCoordinates.uniform(2), "seed": 0},
+            cli.FLOW_CONFIGS["empirical"][1],
+            EmpiricalFlowConfig(128, 128, 150, BarycentricCoordinates.uniform(2)),
+            id="empirical-flow"),
+        pytest.param(GmmFlowConfig, {
+            "n_components": 4, "n_iter": 300, "step_size": 0.1,
+            "label_weight": 0.0, "mc_samples": 128, "diag_only": False,
+            "flow_weights": False, "init_mode": "em", "init_samples": 256},
+            {"coordinates": BarycentricCoordinates.uniform(2), "seed": 0},
+            cli.FLOW_CONFIGS["gmm"][1],
+            GmmFlowConfig(4, 300, BarycentricCoordinates.uniform(2)),
+            id="gmm-flow"),
+        pytest.param(FunctionalSpec, {
+            "entropy_weight": 0.0, "repulsion_weight": 0.0,
+            "repulsion_margin": 1.0, "repulsion_metric": "euclidean",
+            "target_weight": 0.0, "internal_weight": 0.0},
+            {"target_measure": None}, None, FunctionalSpec(), id="functional"),
+        pytest.param(synthetic_domain_specs, {
+            "n_classes": 3, "dim": 2, "k_sources": 2, "n_samples": 256,
+            "class_sep": 5.0, "class_std": 0.8, "target_rotation_deg": 35.0,
+            "source_spread_deg": 80.0, "source_jitter": 0.15},
+            {"seed": 0}, None, synthetic_domain_specs(seed=0), id="msda-task"),
+    ])
+    def test_library_defaults(self, fn, section, fixed, required, expected):
+        given = cli._build(fn, section, "section", None, (), **fixed)
+        omitted = cli._build(fn, {}, "section", required, (), **fixed)
+        # fields hold arrays, so compare field by field
+        fields = lambda obj: [dataclasses.asdict(o) for o in
+                              (obj if isinstance(obj, list) else [obj])]
+        np.testing.assert_equal(fields(given), fields(expected))
+        np.testing.assert_equal(fields(omitted), fields(expected))
 
 
 class TestBarycenterCommand:
@@ -123,6 +305,16 @@ class TestBarycenterCommand:
         path = write_config(tmp_path, "c.json", cfg)
         assert main(["barycenter", path]) == 1
         assert "internal_weight" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_input_dimensions_differ(self, tmp_path, capsys):
+        cfg = bary_config(tmp_path / "out")
+        cfg["inputs"][1]["mean"] = [4.0, 0.0]
+        path = write_config(tmp_path, "c.json", cfg)
+        assert main(["barycenter", path]) == 1
+        err = capsys.readouterr().err
+        assert "feature dimensions differ" in err
+        assert "inputs[1] has 2, inputs[0] has 1" in err
         assert not (tmp_path / "out").exists()
 
     def test_csv_input(self, tmp_path):
@@ -220,6 +412,24 @@ class TestMsdaCommand:
         path = write_config(tmp_path, "c.json", cfg)
         assert main(["msda", path]) == 1
         assert "internal_weight" in capsys.readouterr().err
+
+    def test_labeled_target_csv_dimension(self, tmp_path, capsys):
+        # every column of functional.target_csv is a feature, the label too
+        cfg = self.msda_config(tmp_path / "out")
+        cfg["functional"]["target_csv"] = labeled_2d_csv(tmp_path)
+        path = write_config(tmp_path, "c.json", cfg)
+        assert main(["msda", path]) == 1
+        err = capsys.readouterr().err
+        assert "functional: target_csv has 3, sources[0] has 2" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_discrete_baseline_rejects_energies(self, tmp_path, capsys):
+        cfg = self.msda_config(tmp_path / "out")
+        cfg["method"] = "discrete_baseline"
+        path = write_config(tmp_path, "c.json", cfg)
+        assert main(["msda", path]) == 1
+        assert "discrete_baseline" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_target_path_exit_1(self, tmp_path, capsys):
         cfg = {

@@ -272,6 +272,14 @@ class TestFixedPointBaseline:
             datasets, EmpiricalFlowConfig(32, 32, 0, HALF, seed=0))
         assert np.array_equal(out.points, init.points)
 
+    def test_energies_rejected(self):
+        # the fixed-point updates apply no energy; they must not be ignored
+        datasets = self.two_gaussian_datasets()
+        cfg = EmpiricalFlowConfig(32, 32, 1, HALF,
+                                  functional=FunctionalSpec(repulsion_weight=0.1))
+        with pytest.raises(ValueError, match="no energy"):
+            fixed_point_baseline(datasets, cfg)
+
     def test_two_gaussian_mean(self):
         datasets = self.two_gaussian_datasets(seed=5)
         cfg = EmpiricalFlowConfig(128, 128, 60, HALF, step_size=0.5, seed=0)
