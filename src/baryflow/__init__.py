@@ -10,7 +10,6 @@ from .measures import (
     MiniBatch,
 )
 from .ot import (
-    CostMatrix,
     TransportPlan,
     barycentric_map,
     joint_cost,

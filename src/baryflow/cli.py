@@ -54,7 +54,6 @@ from .datasets import (
 from .flow_empirical import (
     EmpiricalFlowConfig,
     EmpiricalSampler,
-    FullBatchSampler,
     GaussianSampler,
     GmmSampler,
     fixed_point_baseline,
@@ -65,7 +64,7 @@ from .flow_gmm import (
     fixed_point_gaussian_barycenter,
     run_gmm_flow,
 )
-from .functionals import FunctionalSpec
+from .functionals import FunctionalSpec, check_label_inputs
 from .gaussian import (
     GaussianComponent,
     LabeledGMM,
@@ -223,29 +222,28 @@ def _parse_input(d: dict, idx: int, rng: np.random.Generator):
         _check_keys(d, ["kind", "path", "label_column", "components_per_class"], ctx)
         measure = _load(load_csv, _get(d, "path", str, ctx, required=True), ctx,
                         _get(d, "label_column", str, ctx))
-        return EmpiricalSampler(measure, idx), measure, None
+        return EmpiricalSampler(measure), measure, None
     if kind == "gaussian":
         _check_keys(d, ["kind", "mean", "std"], ctx)
         mean = np.asarray(_get(d, "mean", list, ctx, required=True), dtype=float)
         std = _get(d, "std", (int, float, list), ctx, 1.0)
         std = np.broadcast_to(np.asarray(std, dtype=float), mean.shape).copy()
         comp = GaussianComponent(mean, np.diag(std))
-        return GaussianSampler(mean, std=std, source_index=idx), None, LabeledGMM(
-            [1.0], (comp,))
+        return GaussianSampler(mean, std), None, LabeledGMM([1.0], (comp,))
     if kind == "gmm_json":
         _check_keys(d, ["kind", "path"], ctx)
         gmm = _load(load_gmm, _get(d, "path", str, ctx, required=True), ctx)
-        return GmmSampler(gmm, idx), None, gmm
+        return GmmSampler(gmm), None, gmm
     if kind == "swiss_roll":
         measure = _build(swiss_roll, d, ctx, SWISS_ROLL_DEFAULTS,
                          ("kind", "components_per_class"), seed=rng)
-        return EmpiricalSampler(measure, idx), measure, None
+        return EmpiricalSampler(measure), measure, None
     raise ConfigError(f"{ctx}: kind must be one of {INPUT_KINDS}")
 
 
 def _input_to_gmm(d: dict, idx: int, parsed, cfg_gmm_components: int,
                   rng: np.random.Generator) -> LabeledGMM:
-    sampler, measure, gmm = parsed
+    _, measure, gmm = parsed
     if gmm is not None:
         return gmm
     if isinstance(measure, LabeledEmpiricalMeasure):
@@ -255,6 +253,14 @@ def _input_to_gmm(d: dict, idx: int, parsed, cfg_gmm_components: int,
                       seed=rng)
     return em_fit(measure.points, components_per_class=cfg_gmm_components,
                   seed=rng)
+
+
+def _n_classes(item) -> int | None:
+    """Class count of a flow input, a measure or a mixture; None when it is
+    unlabeled."""
+    if isinstance(item, LabeledGMM):
+        return None if item.nu is None else item.nu.shape[1]
+    return item.n_classes if isinstance(item, LabeledEmpiricalMeasure) else None
 
 
 # ---------------------------------------------------------------------------
@@ -336,16 +342,24 @@ def _prepare_barycenter(cfg: dict):
 
     rng = np.random.default_rng(seed)
     parsed = [_parse_input(d, i, rng) for i, d in enumerate(inputs_cfg)]
-    dims = [(f"inputs[{i}]", (gmm if gmm is not None else measure).dim)
-            for i, (_, measure, gmm) in enumerate(parsed)]
+    for i, (d, (_, measure, _)) in enumerate(zip(inputs_cfg, parsed)):
+        # only the GMM flow fits labeled data by EM, per class
+        if "components_per_class" in d and (
+                flow_kind == "empirical"
+                or not isinstance(measure, LabeledEmpiricalMeasure)):
+            raise ConfigError(f"inputs[{i}]: components_per_class applies "
+                              f"only to a labeled input of the gmm flow")
+    items = [gmm if gmm is not None else measure for _, measure, gmm in parsed]
+    dims = [(f"inputs[{i}]", item.dim) for i, item in enumerate(items)]
     if functional.target_measure is not None:
         dims.append(("functional: target_csv", functional.target_measure.dim))
     _check_dims(dims, ctx)
     if flow_kind == "empirical":
         inputs = [p[0] for p in parsed]
-    else:
-        inputs = [_input_to_gmm(d, i, p, flow_cfg.n_components, rng)
-                  for i, (d, p) in enumerate(zip(inputs_cfg, parsed))]
+    else:  # the GMM flow sees the labels of the fitted mixtures
+        items = inputs = [_input_to_gmm(d, i, p, flow_cfg.n_components, rng)
+                          for i, (d, p) in enumerate(zip(inputs_cfg, parsed))]
+    check_label_inputs([_n_classes(item) for item in items], functional)
 
     def run() -> int:
         out.mkdir(parents=True, exist_ok=True)
@@ -422,7 +436,10 @@ def _prepare_toy(cfg: dict):
     else:
         q0 = swiss_roll(n, _get(cfg, "noise_std", float, ctx, 0.05), seed=rng)
         maps = default_affine_family(k, seed=rng)
-        avg = AffineMapAverage(maps)
+        # the coordinate average of the maps: the pushforward reference for
+        # a qualitative (non-PD) family
+        avg = AffineMap(np.mean([m.a for m in maps], axis=0),
+                        np.mean([m.b for m in maps], axis=0))
         reference = EmpiricalMeasure(avg.apply(q0.points))
     inputs = location_scatter_family(q0, maps)
 
@@ -430,16 +447,14 @@ def _prepare_toy(cfg: dict):
         out.mkdir(parents=True, exist_ok=True)
         rows = []
         timings = {}
-        init_measure, _ = run_flow(
-            [EmpiricalSampler(m, i) for i, m in enumerate(inputs)],
-            dataclasses.replace(emp_cfg, n_iter=0))
-        rows.append(("init", w2_to_reference(init_measure, reference,
+        samplers = [EmpiricalSampler(m) for m in inputs]
+        initial, _ = run_flow(samplers, dataclasses.replace(emp_cfg, n_iter=0))
+        rows.append(("init", w2_to_reference(initial, reference,
                                              max_points=eval_points, seed=seed)))
         for solver in solvers:
             t0 = time.perf_counter()
             if solver == "wgf":
-                result, _ = run_flow(
-                    [EmpiricalSampler(m, i) for i, m in enumerate(inputs)], emp_cfg)
+                result, _ = run_flow(samplers, emp_cfg)
             elif solver == "fixed_point":
                 result = fixed_point_baseline(inputs, emp_cfg)
             else:
@@ -465,18 +480,6 @@ def _prepare_toy(cfg: dict):
         return 0
 
     return run
-
-
-class AffineMapAverage:
-    """Coordinate average of affine maps; the pushforward reference for
-    qualitative (non-PD) families."""
-
-    def __init__(self, maps):
-        self.a = np.mean([m.a for m in maps], axis=0)
-        self.b = np.mean([m.b for m in maps], axis=0)
-
-    def apply(self, points):
-        return np.asarray(points, dtype=float) @ self.a.T + self.b
 
 
 # ---------------------------------------------------------------------------
@@ -531,6 +534,7 @@ def _prepare_msda(cfg: dict):
     _check_dims([(f"sources[{i}]", s.dim) for i, s in enumerate(sources)]
                 + [("target", target_features.dim),
                    ("functional: target_csv", functional.target_measure.dim)], ctx)
+    check_label_inputs([s.n_classes for s in sources], functional)
     if method == "discrete_baseline" and functional.any_active:
         raise ConfigError(f"{ctx}: method 'discrete_baseline' applies no "
                           f"energy; functional weights must be 0")

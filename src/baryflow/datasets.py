@@ -174,16 +174,20 @@ def default_affine_family(k: int = 4, seed=0) -> list[AffineMap]:
     return maps
 
 
-def pd_affine_family(k: int, dim: int = 2, seed=0,
-                     eig_range=(0.7, 1.4), shift_scale: float = 1.0
+# Eigenvalue range of the maps pd_affine_family draws.
+PD_EIG_RANGE = (0.7, 1.4)
+
+
+def pd_affine_family(k: int, dim: int = 2, seed=0, shift_scale: float = 1.0
                      ) -> list[AffineMap]:
-    """Random symmetric-PD maps; keeps pushforward families inside the
-    location-scatter class so Gaussian barycenter oracles apply."""
+    """Random symmetric-PD maps, eigenvalues uniform in PD_EIG_RANGE; keeps
+    pushforward families inside the location-scatter class so Gaussian
+    barycenter oracles apply."""
     rng = np.random.default_rng(seed)
     maps = []
     for _ in range(k):
         q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-        eig = rng.uniform(*eig_range, size=dim)
+        eig = rng.uniform(*PD_EIG_RANGE, size=dim)
         a = (q * eig) @ q.T
         b = shift_scale * rng.standard_normal(dim)
         maps.append(AffineMap((a + a.T) / 2, b))

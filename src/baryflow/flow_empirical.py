@@ -20,7 +20,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ot
-from .functionals import FunctionalSpec, _label_energies, target_potential
+from .functionals import (
+    FunctionalSpec,
+    _label_energies,
+    check_label_inputs,
+    target_potential,
+)
 from .functionals import hinge_repulsion  # noqa: F401  (bench/tests trace it here)
 from .gaussian import LabeledGMM, sample_reparam
 from .measures import (
@@ -46,7 +51,7 @@ __all__ = [
     "GmmSampler",
 ]
 
-INIT_MODES = ("gaussian", "subsample", "explicit")
+INIT_MODES = ("gaussian", "subsample")
 LABEL_INIT_MODES = ("uniform", "random")
 SOLVERS = ("exact", "entropic")
 
@@ -78,7 +83,6 @@ class EmpiricalFlowConfig:
     label_weight: float = 0.0
     functional: FunctionalSpec = field(default_factory=FunctionalSpec)
     init: str = "gaussian"
-    init_measure: object = None
     label_init: str = "uniform"
     seed: int = 0
     solver: str = "exact"
@@ -93,8 +97,6 @@ class EmpiricalFlowConfig:
             raise ValueError("label_weight must be >= 0")
         if self.init not in INIT_MODES:
             raise ValueError(f"init must be one of {INIT_MODES}")
-        if self.init == "explicit" and self.init_measure is None:
-            raise ValueError("init='explicit' requires init_measure")
         if self.label_init not in LABEL_INIT_MODES:
             raise ValueError(f"label_init must be one of {LABEL_INIT_MODES}")
         if self.solver not in SOLVERS:
@@ -123,9 +125,8 @@ class FlowState:
 class EmpiricalSampler:
     """I.i.d. draws (with replacement) from a fixed empirical measure."""
 
-    def __init__(self, measure, source_index: int = 0):
+    def __init__(self, measure):
         self.measure = measure
-        self.source_index = source_index
 
     def sample(self, m: int, rng: np.random.Generator) -> MiniBatch:
         meas = self.measure
@@ -133,51 +134,41 @@ class EmpiricalSampler:
         labels = None
         if isinstance(meas, LabeledEmpiricalMeasure):
             labels = one_hot(meas.hard_labels()[idx], meas.n_classes)
-        return MiniBatch(meas.points[idx], labels, self.source_index)
+        return MiniBatch(meas.points[idx], labels)
 
 
 class FullBatchSampler:
     """Returns the complete dataset on every call (ignores m)."""
 
-    def __init__(self, measure, source_index: int = 0):
+    def __init__(self, measure):
         self.measure = measure
-        self.source_index = source_index
 
     def sample(self, m: int, rng: np.random.Generator) -> MiniBatch:
         meas = self.measure
         labels = None
         if isinstance(meas, LabeledEmpiricalMeasure):
             labels = one_hot(meas.hard_labels(), meas.n_classes)
-        return MiniBatch(meas.points, labels, self.source_index)
+        return MiniBatch(meas.points, labels)
 
 
 class GaussianSampler:
-    """Unlabeled Gaussian generator N(mean, diag(std)^2 or chol chol^T)."""
+    """Unlabeled Gaussian generator N(mean, diag(std)^2)."""
 
-    def __init__(self, mean, std=None, chol=None, source_index: int = 0):
+    def __init__(self, mean, std):
         self.mean = np.atleast_1d(np.asarray(mean, dtype=float))
-        if (std is None) == (chol is None):
-            raise ValueError("give exactly one of std or chol")
-        self.std = None if std is None else np.broadcast_to(
+        self.std = np.broadcast_to(
             np.asarray(std, dtype=float), self.mean.shape).copy()
-        self.chol = None if chol is None else np.asarray(chol, dtype=float)
-        self.source_index = source_index
 
     def sample(self, m: int, rng: np.random.Generator) -> MiniBatch:
         eps = rng.standard_normal((m, self.mean.shape[0]))
-        if self.std is not None:
-            pts = self.mean + eps * self.std
-        else:
-            pts = self.mean + eps @ self.chol.T
-        return MiniBatch(pts, None, self.source_index)
+        return MiniBatch(self.mean + eps * self.std)
 
 
 class GmmSampler:
     """Reparametrized draws from a mixture; labels from component nu rows."""
 
-    def __init__(self, gmm: LabeledGMM, source_index: int = 0):
+    def __init__(self, gmm: LabeledGMM):
         self.gmm = gmm
-        self.source_index = source_index
 
     def sample(self, m: int, rng: np.random.Generator) -> MiniBatch:
         pts, idx, _ = sample_reparam(self.gmm, m, rng)
@@ -185,7 +176,7 @@ class GmmSampler:
         if self.gmm.nu is not None:
             hard = np.argmax(self.gmm.nu, axis=1)[idx]
             labels = one_hot(hard, self.gmm.nu.shape[1])
-        return MiniBatch(pts, labels, self.source_index)
+        return MiniBatch(pts, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +200,7 @@ def _solve_plans(points, soft_labels, batches, cfg: EmpiricalFlowConfig):
             return ot.solve_exact(a, b, cost)
         eps = cfg.entropic_eps
         if eps is None:
-            eps = ot._default_epsilon(cost.values)
+            eps = ot._default_epsilon(cost)
         return ot.solve_entropic(a, b, cost, epsilon=eps, max_iter=2000, tol=1e-9)
 
     return ot.parallel_map(solve, batches)
@@ -310,23 +301,27 @@ def flow_step(state: FlowState, batches, cfg: EmpiricalFlowConfig) -> FlowState:
     b_hat = 0.0
     for l, (plan, _), batch in zip(lam, results, batches):
         cost = _batch_cost(x_new, soft_new, batch, beta)
-        b_hat += l * float((plan.coupling * cost.values).sum())
+        b_hat += l * float((plan.coupling * cost).sum())
     v, u, _, _ = _label_energies(x_new, logits_new, spec)
     if target_plan is not None:
         cost = ot.joint_cost(x_new, spec.target_measure.points)
-        v += spec.target_weight * float((target_plan.coupling * cost.values).sum())
+        v += spec.target_weight * float((target_plan.coupling * cost).sum())
     record = _record(state.iter + 1, b_hat, v, u, x_new)
     return FlowState(new_measure, state.iter + 1, state.trace + (record,))
 
 
+def _class_counts(batches):
+    """Label width of each batch; None for an unlabeled one."""
+    return [None if b.labels is None else b.labels.shape[1] for b in batches]
+
+
 def _initial_measure(init_batches, cfg, rng):
     pts = init_batches[0].points
-    labeled = any(b.labels is not None for b in init_batches)
-    n_classes = init_batches[0].labels.shape[1] if init_batches[0].labels is not None else None
+    # all batches are labeled with one class count, or none is
+    n_classes = _class_counts(init_batches)[0]
+    labeled = n_classes is not None
     n, d = cfg.n_particles, pts.shape[1]
 
-    if cfg.init == "explicit":
-        return cfg.init_measure
     if cfg.init == "gaussian":
         std = pts.std(axis=0)
         std = np.where(std > 0, std, 1.0)
@@ -385,6 +380,7 @@ def run_flow(inputs, cfg: EmpiricalFlowConfig):
         raise ValueError("need one input per barycentric coordinate")
     rng = np.random.default_rng(cfg.seed)
     init_batches = [inp.sample(cfg.batch_size, rng) for inp in inputs]
+    check_label_inputs(_class_counts(init_batches), cfg.functional)
     if cfg.label_weight > 0 and any(b.labels is None for b in init_batches):
         raise ValueError("label_weight > 0 requires labeled inputs")
     measure = _initial_measure(init_batches, cfg, rng)
@@ -395,25 +391,23 @@ def run_flow(inputs, cfg: EmpiricalFlowConfig):
     return state.measure, list(state.trace)
 
 
-def fixed_point_baseline(datasets, cfg: EmpiricalFlowConfig, alpha: float | None = None):
+def fixed_point_baseline(datasets, cfg: EmpiricalFlowConfig):
     """Full-batch fixed-point iterations (the classical discrete updates).
 
-    Particles interpolate toward the coordinate-weighted barycentric maps and
-    label probability vectors are propagated through the same plans. ``alpha``
-    defaults to cfg.step_size; alpha = 0 returns the initialization. No
-    energy applies, so ``cfg.functional`` must have no positive weight.
+    Particles interpolate toward the coordinate-weighted barycentric maps,
+    with cfg.step_size as the interpolation coefficient, and label
+    probability vectors are propagated through the same plans. No energy
+    applies, so ``cfg.functional`` must have no positive weight.
     """
     if len(datasets) != len(cfg.coordinates):
         raise ValueError("need one dataset per barycentric coordinate")
-    a = cfg.step_size if alpha is None else float(alpha)
-    if not 0.0 <= a <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
+    a = cfg.step_size
     if cfg.functional.any_active:
         raise ValueError("the fixed-point baseline applies no energy; "
                          "cfg.functional must have no positive weight")
     rng = np.random.default_rng(cfg.seed)
-    full_batches = [FullBatchSampler(ds, k).sample(0, rng)
-                    for k, ds in enumerate(datasets)]
+    full_batches = [FullBatchSampler(ds).sample(0, rng) for ds in datasets]
+    check_label_inputs(_class_counts(full_batches), cfg.functional)
     measure = _initial_measure(full_batches, cfg, rng)
 
     labeled = isinstance(measure, LabeledEmpiricalMeasure)

@@ -21,6 +21,7 @@ from .flow_empirical import TraceRecord
 from .functionals import (
     FunctionalSpec,
     _label_energies,
+    check_label_inputs,
     internal_energy_mc,
     target_potential,
 )
@@ -302,6 +303,8 @@ def run_gmm_flow(inputs, cfg: GmmFlowConfig, init: LabeledGMM | None = None):
     fits a mixture by EM on a pooled reparametrized sample of all inputs;
     ``init`` overrides it. Deterministic for a fixed config seed.
     """
+    check_label_inputs([None if q.nu is None else q.nu.shape[1] for q in inputs],
+                       cfg.functional)
     rng = np.random.default_rng(cfg.seed)
     state = init if init is not None else _init_state(inputs, cfg, rng)
     _check_inputs(state, inputs, cfg)

@@ -34,6 +34,7 @@ __all__ = [
     "hinge_repulsion",
     "target_potential",
     "internal_energy_mc",
+    "check_label_inputs",
 ]
 
 REPULSION_METRICS = ("euclidean", "cosine")
@@ -172,6 +173,25 @@ def target_potential(p, target: EmpiricalMeasure
     mapped = ot.barycentric_map(plan, target.points)
     grad_points = 2.0 * weights[:, None] * (points - mapped)
     return float(value), grad_points, plan
+
+
+def check_label_inputs(n_classes, spec: FunctionalSpec) -> None:
+    """Check the labels of a flow's inputs before the flow runs.
+
+    ``n_classes`` holds the class count of each input, None for an
+    unlabeled one. The inputs must be all labeled with one class count, or
+    all unlabeled; entropy and repulsion act on labels, so a positive weight
+    on either needs labeled inputs. Raises ValueError otherwise.
+    """
+    counts = set(n_classes)
+    if None in counts and len(counts) > 1:
+        raise ValueError("inputs must be all labeled or all unlabeled")
+    if len(counts) > 1:
+        raise ValueError(
+            f"labeled inputs must share one class count, got {sorted(counts)}")
+    if None in counts and (spec.entropy_weight > 0 or spec.repulsion_weight > 0):
+        raise ValueError("entropy_weight and repulsion_weight act on labels; "
+                         "the inputs are unlabeled")
 
 
 def _label_energies(points: np.ndarray, logits: np.ndarray | None,

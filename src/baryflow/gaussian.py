@@ -42,6 +42,12 @@ __all__ = [
 ]
 
 GMM_SCHEMA_VERSION = 1
+# Relative tolerance of matrix_sqrt_psd's symmetry and PSD checks.
+SQRT_PSD_TOL = 1e-10
+# EM stops after EM_MAX_ITER iterations, or once the log-likelihood changes
+# by less than EM_TOL.
+EM_MAX_ITER = 200
+EM_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -134,12 +140,13 @@ class LabeledGMM:
         return np.stack([c.chol for c in self.components])
 
 
-def matrix_sqrt_psd(s: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def matrix_sqrt_psd(s: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition.
 
-    Eigenvalues within -tol (relative to the largest) are clamped to zero;
-    asymmetry or indefiniteness beyond tolerance raises ValueError.
+    Eigenvalues within -SQRT_PSD_TOL (relative to the largest) are clamped
+    to zero; asymmetry or indefiniteness beyond tolerance raises ValueError.
     """
+    tol = SQRT_PSD_TOL
     s = np.atleast_2d(np.asarray(s, dtype=float))
     scale = max(1.0, float(np.max(np.abs(s))) if s.size else 1.0)
     if np.max(np.abs(s - s.T)) > tol * scale:
@@ -205,13 +212,12 @@ def bures_w2_grad(g1: GaussianComponent, g2: GaussianComponent
     return dmu, dl
 
 
-def mw2_cost_matrix(p: LabeledGMM, q: LabeledGMM, beta: float = 0.0,
-                    rho=None) -> np.ndarray:
+def mw2_cost_matrix(p: LabeledGMM, q: LabeledGMM, beta: float = 0.0
+                    ) -> np.ndarray:
     """Component-pair cost matrix: Bures W2^2 plus the squared label metric.
 
-    C_ij = W2(P_i, Q_j)^2 + beta * rho(nu_i, nu_j)^2, with rho defaulting to
-    the Euclidean distance on the simplex. The label term is dropped when
-    either mixture has no labels or beta = 0.
+    C_ij = W2(P_i, Q_j)^2 + beta * ||nu_i - nu_j||^2. The label term is
+    dropped when either mixture has no labels or beta = 0.
     """
     n, m = p.n_components, q.n_components
     cost = np.empty((n, m))
@@ -219,22 +225,18 @@ def mw2_cost_matrix(p: LabeledGMM, q: LabeledGMM, beta: float = 0.0,
         for j, cj in enumerate(q.components):
             cost[i, j] = bures_w2_sq(ci, cj)
     if beta > 0 and p.nu is not None and q.nu is not None:
-        if rho is None:
-            label_sq = ot.squared_distances(p.nu, q.nu)
-        else:
-            label_sq = np.asarray(rho(p.nu, q.nu), dtype=float) ** 2
-        cost = cost + beta * label_sq
+        cost = cost + beta * ot.squared_distances(p.nu, q.nu)
     return cost
 
 
-def mw2_sq(p: LabeledGMM, q: LabeledGMM, beta: float = 0.0, rho=None
+def mw2_sq(p: LabeledGMM, q: LabeledGMM, beta: float = 0.0
            ) -> tuple[float, ot.TransportPlan]:
     """Squared mixture-Wasserstein distance and its component coupling.
 
     Solves the exact component LP over Gamma(pi_P, pi_Q) on the decomposed
     feature + label cost.
     """
-    cost = mw2_cost_matrix(p, q, beta=beta, rho=rho)
+    cost = mw2_cost_matrix(p, q, beta=beta)
     plan, value = ot.solve_exact(p.weights, q.weights, cost)
     return value, plan
 
@@ -333,8 +335,7 @@ def _ridge(cov: np.ndarray, d: int) -> np.ndarray:
     return lift * np.eye(d)
 
 
-def em_fit(data, labels=None, components_per_class: int = 1,
-           max_iter: int = 200, tol: float = 1e-8, seed=None,
+def em_fit(data, labels=None, components_per_class: int = 1, seed=None,
            diag: bool = False) -> LabeledGMM:
     """Fit a GMM by EM; with labels, one GMM per class and one-hot nu rows.
 
@@ -347,7 +348,7 @@ def em_fit(data, labels=None, components_per_class: int = 1,
     rng = np.random.default_rng(seed)
     if labels is None:
         pis, comps, _ = _em_single(
-            data, components_per_class, max_iter, tol, rng, diag)
+            data, components_per_class, EM_MAX_ITER, EM_TOL, rng, diag)
         return LabeledGMM(pis, tuple(comps))
 
     labels = np.asarray(labels)
@@ -360,7 +361,7 @@ def em_fit(data, labels=None, components_per_class: int = 1,
         if rows.shape[0] == 0:
             raise ValueError(f"class {c} has no samples")
         pis_c, comps_c, _ = _em_single(
-            rows, components_per_class, max_iter, tol, rng, diag)
+            rows, components_per_class, EM_MAX_ITER, EM_TOL, rng, diag)
         freq = rows.shape[0] / data.shape[0]
         weights.extend(freq * pis_c)
         comps.extend(comps_c)

@@ -8,7 +8,7 @@ row-wise softmax and hard labels with an argmax (ties broken by lowest index).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -228,7 +228,6 @@ class MiniBatch:
 
     points: np.ndarray
     labels: np.ndarray | None = None
-    source_index: int = 0
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -248,7 +247,3 @@ class MiniBatch:
             if not is_one_hot:
                 raise ValueError("batch label rows must be one-hot vectors")
             object.__setattr__(self, "labels", _freeze(lab))
-
-    @property
-    def m(self) -> int:
-        return self.points.shape[0]

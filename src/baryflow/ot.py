@@ -1,7 +1,9 @@
 """Discrete optimal transport: ground costs, exact and entropic solvers.
 
-Costs are squared distances (p = 2 throughout). The joint feature-label
-ground metric is d(z, z')^2 = ||x - x'||^2 + beta * ||y - y'||^2.
+Costs are squared distances (p = 2 throughout), held in plain 2-D arrays.
+The joint feature-label ground metric is
+d(z, z')^2 = ||x - x'||^2 + beta * ||y - y'||^2. Every solver checks its
+cost array the same way: 2-D, finite and nonnegative.
 
 The exact solver is an LP of network-simplex class. Uniform marginals with an
 integer size ratio are reduced to a rectangular assignment problem (exact and
@@ -19,10 +21,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
 
-from .measures import EmpiricalMeasure, LabeledEmpiricalMeasure
-
 __all__ = [
-    "CostMatrix",
     "TransportPlan",
     "ConvergenceError",
     "joint_cost",
@@ -73,32 +72,6 @@ def parallel_map(fn, items):
 
 
 @dataclass(frozen=True)
-class CostMatrix:
-    """Pairwise ground costs in squared-distance units (p fixed to 2)."""
-
-    values: np.ndarray
-    p: int = 2
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 2:
-            raise ValueError("cost matrix must be 2-D")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("cost matrix contains non-finite entries")
-        if vals.min(initial=0.0) < -1e-12:
-            raise ValueError("cost matrix contains negative entries")
-        vals = np.maximum(vals, 0.0)
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-        if self.p != 2:
-            raise ValueError("only p = 2 is supported")
-
-    @property
-    def shape(self):
-        return self.values.shape
-
-
-@dataclass(frozen=True)
 class TransportPlan:
     """Nonnegative coupling with prescribed marginals.
 
@@ -129,10 +102,6 @@ class TransportPlan:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
-    @property
-    def shape(self):
-        return self.coupling.shape
-
 
 def squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Pairwise squared Euclidean distances between rows of x and y."""
@@ -146,12 +115,13 @@ def squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.maximum(sq, 0.0)
 
 
-def joint_cost(x, y, labels_x=None, labels_y=None, beta: float = 0.0) -> CostMatrix:
+def joint_cost(x, y, labels_x=None, labels_y=None, beta: float = 0.0) -> np.ndarray:
     """Squared joint feature-label cost between two point sets.
 
-    values[i, j] = ||x_i - y_j||^2 + beta * ||labels_x_i - labels_y_j||^2.
-    Labels must be present on both sides or on neither; with no labels (or
-    beta = 0 and labels dropped) this is the squared Euclidean cost.
+    C[i, j] = ||x_i - y_j||^2 + beta * ||labels_x_i - labels_y_j||^2, as a
+    read-only nonnegative array. Labels must be present on both sides or on
+    neither; with no labels (or beta = 0 and labels dropped) this is the
+    squared Euclidean cost.
     """
     if beta < 0:
         raise ValueError("beta must be >= 0")
@@ -171,7 +141,22 @@ def joint_cost(x, y, labels_x=None, labels_y=None, beta: float = 0.0) -> CostMat
         if lx.shape[0] != x.shape[0] or ly.shape[0] != y.shape[0]:
             raise ValueError("labels must have one row per point")
         vals = vals + beta * squared_distances(lx, ly)
-    return CostMatrix(vals)
+    vals.flags.writeable = False
+    return vals
+
+
+def _check_cost(C) -> np.ndarray:
+    """The solvers' input check: ``C`` as a 2-D, finite, nonnegative float
+    array (entries within 1e-12 below zero are clamped to zero)."""
+    Cv = np.asarray(C, dtype=float)
+    if Cv.ndim != 2:
+        raise ValueError("cost matrix must be 2-D")
+    if not np.all(np.isfinite(Cv)):
+        raise ValueError("cost matrix contains non-finite entries")
+    low = Cv.min(initial=0.0)
+    if low < -1e-12:
+        raise ValueError("cost matrix contains negative entries")
+    return np.maximum(Cv, 0.0) if low < 0 else Cv
 
 
 def _check_marginals(a: np.ndarray, b: np.ndarray, n: int, m: int) -> None:
@@ -237,12 +222,12 @@ def _linprog_plan(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return plan
 
 
-def solve_exact(a, b, C: CostMatrix | np.ndarray) -> tuple[TransportPlan, float]:
+def solve_exact(a, b, C: np.ndarray) -> tuple[TransportPlan, float]:
     """Solve the discrete OT problem exactly.
 
     Returns the optimal coupling and its cost <plan, C>.
     """
-    Cv = C.values if isinstance(C, CostMatrix) else np.asarray(C, dtype=float)
+    Cv = _check_cost(C)
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
     n, m = Cv.shape
@@ -257,7 +242,7 @@ def solve_exact(a, b, C: CostMatrix | np.ndarray) -> tuple[TransportPlan, float]
     return TransportPlan(plan, a, b), cost
 
 
-def solve_entropic(a, b, C: CostMatrix | np.ndarray, epsilon: float,
+def solve_entropic(a, b, C: np.ndarray, epsilon: float,
                    max_iter: int = 10_000, tol: float = 1e-9,
                    ) -> tuple[TransportPlan, float]:
     """Entropy-regularized OT via log-domain Sinkhorn iterations.
@@ -268,7 +253,7 @@ def solve_entropic(a, b, C: CostMatrix | np.ndarray, epsilon: float,
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be > 0")
-    Cv = C.values if isinstance(C, CostMatrix) else np.asarray(C, dtype=float)
+    Cv = _check_cost(C)
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
     n, m = Cv.shape
@@ -339,10 +324,10 @@ def _default_epsilon(Cv: np.ndarray) -> float:
     return eps if eps > 0 else 1e-6
 
 
-def solve_auto(a, b, C: CostMatrix | np.ndarray) -> tuple[TransportPlan, float]:
+def solve_auto(a, b, C: np.ndarray) -> tuple[TransportPlan, float]:
     """Exact plan up to EXACT_SIZE_LIMIT coupling entries, entropic above,
     with the default epsilon."""
-    Cv = C.values if isinstance(C, CostMatrix) else np.asarray(C, dtype=float)
+    Cv = _check_cost(C)
     if Cv.size <= EXACT_SIZE_LIMIT:
         return solve_exact(a, b, Cv)
     return solve_entropic(a, b, Cv, epsilon=_default_epsilon(Cv),
@@ -362,25 +347,10 @@ def barycentric_map(plan: TransportPlan, y: np.ndarray) -> np.ndarray:
     return (g @ y) / row_mass[:, None]
 
 
-def _points_and_labels(measure):
-    if isinstance(measure, LabeledEmpiricalMeasure):
-        return measure.points, measure.weights, measure.soft_labels()
-    if isinstance(measure, EmpiricalMeasure):
-        return measure.points, measure.weights, None
-    raise TypeError(f"unsupported measure type: {type(measure).__name__}")
-
-
-def w2_empirical(p, q, beta: float = 0.0) -> float:
-    """2-Wasserstein distance between two (optionally labeled) measures.
-
-    Uses the joint feature-label cost when both measures carry labels and
-    beta > 0. Exact plans below EXACT_SIZE_LIMIT entries, entropic above.
+def w2_empirical(p, q) -> float:
+    """2-Wasserstein distance between the feature clouds of two measures
+    (labels play no part). Exact plans below EXACT_SIZE_LIMIT entries,
+    entropic above.
     """
-    xp, wp, lp = _points_and_labels(p)
-    xq, wq, lq = _points_and_labels(q)
-    if lp is None or lq is None or beta == 0.0:
-        C = joint_cost(xp, xq, beta=0.0)
-    else:
-        C = joint_cost(xp, xq, lp, lq, beta=beta)
-    _, cost = solve_auto(wp, wq, C)
+    _, cost = solve_auto(p.weights, q.weights, joint_cost(p.points, q.points))
     return float(np.sqrt(max(cost, 0.0)))

@@ -26,13 +26,12 @@ from scipy.spatial import cKDTree
 
 from . import ot
 from .flow_empirical import (
-    EmpiricalFlowConfig,
     EmpiricalSampler,
     fixed_point_baseline,
     run_flow,
 )
 from .flow_gmm import GmmFlowConfig, run_gmm_flow
-from .gaussian import LabeledGMM, em_fit, sample_reparam
+from .gaussian import em_fit, sample_reparam
 from .measures import (
     EmpiricalMeasure,
     LabeledEmpiricalMeasure,
@@ -51,6 +50,12 @@ __all__ = [
 
 REPORT_SCHEMA_VERSION = 1
 BARYCENTER_KINDS = ("empirical", "gmm", "discrete_baseline")
+# Largest column support of a label-transfer or alignment plan.
+PLAN_CAP = 2000
+# Particles drawn from a GMM barycenter for alignment and classification.
+GMM_PARTICLES = 256
+# Share of a trace, at its end, that convergence_report averages as the plateau.
+PLATEAU_FRAC = 0.2
 
 
 @dataclass(frozen=True)
@@ -128,11 +133,12 @@ def _nn_predict(train_x, train_y, test_x):
     return np.asarray(train_y)[idx]
 
 
-def _subsample_for_plan(n_rows: int, n_avail: int, cap: int,
+def _subsample_for_plan(n_rows: int, n_avail: int,
                         rng: np.random.Generator) -> np.ndarray:
-    """Pick column support indices; trimmed to a multiple of n_rows when
-    possible so the exact solver stays on its fast assignment path."""
-    n_sub = min(n_avail, cap)
+    """Pick at most PLAN_CAP column support indices; trimmed to a multiple
+    of n_rows when possible so the exact solver stays on its fast
+    assignment path."""
+    n_sub = min(n_avail, PLAN_CAP)
     if n_sub >= n_rows:
         n_sub = max(n_rows, (n_sub // n_rows) * n_rows)
     if n_sub == n_avail:
@@ -140,7 +146,7 @@ def _subsample_for_plan(n_rows: int, n_avail: int, cap: int,
     return rng.choice(n_avail, size=n_sub, replace=False)
 
 
-def _propagate_labels(points, sources, lam, rng, cap: int = 2000):
+def _propagate_labels(points, sources, lam, rng):
     """Soft labels for a support via one-shot OT label transfer from the
     labeled sources (feature cost only)."""
     n = points.shape[0]
@@ -148,7 +154,7 @@ def _propagate_labels(points, sources, lam, rng, cap: int = 2000):
     y = np.zeros((n, n_classes))
     a = np.full(n, 1.0 / n)
     for l, src in zip(lam, sources):
-        idx = _subsample_for_plan(n, src.n, cap, rng)
+        idx = _subsample_for_plan(n, src.n, rng)
         pts = src.points[idx]
         labels = one_hot(src.hard_labels()[idx], n_classes)
         cost = ot.joint_cost(points, pts)
@@ -157,22 +163,20 @@ def _propagate_labels(points, sources, lam, rng, cap: int = 2000):
     return y
 
 
-def _gmm_barycenter_particles(sources, cfg: GmmFlowConfig, n_particles: int,
-                              rng) -> tuple[LabeledEmpiricalMeasure, LabeledGMM]:
+def _gmm_barycenter_particles(sources, cfg: GmmFlowConfig,
+                              rng) -> LabeledEmpiricalMeasure:
     n_classes = sources[0].n_classes
     per_class = max(1, cfg.n_components // n_classes)
     fitted = [em_fit(s.points, s.hard_labels(), components_per_class=per_class,
                      seed=rng, diag=cfg.diag_only) for s in sources]
     mixture, _ = run_gmm_flow(fitted, cfg)
-    pts, idx, _ = sample_reparam(mixture, n_particles, rng)
+    pts, idx, _ = sample_reparam(mixture, GMM_PARTICLES, rng)
     hard = np.argmax(mixture.nu, axis=1)[idx]
-    measure = LabeledEmpiricalMeasure.from_hard_labels(pts, hard, n_classes)
-    return measure, mixture
+    return LabeledEmpiricalMeasure.from_hard_labels(pts, hard, n_classes)
 
 
 def msda_adapt(sources, target_features: EmpiricalMeasure, eval_labels,
-               method: str, cfg, gmm_particles: int = 256,
-               align_cap: int = 2000) -> MsdaReport:
+               method: str, cfg) -> MsdaReport:
     """Adapt labeled sources to an unlabeled target and score a 1-NN
     classifier trained on the transported barycenter.
 
@@ -194,7 +198,7 @@ def msda_adapt(sources, target_features: EmpiricalMeasure, eval_labels,
 
     t0 = time.perf_counter()
     if method == "empirical":
-        samplers = [EmpiricalSampler(s, k) for k, s in enumerate(sources)]
+        samplers = [EmpiricalSampler(s) for s in sources]
         bary, _ = run_flow(samplers, cfg)
         if cfg.label_weight == 0:
             # unlabeled flow: recover labels by one-shot OT transfer
@@ -205,11 +209,11 @@ def msda_adapt(sources, target_features: EmpiricalMeasure, eval_labels,
     elif method == "discrete_baseline":
         bary = fixed_point_baseline(sources, cfg)
     else:
-        bary, _ = _gmm_barycenter_particles(sources, cfg, gmm_particles, rng)
+        bary = _gmm_barycenter_particles(sources, cfg, rng)
     timings["barycenter_ms"] = 1e3 * (time.perf_counter() - t0)
 
     t0 = time.perf_counter()
-    idx = _subsample_for_plan(bary.n, target_features.n, align_cap, rng)
+    idx = _subsample_for_plan(bary.n, target_features.n, rng)
     tgt_pts = target_features.points[idx]
     cost = ot.joint_cost(bary.points, tgt_pts)
     plan, _ = ot.solve_exact(
@@ -237,10 +241,10 @@ def msda_adapt(sources, target_features: EmpiricalMeasure, eval_labels,
     )
 
 
-def convergence_report(trace, plateau_frac: float = 0.2) -> ConvergenceReport:
+def convergence_report(trace) -> ConvergenceReport:
     """Fit the decay-plus-plateau shape of a barycenter objective trace.
 
-    The plateau is the mean of the last ``plateau_frac`` of the trace. The
+    The plateau is the mean of the last PLATEAU_FRAC of the trace. The
     decay rate comes from a least-squares line on log(value - plateau) over
     the pre-plateau window: the initial contiguous segment where the
     residual still exceeds both 5% of its starting value and twice the
@@ -252,7 +256,7 @@ def convergence_report(trace, plateau_frac: float = 0.2) -> ConvergenceReport:
     if values.shape[0] < 50:
         raise ValueError("trace must have at least 50 entries")
     n = values.shape[0]
-    n_plateau = max(1, int(round(plateau_frac * n)))
+    n_plateau = max(1, int(round(PLATEAU_FRAC * n)))
     plateau = float(values[-n_plateau:].mean())
     resid = np.maximum(values - plateau, 1e-12)
 
@@ -287,4 +291,4 @@ def w2_to_reference(result, reference, max_points: int = 2000,
         if pts.shape[0] > max_points:
             pts = pts[rng.choice(pts.shape[0], size=max_points, replace=False)]
         clouds.append(EmpiricalMeasure(pts))
-    return ot.w2_empirical(clouds[0], clouds[1], beta=0.0)
+    return ot.w2_empirical(clouds[0], clouds[1])

@@ -135,6 +135,58 @@ class TestValidate:
         assert main(["validate", path]) == 1
         assert "baryflow-error[config]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flow, inputs, functional", [
+        pytest.param("empirical", [
+            {"kind": "gaussian", "mean": [0.0, 0.0]},
+            {"kind": "swiss_roll", "n": 40}], {}, id="unlabeled-then-labeled"),
+        pytest.param("empirical", [
+            {"kind": "swiss_roll", "n": 40, "n_classes": 3},
+            {"kind": "swiss_roll", "n": 40, "n_classes": 4}], {},
+            id="class-counts-differ"),
+        pytest.param("gmm", [
+            {"kind": "swiss_roll", "n": 40, "n_classes": 3},
+            {"kind": "swiss_roll", "n": 40, "n_classes": 4}], {},
+            id="gmm-class-counts-differ"),
+        pytest.param("empirical", [
+            {"kind": "gaussian", "mean": [0.0]},
+            {"kind": "gaussian", "mean": [4.0]}], {"repulsion_weight": 0.1},
+            id="repulsion-unlabeled"),
+        pytest.param("gmm", [
+            {"kind": "gaussian", "mean": [0.0]},
+            {"kind": "gaussian", "mean": [4.0]}], {"repulsion_weight": 0.1},
+            id="gmm-repulsion-unlabeled"),
+        pytest.param("gmm", [
+            {"kind": "gaussian", "mean": [0.0]},
+            {"kind": "gaussian", "mean": [4.0]}], {"entropy_weight": 0.1},
+            id="gmm-entropy-unlabeled"),
+    ])
+    def test_input_labels_checked_before_run(self, tmp_path, capsys, flow,
+                                             inputs, functional):
+        cfg = {"command": "barycenter", "flow": flow, "inputs": inputs,
+               "functional": functional, "output_dir": str(tmp_path / "out"),
+               "flow_config": {"n_iter": 2}}
+        path = write_config(tmp_path, "c.json", cfg)
+        for subcommand in ("validate", "barycenter"):
+            assert main([subcommand, path]) == 1
+            assert "baryflow-error[config]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flow, extra", [
+        ("empirical", {"kind": "swiss_roll", "n": 40}),
+        ("empirical", {"kind": "csv", "label_column": "label"}),
+        ("empirical", {"kind": "csv"}),
+        ("gmm", {"kind": "csv"}),
+    ])
+    def test_ignored_components_per_class(self, tmp_path, capsys, flow, extra):
+        d = dict(extra, components_per_class=2)
+        if d["kind"] == "csv":
+            d["path"] = labeled_2d_csv(tmp_path)
+        cfg = {"command": "barycenter", "flow": flow, "inputs": [d],
+               "output_dir": str(tmp_path / "out"), "flow_config": {"n_iter": 2}}
+        path = write_config(tmp_path, "c.json", cfg)
+        assert main(["validate", path]) == 1
+        assert "components_per_class" in capsys.readouterr().err
+
     def test_thread_cap_set_per_invocation(self, tmp_path, monkeypatch):
         monkeypatch.delenv("BARYFLOW_THREADS", raising=False)
         path = write_config(tmp_path, "c.json", bary_config(tmp_path / "out"))
@@ -333,6 +385,54 @@ class TestBarycenterCommand:
         }
         path = write_config(tmp_path, "c.json", cfg)
         assert main(["barycenter", path]) == 0
+
+
+    def test_gmm_json_inputs(self, tmp_path):
+        from baryflow.gaussian import GaussianComponent, LabeledGMM, save_gmm
+        paths = []
+        for mean in (0.0, 4.0):
+            path = tmp_path / f"g{mean}.json"
+            save_gmm(LabeledGMM([1.0], (GaussianComponent([mean], [[1.0]]),)),
+                     path)
+            paths.append(str(path))
+        cfg = bary_config(tmp_path / "out", flow="gmm")
+        cfg["inputs"] = [{"kind": "gmm_json", "path": p} for p in paths]
+        path = write_config(tmp_path, "c.json", cfg)
+        assert main(["barycenter", path]) == 0
+        mixture = load_gmm(tmp_path / "out" / "final_mixture.json")
+        assert 1.5 <= mixture.components[0].mu[0] <= 2.5
+
+    def test_unlabeled_csv_gmm_flow(self, tmp_path):
+        rng = np.random.default_rng(0)
+        paths = []
+        for i, shift in enumerate((0.0, 4.0)):
+            path = tmp_path / f"d{i}.csv"
+            x = np.concatenate([rng.standard_normal(60) - 3.0,
+                                rng.standard_normal(60) + 3.0]) + shift
+            path.write_text("f0\n" + "".join(f"{v!r}\n" for v in x.tolist()))
+            paths.append(str(path))
+        cfg = bary_config(tmp_path / "out", flow="gmm")
+        cfg["inputs"] = [{"kind": "csv", "path": p} for p in paths]
+        cfg["flow_config"] = {"n_components": 2, "n_iter": 20}
+        path = write_config(tmp_path, "c.json", cfg)
+        assert main(["barycenter", path]) == 0
+        mixture = load_gmm(tmp_path / "out" / "final_mixture.json")
+        assert mixture.n_components == 2 and mixture.nu is None
+        rows = list(csv.DictReader((tmp_path / "out" / "trace.csv").open()))
+        assert float(rows[-1]["F"]) < float(rows[0]["F"])
+
+    def test_coordinates(self, tmp_path, capsys):
+        cfg = bary_config(tmp_path / "out", flow="gmm")
+        cfg["coordinates"] = [0.25, 0.75]
+        path = write_config(tmp_path, "c.json", cfg)
+        assert main(["barycenter", path]) == 0
+        mixture = load_gmm(tmp_path / "out" / "final_mixture.json")
+        assert 2.5 <= mixture.components[0].mu[0] <= 3.5
+
+        cfg["coordinates"] = [0.5]
+        path = write_config(tmp_path, "c.json", cfg)
+        assert main(["barycenter", path]) == 1
+        assert "coordinates must be a list of 2 numbers" in capsys.readouterr().err
 
 
 class TestToyCommand:

@@ -55,10 +55,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             EmpiricalFlowConfig(8, 8, 1, UNIT, step_size=1.5)
 
-    def test_explicit_init_needs_measure(self):
-        with pytest.raises(ValueError):
-            EmpiricalFlowConfig(8, 8, 1, UNIT, init="explicit")
-
     def test_bad_solver(self):
         with pytest.raises(ValueError):
             EmpiricalFlowConfig(8, 8, 1, UNIT, solver="magic")
@@ -194,8 +190,8 @@ class TestRunFlow:
             y = np.repeat([0, 1], 100)
             return LabeledEmpiricalMeasure.from_hard_labels(x, y, 2)
 
-        inputs = [EmpiricalSampler(blobs(0, np.array([0.0, 0.0])), 0),
-                  EmpiricalSampler(blobs(1, np.array([0.0, 1.0])), 1)]
+        inputs = [EmpiricalSampler(blobs(0, np.array([0.0, 0.0]))),
+                  EmpiricalSampler(blobs(1, np.array([0.0, 1.0])))]
         cfg = EmpiricalFlowConfig(128, 64, 150, HALF, label_weight=1.0, seed=0)
         final, _ = run_flow(inputs, cfg)
         hard = final.hard_labels()
@@ -224,7 +220,7 @@ class TestTraceComposition:
                               target_measure=target)
         cfg = EmpiricalFlowConfig(12, 12, 0, HALF, label_weight=2.0,
                                   functional=spec, label_init="random", seed=4)
-        inputs = [FullBatchSampler(d, k) for k, d in enumerate(datasets)]
+        inputs = [FullBatchSampler(d) for d in datasets]
         init, trace = run_flow(inputs, cfg)
         _, longer = run_flow(inputs, replace(cfg, n_iter=3))
         assert longer[0] == trace[0]
@@ -246,12 +242,106 @@ class TestTraceComposition:
             [b_hat, v, u, b_hat + v + u, np.linalg.norm(x)], rtol=1e-12)
 
 
+class TestEntropicFlow:
+    def test_first_entry_from_public_solver(self):
+        rng = np.random.default_rng(5)
+        datasets = [LabeledEmpiricalMeasure.from_hard_labels(
+            rng.standard_normal((10, 2)) + shift, rng.integers(0, 2, 10), 2)
+            for shift in (0.0, 3.0)]
+        cfg = EmpiricalFlowConfig(8, 10, 0, HALF, label_weight=2.0,
+                                  solver="entropic", label_init="random", seed=1)
+        inputs = [FullBatchSampler(d) for d in datasets]
+        init, trace = run_flow(inputs, cfg)
+        _, longer = run_flow(inputs, replace(cfg, n_iter=2))
+        assert longer[0] == trace[0]
+
+        # entry 0: entropic plans at the default eps = 0.05 * median(C)
+        x = init.points
+        b_hat = exact = 0.0
+        for lam, ds in zip(HALF.lam, datasets):
+            cost = ot.joint_cost(x, ds.points, init.soft_labels(),
+                                 one_hot(ds.hard_labels(), 2), 2.0)
+            b_hat += lam * ot.solve_entropic(init.weights, ds.weights, cost,
+                                             epsilon=0.05 * np.median(cost))[1]
+            exact += lam * ot.solve_exact(init.weights, ds.weights, cost)[1]
+        rec = trace[0]
+        assert rec.v == rec.u == rec.g == 0.0
+        assert b_hat > exact
+        np.testing.assert_allclose([rec.b_hat, rec.f, rec.param_norm],
+                                   [b_hat, b_hat, np.linalg.norm(x)], rtol=1e-12)
+
+
+class TestLabelChecks:
+    """Inputs are all labeled with one class count, or all unlabeled; the
+    flow rejects anything else before it solves a plan."""
+
+    @pytest.fixture(autouse=True)
+    def no_solves(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a plan was solved before the label check")
+        for name in ("solve_exact", "solve_entropic", "solve_auto"):
+            monkeypatch.setattr(ot, name, fail)
+
+    @staticmethod
+    def labeled(n_classes, seed=0):
+        rng = np.random.default_rng(seed)
+        return LabeledEmpiricalMeasure.from_hard_labels(
+            rng.standard_normal((12, 2)), np.arange(12) % n_classes, n_classes)
+
+    @pytest.mark.parametrize("init", ["gaussian", "subsample"])
+    def test_labeled_and_unlabeled_rejected(self, init):
+        inputs = [GaussianSampler([0.0, 0.0], std=1.0),
+                  EmpiricalSampler(self.labeled(2))]
+        cfg = EmpiricalFlowConfig(8, 8, 3, HALF, init=init)
+        with pytest.raises(ValueError, match="all labeled or all unlabeled"):
+            run_flow(inputs, cfg)
+
+    @pytest.mark.parametrize("init", ["gaussian", "subsample"])
+    def test_class_counts_differ_rejected(self, init):
+        inputs = [EmpiricalSampler(self.labeled(3)),
+                  EmpiricalSampler(self.labeled(4, seed=1))]
+        cfg = EmpiricalFlowConfig(8, 8, 3, HALF, init=init)
+        with pytest.raises(ValueError, match="one class count"):
+            run_flow(inputs, cfg)
+
+    @pytest.mark.parametrize("spec", [FunctionalSpec(repulsion_weight=0.1),
+                                      FunctionalSpec(entropy_weight=0.1)])
+    def test_label_energy_needs_labels(self, spec):
+        inputs = [GaussianSampler([0.0], std=1.0), GaussianSampler([4.0], std=1.0)]
+        cfg = EmpiricalFlowConfig(8, 8, 3, HALF, functional=spec)
+        with pytest.raises(ValueError, match="act on labels"):
+            run_flow(inputs, cfg)
+
+    def test_fixed_point_class_counts_differ_rejected(self):
+        cfg = EmpiricalFlowConfig(8, 8, 3, HALF)
+        with pytest.raises(ValueError, match="one class count"):
+            fixed_point_baseline([self.labeled(2), self.labeled(3)], cfg)
+
+
+class TestThreads:
+    @pytest.mark.parametrize("solver", ["exact", "entropic"])
+    def test_two_threads_byte_equal(self, run_threaded, solver):
+        rng = np.random.default_rng(6)
+        datasets = [LabeledEmpiricalMeasure.from_hard_labels(
+            rng.standard_normal((40, 2)) + shift, rng.integers(0, 2, 40), 2)
+            for shift in (0.0, 3.0, -2.0)]
+        inputs = [EmpiricalSampler(d) for d in datasets]
+        cfg = EmpiricalFlowConfig(
+            16, 16, 5, BarycentricCoordinates.uniform(3), label_weight=1.0,
+            solver=solver, functional=FunctionalSpec(repulsion_weight=0.1),
+            seed=2)
+        (m1, t1), (m2, t2) = run_threaded(lambda: run_flow(inputs, cfg))
+        assert m1.points.tobytes() == m2.points.tobytes()
+        assert m1.label_logits.tobytes() == m2.label_logits.tobytes()
+        assert t1 == t2
+
+
 class TestFullBatchInvariants:
     def test_objective_non_increasing_full_batch(self):
         rng = np.random.default_rng(4)
         datasets = [EmpiricalMeasure(rng.standard_normal((32, 2)) + off)
                     for off in (np.zeros(2), np.array([3.0, 0.0]))]
-        inputs = [FullBatchSampler(d, i) for i, d in enumerate(datasets)]
+        inputs = [FullBatchSampler(d) for d in datasets]
         cfg = EmpiricalFlowConfig(32, 32, 40, HALF, step_size=0.25, seed=1)
         _, trace = run_flow(inputs, cfg)
         b = np.array([r.b_hat for r in trace])
@@ -263,14 +353,6 @@ class TestFixedPointBaseline:
         rng = np.random.default_rng(seed)
         return [EmpiricalMeasure(rng.standard_normal((n, 1))),
                 EmpiricalMeasure(rng.standard_normal((n, 1)) + 4.0)]
-
-    def test_alpha_zero_returns_init(self):
-        datasets = self.two_gaussian_datasets()
-        cfg = EmpiricalFlowConfig(32, 32, 10, HALF, seed=0)
-        out = fixed_point_baseline(datasets, cfg, alpha=0.0)
-        init = fixed_point_baseline(
-            datasets, EmpiricalFlowConfig(32, 32, 0, HALF, seed=0))
-        assert np.array_equal(out.points, init.points)
 
     def test_energies_rejected(self):
         # the fixed-point updates apply no energy; they must not be ignored
@@ -290,8 +372,7 @@ class TestFixedPointBaseline:
         datasets = self.two_gaussian_datasets(seed=6, n=256)
         cfg = EmpiricalFlowConfig(128, 256, 60, HALF, step_size=0.5, seed=3)
         baseline = fixed_point_baseline(datasets, cfg)
-        flowed, _ = run_flow([FullBatchSampler(d, i)
-                              for i, d in enumerate(datasets)], cfg)
+        flowed, _ = run_flow([FullBatchSampler(d) for d in datasets], cfg)
         assert ot.w2_empirical(EmpiricalMeasure(baseline.points),
                                EmpiricalMeasure(flowed.points)) <= 0.15
 
@@ -312,8 +393,7 @@ class TestSamplers:
     def test_empirical_sampler_draws_support_points(self):
         rng = np.random.default_rng(8)
         m = EmpiricalMeasure(np.arange(10.0)[:, None])
-        batch = EmpiricalSampler(m, 2).sample(50, rng)
-        assert batch.source_index == 2
+        batch = EmpiricalSampler(m).sample(50, rng)
         assert set(batch.points.ravel()).issubset(set(m.points.ravel()))
 
     def test_empirical_sampler_labels(self):
@@ -325,13 +405,6 @@ class TestSamplers:
     def test_gmm_sampler(self):
         gmm = LabeledGMM([1.0], (GaussianComponent([5.0], [[0.5]]),),
                          nu=[[0.0, 1.0]])
-        batch = GmmSampler(gmm, 1).sample(16, np.random.default_rng(10))
+        batch = GmmSampler(gmm).sample(16, np.random.default_rng(10))
         assert np.array_equal(batch.labels,
                               np.tile([0.0, 1.0], (16, 1)))
-
-    def test_gaussian_sampler_chol(self):
-        chol = np.array([[2.0, 0.0], [1.0, 1.0]])
-        s = GaussianSampler([0.0, 0.0], chol=chol)
-        pts = s.sample(20_000, np.random.default_rng(11)).points
-        cov = np.cov(pts.T)
-        assert np.max(np.abs(cov - chol @ chol.T)) <= 0.15

@@ -302,6 +302,61 @@ class TestTraceComposition:
                                        rel=1e-12)
 
 
+class TestLabelChecks:
+    """Inputs are all labeled with one class count, or all unlabeled; the
+    flow rejects anything else before it solves a coupling."""
+
+    @pytest.fixture(autouse=True)
+    def no_solves(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a coupling was solved before the label check")
+        monkeypatch.setattr(ot, "solve_exact", fail)
+
+    @staticmethod
+    def labeled(n_classes):
+        comps = tuple(GaussianComponent([float(c)], [[1.0]])
+                      for c in range(n_classes))
+        return LabeledGMM(np.full(n_classes, 1.0 / n_classes), comps,
+                          nu=np.eye(n_classes))
+
+    def test_labeled_and_unlabeled_rejected(self):
+        cfg = GmmFlowConfig(2, 3, HALF)
+        with pytest.raises(ValueError, match="all labeled or all unlabeled"):
+            run_gmm_flow([single([0.0], [[1.0]]), self.labeled(2)], cfg)
+
+    def test_class_counts_differ_rejected(self):
+        cfg = GmmFlowConfig(2, 3, HALF)
+        with pytest.raises(ValueError, match="one class count"):
+            run_gmm_flow([self.labeled(2), self.labeled(3)], cfg)
+
+    @pytest.mark.parametrize("spec", [FunctionalSpec(repulsion_weight=0.1),
+                                      FunctionalSpec(entropy_weight=0.1)])
+    def test_label_energy_needs_labels(self, spec):
+        cfg = GmmFlowConfig(1, 3, HALF, functional=spec)
+        with pytest.raises(ValueError, match="act on labels"):
+            run_gmm_flow([single([0.0], [[1.0]]), single([4.0], [[1.0]])], cfg)
+
+
+class TestThreads:
+    def test_two_threads_byte_equal(self, run_threaded):
+        rng = np.random.default_rng(8)
+
+        def labeled_input(shift):
+            comps = tuple(random_pd_component(rng, 2) for _ in range(2))
+            comps = tuple(GaussianComponent(c.mu + shift, c.chol) for c in comps)
+            return LabeledGMM([0.4, 0.6], comps, nu=np.eye(2))
+
+        inputs = [labeled_input(s) for s in (0.0, 3.0, -2.0)]
+        cfg = GmmFlowConfig(2, 5, BarycentricCoordinates.uniform(3),
+                            label_weight=1.0, mc_samples=16, seed=3,
+                            functional=FunctionalSpec(repulsion_weight=0.1))
+        (s1, t1), (s2, t2) = run_threaded(lambda: run_gmm_flow(inputs, cfg))
+        for get in (LabeledGMM.means, LabeledGMM.chols,
+                    lambda s: s.weights, lambda s: s.nu):
+            assert get(s1).tobytes() == get(s2).tobytes()
+        assert t1 == t2
+
+
 class TestEmInit:
     def test_em_init_respects_labels(self):
         rng = np.random.default_rng(9)

@@ -110,7 +110,7 @@ class TestTargetPotential:
         assert value <= 1e-12
         assert np.max(np.abs(grad)) <= 1e-12
         assert np.allclose(plan.coupling.sum(axis=1), p.weights, atol=1e-12)
-        cost = ot.joint_cost(pts, target.points).values
+        cost = ot.joint_cost(pts, target.points)
         assert value == pytest.approx(float((plan.coupling * cost).sum()), rel=1e-12)
 
     def test_single_atom(self):
@@ -137,7 +137,7 @@ class TestTargetPotential:
         value, grad, plan = target_potential(p, target)
         assert abs(value - 4.0) <= 1e-12
         assert np.allclose(plan.coupling.sum(axis=1), p.weights, atol=1e-12)
-        cost = ot.joint_cost(p.points, target.points).values
+        cost = ot.joint_cost(p.points, target.points)
         assert value == pytest.approx(float((plan.coupling * cost).sum()), rel=1e-12)
 
 

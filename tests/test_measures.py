@@ -142,7 +142,5 @@ class TestMiniBatch:
             MiniBatch(np.zeros((2, 2)), labels=np.array([[0.5, 0.5], [1, 0]]))
 
     def test_valid(self):
-        b = MiniBatch(np.zeros((2, 2)), labels=np.array([[1.0, 0], [0, 1.0]]),
-                      source_index=3)
-        assert b.m == 2
-        assert b.source_index == 3
+        b = MiniBatch(np.zeros((2, 2)), labels=np.array([[1.0, 0], [0, 1.0]]))
+        assert b.points.shape == (2, 2)

@@ -20,20 +20,20 @@ def brute_force_uniform(cost: np.ndarray) -> float:
 class TestJointCost:
     def test_scalar_squared_distance(self):
         c = ot.joint_cost(np.array([[0.0]]), np.array([[3.0]]))
-        assert np.allclose(c.values, [[9.0]])
+        assert np.allclose(c, [[9.0]])
 
     def test_label_term(self):
         c = ot.joint_cost(np.array([[0.0]]), np.array([[0.0]]),
                           np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]),
                           beta=2.0)
-        assert np.allclose(c.values, [[4.0]])
+        assert np.allclose(c, [[4.0]])
 
     def test_zero_diagonal_on_self(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((5, 3))
         lab = rng.standard_normal((5, 2))
         c = ot.joint_cost(x, x, lab, lab, beta=3.0)
-        assert np.allclose(np.diag(c.values), 0.0, atol=1e-12)
+        assert np.allclose(np.diag(c), 0.0, atol=1e-12)
 
     def test_one_sided_labels_rejected(self):
         with pytest.raises(ValueError):
@@ -54,7 +54,7 @@ class TestJointCost:
         lx, ly = rng.standard_normal((4, 3)), rng.standard_normal((6, 3))
         with_labels = ot.joint_cost(x, y, lx, ly, beta=0.0)
         without = ot.joint_cost(x, y)
-        assert np.array_equal(with_labels.values, without.values)
+        assert np.array_equal(with_labels, without)
 
 
 class TestSolveExact:
@@ -236,7 +236,7 @@ class TestW2Empirical:
         la = LabeledEmpiricalMeasure.from_hard_labels(pts_a, np.zeros(5, int), 2)
         lb = LabeledEmpiricalMeasure.from_hard_labels(pts_b, np.ones(5, int), 2)
         assert abs(
-            ot.w2_empirical(la, lb, beta=0.0)
+            ot.w2_empirical(la, lb)
             - ot.w2_empirical(EmpiricalMeasure(pts_a), EmpiricalMeasure(pts_b))
         ) <= 1e-12
 
