@@ -64,7 +64,7 @@ from .flow_gmm import (
     fixed_point_gaussian_barycenter,
     run_gmm_flow,
 )
-from .functionals import FunctionalSpec, check_label_inputs
+from .functionals import FunctionalSpec, check_inputs
 from .gaussian import (
     GaussianComponent,
     LabeledGMM,
@@ -255,14 +255,6 @@ def _input_to_gmm(d: dict, idx: int, parsed, cfg_gmm_components: int,
                   seed=rng)
 
 
-def _n_classes(item) -> int | None:
-    """Class count of a flow input, a measure or a mixture; None when it is
-    unlabeled."""
-    if isinstance(item, LabeledGMM):
-        return None if item.nu is None else item.nu.shape[1]
-    return item.n_classes if isinstance(item, LabeledEmpiricalMeasure) else None
-
-
 # ---------------------------------------------------------------------------
 # artifacts
 
@@ -359,7 +351,7 @@ def _prepare_barycenter(cfg: dict):
     else:  # the GMM flow sees the labels of the fitted mixtures
         items = inputs = [_input_to_gmm(d, i, p, flow_cfg.n_components, rng)
                           for i, (d, p) in enumerate(zip(inputs_cfg, parsed))]
-    check_label_inputs([_n_classes(item) for item in items], functional)
+    check_inputs(items, flow_cfg)
 
     def run() -> int:
         out.mkdir(parents=True, exist_ok=True)
@@ -403,6 +395,8 @@ def _prepare_toy(cfg: dict):
     k = _get(cfg, "n_family", int, ctx, 4)
     n = _get(cfg, "n_samples", int, ctx, 256)
     eval_points = _get(cfg, "eval_points", int, ctx, 500)
+    if eval_points < 1:
+        raise ConfigError(f"{ctx}: eval_points must be >= 1")
     solvers = _get(cfg, "solvers", list, ctx, list(TOY_SOLVERS))
     for s in solvers:
         if s not in TOY_SOLVERS:
@@ -442,6 +436,9 @@ def _prepare_toy(cfg: dict):
                         np.mean([m.b for m in maps], axis=0))
         reference = EmpiricalMeasure(avg.apply(q0.points))
     inputs = location_scatter_family(q0, maps)
+    check_inputs(inputs, emp_cfg)
+    if "wgf_gmm" in solvers:  # its mixtures are EM fits of the points alone
+        check_inputs([EmpiricalMeasure(m.points) for m in inputs], gmm_cfg)
 
     def run() -> int:
         out.mkdir(parents=True, exist_ok=True)
@@ -534,13 +531,13 @@ def _prepare_msda(cfg: dict):
     _check_dims([(f"sources[{i}]", s.dim) for i, s in enumerate(sources)]
                 + [("target", target_features.dim),
                    ("functional: target_csv", functional.target_measure.dim)], ctx)
-    check_label_inputs([s.n_classes for s in sources], functional)
     if method == "discrete_baseline" and functional.any_active:
         raise ConfigError(f"{ctx}: method 'discrete_baseline' applies no "
                           f"energy; functional weights must be 0")
     kind, key = ("gmm", "gmm") if method == "gmm" else ("empirical", "flow")
     flow_cfg = _parse_flow(kind, cfg, key, ctx, coordinates=coords,
                            functional=functional, seed=seed)
+    check_inputs(sources, flow_cfg)
     runs = [(combo, dataclasses.replace(flow_cfg, functional=functional.with_mask(
         "V" in combo, "U" in combo))) for combo in combos]
 

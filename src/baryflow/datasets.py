@@ -163,6 +163,8 @@ def _rotation(deg: float) -> np.ndarray:
 def default_affine_family(k: int = 4, seed=0) -> list[AffineMap]:
     """2-D family: rotations of 0/45/90/135 degrees composed with scalings
     in [0.8, 1.3] and unit-norm shifts. Qualitative runs only (not PD)."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     rng = np.random.default_rng(seed)
     angles = [0.0, 45.0, 90.0, 135.0]
     maps = []
@@ -183,6 +185,8 @@ def pd_affine_family(k: int, dim: int = 2, seed=0, shift_scale: float = 1.0
     """Random symmetric-PD maps, eigenvalues uniform in PD_EIG_RANGE; keeps
     pushforward families inside the location-scatter class so Gaussian
     barycenter oracles apply."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     rng = np.random.default_rng(seed)
     maps = []
     for _ in range(k):

@@ -23,7 +23,8 @@ from . import ot
 from .functionals import (
     FunctionalSpec,
     _label_energies,
-    check_label_inputs,
+    _n_classes,
+    check_inputs,
     target_potential,
 )
 from .functionals import hinge_repulsion  # noqa: F401  (bench/tests trace it here)
@@ -101,6 +102,8 @@ class EmpiricalFlowConfig:
             raise ValueError(f"label_init must be one of {LABEL_INIT_MODES}")
         if self.solver not in SOLVERS:
             raise ValueError(f"solver must be one of {SOLVERS}")
+        if self.entropic_eps is not None and not 0 < self.entropic_eps < np.inf:
+            raise ValueError("entropic_eps must be finite and > 0")
         if self.functional.internal_weight > 0:
             raise ValueError("the empirical flow has no internal energy; "
                              "functional.internal_weight must be 0")
@@ -213,16 +216,6 @@ def _lam_map(lam, results, targets):
                for l, (plan, _), y in zip(lam, results, targets))
 
 
-def _check_batches(measure, batches, cfg):
-    if len(batches) != len(cfg.coordinates):
-        raise ValueError("need exactly one batch per barycentric coordinate")
-    if cfg.label_weight > 0:
-        if not isinstance(measure, LabeledEmpiricalMeasure):
-            raise ValueError("label_weight > 0 requires a labeled flow state")
-        if any(b.labels is None for b in batches):
-            raise ValueError("label_weight > 0 requires labeled batches")
-
-
 def _plans_and_energies(measure, batches, cfg: EmpiricalFlowConfig):
     """Plans and weighted energies at fixed particles: the first half of a
     step, and the whole of trace entry 0.
@@ -268,8 +261,10 @@ def flow_step(state: FlowState, batches, cfg: EmpiricalFlowConfig) -> FlowState:
     This keeps one plan solve per input per step.
     """
     measure = state.measure
-    _check_batches(measure, batches, cfg)
+    check_inputs(batches, cfg)
     labeled = isinstance(measure, LabeledEmpiricalMeasure)
+    if cfg.label_weight > 0 and not labeled:
+        raise ValueError("label_weight > 0 requires a labeled flow state")
     x = measure.points
     n = x.shape[0]
     lam = cfg.coordinates.lam
@@ -310,15 +305,10 @@ def flow_step(state: FlowState, batches, cfg: EmpiricalFlowConfig) -> FlowState:
     return FlowState(new_measure, state.iter + 1, state.trace + (record,))
 
 
-def _class_counts(batches):
-    """Label width of each batch; None for an unlabeled one."""
-    return [None if b.labels is None else b.labels.shape[1] for b in batches]
-
-
 def _initial_measure(init_batches, cfg, rng):
     pts = init_batches[0].points
     # all batches are labeled with one class count, or none is
-    n_classes = _class_counts(init_batches)[0]
+    n_classes = _n_classes(init_batches[0])
     labeled = n_classes is not None
     n, d = cfg.n_particles, pts.shape[1]
 
@@ -376,13 +366,9 @@ def run_flow(inputs, cfg: EmpiricalFlowConfig):
     wrapped in EmpiricalSampler, generators, or GmmSampler). Deterministic
     for a fixed config seed.
     """
-    if len(inputs) != len(cfg.coordinates):
-        raise ValueError("need one input per barycentric coordinate")
     rng = np.random.default_rng(cfg.seed)
     init_batches = [inp.sample(cfg.batch_size, rng) for inp in inputs]
-    check_label_inputs(_class_counts(init_batches), cfg.functional)
-    if cfg.label_weight > 0 and any(b.labels is None for b in init_batches):
-        raise ValueError("label_weight > 0 requires labeled inputs")
+    check_inputs(init_batches, cfg)
     measure = _initial_measure(init_batches, cfg, rng)
     state = FlowState(measure, 0, (_evaluate(measure, init_batches, cfg, 0),))
     for _ in range(cfg.n_iter):
@@ -399,15 +385,13 @@ def fixed_point_baseline(datasets, cfg: EmpiricalFlowConfig):
     probability vectors are propagated through the same plans. No energy
     applies, so ``cfg.functional`` must have no positive weight.
     """
-    if len(datasets) != len(cfg.coordinates):
-        raise ValueError("need one dataset per barycentric coordinate")
     a = cfg.step_size
     if cfg.functional.any_active:
         raise ValueError("the fixed-point baseline applies no energy; "
                          "cfg.functional must have no positive weight")
+    check_inputs(datasets, cfg)
     rng = np.random.default_rng(cfg.seed)
     full_batches = [FullBatchSampler(ds).sample(0, rng) for ds in datasets]
-    check_label_inputs(_class_counts(full_batches), cfg.functional)
     measure = _initial_measure(full_batches, cfg, rng)
 
     labeled = isinstance(measure, LabeledEmpiricalMeasure)

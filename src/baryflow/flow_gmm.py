@@ -21,7 +21,7 @@ from .flow_empirical import TraceRecord
 from .functionals import (
     FunctionalSpec,
     _label_energies,
-    check_label_inputs,
+    check_inputs,
     internal_energy_mc,
     target_potential,
 )
@@ -244,21 +244,18 @@ def _step(state: LabeledGMM, inputs, cfg: GmmFlowConfig, rng, it: int):
 def gmm_flow_step(state: LabeledGMM, inputs, cfg: GmmFlowConfig,
                   rng=None) -> LabeledGMM:
     """One flow step on the mixture parameters (couplings held fixed)."""
-    _check_inputs(state, inputs, cfg)
+    check_inputs(inputs, cfg)
+    _check_state(state, inputs, cfg)
     rng = np.random.default_rng(cfg.seed if rng is None else rng)
     new_state, _ = _step(state, inputs, cfg, rng, 0)
     return new_state
 
 
-def _check_inputs(state, inputs, cfg):
-    if len(inputs) != len(cfg.coordinates):
-        raise ValueError("need one input mixture per barycentric coordinate")
-    d = state.dim
-    if any(q.dim != d for q in inputs):
+def _check_state(state, inputs, cfg):
+    if any(q.dim != state.dim for q in inputs):
         raise ValueError("all mixtures must share one dimension")
-    if cfg.label_weight > 0:
-        if state.nu is None or any(q.nu is None for q in inputs):
-            raise ValueError("label_weight > 0 requires labeled mixtures")
+    if cfg.label_weight > 0 and state.nu is None:
+        raise ValueError("label_weight > 0 requires a labeled flow state")
 
 
 def _init_state(inputs, cfg: GmmFlowConfig, rng) -> LabeledGMM:
@@ -303,11 +300,10 @@ def run_gmm_flow(inputs, cfg: GmmFlowConfig, init: LabeledGMM | None = None):
     fits a mixture by EM on a pooled reparametrized sample of all inputs;
     ``init`` overrides it. Deterministic for a fixed config seed.
     """
-    check_label_inputs([None if q.nu is None else q.nu.shape[1] for q in inputs],
-                       cfg.functional)
+    check_inputs(inputs, cfg)
     rng = np.random.default_rng(cfg.seed)
     state = init if init is not None else _init_state(inputs, cfg, rng)
-    _check_inputs(state, inputs, cfg)
+    _check_state(state, inputs, cfg)
     trace = []
     for it in range(cfg.n_iter):
         state, record = _step(state, inputs, cfg, rng, it)

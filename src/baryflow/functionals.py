@@ -26,7 +26,8 @@ from scipy.special import logsumexp, xlogy
 
 from . import ot
 from .gaussian import LabeledGMM, component_log_probs, sample_reparam
-from .measures import EmpiricalMeasure, softmax, softmax_decode
+from .measures import (EmpiricalMeasure, LabeledEmpiricalMeasure, softmax,
+                       softmax_decode)
 
 __all__ = [
     "FunctionalSpec",
@@ -34,7 +35,7 @@ __all__ = [
     "hinge_repulsion",
     "target_potential",
     "internal_energy_mc",
-    "check_label_inputs",
+    "check_inputs",
 ]
 
 REPULSION_METRICS = ("euclidean", "cosine")
@@ -175,23 +176,37 @@ def target_potential(p, target: EmpiricalMeasure
     return float(value), grad_points, plan
 
 
-def check_label_inputs(n_classes, spec: FunctionalSpec) -> None:
-    """Check the labels of a flow's inputs before the flow runs.
+def _n_classes(x) -> int | None:
+    """Class count of a batch, measure or mixture; None if it is unlabeled."""
+    if isinstance(x, LabeledEmpiricalMeasure):
+        return x.n_classes
+    labels = x.nu if isinstance(x, LabeledGMM) else getattr(x, "labels", None)
+    return None if labels is None else labels.shape[1]
 
-    ``n_classes`` holds the class count of each input, None for an
-    unlabeled one. The inputs must be all labeled with one class count, or
-    all unlabeled; entropy and repulsion act on labels, so a positive weight
-    on either needs labeled inputs. Raises ValueError otherwise.
+
+def check_inputs(inputs, cfg) -> None:
+    """Check a flow's inputs against its config before the flow runs.
+
+    ``inputs`` holds one mini-batch, measure or mixture per barycentric
+    coordinate of ``cfg``, an empirical or a GMM flow config. They must be
+    all labeled with one class count, or all unlabeled; the label cost and
+    the entropy and repulsion energies act on labels, so a positive
+    ``label_weight``, ``entropy_weight`` or ``repulsion_weight`` needs
+    labeled inputs. Raises ValueError otherwise.
     """
-    counts = set(n_classes)
+    if len(inputs) != len(cfg.coordinates):
+        raise ValueError("need one input per barycentric coordinate")
+    counts = {_n_classes(x) for x in inputs}
     if None in counts and len(counts) > 1:
         raise ValueError("inputs must be all labeled or all unlabeled")
     if len(counts) > 1:
         raise ValueError(
             f"labeled inputs must share one class count, got {sorted(counts)}")
-    if None in counts and (spec.entropy_weight > 0 or spec.repulsion_weight > 0):
-        raise ValueError("entropy_weight and repulsion_weight act on labels; "
-                         "the inputs are unlabeled")
+    spec = cfg.functional
+    if None in counts and (cfg.label_weight > 0 or spec.entropy_weight > 0
+                           or spec.repulsion_weight > 0):
+        raise ValueError("label_weight, entropy_weight and repulsion_weight "
+                         "act on labels; the inputs are unlabeled")
 
 
 def _label_energies(points: np.ndarray, logits: np.ndarray | None,

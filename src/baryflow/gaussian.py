@@ -60,6 +60,8 @@ class GaussianComponent:
     def __post_init__(self):
         mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
         L = np.atleast_2d(np.asarray(self.chol, dtype=float))
+        if mu.ndim != 1 or mu.shape[0] < 1:
+            raise ValueError("mu must be a non-empty 1-D vector")
         d = mu.shape[0]
         if L.shape != (d, d):
             raise ValueError(f"chol must be ({d}, {d}), got {L.shape}")
@@ -162,7 +164,7 @@ def _inv_sqrt_pd(s: np.ndarray) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     vals, vecs = np.linalg.eigh((s + s.T) / 2.0)
     if vals.min() <= 1e-12 * max(1.0, float(vals.max())):
-        raise ValueError("matrix is singular; inverse square root undefined")
+        raise np.linalg.LinAlgError("singular matrix: no inverse square root")
     return (vecs / np.sqrt(vals)) @ vecs.T
 
 

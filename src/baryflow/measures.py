@@ -110,8 +110,9 @@ class BarycentricCoordinates:
 
     def __post_init__(self):
         lam = np.atleast_1d(np.asarray(self.lam, dtype=float))
-        if not validate_simplex(lam, tol=1e-12):
-            raise ValueError("barycentric coordinates must lie on the simplex")
+        if lam.ndim != 1 or not validate_simplex(lam, tol=1e-12):
+            raise ValueError("barycentric coordinates must be a 1-D vector "
+                             "on the simplex")
         object.__setattr__(self, "lam", _freeze(lam))
 
     @staticmethod

@@ -40,6 +40,36 @@ def bary_config(out_dir, seed=7, flow="empirical"):
     return cfg
 
 
+def bary_with(flow="empirical", inputs=None, **flow_config):
+    """``bary_config`` with its ``flow_config`` or ``inputs`` changed."""
+    cfg = bary_config("out", flow=flow)
+    cfg["flow_config"].update(flow_config)
+    if inputs is not None:
+        cfg["inputs"] = inputs
+    return cfg
+
+
+def toy_with(**changes):
+    """A small toy config with top-level keys changed."""
+    return {"command": "toy", "n_family": 2, "n_samples": 32,
+            "flow": {"n_particles": 16, "batch_size": 16, "n_iter": 2},
+            "gmm": {"n_components": 1, "n_iter": 2}, **changes}
+
+
+def three_component_gmm_inputs(tmp_path):
+    """gmm_json inputs: two 2-D mixtures of three components each."""
+    from baryflow.gaussian import GaussianComponent, LabeledGMM, save_gmm
+    inputs = []
+    for i, shift in enumerate((0.0, 4.0)):
+        comps = tuple(GaussianComponent([shift + c, -c],
+                                        np.diag([1.0, 0.5 + 0.25 * c]))
+                      for c in range(3))
+        path = tmp_path / f"g{i}.json"
+        save_gmm(LabeledGMM(np.full(3, 1 / 3), comps), path)
+        inputs.append({"kind": "gmm_json", "path": str(path)})
+    return inputs
+
+
 def csv_file(tmp_path, text):
     path = tmp_path / "data.csv"
     path.write_text(text)
@@ -170,6 +200,52 @@ class TestValidate:
             assert main([subcommand, path]) == 1
             assert "baryflow-error[config]" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("make_cfg, code", [
+        pytest.param(lambda t: bary_with(label_weight=1.0), 1,
+                     id="empirical-label-weight-unlabeled"),
+        pytest.param(lambda t: bary_with("gmm", label_weight=1.0), 1,
+                     id="gmm-label-weight-unlabeled"),
+        pytest.param(lambda t: toy_with(flow={"label_weight": 1.0}), 1,
+                     id="toy-flow-label-weight"),
+        pytest.param(lambda t: toy_with(gmm={"label_weight": 1.0}), 1,
+                     id="toy-gmm-label-weight"),
+        pytest.param(lambda t: bary_with(solver="entropic", entropic_eps=0.0),
+                     1, id="entropic-eps-zero"),
+        pytest.param(lambda t: {"command": "msda", "flow": {
+            "solver": "entropic", "entropic_eps": -1.0}}, 1,
+            id="msda-entropic-eps-negative"),
+        pytest.param(lambda t: dict(bary_with(), coordinates=[[0.5], [0.5]]),
+                     1, id="coordinates-2d"),
+        pytest.param(lambda t: bary_with(inputs=[
+            {"kind": "gaussian", "mean": []},
+            {"kind": "gaussian", "mean": []}]), 1, id="gaussian-mean-empty"),
+        pytest.param(lambda t: bary_with(inputs=[
+            {"kind": "gaussian", "mean": [[0.0]]},
+            {"kind": "gaussian", "mean": [[4.0]]}]), 1, id="gaussian-mean-2d"),
+        pytest.param(lambda t: toy_with(eval_points=0), 1,
+                     id="toy-eval-points-zero"),
+        pytest.param(lambda t: toy_with(eval_points=-3), 1,
+                     id="toy-eval-points-negative"),
+        pytest.param(lambda t: {"command": "gen", "dataset": {
+            "kind": "location_scatter", "n": 50, "k": 0}}, 1,
+            id="gen-location-scatter-k-zero"),
+        pytest.param(lambda t: bary_with(
+            "gmm", inputs=three_component_gmm_inputs(t), n_components=3,
+            n_iter=20, step_size=5.0), 2, id="gmm-singular-covariance"),
+    ])
+    def test_rejected_without_traceback(self, tmp_path, capsys, make_cfg,
+                                        code):
+        # a config error fails `validate` and the command alike; a numeric
+        # failure is found only by running, and exits 2
+        out = tmp_path / "out"
+        cfg = dict(make_cfg(tmp_path), output_dir=str(out))
+        path = write_config(tmp_path, "c.json", cfg)
+        assert main(["validate", path]) == (1 if code == 1 else 0)
+        assert main([cfg["command"], path]) == code
+        tag = "config" if code == 1 else "numeric"
+        assert f"baryflow-error[{tag}]" in capsys.readouterr().err
+        assert not list(out.rglob("*"))
 
     @pytest.mark.parametrize("flow, extra", [
         ("empirical", {"kind": "swiss_roll", "n": 40}),

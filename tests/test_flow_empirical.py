@@ -111,6 +111,14 @@ class TestFlowStep:
         with pytest.raises(ValueError):
             flow_step(state, [MiniBatch(np.zeros((2, 1)))], cfg)
 
+    def test_batches_all_labeled_or_none(self):
+        # a step's batches obey the rule of the flow's inputs
+        cfg = EmpiricalFlowConfig(2, 2, 1, HALF)
+        batches = [MiniBatch(np.zeros((2, 1))),
+                   MiniBatch(np.zeros((2, 1)), one_hot(np.array([0, 1]), 2))]
+        with pytest.raises(ValueError, match="all labeled or all unlabeled"):
+            flow_step(make_state(np.zeros((2, 1))), batches, cfg)
+
     def test_matches_fixed_point_update_exactly(self):
         # with zero energies and full batches, one step with interpolation
         # coefficient a reproduces z <- (1-a) z + a sum_k lam_k T_k(z)

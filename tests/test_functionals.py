@@ -2,15 +2,24 @@ import numpy as np
 import pytest
 
 from baryflow import ot
+from baryflow.flow_empirical import EmpiricalFlowConfig
+from baryflow.flow_gmm import GmmFlowConfig
 from baryflow.functionals import (
     FunctionalSpec,
+    check_inputs,
     entropy_potential,
     hinge_repulsion,
     internal_energy_mc,
     target_potential,
 )
 from baryflow.gaussian import GaussianComponent, LabeledGMM
-from baryflow.measures import EmpiricalMeasure, LabeledEmpiricalMeasure
+from baryflow.measures import (
+    BarycentricCoordinates,
+    EmpiricalMeasure,
+    LabeledEmpiricalMeasure,
+    MiniBatch,
+    one_hot,
+)
 
 from conftest import random_pd_component
 
@@ -229,3 +238,60 @@ class TestFunctionalSpec:
         assert v_only.target_weight == 0.5 and v_only.repulsion_weight == 0.0
         u_only = spec.with_mask(False, True)
         assert u_only.repulsion_weight == 2.0 and u_only.target_weight == 0.0
+
+
+HALF = BarycentricCoordinates.uniform(2)
+FLOW_CONFIGS = {
+    "empirical": lambda **kw: EmpiricalFlowConfig(8, 8, 1, HALF, **kw),
+    "gmm": lambda **kw: GmmFlowConfig(1, 1, HALF, **kw),
+}
+
+
+def labeled_measure(n_classes):
+    return LabeledEmpiricalMeasure.from_hard_labels(
+        np.arange(6.0)[:, None], np.arange(6) % n_classes, n_classes)
+
+
+def labeled_gmm(n_classes):
+    comps = tuple(GaussianComponent([float(c)], [[1.0]])
+                  for c in range(n_classes))
+    return LabeledGMM(np.full(n_classes, 1.0 / n_classes), comps,
+                      nu=np.eye(n_classes))
+
+
+def labeled_batch(n_classes):
+    labels = one_hot(np.arange(4) % n_classes, n_classes)
+    return MiniBatch(np.zeros((4, 1)), labels)
+
+
+UNLABELED = [EmpiricalMeasure(np.zeros((3, 1))),
+             LabeledGMM([1.0], (GaussianComponent([0.0], [[1.0]]),)),
+             MiniBatch(np.zeros((4, 1)))]
+
+
+@pytest.mark.parametrize("flow", sorted(FLOW_CONFIGS))
+class TestCheckInputs:
+    """One check of a flow's inputs for either flow config; the class count
+    is read from a batch, a measure or a mixture alike."""
+
+    @pytest.mark.parametrize("inputs", [
+        [labeled_measure(2), labeled_gmm(3)],
+        [labeled_batch(3), labeled_measure(2)],
+    ])
+    def test_class_counts_differ(self, flow, inputs):
+        with pytest.raises(ValueError, match="one class count"):
+            check_inputs(inputs, FLOW_CONFIGS[flow]())
+
+    @pytest.mark.parametrize("inputs", [UNLABELED[:2], UNLABELED[1:]])
+    def test_label_weight_needs_labels(self, flow, inputs):
+        cfg = FLOW_CONFIGS[flow](label_weight=1.0)
+        check_inputs(inputs, FLOW_CONFIGS[flow]())
+        with pytest.raises(ValueError, match="act on labels"):
+            check_inputs(inputs, cfg)
+
+    def test_labeled_inputs_pass(self, flow):
+        cfg = FLOW_CONFIGS[flow](
+            label_weight=1.0, functional=FunctionalSpec(entropy_weight=0.1))
+        check_inputs([labeled_batch(2), labeled_gmm(2)], cfg)
+        with pytest.raises(ValueError, match="one input per"):
+            check_inputs([labeled_measure(2)], cfg)
