@@ -18,9 +18,10 @@ types and their defaults from that signature (``_build``); the CLI supplies
 only the values the library requires. A ValueError the library raises while a
 config is prepared is a config error.
 Exit codes: 0 success, 1 config error, 2 numerical failure. Machine-readable
-output goes to files; stdout carries human-readable progress. Trace and
-table CSVs are byte-stable for a fixed seed; wall-clock timings live in the
-run report JSON only.
+output goes to files under ``output_dir``, which is created only once a
+command's results exist, so a failed run leaves no directory behind; stdout
+carries human-readable progress. Trace and table CSVs are byte-stable for a
+fixed seed; wall-clock timings live in the run report JSON only.
 """
 
 from __future__ import annotations
@@ -258,14 +259,15 @@ def _input_to_gmm(d: dict, idx: int, parsed, cfg_gmm_components: int,
 # ---------------------------------------------------------------------------
 # artifacts
 
-def write_trace_csv(trace, path) -> None:
-    """Objective trace as CSV: iter,B_hat,V,U,G,F,param_norm (both flows)."""
-    with open(path, "w", newline="") as fh:
-        w = _csv.writer(fh)
-        w.writerow(["iter", "B_hat", "V", "U", "G", "F", "param_norm"])
-        for r in trace:
-            w.writerow([r.iter] + [format(v, ".17g") for v in
-                                   (r.b_hat, r.v, r.u, r.g, r.f, r.param_norm)])
+def _table(header, rows):
+    """A writer of ``rows`` as CSV under ``header``; floats as ``.17g``."""
+    def write(path) -> None:
+        with open(path, "w", newline="") as fh:
+            w = _csv.writer(fh)
+            w.writerow(header)
+            w.writerows([format(v, ".17g") if isinstance(v, float) else v
+                         for v in row] for row in rows)
+    return write
 
 
 def _git_describe() -> str:
@@ -304,26 +306,16 @@ def write_report(out_dir: Path, command: str, config: dict, timings: dict,
     return path
 
 
-def _out_dir(cfg: dict, ctx: str) -> Path:
-    """The configured output directory; created only when a command runs."""
-    return Path(_get(cfg, "output_dir", str, ctx, required=True))
-
-
 # ---------------------------------------------------------------------------
 # barycenter command
 
-BARY_KEYS = ["command", "seed", "output_dir", "flow", "coordinates", "inputs",
-             "flow_config", "functional"]
+BARY_KEYS = ["flow", "coordinates", "inputs", "flow_config", "functional"]
 
 
-def _prepare_barycenter(cfg: dict):
-    ctx = "barycenter config"
-    _check_keys(cfg, BARY_KEYS, ctx)
+def _prepare_barycenter(cfg: dict, seed: int, ctx: str):
     flow_kind = _get(cfg, "flow", str, ctx, required=True)
     if flow_kind not in FLOW_CONFIGS:
         raise ConfigError(f"{ctx}: flow must be one of {sorted(FLOW_CONFIGS)}")
-    seed = _get(cfg, "seed", int, ctx, 0)
-    out = _out_dir(cfg, ctx)
     inputs_cfg = _get(cfg, "inputs", list, ctx, required=True)
     if not inputs_cfg:
         raise ConfigError(f"{ctx}: inputs must be a non-empty list")
@@ -353,26 +345,20 @@ def _prepare_barycenter(cfg: dict):
                           for i, (d, p) in enumerate(zip(inputs_cfg, parsed))]
     check_inputs(items, flow_cfg)
 
-    def run() -> int:
-        out.mkdir(parents=True, exist_ok=True)
-        timings = {}
+    def run():
         t0 = time.perf_counter()
         if flow_kind == "empirical":
             final, trace = run_flow(inputs, flow_cfg)
-            final_path = out / "final_measure.csv"
-            save_csv(final, final_path)
+            final_file = ("final_measure.csv", lambda p: save_csv(final, p))
         else:
             final, trace = run_gmm_flow(inputs, flow_cfg)
-            final_path = out / "final_mixture.json"
-            save_gmm(final, final_path)
-        timings["flow_ms"] = 1e3 * (time.perf_counter() - t0)
-        trace_path = out / "trace.csv"
-        write_trace_csv(trace, trace_path)
+            final_file = ("final_mixture.json", lambda p: save_gmm(final, p))
+        timings = {"flow_ms": 1e3 * (time.perf_counter() - t0)}
+        trace_table = _table(["iter", "B_hat", "V", "U", "G", "F", "param_norm"],
+                             [dataclasses.astuple(r) for r in trace])
+        files = [final_file, ("trace.csv", trace_table)]
         summary = {"final_objective": trace[-1].f, "n_iterations": trace[-1].iter}
-        report = write_report(out, "barycenter", cfg, timings,
-                              [final_path, trace_path], summary)
-        print(f"barycenter: wrote {final_path}, {trace_path}, {report}")
-        return 0
+        return timings, files, summary
 
     return run
 
@@ -380,15 +366,12 @@ def _prepare_barycenter(cfg: dict):
 # ---------------------------------------------------------------------------
 # toy command
 
-TOY_KEYS = ["command", "seed", "output_dir", "base", "n_family", "n_samples",
-            "noise_std", "solvers", "eval_points", "flow", "gmm"]
+TOY_KEYS = ["base", "n_family", "n_samples", "noise_std", "solvers",
+            "eval_points", "flow", "gmm"]
 TOY_SOLVERS = ("wgf", "wgf_gmm", "fixed_point")
 
 
-def _prepare_toy(cfg: dict):
-    ctx = "toy config"
-    _check_keys(cfg, TOY_KEYS, ctx)
-    seed = _get(cfg, "seed", int, ctx, 0)
+def _prepare_toy(cfg: dict, seed: int, ctx: str):
     base = _get(cfg, "base", str, ctx, "gaussian")
     if base not in ("gaussian", "swiss_roll"):
         raise ConfigError(f"{ctx}: base must be 'gaussian' or 'swiss_roll'")
@@ -401,7 +384,6 @@ def _prepare_toy(cfg: dict):
     for s in solvers:
         if s not in TOY_SOLVERS:
             raise ConfigError(f"{ctx}: unknown solver {s!r}")
-    out = _out_dir(cfg, ctx)
     coords = BarycentricCoordinates.uniform(k)
     emp_cfg = _parse_flow("empirical", cfg, "flow", ctx, coordinates=coords,
                           seed=seed)
@@ -440,8 +422,7 @@ def _prepare_toy(cfg: dict):
     if "wgf_gmm" in solvers:  # its mixtures are EM fits of the points alone
         check_inputs([EmpiricalMeasure(m.points) for m in inputs], gmm_cfg)
 
-    def run() -> int:
-        out.mkdir(parents=True, exist_ok=True)
+    def run():
         rows = []
         timings = {}
         samplers = [EmpiricalSampler(m) for m in inputs]
@@ -464,17 +445,8 @@ def _prepare_toy(cfg: dict):
             w2 = w2_to_reference(result, reference, max_points=eval_points, seed=seed)
             timings[f"{solver}_ms"] = 1e3 * (time.perf_counter() - t0)
             rows.append((solver, w2))
-
-        table_path = out / "toy_table.csv"
-        with open(table_path, "w", newline="") as fh:
-            w = _csv.writer(fh)
-            w.writerow(["solver", "w2_to_ref"])
-            for name, val in rows:
-                w.writerow([name, format(val, ".17g")])
-        report = write_report(out, "toy", cfg, timings, [table_path],
-                              {"table": {name: val for name, val in rows}})
-        print(f"toy: wrote {table_path}, {report}")
-        return 0
+        table = _table(["solver", "w2_to_ref"], rows)
+        return timings, [("toy_table.csv", table)], {"table": dict(rows)}
 
     return run
 
@@ -482,16 +454,12 @@ def _prepare_toy(cfg: dict):
 # ---------------------------------------------------------------------------
 # msda command
 
-MSDA_KEYS = ["command", "seed", "output_dir", "task", "sources_csv",
-             "target_csv", "label_column", "method", "combos", "flow", "gmm",
-             "functional", "target_batch"]
+MSDA_KEYS = ["task", "sources_csv", "target_csv", "label_column", "method",
+             "combos", "flow", "gmm", "functional", "target_batch"]
 MSDA_COMBOS = ("B", "B+V", "B+U", "B+V+U")
 
 
-def _prepare_msda(cfg: dict):
-    ctx = "msda config"
-    _check_keys(cfg, MSDA_KEYS, ctx)
-    seed = _get(cfg, "seed", int, ctx, 0)
+def _prepare_msda(cfg: dict, seed: int, ctx: str):
     method = _get(cfg, "method", str, ctx, "empirical")
     if method not in BARYCENTER_KINDS:
         raise ConfigError(f"{ctx}: method must be one of {BARYCENTER_KINDS}")
@@ -499,7 +467,6 @@ def _prepare_msda(cfg: dict):
     for c in combos:
         if c not in MSDA_COMBOS:
             raise ConfigError(f"{ctx}: unknown combo {c!r}")
-    out = _out_dir(cfg, ctx)
     rng = np.random.default_rng(seed)
 
     if "sources_csv" in cfg or "target_csv" in cfg:
@@ -541,8 +508,7 @@ def _prepare_msda(cfg: dict):
     runs = [(combo, dataclasses.replace(flow_cfg, functional=functional.with_mask(
         "V" in combo, "U" in combo))) for combo in combos]
 
-    def run() -> int:
-        out.mkdir(parents=True, exist_ok=True)
+    def run():
         rows = []
         timings = {}
         reports = {}
@@ -554,17 +520,9 @@ def _prepare_msda(cfg: dict):
             reports[combo] = {"accuracy_adapted": rep.accuracy_adapted,
                               "accuracy_source_only": rep.accuracy_source_only,
                               "timings_ms": rep.timings_ms}
-
-        table_path = out / "ablation_table.csv"
-        with open(table_path, "w", newline="") as fh:
-            w = _csv.writer(fh)
-            w.writerow(["combo", "accuracy_adapted", "accuracy_source_only"])
-            for combo, acc_a, acc_s in rows:
-                w.writerow([combo, format(acc_a, ".17g"), format(acc_s, ".17g")])
-        report = write_report(out, "msda", cfg, timings, [table_path],
-                              {"method": method, "reports": reports})
-        print(f"msda: wrote {table_path}, {report}")
-        return 0
+        table = _table(["combo", "accuracy_adapted", "accuracy_source_only"], rows)
+        summary = {"method": method, "reports": reports}
+        return timings, [("ablation_table.csv", table)], summary
 
     return run
 
@@ -572,15 +530,11 @@ def _prepare_msda(cfg: dict):
 # ---------------------------------------------------------------------------
 # gen command
 
-GEN_KEYS = ["command", "seed", "output_dir", "dataset"]
+GEN_KEYS = ["dataset"]
 GEN_KINDS = ("swiss_roll", "location_scatter", "synthetic_msda")
 
 
-def _prepare_gen(cfg: dict):
-    ctx = "gen config"
-    _check_keys(cfg, GEN_KEYS, ctx)
-    seed = _get(cfg, "seed", int, ctx, 0)
-    out = _out_dir(cfg, ctx)
+def _prepare_gen(cfg: dict, seed: int, ctx: str):
     ds = _get(cfg, "dataset", dict, ctx, required=True)
     ctx = f"{ctx}: dataset"
     kind = _get(ds, "kind", str, ctx, required=True)
@@ -614,30 +568,27 @@ def _prepare_gen(cfg: dict):
     else:
         raise ConfigError(f"{ctx}: kind must be one of {GEN_KINDS}")
 
-    def run() -> int:
-        out.mkdir(parents=True, exist_ok=True)
-        artifacts = []
-        for name, measure in files:
-            path = out / name
-            save_csv(measure, path)
-            artifacts.append(path)
-        report = write_report(out, "gen", cfg, {}, artifacts, {"kind": kind})
-        print(f"gen: wrote {len(artifacts)} file(s), {report}")
-        return 0
+    def run():
+        writers = [(name, lambda p, m=m: save_csv(m, p)) for name, m in files]
+        return {}, writers, {"kind": kind}
 
     return run
 
 
 # ---------------------------------------------------------------------------
 
-# Each command parses its config and loads or generates its inputs without
-# touching output_dir, then returns the step that runs it and writes the
-# artifacts; `validate` stops after the first half.
+# A command is ``(prepare, keys)``: ``prepare(cfg, seed, ctx)`` reads its own
+# ``keys`` and loads or generates its inputs, and returns the run step, which
+# computes and returns (timings, files, summary), ``files`` being a list of
+# (file name, writer of a path). Neither step touches output_dir; `main` reads
+# the keys every command shares and, once the run step has returned, writes
+# the files and the run report. `validate` stops after prepare.
+COMMON_KEYS = ["command", "seed", "output_dir"]
 COMMANDS = {
-    "barycenter": _prepare_barycenter,
-    "toy": _prepare_toy,
-    "msda": _prepare_msda,
-    "gen": _prepare_gen,
+    "barycenter": (_prepare_barycenter, BARY_KEYS),
+    "toy": (_prepare_toy, TOY_KEYS),
+    "msda": (_prepare_msda, MSDA_KEYS),
+    "gen": (_prepare_gen, GEN_KEYS),
 }
 
 
@@ -668,15 +619,28 @@ def main(argv=None) -> int:
             raise ConfigError(
                 f"config declares command {command!r}; invoked as "
                 f"{args.subcommand!r}")
+        prepare, keys = COMMANDS[command]
+        ctx = f"{command} config"
+        _check_keys(cfg, COMMON_KEYS + keys, ctx)
+        seed = _get(cfg, "seed", int, ctx, 0)
+        out = Path(_get(cfg, "output_dir", str, ctx, required=True))
         try:
-            run = COMMANDS[command](cfg)
+            run = prepare(cfg, seed, ctx)
         except ValueError as e:
             # preparing reads the config and builds the inputs it describes
-            raise ConfigError(f"{command} config: {e}") from None
+            raise ConfigError(f"{ctx}: {e}") from None
         if args.subcommand == "validate":
             print(f"config ok: command={command}")
             return 0
-        return run()
+        timings, files, summary = run()
+        # created only now, so a failed run leaves no directory behind
+        out.mkdir(parents=True, exist_ok=True)
+        for name, write in files:
+            write(out / name)
+        paths = [out / name for name, _ in files]
+        report = write_report(out, command, cfg, timings, paths, summary)
+        print(f"{command}: wrote {', '.join(map(str, paths + [report]))}")
+        return 0
     except ConfigError as e:
         print(f"baryflow-error[config]: {e}", file=sys.stderr)
         return 1

@@ -129,6 +129,8 @@ def swiss_roll(n: int, noise_std: float = 0.0, seed=None,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if not (np.isfinite(noise_std) and noise_std >= 0):
+        raise ValueError(f"noise_std must be finite and >= 0, got {noise_std!r}")
     rng = np.random.default_rng(seed)
     t = rng.uniform(1.5 * np.pi, 4.5 * np.pi, size=n)
     pts = np.column_stack([t * np.cos(t), t * np.sin(t)])

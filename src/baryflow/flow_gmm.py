@@ -269,12 +269,19 @@ def _init_state(inputs, cfg: GmmFlowConfig, rng) -> LabeledGMM:
     pool = np.vstack(pts_all)
     labels = np.concatenate(lab_all) if labeled else None
 
+    if labeled:  # check_inputs gives every input this class count
+        n_classes = inputs[0].nu.shape[1]
     if cfg.init_mode == "em":
         if labeled:
-            n_classes = int(labels.max()) + 1
+            # EM fits the classes drawn; one that was not drawn gets no
+            # component, and its column of nu stays 0
+            present, labels = np.unique(labels, return_inverse=True)
             per_class = max(1, cfg.n_components // n_classes)
-            state = em_fit(pool, labels, components_per_class=per_class,
-                           seed=rng, diag=cfg.diag_only)
+            fit = em_fit(pool, labels, components_per_class=per_class,
+                         seed=rng, diag=cfg.diag_only)
+            nu = np.zeros((fit.n_components, n_classes))
+            nu[:, present] = fit.nu
+            state = LabeledGMM(fit.weights, fit.components, nu=nu)
         else:
             state = em_fit(pool, components_per_class=cfg.n_components,
                            seed=rng, diag=cfg.diag_only)
@@ -287,7 +294,6 @@ def _init_state(inputs, cfg: GmmFlowConfig, rng) -> LabeledGMM:
         comps = tuple(GaussianComponent(pool[i], chol) for i in idx)
         nu = None
         if labeled:
-            n_classes = int(labels.max()) + 1
             nu = np.full((k, n_classes), 1.0 / n_classes)
         state = LabeledGMM(np.full(k, 1.0 / k), comps, nu=nu)
     return state

@@ -173,29 +173,20 @@ def _is_uniform(w: np.ndarray) -> bool:
     return bool(np.all(np.abs(w - 1.0 / w.shape[0]) <= 1e-12))
 
 
-def _assignment_plan(C: np.ndarray, a, b) -> np.ndarray:
+def _assignment_plan(C: np.ndarray) -> np.ndarray:
     """Exact plan for uniform marginals with an integer size ratio.
 
-    The smaller side is expanded by repetition into a square assignment
-    problem; Birkhoff's theorem makes the contracted solution optimal for the
-    original LP.
+    Rows are repeated L/n times and columns L/m times, L = max(n, m), into a
+    square assignment problem; Birkhoff's theorem makes the contracted
+    solution optimal for the original LP.
     """
     n, m = C.shape
+    L = max(n, m)
+    rows = np.repeat(np.arange(n), L // n)
+    cols = np.repeat(np.arange(m), L // m)
+    ri, ci = linear_sum_assignment(C[np.ix_(rows, cols)])
     plan = np.zeros((n, m))
-    if n == m:
-        ri, ci = linear_sum_assignment(C)
-        plan[ri, ci] = 1.0 / n
-        return plan
-    if n < m:
-        q = m // n
-        idx = np.repeat(np.arange(n), q)
-        ri, ci = linear_sum_assignment(C[idx, :])
-        np.add.at(plan, (idx[ri], ci), 1.0 / m)
-    else:
-        q = n // m
-        idx = np.repeat(np.arange(m), q)
-        ri, ci = linear_sum_assignment(C[:, idx])
-        np.add.at(plan, (ri, idx[ci]), 1.0 / n)
+    np.add.at(plan, (rows[ri], cols[ci]), 1.0 / L)
     return plan
 
 
@@ -235,7 +226,7 @@ def solve_exact(a, b, C: np.ndarray) -> tuple[TransportPlan, float]:
     uniform = _is_uniform(a) and _is_uniform(b)
     divisible = max(n, m) % min(n, m) == 0
     if uniform and divisible:
-        plan = _assignment_plan(Cv, a, b)
+        plan = _assignment_plan(Cv)
     else:
         plan = _linprog_plan(Cv, a, b)
     cost = float((plan * Cv).sum())

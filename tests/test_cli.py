@@ -230,6 +230,15 @@ class TestValidate:
         pytest.param(lambda t: {"command": "gen", "dataset": {
             "kind": "location_scatter", "n": 50, "k": 0}}, 1,
             id="gen-location-scatter-k-zero"),
+        pytest.param(lambda t: {"command": "gen", "dataset": {
+            "kind": "swiss_roll", "n": 50, "noise_std": -1.0}}, 1,
+            id="gen-swiss-roll-noise-negative"),
+        pytest.param(lambda t: bary_with(inputs=[
+            {"kind": "swiss_roll", "n": 40, "noise_std": float("nan")},
+            {"kind": "swiss_roll", "n": 40}]), 1,
+            id="swiss-roll-input-noise-nan"),
+        pytest.param(lambda t: toy_with(base="swiss_roll", noise_std=-0.5), 1,
+                     id="toy-swiss-roll-noise-negative"),
         pytest.param(lambda t: bary_with(
             "gmm", inputs=three_component_gmm_inputs(t), n_components=3,
             n_iter=20, step_size=5.0), 2, id="gmm-singular-covariance"),
@@ -245,7 +254,7 @@ class TestValidate:
         assert main([cfg["command"], path]) == code
         tag = "config" if code == 1 else "numeric"
         assert f"baryflow-error[{tag}]" in capsys.readouterr().err
-        assert not list(out.rglob("*"))
+        assert not out.exists()
 
     @pytest.mark.parametrize("flow, extra", [
         ("empirical", {"kind": "swiss_roll", "n": 40}),
@@ -477,6 +486,27 @@ class TestBarycenterCommand:
         assert main(["barycenter", path]) == 0
         mixture = load_gmm(tmp_path / "out" / "final_mixture.json")
         assert 1.5 <= mixture.components[0].mu[0] <= 2.5
+
+    @pytest.mark.parametrize("init_mode", ["em", "random"])
+    def test_class_count_from_inputs(self, tmp_path, init_mode):
+        # class 2 is too rare to be drawn for the initial state; the state
+        # still has one label column per class of the inputs
+        from baryflow.gaussian import GaussianComponent, LabeledGMM, save_gmm
+        cfg = bary_config(tmp_path / "out", flow="gmm")
+        cfg["inputs"] = []
+        for i, shift in enumerate((0.0, 4.0)):
+            comps = tuple(GaussianComponent([shift + c, 0.0], np.eye(2))
+                          for c in range(3))
+            path = tmp_path / f"g{i}.json"
+            save_gmm(LabeledGMM([0.5, 0.5 - 1e-9, 1e-9], comps, nu=np.eye(3)),
+                     path)
+            cfg["inputs"].append({"kind": "gmm_json", "path": str(path)})
+        cfg["flow_config"] = {"n_components": 3, "n_iter": 5,
+                              "label_weight": 1.0, "init_mode": init_mode}
+        path = write_config(tmp_path, "c.json", cfg)
+        assert main(["barycenter", path]) == 0
+        mixture = load_gmm(tmp_path / "out" / "final_mixture.json")
+        assert mixture.nu.shape[1] == 3
 
     def test_unlabeled_csv_gmm_flow(self, tmp_path):
         rng = np.random.default_rng(0)

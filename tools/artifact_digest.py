@@ -1,0 +1,116 @@
+"""Digest the artifacts of a fixed set of CLI runs for one source tree.
+
+Usage: python3 tools/artifact_digest.py SRC_ROOT WORK_DIR
+
+Runs each config below through ``baryflow.cli.main``, imported from
+``SRC_ROOT/src``, with outputs under ``WORK_DIR``, and prints one line
+``run file sha256`` per artifact. ``run_report.json`` is left out: it holds
+timings and paths. A run that exits non-zero prints ``run exit CODE``.
+Two source trees write the same artifacts when the outputs for both are
+equal, so a change that must keep them byte-identical is checked by
+``diff`` of two runs of this script.
+
+The runs: the five configs of acceptance criterion 12, instance 0 of seed 0
+of each benchmark workload (from ``SRC_ROOT/bench/workloads.py``), ``toy``
+with ``fixed_point`` on a ``swiss_roll`` base, ``msda`` with
+``discrete_baseline`` and with ``gmm``, and ``gen`` ``location_scatter`` and
+``synthetic_msda``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+GAUSSIANS_1D = [{"kind": "gaussian", "mean": [0.0], "std": 1.0},
+                {"kind": "gaussian", "mean": [4.0], "std": 1.0}]
+
+CONFIGS = {
+    # acceptance criterion 12
+    "c12-barycenter-empirical": {
+        "command": "barycenter", "seed": 5, "flow": "empirical",
+        "inputs": GAUSSIANS_1D,
+        "flow_config": {"n_particles": 32, "batch_size": 32, "n_iter": 20}},
+    "c12-barycenter-gmm": {
+        "command": "barycenter", "seed": 5, "flow": "gmm",
+        "inputs": GAUSSIANS_1D,
+        "flow_config": {"n_components": 1, "n_iter": 40, "step_size": 0.1}},
+    "c12-toy": {
+        "command": "toy", "seed": 2, "base": "gaussian", "n_family": 3,
+        "n_samples": 128, "eval_points": 128,
+        "flow": {"n_particles": 32, "batch_size": 32, "n_iter": 20},
+        "gmm": {"n_components": 1, "n_iter": 40}},
+    "c12-msda": {
+        "command": "msda", "seed": 1, "method": "empirical",
+        "task": {"n_samples": 128}, "combos": ["B", "B+V+U"],
+        "flow": {"n_particles": 64, "batch_size": 64, "n_iter": 30,
+                 "label_weight": 8.0, "init": "subsample"},
+        "functional": {"repulsion_weight": 0.05, "target_weight": 0.1}},
+    "c12-gen": {
+        "command": "gen", "seed": 4,
+        "dataset": {"kind": "swiss_roll", "n": 300, "noise_std": 0.1}},
+    # paths the criterion-12 configs and the workloads do not take
+    "toy-fixed-point-swiss-roll": {
+        "command": "toy", "seed": 3, "base": "swiss_roll", "n_family": 3,
+        "n_samples": 96, "eval_points": 96, "solvers": ["fixed_point"],
+        "flow": {"n_particles": 32, "batch_size": 32, "n_iter": 10,
+                 "label_weight": 1.0}},
+    "msda-discrete-baseline": {
+        "command": "msda", "seed": 2, "method": "discrete_baseline",
+        "task": {"n_samples": 96}, "combos": ["B"],
+        "flow": {"n_particles": 48, "batch_size": 48, "n_iter": 10}},
+    "msda-gmm": {
+        "command": "msda", "seed": 3, "method": "gmm",
+        "task": {"n_samples": 96}, "combos": ["B", "B+V+U"],
+        "gmm": {"n_components": 3, "n_iter": 15, "label_weight": 1.0},
+        "functional": {"entropy_weight": 0.05, "repulsion_weight": 0.05}},
+    "gen-location-scatter": {
+        "command": "gen", "seed": 6,
+        "dataset": {"kind": "location_scatter", "n": 200, "k": 3,
+                    "family": "pd"}},
+    "gen-synthetic-msda": {
+        "command": "gen", "seed": 7,
+        "dataset": {"kind": "synthetic_msda", "n_samples": 64}},
+}
+WORKLOADS = ("bary1d", "gmm5d", "msda2d", "entropic2d")
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    src_root, work = Path(argv[0]).resolve(), Path(argv[1]).resolve()
+    # the benchmark's directory is imported, never written to
+    sys.dont_write_bytecode = True
+    sys.path[:0] = [str(src_root / "src"), str(src_root / "bench")]
+    from baryflow.cli import main as cli_main
+    import workloads
+
+    runs = []  # (name, command, config path, output directory)
+    for name, cfg in CONFIGS.items():
+        out = work / name / "out"
+        path = work / name / "config.json"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps({**cfg, "output_dir": str(out)}))
+        runs.append((name, cfg["command"], path, out))
+    for name in WORKLOADS:
+        (inst,) = workloads.make_instances(name, 0, work / name, count=1)
+        runs.append((name, inst.command, inst.config_path, inst.out_dir))
+
+    for name, command, path, out in runs:
+        with contextlib.redirect_stdout(sys.stderr):  # progress names paths
+            code = cli_main([command, str(path)])
+        if code != 0:
+            print(name, "exit", code)
+            continue
+        for f in sorted(out.iterdir()):
+            if f.name != "run_report.json":
+                print(name, f.name, hashlib.sha256(f.read_bytes()).hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
