@@ -17,17 +17,19 @@ A section that configures a library class or function takes its keys, their
 types and their defaults from that signature (``_build``); the CLI supplies
 only the values the library requires. A ValueError the library raises while a
 config is prepared is a config error.
-Exit codes: 0 success, 1 config error, 2 numerical failure. Machine-readable
-output goes to files under ``output_dir``, which is created only once a
-command's results exist, so a failed run leaves no directory behind; stdout
-carries human-readable progress. Trace and table CSVs are byte-stable for a
-fixed seed; wall-clock timings live in the run report JSON only.
+Exit codes: 0 success, 1 config error, 2 numerical failure. Output goes to
+files under ``output_dir``, which is created only once a command's results
+exist, so a failed run leaves no directory behind; stdout carries
+human-readable progress. Measures and tables are CSV files written by
+``datasets.write_table`` (floats with 17 significant digits, byte-stable for a
+fixed seed), mixtures are GMM JSON files, and ``run_report.json`` is the one
+machine-readable report: the config, versions, wall-clock timings, the
+artifact paths and the command's summary.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv as _csv
 import dataclasses
 import inspect
 import json
@@ -51,6 +53,7 @@ from .datasets import (
     location_scatter_family,
     synthetic_domain_specs,
     synthetic_msda,
+    write_table,
 )
 from .flow_empirical import (
     EmpiricalFlowConfig,
@@ -75,8 +78,7 @@ from .gaussian import (
     save_gmm,
 )
 from .measures import BarycentricCoordinates, EmpiricalMeasure, LabeledEmpiricalMeasure
-from .pipeline import (BARYCENTER_KINDS, REPORT_SCHEMA_VERSION, msda_adapt,
-                       snapshot, w2_to_reference)
+from .pipeline import BARYCENTER_KINDS, msda_adapt, w2_to_reference
 
 
 class ConfigError(Exception):
@@ -260,14 +262,8 @@ def _input_to_gmm(d: dict, idx: int, parsed, cfg_gmm_components: int,
 # artifacts
 
 def _table(header, rows):
-    """A writer of ``rows`` as CSV under ``header``; floats as ``.17g``."""
-    def write(path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = _csv.writer(fh)
-            w.writerow(header)
-            w.writerows([format(v, ".17g") if isinstance(v, float) else v
-                         for v in row] for row in rows)
-    return write
+    """A writer of ``rows`` as a CSV table under ``header``."""
+    return lambda path: write_table(path, header, rows)
 
 
 def _git_describe() -> str:
@@ -283,12 +279,15 @@ def _git_describe() -> str:
     return "unknown"
 
 
+REPORT_SCHEMA_VERSION = 1
+
+
 def write_report(out_dir: Path, command: str, config: dict, timings: dict,
                  artifacts: list, summary: dict) -> Path:
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "command": command,
-        "config": snapshot(config),
+        "config": config,
         "git_describe": _git_describe(),
         "versions": {
             "python": sys.version.split()[0],
@@ -297,7 +296,7 @@ def write_report(out_dir: Path, command: str, config: dict, timings: dict,
         },
         "timings_ms": timings,
         "artifacts": [str(a) for a in artifacts],
-        "summary": snapshot(summary),
+        "summary": summary,
     }
     path = out_dir / "run_report.json"
     with open(path, "w") as fh:
@@ -505,6 +504,14 @@ def _prepare_msda(cfg: dict, seed: int, ctx: str):
     flow_cfg = _parse_flow(kind, cfg, key, ctx, coordinates=coords,
                            functional=functional, seed=seed)
     check_inputs(sources, flow_cfg)
+    if method == "gmm":  # EM fits each class of each source
+        for i, s in enumerate(sources):
+            counts = np.bincount(s.hard_labels(), minlength=s.n_classes)
+            if not counts.all():
+                raise ConfigError(
+                    f"{ctx}: method 'gmm' fits every class of every source; "
+                    f"sources[{i}] has no sample of class "
+                    f"{int(np.argmin(counts))}")
     runs = [(combo, dataclasses.replace(flow_cfg, functional=functional.with_mask(
         "V" in combo, "U" in combo))) for combo in combos]
 
@@ -624,6 +631,12 @@ def main(argv=None) -> int:
         _check_keys(cfg, COMMON_KEYS + keys, ctx)
         seed = _get(cfg, "seed", int, ctx, 0)
         out = Path(_get(cfg, "output_dir", str, ctx, required=True))
+        # the directory is made after the run, so a file in its way is
+        # found now
+        above = next(p for p in (out, *out.parents) if p.exists())
+        if not above.is_dir():
+            raise ConfigError(f"{ctx}: output_dir {str(out)!r}: "
+                              f"{str(above)!r} is not a directory")
         try:
             run = prepare(cfg, seed, ctx)
         except ValueError as e:

@@ -31,6 +31,7 @@ __all__ = [
     "synthetic_msda",
     "load_csv",
     "save_csv",
+    "write_table",
 ]
 
 
@@ -129,6 +130,8 @@ def swiss_roll(n: int, noise_std: float = 0.0, seed=None,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n_classes < 1:
+        raise ValueError(f"n_classes must be >= 1, got {n_classes}")
     if not (np.isfinite(noise_std) and noise_std >= 0):
         raise ValueError(f"noise_std must be finite and >= 0, got {noise_std!r}")
     rng = np.random.default_rng(seed)
@@ -284,27 +287,26 @@ def synthetic_msda(specs, seed=0) -> MsdaData:
     return MsdaData(sources, EmpiricalMeasure(tgt_pts), tgt_labels)
 
 
-def _format_float(x: float) -> str:
-    return format(float(x), ".17g")
+def write_table(path, header, rows) -> None:
+    """Write ``rows`` as CSV under ``header``: floats with 17 significant
+    digits, every other cell as it is."""
+    with open(path, "w", newline="") as fh:
+        writer = _csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([format(v, ".17g") if isinstance(v, float) else v
+                          for v in row] for row in rows)
 
 
 def save_csv(measure, path) -> None:
     """Write a measure as CSV (features f0.., optional label column)."""
-    labeled = isinstance(measure, LabeledEmpiricalMeasure)
-    d = measure.points.shape[1]
-    header = [f"f{i}" for i in range(d)]
-    if labeled:
+    header = [f"f{i}" for i in range(measure.points.shape[1])]
+    rows = measure.points.tolist()
+    if isinstance(measure, LabeledEmpiricalMeasure):
         header.append("label")
-        hard = measure.hard_labels()
         names = measure.class_names
-    with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(header)
-        for i, row in enumerate(measure.points):
-            out = [_format_float(v) for v in row]
-            if labeled:
-                out.append(names[hard[i]] if names else str(int(hard[i])))
-            writer.writerow(out)
+        for row, c in zip(rows, measure.hard_labels().tolist()):
+            row.append(names[c] if names else c)
+    write_table(path, header, rows)
 
 
 def load_csv(path, label_column: str | None = None):

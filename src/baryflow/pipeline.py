@@ -12,12 +12,13 @@ For flows run with label weight 0 (unlabeled barycenters) the classifier
 labels are recovered afterwards by propagating the source labels through
 one final set of feature-only plans, mirroring the classical discrete
 label-transfer baselines.
+
+Results are plain values (``MsdaReport``, ``ConvergenceReport``); the CLI
+writes what it reports of them into its run report.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import json
 import time
 from dataclasses import dataclass
 
@@ -45,10 +46,8 @@ __all__ = [
     "msda_adapt",
     "convergence_report",
     "w2_to_reference",
-    "snapshot",
 ]
 
-REPORT_SCHEMA_VERSION = 1
 BARYCENTER_KINDS = ("empirical", "gmm", "discrete_baseline")
 # Largest column support of a label-transfer or alignment plan.
 PLAN_CAP = 2000
@@ -62,32 +61,20 @@ PLATEAU_FRAC = 0.2
 class MsdaReport:
     accuracy_source_only: float
     accuracy_adapted: float
-    barycenter_kind: str
     timings_ms: dict
-    config: dict
-    schema_version: int = REPORT_SCHEMA_VERSION
 
     def __post_init__(self):
         for name in ("accuracy_source_only", "accuracy_adapted"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
-        if self.barycenter_kind not in BARYCENTER_KINDS:
-            raise ValueError(f"barycenter_kind must be one of {BARYCENTER_KINDS}")
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(dataclasses.asdict(self), fh, indent=1)
-            fh.write("\n")
 
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    trace: tuple
     decay_rate: float
     plateau: float
     r_squared: float
-    schema_version: int = REPORT_SCHEMA_VERSION
 
     def __post_init__(self):
         if self.plateau < 0 and not np.isclose(self.plateau, 0):
@@ -96,35 +83,6 @@ class ConvergenceReport:
             raise ValueError("plateau must be >= 0")
         if self.decay_rate < 0:
             raise ValueError("decay rate must be >= 0")
-
-    def to_json(self, path) -> None:
-        doc = dataclasses.asdict(self)
-        doc["trace"] = list(self.trace)
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
-
-
-def snapshot(obj):
-    """JSON-friendly snapshot of configs and values (arrays become lists,
-    measures become shape summaries)."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: snapshot(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)}
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, EmpiricalMeasure):
-        return {"kind": "empirical_measure", "n": obj.n, "dim": obj.dim}
-    if isinstance(obj, LabeledEmpiricalMeasure):
-        return {"kind": "labeled_empirical_measure", "n": obj.n,
-                "dim": obj.dim, "n_classes": obj.n_classes}
-    if isinstance(obj, dict):
-        return {k: snapshot(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [snapshot(v) for v in obj]
-    return obj
 
 
 def _nn_predict(train_x, train_y, test_x):
@@ -235,9 +193,7 @@ def msda_adapt(sources, target_features: EmpiricalMeasure, eval_labels,
     return MsdaReport(
         accuracy_source_only=acc_source,
         accuracy_adapted=acc_adapted,
-        barycenter_kind=method,
         timings_ms=timings,
-        config=snapshot(cfg),
     )
 
 
@@ -273,7 +229,6 @@ def convergence_report(trace) -> ConvergenceReport:
     ss_tot = float(((y - y.mean()) ** 2).sum())
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return ConvergenceReport(
-        trace=tuple(values.tolist()),
         decay_rate=max(0.0, -float(slope)),
         plateau=max(plateau, 0.0),
         r_squared=float(r_squared),

@@ -76,6 +76,20 @@ def csv_file(tmp_path, text):
     return str(path)
 
 
+def msda_csv_gap(tmp_path):
+    """An msda gmm config on two CSV sources, one with labels {0, 2} of
+    three classes."""
+    paths = []
+    for name, labels in (("s0", [0, 1, 2, 0, 1, 2]), ("s1", [0, 2, 0, 2]),
+                         ("t", [0, 1, 2, 2, 1, 0])):
+        rows = "".join(f"{0.5 * i},{i % 3},{c}\n" for i, c in enumerate(labels))
+        path = tmp_path / f"{name}.csv"
+        path.write_text("f0,f1,label\n" + rows)
+        paths.append(str(path))
+    return {"command": "msda", "method": "gmm", "sources_csv": paths[:2],
+            "target_csv": paths[2], "gmm": {"n_components": 3, "n_iter": 2}}
+
+
 def labeled_2d_csv(tmp_path):
     """A 2-feature measure saved with its label column (3 CSV columns)."""
     path = tmp_path / "labeled.csv"
@@ -239,6 +253,10 @@ class TestValidate:
             id="swiss-roll-input-noise-nan"),
         pytest.param(lambda t: toy_with(base="swiss_roll", noise_std=-0.5), 1,
                      id="toy-swiss-roll-noise-negative"),
+        pytest.param(msda_csv_gap, 1, id="msda-gmm-csv-source-lacks-class"),
+        pytest.param(lambda t: {"command": "msda", "method": "gmm", "seed": 0,
+                                "task": {"n_samples": 4}}, 1,
+                     id="msda-gmm-synthetic-source-lacks-class"),
         pytest.param(lambda t: bary_with(
             "gmm", inputs=three_component_gmm_inputs(t), n_components=3,
             n_iter=20, step_size=5.0), 2, id="gmm-singular-covariance"),
@@ -255,6 +273,40 @@ class TestValidate:
         tag = "config" if code == 1 else "numeric"
         assert f"baryflow-error[{tag}]" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("cfg", [
+        pytest.param({"command": "gen", "dataset": {
+            "kind": "swiss_roll", "n": 50, "n_classes": 0}},
+            id="gen-no-classes"),
+        pytest.param({"command": "gen", "dataset": {
+            "kind": "swiss_roll", "n": 50, "n_classes": -2}},
+            id="gen-classes-negative"),
+        pytest.param(bary_with(inputs=[
+            {"kind": "swiss_roll", "n": 40, "n_classes": 0},
+            {"kind": "swiss_roll", "n": 40}]), id="input-no-classes"),
+    ])
+    def test_swiss_roll_class_count_named(self, tmp_path, capsys, cfg):
+        cfg = dict(cfg, output_dir=str(tmp_path / "out"))
+        path = write_config(tmp_path, "c.json", cfg)
+        for subcommand in ("validate", cfg["command"]):
+            assert main([subcommand, path]) == 1
+            err = capsys.readouterr().err
+            assert "baryflow-error[config]" in err
+            assert "n_classes must be >= 1" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("sub", ["", "sub"], ids=["at-file", "under-file"])
+    def test_output_dir_not_a_directory(self, tmp_path, capsys, sub):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("keep\n")
+        cfg = {"command": "gen", "output_dir": str(blocker / sub),
+               "dataset": {"kind": "swiss_roll", "n": 20}}
+        path = write_config(tmp_path, "c.json", cfg)
+        for subcommand in ("validate", "gen"):
+            assert main([subcommand, path]) == 1
+            err = capsys.readouterr().err
+            assert "baryflow-error[config]" in err and "output_dir" in err
+        assert blocker.read_text() == "keep\n"
 
     @pytest.mark.parametrize("flow, extra", [
         ("empirical", {"kind": "swiss_roll", "n": 40}),

@@ -12,6 +12,7 @@ from baryflow.datasets import (
     swiss_roll,
     synthetic_domain_specs,
     synthetic_msda,
+    write_table,
 )
 from baryflow.measures import EmpiricalMeasure, LabeledEmpiricalMeasure
 
@@ -38,6 +39,10 @@ class TestSwissRoll:
         save_csv(swiss_roll(1000, 0.1, seed=7), p1)
         save_csv(swiss_roll(1000, 0.1, seed=7), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_one_class(self):
+        m = swiss_roll(10, seed=0, n_classes=1)
+        assert m.n_classes == 1 and np.all(m.hard_labels() == 0)
 
 
 class TestAffineFamilies:
@@ -118,6 +123,13 @@ class TestSyntheticMsda:
 
 
 class TestCsvIo:
+    def test_write_table_cells(self, tmp_path):
+        p = tmp_path / "t.csv"
+        write_table(p, ["name", "n", "x"],
+                    [("a", 3, 0.1), ("b", -1, np.float64(1) / 3)])
+        assert p.read_bytes() == (b"name,n,x\r\na,3,0.10000000000000001\r\n"
+                                  b"b,-1,0.33333333333333331\r\n")
+
     def test_round_trip_byte_identical(self, tmp_path):
         m = swiss_roll(100, 0.05, seed=4)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

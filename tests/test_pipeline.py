@@ -17,7 +17,6 @@ from baryflow.pipeline import (
     MsdaReport,
     convergence_report,
     msda_adapt,
-    snapshot,
     w2_to_reference,
 )
 
@@ -55,15 +54,6 @@ class TestConvergenceReport:
                 for i in range(200)]
         rep = convergence_report(recs)
         assert abs(rep.decay_rate - 0.1) <= 0.01
-
-    def test_json_round_trip(self, tmp_path):
-        import json
-        rep = convergence_report(2.0 + np.exp(-0.05 * np.arange(100)))
-        path = tmp_path / "c.json"
-        rep.to_json(path)
-        doc = json.loads(path.read_text())
-        assert doc["schema_version"] == 1
-        assert len(doc["trace"]) == 100
 
 
 class TestW2ToReference:
@@ -118,7 +108,6 @@ class TestMsdaAdapt:
                             label_weight=8.0, seed=2)
         rep = msda_adapt(data.sources, data.target_features,
                          data.target_labels, "gmm", cfg)
-        assert rep.barycenter_kind == "gmm"
         assert rep.accuracy_adapted > rep.accuracy_source_only
 
     def test_discrete_baseline_method(self):
@@ -139,7 +128,6 @@ class TestMsdaAdapt:
                         data.target_labels, "empirical", cfg)
         assert r1.accuracy_adapted == r2.accuracy_adapted
         assert r1.accuracy_source_only == r2.accuracy_source_only
-        assert r1.config == r2.config
 
     def test_eval_label_size_checked(self):
         specs = synthetic_domain_specs(n_samples=128, seed=5)
@@ -155,40 +143,19 @@ class TestMsdaAdapt:
             msda_adapt([], data.target_features, data.target_labels,
                        "empirical", flow_cfg(6))
 
-    def test_report_serializes(self, tmp_path):
-        import json
+    def test_unknown_method_rejected(self):
         specs = synthetic_domain_specs(n_samples=128, seed=7)
         data = synthetic_msda(specs, seed=7)
-        rep = msda_adapt(data.sources, data.target_features,
-                         data.target_labels, "empirical", flow_cfg(7, n_iter=20))
-        path = tmp_path / "r.json"
-        rep.to_json(path)
-        doc = json.loads(path.read_text())
-        assert doc["schema_version"] == 1
-        assert 0.0 <= doc["accuracy_adapted"] <= 1.0
-        assert "barycenter_ms" in doc["timings_ms"]
+        with pytest.raises(ValueError, match="method"):
+            msda_adapt(data.sources, data.target_features,
+                       data.target_labels, "neural", flow_cfg(7))
 
 
 class TestReports:
     def test_accuracy_bounds_enforced(self):
         with pytest.raises(ValueError):
-            MsdaReport(1.2, 0.5, "empirical", {}, {})
-
-    def test_kind_enforced(self):
-        with pytest.raises(ValueError):
-            MsdaReport(0.5, 0.5, "neural", {}, {})
+            MsdaReport(1.2, 0.5, {})
 
     def test_convergence_report_validation(self):
         with pytest.raises(ValueError):
-            ConvergenceReport((1.0,), decay_rate=-0.1, plateau=1.0,
-                              r_squared=1.0)
-
-
-class TestSnapshot:
-    def test_config_snapshot_is_json_friendly(self):
-        import json
-        cfg = flow_cfg(0)
-        doc = snapshot(cfg)
-        json.dumps(doc)
-        assert doc["n_particles"] == 128
-        assert doc["coordinates"]["lam"] == [0.5, 0.5]
+            ConvergenceReport(decay_rate=-0.1, plateau=1.0, r_squared=1.0)

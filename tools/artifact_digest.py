@@ -4,11 +4,13 @@ Usage: python3 tools/artifact_digest.py SRC_ROOT WORK_DIR
 
 Runs each config below through ``baryflow.cli.main``, imported from
 ``SRC_ROOT/src``, with outputs under ``WORK_DIR``, and prints one line
-``run file sha256`` per artifact. ``run_report.json`` is left out: it holds
-timings and paths. A run that exits non-zero prints ``run exit CODE``.
-Two source trees write the same artifacts when the outputs for both are
-equal, so a change that must keep them byte-identical is checked by
-``diff`` of two runs of this script.
+``run file sha256`` per artifact. The digest of ``run_report.json`` is taken
+after normalizing it (``normalized_report``): the wall-clock timings and
+``git_describe`` are removed and ``WORK_DIR`` becomes a fixed token. A run
+that exits non-zero prints ``run exit CODE``. Two source trees write the
+same artifacts and reports when the outputs for both are equal, so a change
+that must keep them byte-identical is checked by ``diff`` of two runs of
+this script.
 
 The runs: the five configs of acceptance criterion 12, instance 0 of seed 0
 of each benchmark workload (from ``SRC_ROOT/bench/workloads.py``), ``toy``
@@ -76,6 +78,19 @@ CONFIGS = {
         "dataset": {"kind": "synthetic_msda", "n_samples": 64}},
 }
 WORKLOADS = ("bary1d", "gmm5d", "msda2d", "entropic2d")
+WORK_TOKEN = "<WORK_DIR>"
+
+
+def normalized_report(path: Path, work: Path) -> bytes:
+    """``run_report.json`` without what differs between equal runs: the
+    top-level and per-combo ``timings_ms``, ``git_describe`` and the work
+    directory in paths."""
+    report = json.loads(path.read_text())
+    del report["timings_ms"], report["git_describe"]
+    for combo in report["summary"].get("reports", {}).values():
+        del combo["timings_ms"]
+    text = json.dumps(report, indent=1, sort_keys=True)
+    return text.replace(str(work), WORK_TOKEN).encode()
 
 
 def main(argv: list[str]) -> int:
@@ -107,8 +122,9 @@ def main(argv: list[str]) -> int:
             print(name, "exit", code)
             continue
         for f in sorted(out.iterdir()):
-            if f.name != "run_report.json":
-                print(name, f.name, hashlib.sha256(f.read_bytes()).hexdigest())
+            data = (normalized_report(f, work) if f.name == "run_report.json"
+                    else f.read_bytes())
+            print(name, f.name, hashlib.sha256(data).hexdigest())
     return 0
 
 
