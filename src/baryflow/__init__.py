@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .measures import (
     BarycentricCoordinates,
     EmpiricalMeasure,
-    LabeledEmpiricalMeasure,
     MiniBatch,
 )
 from .ot import (

@@ -49,6 +49,7 @@ from .datasets import (
     load_csv,
     pd_affine_family,
     save_csv,
+    share_classes,
     swiss_roll,
     location_scatter_family,
     synthetic_domain_specs,
@@ -77,7 +78,7 @@ from .gaussian import (
     sample_reparam,
     save_gmm,
 )
-from .measures import BarycentricCoordinates, EmpiricalMeasure, LabeledEmpiricalMeasure
+from .measures import BarycentricCoordinates, EmpiricalMeasure
 from .pipeline import BARYCENTER_KINDS, msda_adapt, w2_to_reference
 
 
@@ -249,7 +250,7 @@ def _input_to_gmm(d: dict, idx: int, parsed, cfg_gmm_components: int,
     _, measure, gmm = parsed
     if gmm is not None:
         return gmm
-    if isinstance(measure, LabeledEmpiricalMeasure):
+    if measure.label_logits is not None:
         per_class = {k: _get(d, k, int, f"inputs[{idx}]") for k in d
                      if k == "components_per_class"}
         return em_fit(measure.points, measure.hard_labels(), **per_class,
@@ -325,11 +326,17 @@ def _prepare_barycenter(cfg: dict, seed: int, ctx: str):
 
     rng = np.random.default_rng(seed)
     parsed = [_parse_input(d, i, rng) for i, d in enumerate(inputs_cfg)]
+    # the labeled CSV inputs of a run share one class mapping
+    csv = [i for i, d in enumerate(inputs_cfg) if d["kind"] == "csv"]
+    shared = share_classes([parsed[i][1] for i in csv],
+                           [inputs_cfg[i]["path"] for i in csv])
+    for i, measure in zip(csv, shared):
+        parsed[i] = (EmpiricalSampler(measure), measure, None)
     for i, (d, (_, measure, _)) in enumerate(zip(inputs_cfg, parsed)):
         # only the GMM flow fits labeled data by EM, per class
         if "components_per_class" in d and (
                 flow_kind == "empirical"
-                or not isinstance(measure, LabeledEmpiricalMeasure)):
+                or measure.label_logits is None):
             raise ConfigError(f"inputs[{i}]: components_per_class applies "
                               f"only to a labeled input of the gmm flow")
     items = [gmm if gmm is not None else measure for _, measure, gmm in parsed]
@@ -476,7 +483,8 @@ def _prepare_msda(cfg: dict, seed: int, ctx: str):
         target = _load(load_csv, tpath, ctx, label_col)
         if not sources:
             raise ConfigError(f"{ctx}: sources_csv must be a non-empty list")
-        target_features = target.base
+        *sources, target = share_classes([*sources, target], [*paths, tpath])
+        target_features = EmpiricalMeasure(target.points, target.weights)
         eval_labels = target.hard_labels()
     else:
         specs = _build(synthetic_domain_specs, _get(cfg, "task", dict, ctx, {}),
@@ -569,7 +577,7 @@ def _prepare_gen(cfg: dict, seed: int, ctx: str):
         specs = _build(synthetic_domain_specs, ds, ctx, None, ("kind",), seed=rng)
         data = synthetic_msda(specs, seed=rng)
         files += [(f"source_{i}.csv", s) for i, s in enumerate(data.sources)]
-        files.append(("target.csv", LabeledEmpiricalMeasure.from_hard_labels(
+        files.append(("target.csv", EmpiricalMeasure.from_hard_labels(
             data.target_features.points, data.target_labels,
             int(data.target_labels.max()) + 1)))
     else:

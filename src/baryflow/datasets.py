@@ -13,11 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import (
-    EmpiricalMeasure,
-    LabeledEmpiricalMeasure,
-    logits_from_labels,
-)
+from .measures import EmpiricalMeasure
 
 __all__ = [
     "AffineMap",
@@ -31,6 +27,7 @@ __all__ = [
     "synthetic_msda",
     "load_csv",
     "save_csv",
+    "share_classes",
     "write_table",
 ]
 
@@ -122,7 +119,7 @@ class MsdaData:
 
 
 def swiss_roll(n: int, noise_std: float = 0.0, seed=None,
-               n_classes: int = 4) -> LabeledEmpiricalMeasure:
+               n_classes: int = 4) -> EmpiricalMeasure:
     """2-D spiral (t cos t, t sin t), t uniform on [1.5 pi, 4.5 pi].
 
     Labels are quantile bins of the manifold parameter t, so they are
@@ -141,23 +138,15 @@ def swiss_roll(n: int, noise_std: float = 0.0, seed=None,
         pts = pts + noise_std * rng.standard_normal(pts.shape)
     edges = np.quantile(t, np.linspace(0, 1, n_classes + 1)[1:-1])
     labels = np.digitize(t, edges)
-    return LabeledEmpiricalMeasure.from_hard_labels(pts, labels, n_classes)
+    return EmpiricalMeasure.from_hard_labels(pts, labels, n_classes)
 
 
 def location_scatter_family(q0, maps) -> list:
     """Pushforwards of one measure under affine maps, labels carried over."""
-    out = []
-    for m in maps:
-        if m.dim != q0.points.shape[1]:
-            raise ValueError("map dimension does not match the measure")
-        pts = m.apply(q0.points)
-        if isinstance(q0, LabeledEmpiricalMeasure):
-            out.append(LabeledEmpiricalMeasure(
-                EmpiricalMeasure(pts, q0.weights), q0.label_logits,
-                q0.n_classes, class_names=q0.class_names))
-        else:
-            out.append(EmpiricalMeasure(pts, q0.weights))
-    return out
+    if any(m.dim != q0.dim for m in maps):
+        raise ValueError("map dimension does not match the measure")
+    return [EmpiricalMeasure(m.apply(q0.points), q0.weights, q0.label_logits,
+                             q0.class_names) for m in maps]
 
 
 def _rotation(deg: float) -> np.ndarray:
@@ -281,7 +270,7 @@ def synthetic_msda(specs, seed=0) -> MsdaData:
         domains.append((pts, labels))
 
     sources = tuple(
-        LabeledEmpiricalMeasure.from_hard_labels(pts, labels, c0)
+        EmpiricalMeasure.from_hard_labels(pts, labels, c0)
         for pts, labels in domains[:-1])
     tgt_pts, tgt_labels = domains[-1]
     return MsdaData(sources, EmpiricalMeasure(tgt_pts), tgt_labels)
@@ -301,7 +290,7 @@ def save_csv(measure, path) -> None:
     """Write a measure as CSV (features f0.., optional label column)."""
     header = [f"f{i}" for i in range(measure.points.shape[1])]
     rows = measure.points.tolist()
-    if isinstance(measure, LabeledEmpiricalMeasure):
+    if measure.label_logits is not None:
         header.append("label")
         names = measure.class_names
         for row, c in zip(rows, measure.hard_labels().tolist()):
@@ -310,11 +299,12 @@ def save_csv(measure, path) -> None:
 
 
 def load_csv(path, label_column: str | None = None):
-    """Load a measure from CSV; returns LabeledEmpiricalMeasure when a label
-    column is requested, EmpiricalMeasure otherwise.
+    """Load a measure from CSV, labeled when a label column is requested.
 
-    Categorical labels are mapped to contiguous ids in sorted order; the
-    mapping is recorded on the measure as ``class_names``.
+    Integer labels are class ids. Categorical labels are mapped to contiguous
+    ids in the sorted order of this file's names, recorded on the measure as
+    ``class_names``; ``share_classes`` maps the files of one run into one
+    shared order.
     """
     with open(path, newline="") as fh:
         reader = _csv.reader(fh)
@@ -366,9 +356,37 @@ def load_csv(path, label_column: str | None = None):
         ids = np.array([mapping[v] for v in raw_labels])
         n_classes = len(uniq)
         names = tuple(uniq)
-    return LabeledEmpiricalMeasure(
-        EmpiricalMeasure(feats), logits_from_labels(ids, n_classes),
-        n_classes, class_names=names)
+    return EmpiricalMeasure.from_hard_labels(feats, ids, n_classes,
+                                             class_names=names)
+
+
+def share_classes(measures, paths) -> list:
+    """The labeled measures of one run with one class mapping.
+
+    Each measure with ``class_names`` is mapped into the sorted union of the
+    names of all of them, so one name has one id in every file. Measures
+    with integer labels, and unlabeled ones, are returned as they are, and
+    so is a measure whose names already are the union. ``paths`` name the
+    measures' files in errors; a run that mixes name-labeled and
+    integer-labeled measures raises ValueError.
+    """
+    named = [p for m, p in zip(measures, paths) if m.class_names is not None]
+    numbered = [p for m, p in zip(measures, paths)
+                if m.class_names is None and m.label_logits is not None]
+    if named and numbered:
+        raise ValueError(f"{named[0]} has class names but {numbered[0]} has "
+                         "integer labels; the files of a run need one kind")
+    union = tuple(sorted({c for m in measures for c in m.class_names or ()}))
+    ids = {c: i for i, c in enumerate(union)}
+    out = []
+    for m in measures:
+        if m.class_names in (None, union):
+            out.append(m)
+            continue
+        remap = np.array([ids[c] for c in m.class_names])
+        out.append(EmpiricalMeasure.from_hard_labels(
+            m.points, remap[m.hard_labels()], len(union), m.weights, union))
+    return out
 
 
 def _is_int(s: str) -> bool:

@@ -23,7 +23,6 @@ from . import ot
 from .functionals import (
     FunctionalSpec,
     _label_energies,
-    _n_classes,
     check_inputs,
     target_potential,
 )
@@ -32,7 +31,6 @@ from .gaussian import LabeledGMM, sample_reparam
 from .measures import (
     BarycentricCoordinates,
     EmpiricalMeasure,
-    LabeledEmpiricalMeasure,
     MiniBatch,
     logits_from_probs,
     one_hot,
@@ -125,6 +123,14 @@ class FlowState:
 # ---------------------------------------------------------------------------
 # samplers: anything with .sample(m, rng) -> MiniBatch drives run_flow
 
+def _batch(measure: EmpiricalMeasure, idx) -> MiniBatch:
+    """The points ``idx`` of a measure as a batch, hard labels one-hot."""
+    labels = None
+    if measure.label_logits is not None:
+        labels = one_hot(measure.hard_labels()[idx], measure.n_classes)
+    return MiniBatch(measure.points[idx], labels)
+
+
 class EmpiricalSampler:
     """I.i.d. draws (with replacement) from a fixed empirical measure."""
 
@@ -133,11 +139,7 @@ class EmpiricalSampler:
 
     def sample(self, m: int, rng: np.random.Generator) -> MiniBatch:
         meas = self.measure
-        idx = rng.choice(meas.n, size=m, p=meas.weights)
-        labels = None
-        if isinstance(meas, LabeledEmpiricalMeasure):
-            labels = one_hot(meas.hard_labels()[idx], meas.n_classes)
-        return MiniBatch(meas.points[idx], labels)
+        return _batch(meas, rng.choice(meas.n, size=m, p=meas.weights))
 
 
 class FullBatchSampler:
@@ -147,11 +149,7 @@ class FullBatchSampler:
         self.measure = measure
 
     def sample(self, m: int, rng: np.random.Generator) -> MiniBatch:
-        meas = self.measure
-        labels = None
-        if isinstance(meas, LabeledEmpiricalMeasure):
-            labels = one_hot(meas.hard_labels(), meas.n_classes)
-        return MiniBatch(meas.points, labels)
+        return _batch(self.measure, slice(None))
 
 
 class GaussianSampler:
@@ -178,7 +176,7 @@ class GmmSampler:
         labels = None
         if self.gmm.nu is not None:
             hard = np.argmax(self.gmm.nu, axis=1)[idx]
-            labels = one_hot(hard, self.gmm.nu.shape[1])
+            labels = one_hot(hard, self.gmm.n_classes)
         return MiniBatch(pts, labels)
 
 
@@ -224,9 +222,8 @@ def _plans_and_energies(measure, batches, cfg: EmpiricalFlowConfig):
     gradient, target plan)); the target plan lets a step re-cost the target
     potential at the moved particles without a second solve.
     """
-    labeled = isinstance(measure, LabeledEmpiricalMeasure)
-    logits = measure.label_logits if labeled else None
-    soft = softmax(logits) if labeled else None
+    logits = measure.label_logits
+    soft = None if logits is None else softmax(logits)
     x = measure.points
     results = _solve_plans(x, soft, batches, cfg)
     spec = cfg.functional
@@ -262,8 +259,7 @@ def flow_step(state: FlowState, batches, cfg: EmpiricalFlowConfig) -> FlowState:
     """
     measure = state.measure
     check_inputs(batches, cfg)
-    labeled = isinstance(measure, LabeledEmpiricalMeasure)
-    if cfg.label_weight > 0 and not labeled:
+    if cfg.label_weight > 0 and measure.label_logits is None:
         raise ValueError("label_weight > 0 requires a labeled flow state")
     x = measure.points
     n = x.shape[0]
@@ -277,7 +273,7 @@ def flow_step(state: FlowState, batches, cfg: EmpiricalFlowConfig) -> FlowState:
     raw_step = cfg.step_size * n / 2.0
     x_new = x - raw_step * (grad_x + e_gx)
     logits_new = None
-    if labeled:
+    if logits is not None:
         grad_logits = np.zeros_like(logits)
         if beta > 0:
             resid = soft - _lam_map(lam, results, [b.labels for b in batches])
@@ -285,14 +281,11 @@ def flow_step(state: FlowState, batches, cfg: EmpiricalFlowConfig) -> FlowState:
             grad_logits = (2.0 * beta / n) * (
                 soft * resid - soft * (soft * resid).sum(axis=1, keepdims=True))
         logits_new = logits - raw_step * (grad_logits + e_glog)
-        new_measure = LabeledEmpiricalMeasure(
-            EmpiricalMeasure(x_new, measure.weights), logits_new,
-            measure.n_classes, class_names=measure.class_names)
-    else:
-        new_measure = EmpiricalMeasure(x_new, measure.weights)
+    new_measure = EmpiricalMeasure(x_new, measure.weights, logits_new,
+                                   measure.class_names)
 
     # objective at the new particles under the plans of this step
-    soft_new = softmax(logits_new) if labeled else None
+    soft_new = None if logits_new is None else softmax(logits_new)
     b_hat = 0.0
     for l, (plan, _), batch in zip(lam, results, batches):
         cost = _batch_cost(x_new, soft_new, batch, beta)
@@ -308,30 +301,26 @@ def flow_step(state: FlowState, batches, cfg: EmpiricalFlowConfig) -> FlowState:
 def _initial_measure(init_batches, cfg, rng):
     pts = init_batches[0].points
     # all batches are labeled with one class count, or none is
-    n_classes = _n_classes(init_batches[0])
-    labeled = n_classes is not None
+    n_classes = init_batches[0].n_classes
     n, d = cfg.n_particles, pts.shape[1]
 
     if cfg.init == "gaussian":
         std = pts.std(axis=0)
         std = np.where(std > 0, std, 1.0)
         x0 = rng.standard_normal((n, d)) * std
-        if not labeled:
-            return EmpiricalMeasure(x0)
-        logits0 = _init_logits(n, n_classes, cfg, rng)
-        return LabeledEmpiricalMeasure(EmpiricalMeasure(x0), logits0, n_classes)
+        logits0 = None if n_classes is None else _init_logits(n, n_classes, cfg, rng)
+        return EmpiricalMeasure(x0, label_logits=logits0)
     # subsample: pool the first batches pro rata the coordinates
     pool_pts = np.vstack([b.points for b in init_batches])
-    if not labeled:
+    if n_classes is None:
         idx = rng.choice(pool_pts.shape[0], size=n, replace=pool_pts.shape[0] < n)
         return EmpiricalMeasure(pool_pts[idx])
     pool_lab = np.vstack([b.labels for b in init_batches])
     idx = _stratified_choice(pool_lab.argmax(axis=1), n, rng)
     # moderately sharp logits: decisive in the joint cost, but with enough
     # softmax slope left that the flow can still relabel particles
-    return LabeledEmpiricalMeasure(
-        EmpiricalMeasure(pool_pts[idx]),
-        logits_from_probs(pool_lab[idx], eps=0.02), n_classes)
+    return EmpiricalMeasure(pool_pts[idx], label_logits=logits_from_probs(
+        pool_lab[idx], eps=0.02))
 
 
 def _stratified_choice(hard_labels, n, rng):
@@ -394,7 +383,7 @@ def fixed_point_baseline(datasets, cfg: EmpiricalFlowConfig):
     full_batches = [FullBatchSampler(ds).sample(0, rng) for ds in datasets]
     measure = _initial_measure(full_batches, cfg, rng)
 
-    labeled = isinstance(measure, LabeledEmpiricalMeasure)
+    labeled = measure.label_logits is not None
     x = np.array(measure.points)
     y = softmax(measure.label_logits) if labeled else None
     lam = cfg.coordinates.lam
@@ -407,8 +396,5 @@ def fixed_point_baseline(datasets, cfg: EmpiricalFlowConfig):
             y = (1.0 - a) * y + a * _lam_map(
                 lam, results, [b.labels for b in full_batches])
 
-    if labeled:
-        return LabeledEmpiricalMeasure(
-            EmpiricalMeasure(x, measure.weights), logits_from_probs(y),
-            measure.n_classes, class_names=measure.class_names)
-    return EmpiricalMeasure(x, measure.weights)
+    return EmpiricalMeasure(x, measure.weights,
+                            logits_from_probs(y) if labeled else None)

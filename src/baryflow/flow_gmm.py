@@ -259,7 +259,9 @@ def _check_state(state, inputs, cfg):
 
 
 def _init_state(inputs, cfg: GmmFlowConfig, rng) -> LabeledGMM:
-    labeled = all(q.nu is not None for q in inputs)
+    # check_inputs gives every input one class count, or none
+    n_classes = inputs[0].n_classes
+    labeled = n_classes is not None
     pts_all, lab_all = [], []
     for q in inputs:
         pts, idx, _ = sample_reparam(q, cfg.init_samples, rng)
@@ -269,8 +271,6 @@ def _init_state(inputs, cfg: GmmFlowConfig, rng) -> LabeledGMM:
     pool = np.vstack(pts_all)
     labels = np.concatenate(lab_all) if labeled else None
 
-    if labeled:  # check_inputs gives every input this class count
-        n_classes = inputs[0].nu.shape[1]
     if cfg.init_mode == "em":
         if labeled:
             # EM fits the classes drawn; one that was not drawn gets no

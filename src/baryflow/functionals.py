@@ -26,8 +26,7 @@ from scipy.special import logsumexp, xlogy
 
 from . import ot
 from .gaussian import LabeledGMM, component_log_probs, sample_reparam
-from .measures import (EmpiricalMeasure, LabeledEmpiricalMeasure, softmax,
-                       softmax_decode)
+from .measures import EmpiricalMeasure, softmax, softmax_decode
 
 __all__ = [
     "FunctionalSpec",
@@ -176,14 +175,6 @@ def target_potential(p, target: EmpiricalMeasure
     return float(value), grad_points, plan
 
 
-def _n_classes(x) -> int | None:
-    """Class count of a batch, measure or mixture; None if it is unlabeled."""
-    if isinstance(x, LabeledEmpiricalMeasure):
-        return x.n_classes
-    labels = x.nu if isinstance(x, LabeledGMM) else getattr(x, "labels", None)
-    return None if labels is None else labels.shape[1]
-
-
 def check_inputs(inputs, cfg) -> None:
     """Check a flow's inputs against its config before the flow runs.
 
@@ -196,7 +187,7 @@ def check_inputs(inputs, cfg) -> None:
     """
     if len(inputs) != len(cfg.coordinates):
         raise ValueError("need one input per barycentric coordinate")
-    counts = {_n_classes(x) for x in inputs}
+    counts = {x.n_classes for x in inputs}
     if None in counts and len(counts) > 1:
         raise ValueError("inputs must be all labeled or all unlabeled")
     if len(counts) > 1:

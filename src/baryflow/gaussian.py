@@ -135,6 +135,10 @@ class LabeledGMM:
     def dim(self) -> int:
         return self.components[0].dim
 
+    @property
+    def n_classes(self) -> int | None:
+        return None if self.nu is None else self.nu.shape[1]
+
     def means(self) -> np.ndarray:
         return np.stack([c.mu for c in self.components])
 

@@ -2,8 +2,10 @@
 
 Measures are immutable value objects: arrays are copied on construction and
 marked read-only, so instances can be shared freely across threads.
-Labels are stored as unconstrained logits; soft labels are recovered with a
-row-wise softmax and hard labels with an argmax (ties broken by lowest index).
+An empirical measure is labeled or not: labels are an optional field, stored
+as unconstrained logits; soft labels are recovered with a row-wise softmax
+and hard labels with an argmax (ties broken by lowest index). Measures,
+batches and mixtures all answer ``n_classes``, None when unlabeled.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import numpy as np
 __all__ = [
     "BarycentricCoordinates",
     "EmpiricalMeasure",
-    "LabeledEmpiricalMeasure",
     "MiniBatch",
     "validate_simplex",
     "one_hot",
@@ -127,20 +128,25 @@ class BarycentricCoordinates:
 
 @dataclass(frozen=True)
 class EmpiricalMeasure:
-    """Weighted particle cloud: (n, d) support points and simplex weights.
+    """Weighted particle cloud: (n, d) support points and simplex weights,
+    with optional (n, C) label logits.
 
-    Weights default to uniform 1/n when omitted.
+    Weights default to uniform 1/n when omitted. ``class_names`` optionally
+    records the original categorical values of a labeled measure loaded from
+    a file with string labels, one per class.
     """
 
     points: np.ndarray
     weights: np.ndarray | None = None
+    label_logits: np.ndarray | None = None
+    class_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim == 1:
             pts = pts[:, None]
-        if pts.ndim != 2 or pts.shape[0] < 1:
-            raise ValueError("points must be a non-empty (n, d) matrix")
+        if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
+            raise ValueError("points must be a non-empty (n, d) matrix, d >= 1")
         if not np.all(np.isfinite(pts)):
             raise ValueError("points contain non-finite entries")
         if self.weights is None:
@@ -153,6 +159,27 @@ class EmpiricalMeasure:
                 raise ValueError("weights must lie on the simplex")
         object.__setattr__(self, "points", _freeze(pts))
         object.__setattr__(self, "weights", _freeze(w))
+        if self.label_logits is None:
+            if self.class_names is not None:
+                raise ValueError("class_names need label_logits")
+            return
+        logits = np.asarray(self.label_logits, dtype=float)
+        if logits.ndim != 2 or logits.shape[0] != pts.shape[0]:
+            raise ValueError(f"label_logits must be ({pts.shape[0]}, C), "
+                             f"got {logits.shape}")
+        if not np.all(np.isfinite(logits)):
+            raise ValueError("label_logits contain non-finite entries")
+        if self.class_names is not None:
+            if len(self.class_names) != logits.shape[1]:
+                raise ValueError("class_names must have one entry per class")
+            object.__setattr__(self, "class_names", tuple(self.class_names))
+        object.__setattr__(self, "label_logits", _freeze(logits))
+
+    @staticmethod
+    def from_hard_labels(points, labels, n_classes, weights=None,
+                         class_names=None) -> "EmpiricalMeasure":
+        return EmpiricalMeasure(points, weights,
+                                logits_from_labels(labels, n_classes), class_names)
 
     @property
     def n(self) -> int:
@@ -162,62 +189,20 @@ class EmpiricalMeasure:
     def dim(self) -> int:
         return self.points.shape[1]
 
-
-@dataclass(frozen=True)
-class LabeledEmpiricalMeasure:
-    """Particle cloud with per-particle label logits.
-
-    ``class_names`` optionally records the original categorical values when the
-    measure was loaded from a file with string labels.
-    """
-
-    base: EmpiricalMeasure
-    label_logits: np.ndarray
-    n_classes: int
-    class_names: tuple[str, ...] | None = None
-
-    def __post_init__(self):
-        logits = np.asarray(self.label_logits, dtype=float)
-        if logits.shape != (self.base.n, self.n_classes):
-            raise ValueError(
-                f"label_logits must be ({self.base.n}, {self.n_classes}), "
-                f"got {logits.shape}"
-            )
-        if not np.all(np.isfinite(logits)):
-            raise ValueError("label_logits contain non-finite entries")
-        if self.class_names is not None and len(self.class_names) != self.n_classes:
-            raise ValueError("class_names must have one entry per class")
-        object.__setattr__(self, "label_logits", _freeze(logits))
-
-    @staticmethod
-    def from_hard_labels(points, labels, n_classes, weights=None,
-                         class_names=None) -> "LabeledEmpiricalMeasure":
-        base = EmpiricalMeasure(points, weights)
-        return LabeledEmpiricalMeasure(
-            base, logits_from_labels(labels, n_classes), n_classes,
-            class_names=class_names)
-
     @property
-    def points(self) -> np.ndarray:
-        return self.base.points
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self.base.weights
-
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-    @property
-    def dim(self) -> int:
-        return self.base.dim
+    def n_classes(self) -> int | None:
+        return None if self.label_logits is None else self.label_logits.shape[1]
 
     def soft_labels(self) -> np.ndarray:
-        return softmax_decode(self.label_logits)[0]
+        return softmax_decode(self._logits())[0]
 
     def hard_labels(self) -> np.ndarray:
-        return softmax_decode(self.label_logits)[1]
+        return softmax_decode(self._logits())[1]
+
+    def _logits(self) -> np.ndarray:
+        if self.label_logits is None:
+            raise ValueError("the measure is unlabeled")
+        return self.label_logits
 
 
 @dataclass(frozen=True)
@@ -234,8 +219,9 @@ class MiniBatch:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim == 1:
             pts = pts[:, None]
-        if pts.ndim != 2 or pts.shape[0] < 1:
-            raise ValueError("batch points must be a non-empty (m, d) matrix")
+        if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
+            raise ValueError("batch points must be a non-empty (m, d) matrix, "
+                             "d >= 1")
         object.__setattr__(self, "points", _freeze(pts))
         if self.labels is not None:
             lab = np.asarray(self.labels, dtype=float)
@@ -248,3 +234,7 @@ class MiniBatch:
             if not is_one_hot:
                 raise ValueError("batch label rows must be one-hot vectors")
             object.__setattr__(self, "labels", _freeze(lab))
+
+    @property
+    def n_classes(self) -> int | None:
+        return None if self.labels is None else self.labels.shape[1]

@@ -33,12 +33,7 @@ from .flow_empirical import (
 )
 from .flow_gmm import GmmFlowConfig, run_gmm_flow
 from .gaussian import em_fit, sample_reparam
-from .measures import (
-    EmpiricalMeasure,
-    LabeledEmpiricalMeasure,
-    logits_from_probs,
-    one_hot,
-)
+from .measures import EmpiricalMeasure, logits_from_probs, one_hot
 
 __all__ = [
     "MsdaReport",
@@ -122,7 +117,7 @@ def _propagate_labels(points, sources, lam, rng):
 
 
 def _gmm_barycenter_particles(sources, cfg: GmmFlowConfig,
-                              rng) -> LabeledEmpiricalMeasure:
+                              rng) -> EmpiricalMeasure:
     n_classes = sources[0].n_classes
     per_class = max(1, cfg.n_components // n_classes)
     fitted = [em_fit(s.points, s.hard_labels(), components_per_class=per_class,
@@ -130,7 +125,7 @@ def _gmm_barycenter_particles(sources, cfg: GmmFlowConfig,
     mixture, _ = run_gmm_flow(fitted, cfg)
     pts, idx, _ = sample_reparam(mixture, GMM_PARTICLES, rng)
     hard = np.argmax(mixture.nu, axis=1)[idx]
-    return LabeledEmpiricalMeasure.from_hard_labels(pts, hard, n_classes)
+    return EmpiricalMeasure.from_hard_labels(pts, hard, n_classes)
 
 
 def msda_adapt(sources, target_features: EmpiricalMeasure, eval_labels,
@@ -147,6 +142,9 @@ def msda_adapt(sources, target_features: EmpiricalMeasure, eval_labels,
         raise ValueError("need at least one source measure")
     if method not in BARYCENTER_KINDS:
         raise ValueError(f"method must be one of {BARYCENTER_KINDS}")
+    if target_features.label_logits is not None:
+        raise ValueError("target_features must be unlabeled; target labels "
+                         "enter only as eval_labels")
     eval_labels = np.asarray(eval_labels)
     if eval_labels.shape[0] != target_features.n:
         raise ValueError("eval_labels must match the target size")
@@ -161,9 +159,8 @@ def msda_adapt(sources, target_features: EmpiricalMeasure, eval_labels,
         if cfg.label_weight == 0:
             # unlabeled flow: recover labels by one-shot OT transfer
             soft = _propagate_labels(bary.points, sources, lam, rng)
-            bary = LabeledEmpiricalMeasure(
-                EmpiricalMeasure(bary.points, bary.weights),
-                logits_from_probs(soft), soft.shape[1])
+            bary = EmpiricalMeasure(bary.points, bary.weights,
+                                    logits_from_probs(soft))
     elif method == "discrete_baseline":
         bary = fixed_point_baseline(sources, cfg)
     else:

@@ -39,7 +39,7 @@ from baryflow.gaussian import (
     mw2_sq,
     sample_reparam,
 )
-from baryflow.measures import BarycentricCoordinates, EmpiricalMeasure, LabeledEmpiricalMeasure
+from baryflow.measures import BarycentricCoordinates, EmpiricalMeasure
 from baryflow.pipeline import convergence_report, msda_adapt
 
 from conftest import TWO_GAUSSIAN_SEEDS, random_pd_component

@@ -13,7 +13,7 @@ from baryflow.flow_empirical import EmpiricalFlowConfig
 from baryflow.flow_gmm import GmmFlowConfig
 from baryflow.functionals import FunctionalSpec
 from baryflow.gaussian import load_gmm
-from baryflow.measures import BarycentricCoordinates, LabeledEmpiricalMeasure
+from baryflow.measures import BarycentricCoordinates, EmpiricalMeasure
 
 
 def write_config(tmp_path, name, cfg):
@@ -90,10 +90,29 @@ def msda_csv_gap(tmp_path):
             "target_csv": paths[2], "gmm": {"n_components": 3, "n_iter": 2}}
 
 
+CLASS_CENTERS = {"cat": (0.0, 0.0), "dog": (10.0, 0.0), "fish": (0.0, 10.0),
+                 "0": (0.0, 0.0), "1": (10.0, 0.0)}
+
+
+def named_csv(tmp_path, name, classes):
+    """Four points near each class's center, labeled by name, in one CSV."""
+    rows = "".join(f"{x + 0.1 * i},{y},{c}\n" for c in classes
+                   for x, y in [CLASS_CENTERS[c]] for i in range(4))
+    path = tmp_path / f"{name}.csv"
+    path.write_text("f0,f1,label\n" + rows)
+    return str(path)
+
+
+def named_inputs(tmp_path, *label_sets):
+    """barycenter csv inputs, one file per label set."""
+    return [{"kind": "csv", "path": named_csv(tmp_path, f"in{i}", classes),
+             "label_column": "label"} for i, classes in enumerate(label_sets)]
+
+
 def labeled_2d_csv(tmp_path):
     """A 2-feature measure saved with its label column (3 CSV columns)."""
     path = tmp_path / "labeled.csv"
-    save_csv(LabeledEmpiricalMeasure.from_hard_labels(
+    save_csv(EmpiricalMeasure.from_hard_labels(
         np.arange(8.0).reshape(4, 2), np.array([0, 1, 0, 1]), 2), path)
     return str(path)
 
@@ -254,6 +273,11 @@ class TestValidate:
         pytest.param(lambda t: toy_with(base="swiss_roll", noise_std=-0.5), 1,
                      id="toy-swiss-roll-noise-negative"),
         pytest.param(msda_csv_gap, 1, id="msda-gmm-csv-source-lacks-class"),
+        pytest.param(lambda t: bary_with(inputs=[
+            {"kind": "csv", "path": csv_file(t, "label\n0\n1\n"),
+             "label_column": "label"}] * 2), 1, id="csv-no-feature-column"),
+        pytest.param(lambda t: bary_with(inputs=named_inputs(
+            t, ["cat", "dog"], ["0", "1"])), 1, id="csv-names-and-integers"),
         pytest.param(lambda t: {"command": "msda", "method": "gmm", "seed": 0,
                                 "task": {"n_samples": 4}}, 1,
                      id="msda-gmm-synthetic-source-lacks-class"),
@@ -294,6 +318,15 @@ class TestValidate:
             assert "baryflow-error[config]" in err
             assert "n_classes must be >= 1" in err
         assert not (tmp_path / "out").exists()
+
+    def test_names_and_integers_name_both_files(self, tmp_path, capsys):
+        cfg = dict(bary_with(inputs=named_inputs(
+            tmp_path, ["cat", "dog"], ["0", "1"])),
+            output_dir=str(tmp_path / "out"))
+        path = write_config(tmp_path, "c.json", cfg)
+        assert main(["validate", path]) == 1
+        err = capsys.readouterr().err
+        assert "in0.csv" in err and "in1.csv" in err
 
     @pytest.mark.parametrize("sub", ["", "sub"], ids=["at-file", "under-file"])
     def test_output_dir_not_a_directory(self, tmp_path, capsys, sub):
@@ -523,6 +556,17 @@ class TestBarycenterCommand:
         path = write_config(tmp_path, "c.json", cfg)
         assert main(["barycenter", path]) == 0
 
+    def test_csv_inputs_share_class_names(self, tmp_path):
+        # {cat, dog} and {cat, dog, fish} map into one three-class set
+        cfg = bary_with(inputs=named_inputs(
+            tmp_path, ["cat", "dog"], ["cat", "dog", "fish"]),
+            n_particles=8, batch_size=8, n_iter=2, label_weight=1.0)
+        cfg["output_dir"] = str(tmp_path / "out")
+        path = write_config(tmp_path, "c.json", cfg)
+        assert main(["validate", path]) == 0
+        assert main(["barycenter", path]) == 0
+        assert (tmp_path / "out" / "final_measure.csv").exists()
+
 
     def test_gmm_json_inputs(self, tmp_path):
         from baryflow.gaussian import GaussianComponent, LabeledGMM, save_gmm
@@ -707,7 +751,6 @@ class TestMsdaCommand:
             synthetic_domain_specs,
             synthetic_msda,
         )
-        from baryflow.measures import LabeledEmpiricalMeasure
         specs = synthetic_domain_specs(n_samples=128, seed=5)
         data = synthetic_msda(specs, seed=5)
         src_paths = []
@@ -715,7 +758,7 @@ class TestMsdaCommand:
             p = tmp_path / f"s{i}.csv"
             save_csv(s, p)
             src_paths.append(str(p))
-        tgt = LabeledEmpiricalMeasure.from_hard_labels(
+        tgt = EmpiricalMeasure.from_hard_labels(
             data.target_features.points, data.target_labels, 3)
         tgt_path = tmp_path / "t.csv"
         save_csv(tgt, tgt_path)
@@ -732,6 +775,23 @@ class TestMsdaCommand:
         }
         path = write_config(tmp_path, "c.json", cfg)
         assert main(["msda", path]) == 0
+
+
+    def test_csv_class_names_share_ids(self, tmp_path):
+        # one name has one id in every file, so a source-only 1-NN
+        # classifier of well-separated classes scores every target point
+        out = tmp_path / "out"
+        cfg = {"command": "msda", "seed": 0, "output_dir": str(out),
+               "combos": ["B"],
+               "sources_csv": [named_csv(tmp_path, "s0", ["cat", "dog"]),
+                               named_csv(tmp_path, "s1", ["dog", "fish"])],
+               "target_csv": named_csv(tmp_path, "t", ["cat", "dog", "fish"]),
+               "flow": {"n_particles": 16, "batch_size": 16, "n_iter": 2}}
+        path = write_config(tmp_path, "c.json", cfg)
+        assert main(["msda", path]) == 0
+        with open(out / "ablation_table.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert float(row["accuracy_source_only"]) == 1.0
 
 
 class TestGenCommand:

@@ -10,11 +10,12 @@ from baryflow.datasets import (
     pd_affine_family,
     save_csv,
     swiss_roll,
+    share_classes,
     synthetic_domain_specs,
     synthetic_msda,
     write_table,
 )
-from baryflow.measures import EmpiricalMeasure, LabeledEmpiricalMeasure
+from baryflow.measures import EmpiricalMeasure
 
 
 class TestSwissRoll:
@@ -94,7 +95,7 @@ class TestSyntheticMsda:
         assert all(s.n == 128 for s in data.sources)
         assert data.target_features.n == 128
         assert data.target_labels.shape == (128,)
-        assert not isinstance(data.target_features, LabeledEmpiricalMeasure)
+        assert data.target_features.label_logits is None
 
     def test_class_priors_multinomial(self):
         specs = synthetic_domain_specs(n_samples=3000, seed=1)
@@ -182,6 +183,47 @@ class TestCsvIo:
         p1.write_text("f0,label\n1.0,dog\n2.0,cat\n")
         save_csv(load_csv(p1, label_column="label"), p2)
         assert p2.read_text() == "f0,label\n1,dog\n2,cat\n"
+
+
+class TestShareClasses:
+    @staticmethod
+    def load(tmp_path, name, labels):
+        path = tmp_path / f"{name}.csv"
+        path.write_text("f0,label\n" + "".join(
+            f"{i}.5,{c}\n" for i, c in enumerate(labels)))
+        return load_csv(path, label_column="label"), str(path)
+
+    def test_one_id_per_name_across_files(self, tmp_path):
+        labels = (["cat", "dog"], ["dog", "fish"], ["cat", "dog", "fish"])
+        loaded = [self.load(tmp_path, f"m{i}", l) for i, l in enumerate(labels)]
+        shared = share_classes(*zip(*loaded))
+        for m, (orig, _), names in zip(shared, loaded, labels):
+            assert m.class_names == ("cat", "dog", "fish")
+            assert [m.class_names[c] for c in m.hard_labels()] == names
+            assert np.array_equal(m.points, orig.points)
+        dog_ids = {int(m.hard_labels()[names.index("dog")])
+                   for m, names in zip(shared, labels)}
+        assert dog_ids == {1}
+        # the union is sorted, whichever file comes first
+        dog_first = share_classes(*zip(loaded[1], loaded[0]))
+        assert dog_first[0].class_names == ("cat", "dog", "fish")
+
+    def test_shared_label_set_unchanged(self, tmp_path):
+        loaded = [self.load(tmp_path, "a", ["cat", "dog"]),
+                  self.load(tmp_path, "b", ["dog", "cat", "dog"])]
+        shared = share_classes(*zip(*loaded))
+        assert all(s is m for s, (m, _) in zip(shared, loaded))
+
+    def test_integer_labels_unchanged(self, tmp_path):
+        loaded = [self.load(tmp_path, "a", [0, 2]), self.load(tmp_path, "b", [1])]
+        shared = share_classes(*zip(*loaded))
+        assert all(s is m for s, (m, _) in zip(shared, loaded))
+
+    def test_names_and_integers_rejected_naming_both(self, tmp_path):
+        loaded = [self.load(tmp_path, "named", ["cat", "dog"]),
+                  self.load(tmp_path, "numbered", [0, 1])]
+        with pytest.raises(ValueError, match="named.csv.*numbered.csv"):
+            share_classes(*zip(*loaded))
 
 
 class TestDomainSpecValidation:

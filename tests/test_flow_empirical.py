@@ -26,7 +26,6 @@ from baryflow.gaussian import GaussianComponent, LabeledGMM
 from baryflow.measures import (
     BarycentricCoordinates,
     EmpiricalMeasure,
-    LabeledEmpiricalMeasure,
     MiniBatch,
     one_hot,
     softmax,
@@ -40,11 +39,8 @@ def dummy_record():
     return TraceRecord(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
-def make_state(points, logits=None, n_classes=None):
-    base = EmpiricalMeasure(points)
-    if logits is None:
-        return FlowState(base, 0, (dummy_record(),))
-    measure = LabeledEmpiricalMeasure(base, logits, n_classes)
+def make_state(points, logits=None):
+    measure = EmpiricalMeasure(points, label_logits=logits)
     return FlowState(measure, 0, (dummy_record(),))
 
 
@@ -107,7 +103,7 @@ class TestFlowStep:
 
     def test_labeled_flow_requires_labeled_batches(self):
         cfg = EmpiricalFlowConfig(2, 2, 1, UNIT, label_weight=1.0)
-        state = make_state(np.zeros((2, 1)), np.zeros((2, 2)), 2)
+        state = make_state(np.zeros((2, 1)), np.zeros((2, 2)))
         with pytest.raises(ValueError):
             flow_step(state, [MiniBatch(np.zeros((2, 1)))], cfg)
 
@@ -156,7 +152,7 @@ class TestFlowStep:
         logits = np.zeros((1, 2))
         cfg = EmpiricalFlowConfig(1, 2, 1, UNIT, step_size=0.5, label_weight=2.0)
         batch = MiniBatch(np.array([[0.0], [0.1]]), one_hot(np.array([1, 1]), 2))
-        new = flow_step(make_state(pts, logits, 2), [batch], cfg)
+        new = flow_step(make_state(pts, logits), [batch], cfg)
         soft = new.measure.soft_labels()
         assert soft[0, 1] > 0.5
 
@@ -196,7 +192,7 @@ class TestRunFlow:
             x = np.vstack([r.standard_normal((100, 2)),
                            r.standard_normal((100, 2)) + [8.0, 0.0]]) + offset
             y = np.repeat([0, 1], 100)
-            return LabeledEmpiricalMeasure.from_hard_labels(x, y, 2)
+            return EmpiricalMeasure.from_hard_labels(x, y, 2)
 
         inputs = [EmpiricalSampler(blobs(0, np.array([0.0, 0.0]))),
                   EmpiricalSampler(blobs(1, np.array([0.0, 1.0])))]
@@ -219,7 +215,7 @@ class TestRunFlow:
 class TestTraceComposition:
     def test_first_entry_from_public_functions(self):
         rng = np.random.default_rng(3)
-        datasets = [LabeledEmpiricalMeasure.from_hard_labels(
+        datasets = [EmpiricalMeasure.from_hard_labels(
             rng.standard_normal((12, 2)) + shift, rng.integers(0, 3, 12), 3)
             for shift in (0.0, 2.0)]
         target = EmpiricalMeasure(rng.standard_normal((8, 2)) + 1.0)
@@ -253,7 +249,7 @@ class TestTraceComposition:
 class TestEntropicFlow:
     def test_first_entry_from_public_solver(self):
         rng = np.random.default_rng(5)
-        datasets = [LabeledEmpiricalMeasure.from_hard_labels(
+        datasets = [EmpiricalMeasure.from_hard_labels(
             rng.standard_normal((10, 2)) + shift, rng.integers(0, 2, 10), 2)
             for shift in (0.0, 3.0)]
         cfg = EmpiricalFlowConfig(8, 10, 0, HALF, label_weight=2.0,
@@ -293,7 +289,7 @@ class TestLabelChecks:
     @staticmethod
     def labeled(n_classes, seed=0):
         rng = np.random.default_rng(seed)
-        return LabeledEmpiricalMeasure.from_hard_labels(
+        return EmpiricalMeasure.from_hard_labels(
             rng.standard_normal((12, 2)), np.arange(12) % n_classes, n_classes)
 
     @pytest.mark.parametrize("init", ["gaussian", "subsample"])
@@ -330,7 +326,7 @@ class TestThreads:
     @pytest.mark.parametrize("solver", ["exact", "entropic"])
     def test_two_threads_byte_equal(self, run_threaded, solver):
         rng = np.random.default_rng(6)
-        datasets = [LabeledEmpiricalMeasure.from_hard_labels(
+        datasets = [EmpiricalMeasure.from_hard_labels(
             rng.standard_normal((40, 2)) + shift, rng.integers(0, 2, 40), 2)
             for shift in (0.0, 3.0, -2.0)]
         inputs = [EmpiricalSampler(d) for d in datasets]
@@ -389,7 +385,7 @@ class TestFixedPointBaseline:
         x = np.vstack([rng.standard_normal((64, 2)),
                        rng.standard_normal((64, 2)) + [10.0, 0.0]])
         y = np.repeat([0, 1], 64)
-        ds = LabeledEmpiricalMeasure.from_hard_labels(x, y, 2)
+        ds = EmpiricalMeasure.from_hard_labels(x, y, 2)
         cfg = EmpiricalFlowConfig(64, 128, 30, UNIT, step_size=0.5, seed=0)
         out = fixed_point_baseline([ds], cfg)
         hard = out.hard_labels()
@@ -405,7 +401,7 @@ class TestSamplers:
         assert set(batch.points.ravel()).issubset(set(m.points.ravel()))
 
     def test_empirical_sampler_labels(self):
-        m = LabeledEmpiricalMeasure.from_hard_labels(
+        m = EmpiricalMeasure.from_hard_labels(
             np.zeros((4, 1)), np.array([0, 1, 2, 1]), 3)
         batch = EmpiricalSampler(m).sample(8, np.random.default_rng(9))
         assert batch.labels.shape == (8, 3)

@@ -16,7 +16,6 @@ from baryflow.gaussian import GaussianComponent, LabeledGMM
 from baryflow.measures import (
     BarycentricCoordinates,
     EmpiricalMeasure,
-    LabeledEmpiricalMeasure,
     MiniBatch,
     one_hot,
 )
@@ -113,7 +112,7 @@ class TestHingeRepulsion:
 class TestTargetPotential:
     def test_zero_on_match(self):
         pts = np.array([[0.0, 1.0], [2.0, 3.0]])
-        p = LabeledEmpiricalMeasure.from_hard_labels(pts, np.array([0, 1]), 2)
+        p = EmpiricalMeasure.from_hard_labels(pts, np.array([0, 1]), 2)
         target = EmpiricalMeasure(pts)
         value, grad, plan = target_potential(p, target)
         assert value <= 1e-12
@@ -123,7 +122,7 @@ class TestTargetPotential:
         assert value == pytest.approx(float((plan.coupling * cost).sum()), rel=1e-12)
 
     def test_single_atom(self):
-        p = LabeledEmpiricalMeasure.from_hard_labels(
+        p = EmpiricalMeasure.from_hard_labels(
             np.array([[0.0]]), np.array([0]), 1)
         value, grad, _ = target_potential(p, EmpiricalMeasure(np.array([[4.0]])))
         assert abs(value - 16.0) <= 1e-12
@@ -248,7 +247,7 @@ FLOW_CONFIGS = {
 
 
 def labeled_measure(n_classes):
-    return LabeledEmpiricalMeasure.from_hard_labels(
+    return EmpiricalMeasure.from_hard_labels(
         np.arange(6.0)[:, None], np.arange(6) % n_classes, n_classes)
 
 

@@ -4,7 +4,6 @@ import pytest
 from baryflow.measures import (
     BarycentricCoordinates,
     EmpiricalMeasure,
-    LabeledEmpiricalMeasure,
     MiniBatch,
     logits_from_labels,
     one_hot,
@@ -111,28 +110,30 @@ class TestEmpiricalMeasure:
         with pytest.raises(ValueError):
             EmpiricalMeasure(np.array([[np.nan]]))
 
+    def test_rejects_no_feature(self):
+        with pytest.raises(ValueError, match="d >= 1"):
+            EmpiricalMeasure(np.zeros((3, 0)))
+
     def test_immutable(self):
         m = EmpiricalMeasure(np.zeros((2, 2)))
         with pytest.raises(ValueError):
             m.points[0, 0] = 1.0
 
 
-class TestLabeledEmpiricalMeasure:
+class TestEmpiricalMeasureLabels:
     def test_from_hard_labels(self):
-        m = LabeledEmpiricalMeasure.from_hard_labels(
+        m = EmpiricalMeasure.from_hard_labels(
             np.zeros((3, 2)), np.array([0, 1, 1]), 2)
         assert np.array_equal(m.hard_labels(), [0, 1, 1])
         assert np.allclose(m.soft_labels().sum(axis=1), 1.0)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            LabeledEmpiricalMeasure(
-                EmpiricalMeasure(np.zeros((3, 2))), np.zeros((2, 2)), 2)
+            EmpiricalMeasure(np.zeros((3, 2)), label_logits=np.zeros((2, 2)))
 
     def test_logits_encoding_matches_hard_labels(self):
         logits = logits_from_labels(np.array([2, 0]), 3)
-        m = LabeledEmpiricalMeasure(
-            EmpiricalMeasure(np.zeros((2, 2))), logits, 3)
+        m = EmpiricalMeasure(np.zeros((2, 2)), label_logits=logits)
         assert np.array_equal(m.hard_labels(), [2, 0])
 
 
@@ -140,6 +141,10 @@ class TestMiniBatch:
     def test_labels_must_be_one_hot(self):
         with pytest.raises(ValueError):
             MiniBatch(np.zeros((2, 2)), labels=np.array([[0.5, 0.5], [1, 0]]))
+
+    def test_rejects_no_feature(self):
+        with pytest.raises(ValueError, match="d >= 1"):
+            MiniBatch(np.zeros((2, 0)))
 
     def test_valid(self):
         b = MiniBatch(np.zeros((2, 2)), labels=np.array([[1.0, 0], [0, 1.0]]))

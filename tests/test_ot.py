@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from baryflow import ot
-from baryflow.measures import EmpiricalMeasure, LabeledEmpiricalMeasure
+from baryflow.measures import EmpiricalMeasure
 
 
 def brute_force_uniform(cost: np.ndarray) -> float:
@@ -233,8 +233,8 @@ class TestW2Empirical:
     def test_labeled_beta_zero_matches_unlabeled(self):
         rng = np.random.default_rng(11)
         pts_a, pts_b = rng.standard_normal((5, 2)), rng.standard_normal((5, 2))
-        la = LabeledEmpiricalMeasure.from_hard_labels(pts_a, np.zeros(5, int), 2)
-        lb = LabeledEmpiricalMeasure.from_hard_labels(pts_b, np.ones(5, int), 2)
+        la = EmpiricalMeasure.from_hard_labels(pts_a, np.zeros(5, int), 2)
+        lb = EmpiricalMeasure.from_hard_labels(pts_b, np.ones(5, int), 2)
         assert abs(
             ot.w2_empirical(la, lb)
             - ot.w2_empirical(EmpiricalMeasure(pts_a), EmpiricalMeasure(pts_b))

@@ -143,6 +143,15 @@ class TestMsdaAdapt:
             msda_adapt([], data.target_features, data.target_labels,
                        "empirical", flow_cfg(6))
 
+    def test_labeled_target_rejected(self):
+        specs = synthetic_domain_specs(n_samples=128, seed=8)
+        data = synthetic_msda(specs, seed=8)
+        target = EmpiricalMeasure.from_hard_labels(
+            data.target_features.points, data.target_labels, 3)
+        with pytest.raises(ValueError, match="unlabeled"):
+            msda_adapt(data.sources, target, data.target_labels,
+                       "empirical", flow_cfg(8, n_iter=2))
+
     def test_unknown_method_rejected(self):
         specs = synthetic_domain_specs(n_samples=128, seed=7)
         data = synthetic_msda(specs, seed=7)

@@ -1,0 +1,162 @@
+"""Property tests: the exact transport paths against independent oracles,
+plan invariants of both solvers, and the CSV round trip of labeled measures.
+
+Examples are derandomized and no example database is kept, so every run
+draws the same cases.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from baryflow import ot
+from baryflow.datasets import load_csv, save_csv
+from baryflow.measures import EmpiricalMeasure
+
+SETTINGS = settings(derandomize=True, database=None, max_examples=100,
+                    deadline=None)
+
+costs = st.floats(0.0, 10.0, allow_subnormal=False)
+coords = st.floats(-10.0, 10.0, allow_subnormal=False)
+
+
+def cost_matrix(n, m):
+    return hnp.arrays(float, (n, m), elements=costs)
+
+
+@st.composite
+def square_problem(draw):
+    n = draw(st.integers(1, 6))
+    return draw(cost_matrix(n, n))
+
+
+@st.composite
+def divisible_problem(draw):
+    small = draw(st.integers(1, 4))
+    large = small * draw(st.integers(1, 3))
+    n, m = (small, large) if draw(st.booleans()) else (large, small)
+    return draw(cost_matrix(n, m))
+
+
+@st.composite
+def weighted_problem(draw):
+    """A cost matrix with positive marginals of mass one each."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    mass = st.floats(0.05, 1.0)
+    a = draw(hnp.arrays(float, n, elements=mass))
+    b = draw(hnp.arrays(float, m, elements=mass))
+    return a / a.sum(), b / b.sum(), draw(cost_matrix(n, m))
+
+
+def uniform(n):
+    return np.full(n, 1.0 / n)
+
+
+def assert_plan_invariants(plan, cost, a, b, c):
+    g = plan.coupling
+    assert g.min() >= 0.0
+    assert np.max(np.abs(g.sum(axis=1) - a)) <= plan.marginal_tol
+    assert np.max(np.abs(g.sum(axis=0) - b)) <= plan.marginal_tol
+    assert cost == pytest.approx(float((g * c).sum()), rel=1e-12, abs=1e-15)
+
+
+class TestExactOracles:
+    @SETTINGS
+    @given(square_problem())
+    def test_uniform_square_matches_permutation_brute_force(self, c):
+        n = c.shape[0]
+        rows = np.arange(n)
+        best = min(c[rows, list(p)].sum()
+                   for p in itertools.permutations(range(n))) / n
+        _, cost = ot.solve_exact(uniform(n), uniform(n), c)
+        assert cost == pytest.approx(best, abs=1e-9)
+
+    @SETTINGS
+    @given(divisible_problem())
+    def test_assignment_path_matches_linprog(self, c):
+        n, m = c.shape
+        a, b = uniform(n), uniform(m)
+        _, cost = ot.solve_exact(a, b, c)
+        reference = float((ot._linprog_plan(c, a, b) * c).sum())
+        assert cost == pytest.approx(reference, abs=1e-9)
+
+    @SETTINGS
+    @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+        hnp.arrays(float, n, elements=coords),
+        hnp.arrays(float, n, elements=coords))))
+    def test_1d_equal_size_matches_sorted_matching(self, xy):
+        x, y = xy
+        n = x.shape[0]
+        _, cost = ot.solve_exact(uniform(n), uniform(n),
+                                 ot.joint_cost(x[:, None], y[:, None]))
+        sorted_cost = float(np.mean((np.sort(x) - np.sort(y)) ** 2))
+        assert cost == pytest.approx(sorted_cost, rel=1e-9, abs=1e-9)
+
+
+class TestPlanInvariants:
+    @SETTINGS
+    @given(weighted_problem())
+    def test_exact(self, problem):
+        a, b, c = problem
+        plan, cost = ot.solve_exact(a, b, c)
+        assert_plan_invariants(plan, cost, a, b, c)
+
+    @SETTINGS
+    @given(divisible_problem())
+    def test_exact_assignment(self, c):
+        a, b = uniform(c.shape[0]), uniform(c.shape[1])
+        plan, cost = ot.solve_exact(a, b, c)
+        assert_plan_invariants(plan, cost, a, b, c)
+
+    @SETTINGS
+    @given(weighted_problem(), st.floats(0.05, 2.0))
+    def test_entropic(self, problem, epsilon):
+        a, b, c = problem
+        plan, cost = ot.solve_entropic(a, b, c, epsilon=epsilon, max_iter=500)
+        assert_plan_invariants(plan, cost, a, b, c)
+
+
+def _is_int(s):
+    try:
+        int(s)
+        return True
+    except ValueError:
+        return False
+
+
+# categorical names, often with the characters CSV quotes or a reader could
+# strip; load_csv reads a label column of integers as class ids
+class_names = st.text(st.one_of(
+    st.sampled_from(' ,"'), st.characters(blacklist_categories=("Cs", "Cc"))),
+    max_size=6).filter(lambda s: not _is_int(s))
+
+
+@st.composite
+def named_measure(draw):
+    names = draw(st.lists(class_names, min_size=1, max_size=4, unique=True))
+    n = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 3))
+    points = draw(hnp.arrays(float, (n, d), elements=st.floats(
+        allow_nan=False, allow_infinity=False)))
+    labels = draw(hnp.arrays(int, n, elements=st.integers(0, len(names) - 1)))
+    return EmpiricalMeasure.from_hard_labels(points, labels, len(names),
+                                             class_names=tuple(names))
+
+
+class TestCsvRoundTrip:
+    @SETTINGS
+    @given(named_measure())
+    def test_class_names_round_trip_byte_identical(self, tmp_path_factory,
+                                                   measure):
+        tmp = tmp_path_factory.mktemp("csv")
+        p1, p2 = tmp / "a.csv", tmp / "b.csv"
+        save_csv(measure, p1)
+        loaded = load_csv(p1, label_column="label")
+        save_csv(loaded, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+        assert ([loaded.class_names[c] for c in loaded.hard_labels()]
+                == [measure.class_names[c] for c in measure.hard_labels()])

@@ -15,8 +15,9 @@ this script.
 The runs: the five configs of acceptance criterion 12, instance 0 of seed 0
 of each benchmark workload (from ``SRC_ROOT/bench/workloads.py``), ``toy``
 with ``fixed_point`` on a ``swiss_roll`` base, ``msda`` with
-``discrete_baseline`` and with ``gmm``, and ``gen`` ``location_scatter`` and
-``synthetic_msda``.
+``discrete_baseline`` and with ``gmm``, ``gen`` ``location_scatter`` and
+``synthetic_msda``, and ``barycenter`` on two CSV inputs this script writes,
+labeled with the class names {cat, dog, fish}.
 """
 
 from __future__ import annotations
@@ -26,6 +27,22 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+
+CLASS_NAMES = ("cat", "dog", "fish")
+
+
+def class_name_inputs(run_dir: Path) -> list[dict]:
+    """Two 2-D CSV inputs under ``run_dir``, labeled by class name, each with
+    every name of CLASS_NAMES."""
+    inputs = []
+    for i in range(2):
+        rows = "".join(f"{0.5 * j + i},{j * 7 % 5 - 2.0},"
+                       f"{CLASS_NAMES[j % 3]}\n" for j in range(12))
+        path = run_dir / f"input_{i}.csv"
+        path.write_text("f0,f1,label\n" + rows)
+        inputs.append({"kind": "csv", "path": str(path), "label_column": "label"})
+    return inputs
+
 
 GAUSSIANS_1D = [{"kind": "gaussian", "mean": [0.0], "std": 1.0},
                 {"kind": "gaussian", "mean": [4.0], "std": 1.0}]
@@ -76,6 +93,12 @@ CONFIGS = {
     "gen-synthetic-msda": {
         "command": "gen", "seed": 7,
         "dataset": {"kind": "synthetic_msda", "n_samples": 64}},
+    # a callable config is built from its run directory
+    "barycenter-csv-class-names": lambda run_dir: {
+        "command": "barycenter", "seed": 8, "flow": "empirical",
+        "inputs": class_name_inputs(run_dir),
+        "flow_config": {"n_particles": 12, "batch_size": 12, "n_iter": 10,
+                        "label_weight": 1.0, "init": "subsample"}},
 }
 WORKLOADS = ("bary1d", "gmm5d", "msda2d", "entropic2d")
 WORK_TOKEN = "<WORK_DIR>"
@@ -109,6 +132,8 @@ def main(argv: list[str]) -> int:
         out = work / name / "out"
         path = work / name / "config.json"
         path.parent.mkdir(parents=True, exist_ok=True)
+        if callable(cfg):
+            cfg = cfg(path.parent)
         path.write_text(json.dumps({**cfg, "output_dir": str(out)}))
         runs.append((name, cfg["command"], path, out))
     for name in WORKLOADS:
