@@ -245,6 +245,17 @@ def _parse_input(d: dict, idx: int, rng: np.random.Generator):
     raise ConfigError(f"{ctx}: kind must be one of {INPUT_KINDS}")
 
 
+def _check_every_class(measure, where: str, ctx: str) -> None:
+    """EM fits each class of a labeled measure, so each needs a sample; the
+    error names the class by its name, or by its id for integer labels."""
+    counts = np.bincount(measure.hard_labels(), minlength=measure.n_classes)
+    if not counts.all():
+        c = int(np.argmin(counts))
+        name = c if measure.class_names is None else repr(measure.class_names[c])
+        raise ConfigError(f"{ctx}: EM fits every class of every labeled "
+                          f"input; {where} has no sample of class {name}")
+
+
 def _input_to_gmm(d: dict, idx: int, parsed, cfg_gmm_components: int,
                   rng: np.random.Generator) -> LabeledGMM:
     _, measure, gmm = parsed
@@ -347,6 +358,9 @@ def _prepare_barycenter(cfg: dict, seed: int, ctx: str):
     if flow_kind == "empirical":
         inputs = [p[0] for p in parsed]
     else:  # the GMM flow sees the labels of the fitted mixtures
+        for i, (_, measure, _) in enumerate(parsed):
+            if measure is not None and measure.label_logits is not None:
+                _check_every_class(measure, f"inputs[{i}]", ctx)
         items = inputs = [_input_to_gmm(d, i, p, flow_cfg.n_components, rng)
                           for i, (d, p) in enumerate(zip(inputs_cfg, parsed))]
     check_inputs(items, flow_cfg)
@@ -512,14 +526,9 @@ def _prepare_msda(cfg: dict, seed: int, ctx: str):
     flow_cfg = _parse_flow(kind, cfg, key, ctx, coordinates=coords,
                            functional=functional, seed=seed)
     check_inputs(sources, flow_cfg)
-    if method == "gmm":  # EM fits each class of each source
+    if method == "gmm":
         for i, s in enumerate(sources):
-            counts = np.bincount(s.hard_labels(), minlength=s.n_classes)
-            if not counts.all():
-                raise ConfigError(
-                    f"{ctx}: method 'gmm' fits every class of every source; "
-                    f"sources[{i}] has no sample of class "
-                    f"{int(np.argmin(counts))}")
+            _check_every_class(s, f"sources[{i}]", ctx)
     runs = [(combo, dataclasses.replace(flow_cfg, functional=functional.with_mask(
         "V" in combo, "U" in combo))) for combo in combos]
 

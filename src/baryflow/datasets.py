@@ -301,10 +301,11 @@ def save_csv(measure, path) -> None:
 def load_csv(path, label_column: str | None = None):
     """Load a measure from CSV, labeled when a label column is requested.
 
-    Integer labels are class ids. Categorical labels are mapped to contiguous
-    ids in the sorted order of this file's names, recorded on the measure as
-    ``class_names``; ``share_classes`` maps the files of one run into one
-    shared order.
+    Integer labels are class ids, and must be written canonically: ``1``,
+    not ``01``, ``+1`` or ``1`` with spaces, else the file is rejected.
+    Categorical labels are mapped to contiguous ids in the sorted order of
+    this file's names, recorded on the measure as ``class_names``;
+    ``share_classes`` maps the files of one run into one shared order.
     """
     with open(path, newline="") as fh:
         reader = _csv.reader(fh)
@@ -348,6 +349,10 @@ def load_csv(path, label_column: str | None = None):
     uniq = sorted(set(raw_labels))
     all_int = all(_is_int(v) for v in uniq)
     if all_int:
+        for v in uniq:
+            if str(int(v)) != v:
+                raise ValueError(f"{path}: label {v!r} is not a canonical "
+                                 f"integer class id (write it {int(v)})")
         ids = np.array([int(v) for v in raw_labels])
         n_classes = int(ids.max()) + 1
         names = None

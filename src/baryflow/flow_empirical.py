@@ -128,7 +128,7 @@ def _batch(measure: EmpiricalMeasure, idx) -> MiniBatch:
     labels = None
     if measure.label_logits is not None:
         labels = one_hot(measure.hard_labels()[idx], measure.n_classes)
-    return MiniBatch(measure.points[idx], labels)
+    return MiniBatch(measure.points[idx], labels, measure.class_names)
 
 
 class EmpiricalSampler:
@@ -191,14 +191,16 @@ def _batch_cost(points, soft_labels, batch: MiniBatch, beta: float):
 
 def _solve_plans(points, soft_labels, batches, cfg: EmpiricalFlowConfig):
     """One uniform-marginal plan per batch at fixed particles, as a list of
-    (plan, cost) pairs."""
+    (plan, cost) pairs. A feature-only cost (label_weight 0) hands the exact
+    solver its supports, so 1-D plans take the sorted path."""
     def solve(batch):
         cost = _batch_cost(points, soft_labels, batch, cfg.label_weight)
         n, m = cost.shape
         a = np.full(n, 1.0 / n)
         b = np.full(m, 1.0 / m)
         if cfg.solver == "exact":
-            return ot.solve_exact(a, b, cost)
+            supports = None if cfg.label_weight > 0 else (points, batch.points)
+            return ot.solve_exact(a, b, cost, supports=supports)
         eps = cfg.entropic_eps
         if eps is None:
             eps = ot._default_epsilon(cost)
@@ -300,8 +302,10 @@ def flow_step(state: FlowState, batches, cfg: EmpiricalFlowConfig) -> FlowState:
 
 def _initial_measure(init_batches, cfg, rng):
     pts = init_batches[0].points
-    # all batches are labeled with one class count, or none is
+    # all batches are labeled with one class count, or none is; the inputs
+    # of one run share their class names
     n_classes = init_batches[0].n_classes
+    names = init_batches[0].class_names
     n, d = cfg.n_particles, pts.shape[1]
 
     if cfg.init == "gaussian":
@@ -309,7 +313,7 @@ def _initial_measure(init_batches, cfg, rng):
         std = np.where(std > 0, std, 1.0)
         x0 = rng.standard_normal((n, d)) * std
         logits0 = None if n_classes is None else _init_logits(n, n_classes, cfg, rng)
-        return EmpiricalMeasure(x0, label_logits=logits0)
+        return EmpiricalMeasure(x0, label_logits=logits0, class_names=names)
     # subsample: pool the first batches pro rata the coordinates
     pool_pts = np.vstack([b.points for b in init_batches])
     if n_classes is None:
@@ -320,7 +324,7 @@ def _initial_measure(init_batches, cfg, rng):
     # moderately sharp logits: decisive in the joint cost, but with enough
     # softmax slope left that the flow can still relabel particles
     return EmpiricalMeasure(pool_pts[idx], label_logits=logits_from_probs(
-        pool_lab[idx], eps=0.02))
+        pool_lab[idx], eps=0.02), class_names=names)
 
 
 def _stratified_choice(hard_labels, n, rng):
@@ -397,4 +401,5 @@ def fixed_point_baseline(datasets, cfg: EmpiricalFlowConfig):
                 lam, results, [b.labels for b in full_batches])
 
     return EmpiricalMeasure(x, measure.weights,
-                            logits_from_probs(y) if labeled else None)
+                            logits_from_probs(y) if labeled else None,
+                            measure.class_names)

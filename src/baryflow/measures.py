@@ -126,6 +126,18 @@ class BarycentricCoordinates:
         return self.lam.shape[0]
 
 
+def _set_class_names(obj, labels) -> None:
+    """Check ``obj.class_names`` against its (n, C) labels and store them as
+    a tuple: one name per label column, and none without labels."""
+    if obj.class_names is None:
+        return
+    if labels is None:
+        raise ValueError("class_names need labels")
+    if len(obj.class_names) != labels.shape[1]:
+        raise ValueError("class_names must have one entry per class")
+    object.__setattr__(obj, "class_names", tuple(obj.class_names))
+
+
 @dataclass(frozen=True)
 class EmpiricalMeasure:
     """Weighted particle cloud: (n, d) support points and simplex weights,
@@ -159,21 +171,15 @@ class EmpiricalMeasure:
                 raise ValueError("weights must lie on the simplex")
         object.__setattr__(self, "points", _freeze(pts))
         object.__setattr__(self, "weights", _freeze(w))
-        if self.label_logits is None:
-            if self.class_names is not None:
-                raise ValueError("class_names need label_logits")
-            return
-        logits = np.asarray(self.label_logits, dtype=float)
-        if logits.ndim != 2 or logits.shape[0] != pts.shape[0]:
-            raise ValueError(f"label_logits must be ({pts.shape[0]}, C), "
-                             f"got {logits.shape}")
-        if not np.all(np.isfinite(logits)):
-            raise ValueError("label_logits contain non-finite entries")
-        if self.class_names is not None:
-            if len(self.class_names) != logits.shape[1]:
-                raise ValueError("class_names must have one entry per class")
-            object.__setattr__(self, "class_names", tuple(self.class_names))
-        object.__setattr__(self, "label_logits", _freeze(logits))
+        if self.label_logits is not None:
+            logits = np.asarray(self.label_logits, dtype=float)
+            if logits.ndim != 2 or logits.shape[0] != pts.shape[0]:
+                raise ValueError(f"label_logits must be ({pts.shape[0]}, C), "
+                                 f"got {logits.shape}")
+            if not np.all(np.isfinite(logits)):
+                raise ValueError("label_logits contain non-finite entries")
+            object.__setattr__(self, "label_logits", _freeze(logits))
+        _set_class_names(self, self.label_logits)
 
     @staticmethod
     def from_hard_labels(points, labels, n_classes, weights=None,
@@ -209,11 +215,13 @@ class EmpiricalMeasure:
 class MiniBatch:
     """A sampled batch from one input measure.
 
-    ``labels`` rows, when present, are one-hot vectors.
+    ``labels`` rows, when present, are one-hot vectors; ``class_names``, as
+    on ``EmpiricalMeasure``, name their columns.
     """
 
     points: np.ndarray
     labels: np.ndarray | None = None
+    class_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -234,6 +242,7 @@ class MiniBatch:
             if not is_one_hot:
                 raise ValueError("batch label rows must be one-hot vectors")
             object.__setattr__(self, "labels", _freeze(lab))
+        _set_class_names(self, self.labels)
 
     @property
     def n_classes(self) -> int | None:

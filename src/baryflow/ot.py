@@ -5,11 +5,17 @@ The joint feature-label ground metric is
 d(z, z')^2 = ||x - x'||^2 + beta * ||y - y'||^2. Every solver checks its
 cost array the same way: 2-D, finite and nonnegative.
 
-The exact solver is an LP of network-simplex class. Uniform marginals with an
-integer size ratio are reduced to a rectangular assignment problem (exact and
-fast); everything else goes through the HiGHS simplex. Problems above
-``EXACT_SIZE_LIMIT`` coupling entries default to the log-domain Sinkhorn
-solver with eps = 0.05 * median(C).
+The exact solver ``solve_exact`` takes one of three paths:
+
+- 1-D supports: when the caller passes ``supports=(x, y)``, the points whose
+  squared Euclidean cost ``C`` is, and both are 1-D, the plan is the
+  north-west-corner coupling of the sorted supports, optimal for any weights;
+- uniform marginals with an integer size ratio: a rectangular assignment
+  problem (exact and fast);
+- everything else: the HiGHS simplex on the transport LP.
+
+Problems above ``EXACT_SIZE_LIMIT`` coupling entries default to the
+log-domain Sinkhorn solver with eps = 0.05 * median(C).
 """
 
 from __future__ import annotations
@@ -190,6 +196,41 @@ def _assignment_plan(C: np.ndarray) -> np.ndarray:
     return plan
 
 
+def _monotone_plan(a: np.ndarray, b: np.ndarray, x: np.ndarray,
+                   y: np.ndarray) -> np.ndarray:
+    """North-west-corner coupling of ``a`` and ``b`` with rows in stable
+    ``argsort(x)`` order and columns in ``argsort(y)`` order.
+
+    On the real line this monotone coupling is optimal for any convex cost
+    of x - y and any weights (Peyre & Cuturi, Computational Optimal
+    Transport, 2019, section 2.6). Each merged breakpoint of the two
+    cumulative weights closes one segment, whose mass goes to the row and
+    the column that are open on it.
+    """
+    ix = np.argsort(x, kind="stable")
+    iy = np.argsort(y, kind="stable")
+    ca = np.cumsum(np.maximum(a[ix], 0.0))
+    cb = np.cumsum(np.maximum(b[iy], 0.0))
+    cuts = np.union1d(ca, cb)
+    # rounding may leave one total a little below the other; the last row
+    # (column) of positive weight takes the rest
+    rows = np.minimum(np.searchsorted(ca, cuts), np.searchsorted(ca, ca[-1]))
+    cols = np.minimum(np.searchsorted(cb, cuts), np.searchsorted(cb, cb[-1]))
+    n, m = a.shape[0], b.shape[0]
+    return np.bincount(ix[rows] * m + iy[cols],
+                       weights=np.diff(cuts, prepend=0.0),
+                       minlength=n * m).reshape(n, m)
+
+
+def _line_points(points, size: int) -> np.ndarray | None:
+    """``points`` as a flat array when they lie on a line (shape (size,) or
+    (size, 1)), else None."""
+    p = np.asarray(points, dtype=float)
+    if p.shape[:1] != (size,):
+        raise ValueError("supports do not match the cost matrix")
+    return p.reshape(size) if p.size == size else None
+
+
 def _linprog_plan(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     n, m = C.shape
     cols = np.arange(n * m)
@@ -213,19 +254,34 @@ def _linprog_plan(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return plan
 
 
-def solve_exact(a, b, C: np.ndarray) -> tuple[TransportPlan, float]:
+def solve_exact(a, b, C: np.ndarray, supports=None
+                ) -> tuple[TransportPlan, float]:
     """Solve the discrete OT problem exactly.
 
-    Returns the optimal coupling and its cost <plan, C>.
+    Returns the optimal coupling and its cost <plan, C>. The path is chosen
+    here: 1-D supports take the sorted north-west-corner coupling, uniform
+    marginals with an integer size ratio the assignment reduction, and
+    everything else the HiGHS LP.
+
+    ``supports=(x, y)``, optional, are the points of the two sides, with
+    ``C[i, j] = ||x_i - y_j||^2``; the caller vouches for that, it is not
+    checked. They are used only when both are 1-D (shape (n,) or (n, 1),
+    likewise (m,) or (m, 1)); otherwise the call is the same as without
+    them. A label-weighted joint cost must not pass supports.
     """
     Cv = _check_cost(C)
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
     n, m = Cv.shape
     _check_marginals(a, b, n, m)
+    x = y = None
+    if supports is not None:
+        x, y = _line_points(supports[0], n), _line_points(supports[1], m)
     uniform = _is_uniform(a) and _is_uniform(b)
     divisible = max(n, m) % min(n, m) == 0
-    if uniform and divisible:
+    if x is not None and y is not None:
+        plan = _monotone_plan(a, b, x, y)
+    elif uniform and divisible:
         plan = _assignment_plan(Cv)
     else:
         plan = _linprog_plan(Cv, a, b)

@@ -281,6 +281,13 @@ class TestValidate:
         pytest.param(lambda t: {"command": "msda", "method": "gmm", "seed": 0,
                                 "task": {"n_samples": 4}}, 1,
                      id="msda-gmm-synthetic-source-lacks-class"),
+        pytest.param(lambda t: bary_with("gmm", inputs=named_inputs(
+            t, ["cat", "dog"], ["dog", "fish"])), 1,
+            id="gmm-csv-input-lacks-class"),
+        pytest.param(lambda t: bary_with(inputs=[
+            {"kind": "csv", "path": csv_file(t, "f0,label\n0,01\n1,1\n2,2\n"),
+             "label_column": "label"}] * 2), 1,
+            id="csv-non-canonical-integer-label"),
         pytest.param(lambda t: bary_with(
             "gmm", inputs=three_component_gmm_inputs(t), n_components=3,
             n_iter=20, step_size=5.0), 2, id="gmm-singular-covariance"),
@@ -555,6 +562,32 @@ class TestBarycenterCommand:
         }
         path = write_config(tmp_path, "c.json", cfg)
         assert main(["barycenter", path]) == 0
+
+    def test_final_measure_keeps_class_names(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = bary_with(inputs=named_inputs(
+            tmp_path, ["cat", "dog"], ["dog", "fish"]),
+            n_particles=12, batch_size=8, n_iter=2, label_weight=1.0,
+            init="subsample")
+        cfg["output_dir"] = str(out)
+        path = write_config(tmp_path, "c.json", cfg)
+        assert main(["barycenter", path]) == 0
+        with open(out / "final_measure.csv", newline="") as fh:
+            labels = {row["label"] for row in csv.DictReader(fh)}
+        assert labels == {"cat", "dog", "fish"}
+
+    @pytest.mark.parametrize("label_sets, named", [
+        pytest.param((["cat", "dog"], ["dog", "fish"]), "inputs[0] has no "
+                     "sample of class 'fish'", id="names"),
+        pytest.param((["0", "1"], ["1"]), "inputs[1] has no sample of class 0",
+                     id="integers"),
+    ])
+    def test_gmm_input_lacking_class_named(self, tmp_path, capsys, label_sets,
+                                           named):
+        cfg = bary_with("gmm", inputs=named_inputs(tmp_path, *label_sets))
+        path = write_config(tmp_path, "c.json", cfg)
+        assert main(["validate", path]) == 1
+        assert named in capsys.readouterr().err
 
     def test_csv_inputs_share_class_names(self, tmp_path):
         # {cat, dog} and {cat, dog, fish} map into one three-class set

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,20 @@ class TestCsvIo:
         m = load_csv(p, label_column="label")
         assert m.class_names == ("cat", "dog")
         assert np.array_equal(m.hard_labels(), [1, 0, 1])
+
+    @pytest.mark.parametrize("label", ["01", "+1", " 2", "2 "])
+    def test_non_canonical_integer_label_rejected(self, tmp_path, label):
+        # "01" and "1" must not merge into one class id
+        p = tmp_path / "x.csv"
+        p.write_text(f"f0,label\n1.0,1\n2.0,{label}\n3.0,0\n")
+        with pytest.raises(ValueError, match=re.escape(f"x.csv: label '{label}'")):
+            load_csv(p, label_column="label")
+
+    def test_non_integer_names_may_look_numeric(self, tmp_path):
+        # with one non-integer label, "01" is a class name like any other
+        p = tmp_path / "x.csv"
+        p.write_text("f0,label\n1.0,01\n2.0,1\n3.0,cat\n")
+        assert load_csv(p, label_column="label").class_names == ("01", "1", "cat")
 
     def test_string_labels_round_trip(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -202,6 +202,16 @@ class TestRunFlow:
         nearest_blob = (final.points[:, 0] > 4.0).astype(int)
         assert (hard == nearest_blob).mean() >= 0.95
 
+    @pytest.mark.parametrize("init", ["gaussian", "subsample"])
+    def test_final_measure_keeps_class_names(self, init):
+        rng = np.random.default_rng(12)
+        data = EmpiricalMeasure.from_hard_labels(
+            rng.standard_normal((12, 1)), np.arange(12) % 3, 3,
+            class_names=("cat", "dog", "fish"))
+        cfg = EmpiricalFlowConfig(6, 6, 2, UNIT, label_weight=1.0, init=init)
+        final, _ = run_flow([EmpiricalSampler(data)], cfg)
+        assert final.class_names == ("cat", "dog", "fish")
+
     def test_mini_batch_objective_decreases_on_average(self):
         inputs = [GaussianSampler([0.0], std=1.0), GaussianSampler([4.0], std=1.0)]
         cfg = EmpiricalFlowConfig(64, 64, 120, HALF, seed=0)
@@ -244,6 +254,54 @@ class TestTraceComposition:
         np.testing.assert_allclose(
             [rec.b_hat, rec.v, rec.u, rec.f, rec.param_norm],
             [b_hat, v, u, b_hat + v + u, np.linalg.norm(x)], rtol=1e-12)
+
+
+class TestLinePlans:
+    """A feature-only cost in 1-D takes the sorted path of ``solve_exact``;
+    a label-weighted cost must not."""
+
+    def test_unlabeled_1d_flow_takes_sorted_path(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a 1-D feature-only plan left the sorted path")
+        for name in ("_assignment_plan", "_linprog_plan"):
+            monkeypatch.setattr(ot, name, fail)
+        inputs = [GaussianSampler([0.0], std=1.0), GaussianSampler([4.0], std=1.0)]
+        final, trace = run_flow(inputs, EmpiricalFlowConfig(32, 16, 10, HALF))
+        assert len(trace) == 11
+        assert abs(final.points.mean() - 2.0) <= 0.5
+
+    def test_labeled_1d_plans_use_joint_cost(self, monkeypatch):
+        solve_exact = ot.solve_exact
+        plans = []
+
+        def record(*args, **kwargs):
+            result = solve_exact(*args, **kwargs)
+            plans.append(result[0].coupling)
+            return result
+
+        monkeypatch.setattr(ot, "solve_exact", record)
+        # particles at 0 and 1 carry the classes of the batch points at 1
+        # and 0, so the joint plan crosses where the sorted one would not
+        state = make_state(np.array([[0.0], [1.0]]),
+                           5.0 * np.array([[-1.0, 1.0], [1.0, -1.0]]))
+        batch = MiniBatch(np.array([[0.0], [1.0]]), one_hot([0, 1], 2))
+        flow_step(state, [batch], EmpiricalFlowConfig(2, 2, 1, UNIT,
+                                                      label_weight=4.0))
+        assert np.array_equal(plans.pop(), [[0.0, 0.5], [0.5, 0.0]])
+
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((8, 1))
+        logits = 3.0 * rng.standard_normal((8, 3))
+        batches = [MiniBatch(rng.standard_normal((8, 1)),
+                             one_hot(rng.integers(0, 3, 8), 3)) for _ in range(2)]
+        flow_step(make_state(x, logits), batches,
+                  EmpiricalFlowConfig(8, 8, 1, HALF, label_weight=2.0))
+        assert len(plans) == len(batches)
+        for plan, batch in zip(plans, batches):
+            joint = ot.joint_cost(x, batch.points, softmax(logits),
+                                  batch.labels, 2.0)
+            expected, _ = solve_exact(np.full(8, 1 / 8), np.full(8, 1 / 8), joint)
+            assert np.array_equal(plan, expected.coupling)
 
 
 class TestEntropicFlow:
@@ -391,6 +449,13 @@ class TestFixedPointBaseline:
         hard = out.hard_labels()
         nearest = (out.points[:, 0] > 5.0).astype(int)
         assert (hard == nearest).mean() >= 0.95
+
+    def test_keeps_class_names(self):
+        ds = EmpiricalMeasure.from_hard_labels(
+            np.arange(6.0)[:, None], np.arange(6) % 2, 2,
+            class_names=("cat", "dog"))
+        out = fixed_point_baseline([ds], EmpiricalFlowConfig(6, 6, 2, UNIT))
+        assert out.class_names == ("cat", "dog")
 
 
 class TestSamplers:

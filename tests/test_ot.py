@@ -115,6 +115,13 @@ class TestSolveExact:
         with pytest.raises(ValueError):
             ot.solve_exact([0.6, 0.6], [0.5, 0.5], np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("x, y", [(np.zeros(3), np.zeros(2)),
+                                      (np.zeros((2, 1)), np.zeros(3))])
+    def test_supports_sized_like_cost(self, x, y):
+        with pytest.raises(ValueError, match="supports do not match"):
+            ot.solve_exact([0.5, 0.5], [0.5, 0.5], np.zeros((2, 2)),
+                           supports=(x, y))
+
     def test_plan_feasibility(self):
         rng = np.random.default_rng(5)
         c = rng.random((7, 5))

@@ -1,5 +1,6 @@
-"""Property tests: the exact transport paths against independent oracles,
-plan invariants of both solvers, and the CSV round trip of labeled measures.
+"""Property tests: the exact transport paths (1-D sorted, assignment, LP)
+against independent oracles, plan invariants of both solvers, and the CSV
+round trip of labeled measures.
 
 Examples are derandomized and no example database is kept, so every run
 draws the same cases.
@@ -52,6 +53,39 @@ def weighted_problem(draw):
     return a / a.sum(), b / b.sum(), draw(cost_matrix(n, m))
 
 
+# a few shared values, so supports hold duplicated points; every entry is
+# drawn on its own (no fill value), so most supports have distinct points too
+line_points = st.one_of(coords, st.sampled_from([0.0, 2.5]))
+line_weights = st.one_of(st.floats(1e-3, 1.0), st.just(0.0))
+
+
+def line_support(n):
+    """n points on a line, as (n,) or (n, 1)."""
+    points = hnp.arrays(float, n, elements=line_points, fill=st.nothing())
+    return st.tuples(points, st.booleans()).map(
+        lambda p: p[0][:, None] if p[1] else p[0])
+
+
+def line_marginal(n):
+    """Nonnegative weights of mass one, zeros included."""
+    def normalize(w):
+        w = w.copy()
+        if w.sum() == 0.0:
+            w[0] = 1.0
+        return w / w.sum()
+    return hnp.arrays(float, n, elements=line_weights,
+                      fill=st.nothing()).map(normalize)
+
+
+@st.composite
+def line_problem(draw, max_size=8):
+    """Weighted 1-D supports and their squared Euclidean cost."""
+    n, m = draw(st.integers(1, max_size)), draw(st.integers(1, max_size))
+    x, y = draw(line_support(n)), draw(line_support(m))
+    c = ot.joint_cost(np.reshape(x, (n, 1)), np.reshape(y, (m, 1)))
+    return draw(line_marginal(n)), draw(line_marginal(m)), x, y, c
+
+
 def uniform(n):
     return np.full(n, 1.0 / n)
 
@@ -95,6 +129,53 @@ class TestExactOracles:
                                  ot.joint_cost(x[:, None], y[:, None]))
         sorted_cost = float(np.mean((np.sort(x) - np.sort(y)) ** 2))
         assert cost == pytest.approx(sorted_cost, rel=1e-9, abs=1e-9)
+
+
+class TestLinePath:
+    """``solve_exact`` with 1-D supports: the sorted north-west-corner plan."""
+
+    @SETTINGS
+    @given(line_problem())
+    def test_matches_linprog(self, problem):
+        a, b, x, y, c = problem
+        _, cost = ot.solve_exact(a, b, c, supports=(x, y))
+        reference = float((ot._linprog_plan(c, a, b) * c).sum())
+        assert cost == pytest.approx(reference, abs=1e-9)
+
+    @SETTINGS
+    @given(line_problem())
+    def test_plan_invariants(self, problem):
+        a, b, x, y, c = problem
+        plan, cost = ot.solve_exact(a, b, c, supports=(x, y))
+        assert_plan_invariants(plan, cost, a, b, c)
+
+    @SETTINGS
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        line_support(n), line_support(n))))
+    def test_uniform_square_matches_permutation_brute_force(self, xy):
+        x, y = xy
+        n = x.shape[0]
+        c = ot.joint_cost(np.reshape(x, (n, 1)), np.reshape(y, (n, 1)))
+        rows = np.arange(n)
+        best = min(c[rows, list(p)].sum()
+                   for p in itertools.permutations(range(n))) / n
+        _, cost = ot.solve_exact(uniform(n), uniform(n), c, supports=(x, y))
+        assert cost == pytest.approx(best, abs=1e-9)
+
+    @SETTINGS
+    @given(weighted_problem(), st.booleans(), st.integers(2, 3), st.data())
+    def test_higher_dimension_ignores_supports(self, problem, flat, d, data):
+        # flat marginals take the assignment path where sizes divide
+        a, b, _ = problem
+        if flat:
+            a, b = uniform(a.shape[0]), uniform(b.shape[0])
+        x = data.draw(hnp.arrays(float, (a.shape[0], d), elements=coords))
+        y = data.draw(hnp.arrays(float, (b.shape[0], d), elements=coords))
+        c = ot.joint_cost(x, y)
+        plain, plain_cost = ot.solve_exact(a, b, c)
+        plan, cost = ot.solve_exact(a, b, c, supports=(x, y))
+        assert np.array_equal(plan.coupling, plain.coupling)
+        assert cost == plain_cost
 
 
 class TestPlanInvariants:
