@@ -17,10 +17,10 @@ A section that configures a library class or function takes its keys, their
 types and their defaults from that signature (``_build``); the CLI supplies
 only the values the library requires. A ValueError the library raises while a
 config is prepared is a config error.
-Exit codes: 0 success, 1 config error, 2 numerical failure. Output goes to
-files under ``output_dir``, which is created only once a command's results
-exist, so a failed run leaves no directory behind; stdout carries
-human-readable progress. Measures and tables are CSV files written by
+Exit codes: 0 success, 1 config error (usage errors included), 2 numerical
+failure. Output goes to files under ``output_dir``, which is created only once
+a command's results exist, so a failed run leaves no directory behind; stdout
+carries human-readable progress. Measures and tables are CSV files written by
 ``datasets.write_table`` (floats with 17 significant digits, byte-stable for a
 fixed seed), mixtures are GMM JSON files, and ``run_report.json`` is the one
 machine-readable report: the config, versions, wall-clock timings, the
@@ -616,25 +616,24 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a config error (exit 1), not with argparse's
+    exit 2, which here means a numerical failure."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="baryflow",
-        description="Wasserstein barycenters by gradient flow")
+    parser = _Parser(prog="baryflow",
+                     description="Wasserstein barycenters by gradient flow")
     parser.add_argument("subcommand",
                         choices=sorted(COMMANDS) + ["validate"])
     parser.add_argument("config", help="path to a JSON run config")
-    parser.add_argument("--threads",
-                        default=os.environ.get("BARYFLOW_THREADS") or "1",
-                        help="cap solver parallelism (default: "
-                             "BARYFLOW_THREADS or 1)")
-    args = parser.parse_args(argv)
 
     try:
-        try:  # set on every invocation, so no cap outlives its call
-            ot.set_num_threads(int(args.threads))
-        except ValueError:
-            raise ConfigError("--threads/BARYFLOW_THREADS must be an integer "
-                              f">= 1, got {args.threads!r}") from None
+        args = parser.parse_args(argv)
         cfg = load_config(args.config)
         command = _get(cfg, "command", str, "config", required=True)
         if command not in COMMANDS:

@@ -206,7 +206,7 @@ def _solve_plans(points, soft_labels, batches, cfg: EmpiricalFlowConfig):
             eps = ot._default_epsilon(cost)
         return ot.solve_entropic(a, b, cost, epsilon=eps, max_iter=2000, tol=1e-9)
 
-    return ot.parallel_map(solve, batches)
+    return [solve(batch) for batch in batches]
 
 
 def _lam_map(lam, results, targets):

@@ -160,7 +160,7 @@ def _evaluate(state: LabeledGMM, inputs, cfg: GmmFlowConfig, rng, it: int):
         plan, value = ot.solve_exact(state.weights, q.weights, cost)
         return cost, plan, value
 
-    solved = ot.parallel_map(solve, inputs)
+    solved = [solve(q) for q in inputs]
     b_hat = 0.0
     for l, (_, _, value) in zip(cfg.coordinates.lam, solved):
         b_hat += l * value

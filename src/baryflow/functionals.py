@@ -180,10 +180,11 @@ def check_inputs(inputs, cfg) -> None:
 
     ``inputs`` holds one mini-batch, measure or mixture per barycentric
     coordinate of ``cfg``, an empirical or a GMM flow config. They must be
-    all labeled with one class count, or all unlabeled; the label cost and
-    the entropy and repulsion energies act on labels, so a positive
-    ``label_weight``, ``entropy_weight`` or ``repulsion_weight`` needs
-    labeled inputs. Raises ValueError otherwise.
+    all labeled with one class count and equal ``class_names`` (None counts
+    as a value), or all unlabeled; the label cost and the entropy and
+    repulsion energies act on labels, so a positive ``label_weight``,
+    ``entropy_weight`` or ``repulsion_weight`` needs labeled inputs. Raises
+    ValueError otherwise.
     """
     if len(inputs) != len(cfg.coordinates):
         raise ValueError("need one input per barycentric coordinate")
@@ -193,6 +194,10 @@ def check_inputs(inputs, cfg) -> None:
     if len(counts) > 1:
         raise ValueError(
             f"labeled inputs must share one class count, got {sorted(counts)}")
+    names = list(dict.fromkeys(x.class_names for x in inputs))
+    if len(names) > 1:
+        raise ValueError("labeled inputs must share one class_names, got "
+                         + " and ".join(map(repr, names)))
     spec = cfg.functional
     if None in counts and (cfg.label_weight > 0 or spec.entropy_weight > 0
                            or spec.repulsion_weight > 0):

@@ -139,6 +139,11 @@ class LabeledGMM:
     def n_classes(self) -> int | None:
         return None if self.nu is None else self.nu.shape[1]
 
+    @property
+    def class_names(self) -> None:
+        """Mixtures carry no class names."""
+        return None
+
     def means(self) -> np.ndarray:
         return np.stack([c.mu for c in self.components])
 
@@ -167,7 +172,8 @@ def matrix_sqrt_psd(s: np.ndarray) -> np.ndarray:
 def _inv_sqrt_pd(s: np.ndarray) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     vals, vecs = np.linalg.eigh((s + s.T) / 2.0)
-    if vals.min() <= 1e-12 * max(1.0, float(vals.max())):
+    # relative to the largest eigenvalue, so the check holds at any scale
+    if vals.min() <= 1e-12 * float(vals.max()):
         raise np.linalg.LinAlgError("singular matrix: no inverse square root")
     return (vecs / np.sqrt(vals)) @ vecs.T
 

@@ -1,11 +1,12 @@
 """Core measure types and simplex/label utilities.
 
 Measures are immutable value objects: arrays are copied on construction and
-marked read-only, so instances can be shared freely across threads.
+marked read-only, so one instance can be shared by every holder.
 An empirical measure is labeled or not: labels are an optional field, stored
 as unconstrained logits; soft labels are recovered with a row-wise softmax
 and hard labels with an argmax (ties broken by lowest index). Measures,
-batches and mixtures all answer ``n_classes``, None when unlabeled.
+batches and mixtures all answer ``n_classes`` (None when unlabeled) and
+``class_names`` (None unless the labels are named; always None for a mixture).
 """
 
 from __future__ import annotations

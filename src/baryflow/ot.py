@@ -20,7 +20,6 @@ log-domain Sinkhorn solver with eps = 0.05 * median(C).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,44 +36,14 @@ __all__ = [
     "solve_auto",
     "barycentric_map",
     "w2_empirical",
-    "set_num_threads",
-    "get_num_threads",
-    "parallel_map",
 ]
 
 # Above this many coupling entries, solve_auto switches to the entropic solver.
 EXACT_SIZE_LIMIT = 250_000
 
-_num_threads = 1
-
 
 class ConvergenceError(RuntimeError):
     """A solver failed to reach its convergence criterion."""
-
-
-def set_num_threads(n: int) -> None:
-    """Cap the number of threads used for independent per-measure solves
-    (1 until a caller sets it)."""
-    global _num_threads
-    if int(n) < 1:
-        raise ValueError("the thread cap must be >= 1")
-    _num_threads = int(n)
-
-
-def get_num_threads() -> int:
-    return _num_threads
-
-
-def parallel_map(fn, items):
-    """Map ``fn`` over ``items``, threaded when the thread cap allows it.
-
-    Results are returned in input order, so output is deterministic.
-    """
-    items = list(items)
-    if _num_threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=min(_num_threads, len(items))) as ex:
-        return list(ex.map(fn, items))
 
 
 @dataclass(frozen=True)

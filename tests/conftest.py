@@ -59,33 +59,3 @@ def random_pd_component(rng: np.random.Generator, d: int):
     chol = np.linalg.cholesky(a @ a.T / d + 0.5 * np.eye(d))
     return GaussianComponent(rng.standard_normal(d), chol)
 
-
-@pytest.fixture
-def run_threaded(monkeypatch):
-    """``run_threaded(fn)`` calls ``fn`` at thread cap 1, then at 2, and
-    returns both results; the second call must go through a thread pool."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    from baryflow import ot
-    pools = []
-
-    class CountingPool(ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(self)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(ot, "ThreadPoolExecutor", CountingPool)
-
-    def run(fn):
-        try:
-            ot.set_num_threads(1)
-            one = fn()
-            assert not pools
-            ot.set_num_threads(2)
-            two = fn()
-            assert pools
-        finally:
-            ot.set_num_threads(1)
-        return one, two
-
-    return run

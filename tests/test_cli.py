@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from baryflow import cli, ot
+from baryflow import cli
 from baryflow.cli import main
 from baryflow.datasets import save_csv, synthetic_domain_specs
 from baryflow.flow_empirical import EmpiricalFlowConfig
@@ -109,6 +109,16 @@ def named_inputs(tmp_path, *label_sets):
              "label_column": "label"} for i, classes in enumerate(label_sets)]
 
 
+def labeled_gmm_json(tmp_path):
+    """A gmm_json input of two 2-D components with two unnamed classes."""
+    from baryflow.gaussian import GaussianComponent, LabeledGMM, save_gmm
+    path = tmp_path / "labeled_gmm.json"
+    comps = tuple(GaussianComponent(CLASS_CENTERS[c], np.eye(2))
+                  for c in ("cat", "dog"))
+    save_gmm(LabeledGMM([0.5, 0.5], comps, nu=np.eye(2)), path)
+    return {"kind": "gmm_json", "path": str(path)}
+
+
 def labeled_2d_csv(tmp_path):
     """A 2-feature measure saved with its label column (3 CSV columns)."""
     path = tmp_path / "labeled.csv"
@@ -134,6 +144,25 @@ class TestValidate:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.json")]) == 1
         assert "baryflow-error[config]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, named", [
+        pytest.param(["validate", "{path}", "--threads", "2"], "--threads",
+                     id="unknown-option"),
+        pytest.param(["bogus", "{path}"], "bogus", id="unknown-subcommand"),
+        pytest.param(["validate"], "config", id="missing-config-path"),
+    ])
+    def test_usage_error_is_config_error(self, tmp_path, capsys, argv, named):
+        # exit 2 is kept for a numerical failure
+        path = write_config(tmp_path, "c.json", bary_config(tmp_path / "out"))
+        assert main([a.format(path=path) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert "baryflow-error[config]" in err and named in err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        assert exc.value.code == 0
+        assert "usage: baryflow" in capsys.readouterr().out
 
     def test_bad_json(self, tmp_path, capsys):
         path = tmp_path / "c.json"
@@ -278,6 +307,9 @@ class TestValidate:
              "label_column": "label"}] * 2), 1, id="csv-no-feature-column"),
         pytest.param(lambda t: bary_with(inputs=named_inputs(
             t, ["cat", "dog"], ["0", "1"])), 1, id="csv-names-and-integers"),
+        pytest.param(lambda t: bary_with(inputs=named_inputs(
+            t, ["cat", "dog"]) + [labeled_gmm_json(t)]), 1,
+            id="csv-names-and-labeled-gmm-json"),
         pytest.param(lambda t: {"command": "msda", "method": "gmm", "seed": 0,
                                 "task": {"n_samples": 4}}, 1,
                      id="msda-gmm-synthetic-source-lacks-class"),
@@ -363,32 +395,6 @@ class TestValidate:
         path = write_config(tmp_path, "c.json", cfg)
         assert main(["validate", path]) == 1
         assert "components_per_class" in capsys.readouterr().err
-
-    def test_thread_cap_set_per_invocation(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("BARYFLOW_THREADS", raising=False)
-        path = write_config(tmp_path, "c.json", bary_config(tmp_path / "out"))
-        assert main(["validate", path, "--threads", "2"]) == 0
-        assert ot.get_num_threads() == 2
-        assert main(["validate", path]) == 0
-        assert ot.get_num_threads() == 1
-        monkeypatch.setenv("BARYFLOW_THREADS", "3")
-        assert main(["validate", path]) == 0
-        assert ot.get_num_threads() == 3
-        assert main(["validate", path, "--threads", "1"]) == 0
-        assert ot.get_num_threads() == 1
-
-    @pytest.mark.parametrize("flag, env", [
-        ("0", None), ("two", None), (None, "0"), (None, "1.5")])
-    def test_invalid_thread_cap(self, tmp_path, capsys, monkeypatch, flag, env):
-        monkeypatch.delenv("BARYFLOW_THREADS", raising=False)
-        if env is not None:
-            monkeypatch.setenv("BARYFLOW_THREADS", env)
-        path = write_config(tmp_path, "c.json", bary_config(tmp_path / "out"))
-        argv = ["validate", path] + ([] if flag is None else ["--threads", flag])
-        assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert "baryflow-error[config]" in err and "threads" in err.lower()
-
 
 class TestConfigSchema:
     """Each section accepts exactly these keys, and a key left out takes

@@ -334,8 +334,8 @@ class TestEntropicFlow:
 
 
 class TestLabelChecks:
-    """Inputs are all labeled with one class count, or all unlabeled; the
-    flow rejects anything else before it solves a plan."""
+    """Inputs are all labeled with one class count and equal class names,
+    or all unlabeled; the flow rejects anything else before it solves a plan."""
 
     @pytest.fixture(autouse=True)
     def no_solves(self, monkeypatch):
@@ -345,10 +345,11 @@ class TestLabelChecks:
             monkeypatch.setattr(ot, name, fail)
 
     @staticmethod
-    def labeled(n_classes, seed=0):
+    def labeled(n_classes, seed=0, class_names=None):
         rng = np.random.default_rng(seed)
         return EmpiricalMeasure.from_hard_labels(
-            rng.standard_normal((12, 2)), np.arange(12) % n_classes, n_classes)
+            rng.standard_normal((12, 2)), np.arange(12) % n_classes, n_classes,
+            class_names=class_names)
 
     @pytest.mark.parametrize("init", ["gaussian", "subsample"])
     def test_labeled_and_unlabeled_rejected(self, init):
@@ -379,23 +380,24 @@ class TestLabelChecks:
         with pytest.raises(ValueError, match="one class count"):
             fixed_point_baseline([self.labeled(2), self.labeled(3)], cfg)
 
+    @pytest.mark.parametrize("names", [(("cat", "dog"), ("dog", "fish")),
+                                       (("cat", "dog"), None)])
+    @pytest.mark.parametrize("init", ["gaussian", "subsample"])
+    def test_class_names_differ_rejected(self, init, names):
+        inputs = [EmpiricalSampler(self.labeled(2, seed=i, class_names=n))
+                  for i, n in enumerate(names)]
+        cfg = EmpiricalFlowConfig(8, 8, 3, HALF, init=init)
+        with pytest.raises(ValueError, match="one class_names") as exc:
+            run_flow(inputs, cfg)
+        assert all(repr(n) in str(exc.value) for n in names)
 
-class TestThreads:
-    @pytest.mark.parametrize("solver", ["exact", "entropic"])
-    def test_two_threads_byte_equal(self, run_threaded, solver):
-        rng = np.random.default_rng(6)
-        datasets = [EmpiricalMeasure.from_hard_labels(
-            rng.standard_normal((40, 2)) + shift, rng.integers(0, 2, 40), 2)
-            for shift in (0.0, 3.0, -2.0)]
-        inputs = [EmpiricalSampler(d) for d in datasets]
-        cfg = EmpiricalFlowConfig(
-            16, 16, 5, BarycentricCoordinates.uniform(3), label_weight=1.0,
-            solver=solver, functional=FunctionalSpec(repulsion_weight=0.1),
-            seed=2)
-        (m1, t1), (m2, t2) = run_threaded(lambda: run_flow(inputs, cfg))
-        assert m1.points.tobytes() == m2.points.tobytes()
-        assert m1.label_logits.tobytes() == m2.label_logits.tobytes()
-        assert t1 == t2
+    def test_fixed_point_class_names_differ_rejected(self):
+        cfg = EmpiricalFlowConfig(8, 8, 3, HALF)
+        datasets = [self.labeled(2, class_names=("cat", "dog")),
+                    self.labeled(2, seed=1, class_names=("dog", "fish"))]
+        with pytest.raises(ValueError,
+                           match=r"\('cat', 'dog'\) and \('dog', 'fish'\)"):
+            fixed_point_baseline(datasets, cfg)
 
 
 class TestFullBatchInvariants:

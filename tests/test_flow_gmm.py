@@ -303,8 +303,9 @@ class TestTraceComposition:
 
 
 class TestLabelChecks:
-    """Inputs are all labeled with one class count, or all unlabeled; the
-    flow rejects anything else before it solves a coupling."""
+    """Inputs are all labeled with one class count and equal class names,
+    or all unlabeled; the flow rejects anything else before it solves a
+    coupling."""
 
     @pytest.fixture(autouse=True)
     def no_solves(self, monkeypatch):
@@ -329,32 +330,23 @@ class TestLabelChecks:
         with pytest.raises(ValueError, match="one class count"):
             run_gmm_flow([self.labeled(2), self.labeled(3)], cfg)
 
+    def test_class_names_differ_rejected(self):
+        # a mixture carries no class names, so it differs from named labels
+        named = EmpiricalMeasure.from_hard_labels(
+            np.arange(4.0)[:, None], np.arange(4) % 2, 2,
+            class_names=("cat", "dog"))
+        assert self.labeled(2).class_names is None
+        cfg = GmmFlowConfig(2, 3, HALF)
+        with pytest.raises(ValueError,
+                           match=r"one class_names, got None and \('cat'"):
+            run_gmm_flow([self.labeled(2), named], cfg)
+
     @pytest.mark.parametrize("spec", [FunctionalSpec(repulsion_weight=0.1),
                                       FunctionalSpec(entropy_weight=0.1)])
     def test_label_energy_needs_labels(self, spec):
         cfg = GmmFlowConfig(1, 3, HALF, functional=spec)
         with pytest.raises(ValueError, match="act on labels"):
             run_gmm_flow([single([0.0], [[1.0]]), single([4.0], [[1.0]])], cfg)
-
-
-class TestThreads:
-    def test_two_threads_byte_equal(self, run_threaded):
-        rng = np.random.default_rng(8)
-
-        def labeled_input(shift):
-            comps = tuple(random_pd_component(rng, 2) for _ in range(2))
-            comps = tuple(GaussianComponent(c.mu + shift, c.chol) for c in comps)
-            return LabeledGMM([0.4, 0.6], comps, nu=np.eye(2))
-
-        inputs = [labeled_input(s) for s in (0.0, 3.0, -2.0)]
-        cfg = GmmFlowConfig(2, 5, BarycentricCoordinates.uniform(3),
-                            label_weight=1.0, mc_samples=16, seed=3,
-                            functional=FunctionalSpec(repulsion_weight=0.1))
-        (s1, t1), (s2, t2) = run_threaded(lambda: run_gmm_flow(inputs, cfg))
-        for get in (LabeledGMM.means, LabeledGMM.chols,
-                    lambda s: s.weights, lambda s: s.nu):
-            assert get(s1).tobytes() == get(s2).tobytes()
-        assert t1 == t2
 
 
 class TestEmInit:

@@ -1,11 +1,12 @@
 """Property tests: the exact transport paths (1-D sorted, assignment, LP)
-against independent oracles, plan invariants of both solvers, and the CSV
-round trip of labeled measures.
+against independent oracles, plan invariants of both solvers, the CSV
+round trip of labeled measures, and finite flows at extreme input scales.
 
 Examples are derandomized and no example database is kept, so every run
 draws the same cases.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -16,7 +17,10 @@ from hypothesis.extra import numpy as hnp
 
 from baryflow import ot
 from baryflow.datasets import load_csv, save_csv
-from baryflow.measures import EmpiricalMeasure
+from baryflow.flow_empirical import EmpiricalFlowConfig, EmpiricalSampler, run_flow
+from baryflow.flow_gmm import GmmFlowConfig, run_gmm_flow
+from baryflow.gaussian import GaussianComponent, LabeledGMM
+from baryflow.measures import BarycentricCoordinates, EmpiricalMeasure
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=100,
                     deadline=None)
@@ -241,3 +245,83 @@ class TestCsvRoundTrip:
         assert p1.read_bytes() == p2.read_bytes()
         assert ([loaded.class_names[c] for c in loaded.hard_labels()]
                 == [measure.class_names[c] for c in measure.hard_labels()])
+
+
+SCALES = [1e-6, 1.0, 1e6]
+HALF = BarycentricCoordinates.uniform(2)
+# a few small flows per case: the point is the scale, not the data
+FLOW_SETTINGS = settings(derandomize=True, database=None, max_examples=2,
+                         deadline=None)
+unit_coords = st.floats(-3.0, 3.0, allow_subnormal=False)
+
+
+def assert_finite_run(final, trace):
+    assert np.all(np.isfinite(final))
+    assert np.all(np.isfinite([dataclasses.astuple(r) for r in trace]))
+
+
+@st.composite
+def empirical_inputs(draw, d, labeled):
+    """Two 12-point clouds in [-3, 3]^d, the second shifted by 4; labeled
+    with two classes when asked."""
+    out = []
+    for shift in (0.0, 4.0):
+        x = draw(hnp.arrays(float, (12, d), elements=unit_coords)) + shift
+        if labeled:
+            out.append(EmpiricalMeasure.from_hard_labels(
+                x, np.arange(12) % 2, 2))
+        else:
+            out.append(EmpiricalMeasure(x))
+    return out
+
+
+@st.composite
+def gmm_inputs(draw, d, labeled):
+    """Two mixtures of two components, means in [-3, 3]^d shifted by 4 for
+    the second, Cholesky factors diagonal in [0.5, 2]."""
+    out = []
+    for shift in (0.0, 4.0):
+        comps = tuple(GaussianComponent(
+            draw(hnp.arrays(float, d, elements=unit_coords)) + shift,
+            np.diag(draw(hnp.arrays(float, d, elements=st.floats(0.5, 2.0)))))
+            for _ in range(2))
+        out.append(LabeledGMM([0.5, 0.5], comps,
+                              nu=np.eye(2) if labeled else None))
+    return out
+
+
+class TestFlowScaling:
+    """Inputs scaled by 1e-6 or 1e6 give finite final states and traces."""
+
+    @pytest.mark.parametrize("scale", SCALES)
+    @pytest.mark.parametrize("label_weight", [0.0, 1.0])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("solver", ["exact", "entropic"])
+    @FLOW_SETTINGS
+    @given(st.data())
+    def test_empirical_flow_finite(self, solver, d, label_weight, scale, data):
+        measures = data.draw(empirical_inputs(d, labeled=label_weight > 0))
+        inputs = [EmpiricalSampler(EmpiricalMeasure(
+            scale * m.points, label_logits=m.label_logits)) for m in measures]
+        cfg = EmpiricalFlowConfig(8, 8, 4, HALF, label_weight=label_weight,
+                                  solver=solver)
+        final, trace = run_flow(inputs, cfg)
+        assert_finite_run(final.points, trace)
+        if label_weight > 0:
+            assert np.all(np.isfinite(final.label_logits))
+
+    @pytest.mark.parametrize("scale", SCALES)
+    @pytest.mark.parametrize("label_weight", [0.0, 1.0])
+    @pytest.mark.parametrize("d", [1, 2])
+    @FLOW_SETTINGS
+    @given(st.data())
+    def test_gmm_flow_finite(self, d, label_weight, scale, data):
+        mixtures = data.draw(gmm_inputs(d, labeled=label_weight > 0))
+        inputs = [LabeledGMM(q.weights, tuple(
+            GaussianComponent(scale * c.mu, scale * c.chol)
+            for c in q.components), q.nu) for q in mixtures]
+        cfg = GmmFlowConfig(2, 4, HALF, label_weight=label_weight,
+                            mc_samples=16, init_samples=64)
+        final, trace = run_gmm_flow(inputs, cfg)
+        assert_finite_run(np.concatenate([final.means().ravel(),
+                                          final.chols().ravel()]), trace)
