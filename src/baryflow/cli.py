@@ -25,6 +25,10 @@ carries human-readable progress. Measures and tables are CSV files written by
 fixed seed), mixtures are GMM JSON files, and ``run_report.json`` is the one
 machine-readable report: the config, versions, wall-clock timings, the
 artifact paths and the command's summary.
+
+Importing the CLI loads numpy only. The assignment, LP, kd-tree and
+triangular-solve paths import scipy on first use, so ``validate`` and a
+run that takes none of them (the sorted 1-D exact path) never load it.
 """
 
 from __future__ import annotations

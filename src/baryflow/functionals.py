@@ -21,12 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import logsumexp, xlogy
 
 from . import ot
 from .gaussian import LabeledGMM, component_log_probs, sample_reparam
-from .measures import EmpiricalMeasure, softmax, softmax_decode
+from .measures import EmpiricalMeasure, logsumexp, softmax, softmax_decode
 
 __all__ = [
     "FunctionalSpec",
@@ -96,7 +94,8 @@ def entropy_potential(label_logits: np.ndarray
         raise ValueError("logits contain non-finite entries")
     n = logits.shape[0]
     y = softmax(logits)
-    ylogy = xlogy(y, y)
+    # y log y with 0 log 0 = 0 (saturated logits give exact zeros)
+    ylogy = y * np.log(y, out=np.zeros_like(y), where=y > 0)
     value = float(-ylogy.sum() / n)
     # dH/dl_c = -y_c (log y_c - sum_b y_b log y_b)
     logy = np.log(np.maximum(y, 1e-300))
@@ -243,6 +242,8 @@ def internal_energy_mc(gmm: LabeledGMM, n_samples: int, seed=None
     logits of pi and covers the density term only (the categorical draw is
     not differentiable).
     """
+    from scipy.linalg import solve_triangular
+
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     z, comp_idx, eps = sample_reparam(gmm, n_samples, seed)

@@ -16,11 +16,9 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import logsumexp
 
 from . import ot
-from .measures import one_hot, validate_simplex
+from .measures import logsumexp, one_hot, validate_simplex
 
 __all__ = [
     "GaussianComponent",
@@ -255,6 +253,8 @@ def mw2_sq(p: LabeledGMM, q: LabeledGMM, beta: float = 0.0
 
 def component_log_probs(gmm: LabeledGMM, z: np.ndarray) -> np.ndarray:
     """Per-component Gaussian log densities, shape (n_samples, n_components)."""
+    from scipy.linalg import solve_triangular
+
     z = np.atleast_2d(np.asarray(z, dtype=float))
     out = np.empty((z.shape[0], gmm.n_components))
     d = gmm.dim

@@ -22,6 +22,7 @@ __all__ = [
     "validate_simplex",
     "one_hot",
     "softmax",
+    "logsumexp",
     "softmax_decode",
     "logits_from_probs",
     "logits_from_labels",
@@ -74,6 +75,20 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def logsumexp(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """log(sum(exp(x))) along ``axis``, computed as
+    max + log(sum(exp(x - max))); an all -inf slice gives -inf."""
+    x = np.asarray(x, dtype=float)
+    mx = x.max(axis=axis, keepdims=True)
+    finite = np.isfinite(mx)
+    if finite.all():
+        return mx.squeeze(axis) + np.log(np.exp(x - mx).sum(axis=axis))
+    # an infinite max shifts by 0, so an all -inf slice sums to 0
+    mx = np.where(finite, mx, 0.0)
+    with np.errstate(divide="ignore"):
+        return mx.squeeze(axis) + np.log(np.exp(x - mx).sum(axis=axis))
 
 
 def softmax_decode(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -3,7 +3,7 @@
 Costs are squared distances (p = 2 throughout), held in plain 2-D arrays.
 The joint feature-label ground metric is
 d(z, z')^2 = ||x - x'||^2 + beta * ||y - y'||^2. Every solver checks its
-cost array the same way: 2-D, finite and nonnegative.
+cost array the same way, once per solve: 2-D, finite and nonnegative.
 
 The exact solver ``solve_exact`` takes one of three paths:
 
@@ -16,6 +16,10 @@ The exact solver ``solve_exact`` takes one of three paths:
 
 Problems above ``EXACT_SIZE_LIMIT`` coupling entries default to the
 log-domain Sinkhorn solver with eps = 0.05 * median(C).
+
+This module imports numpy only. The assignment path loads
+``scipy.optimize`` and the LP path ``scipy.optimize`` and ``scipy.sparse``
+on first use, so the sorted 1-D path and Sinkhorn never import scipy.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linear_sum_assignment, linprog
+
+from .measures import logsumexp
 
 __all__ = [
     "TransportPlan",
@@ -155,6 +159,8 @@ def _assignment_plan(C: np.ndarray) -> np.ndarray:
     square assignment problem; Birkhoff's theorem makes the contracted
     solution optimal for the original LP.
     """
+    from scipy.optimize import linear_sum_assignment
+
     n, m = C.shape
     L = max(n, m)
     rows = np.repeat(np.arange(n), L // n)
@@ -201,6 +207,9 @@ def _line_points(points, size: int) -> np.ndarray | None:
 
 
 def _linprog_plan(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    from scipy import sparse
+    from scipy.optimize import linprog
+
     n, m = C.shape
     cols = np.arange(n * m)
     ones = np.ones(n * m)
@@ -313,24 +322,14 @@ def _sinkhorn_potentials(Cv, loga, logb, f, g, eps, max_iter, a, b, tol):
     keps = -Cv / eps
     violation = np.inf
     for it in range(max_iter):
-        g = eps * (logb - _logsumexp_cols(keps + f[:, None] / eps))
-        f = eps * (loga - _logsumexp_rows(keps + g[None, :] / eps))
+        g = eps * (logb - logsumexp(keps + f[:, None] / eps, axis=0))
+        f = eps * (loga - logsumexp(keps + g[None, :] / eps, axis=1))
         if tol > 0 and (it % 5 == 4 or it == max_iter - 1):
             plan = np.exp(keps + (f[:, None] + g[None, :]) / eps)
             violation = float(np.max(np.abs(plan.sum(axis=0) - b)))
             if violation <= tol:
                 break
     return f, g, violation
-
-
-def _logsumexp_rows(mat: np.ndarray) -> np.ndarray:
-    mx = mat.max(axis=1)
-    return mx + np.log(np.exp(mat - mx[:, None]).sum(axis=1))
-
-
-def _logsumexp_cols(mat: np.ndarray) -> np.ndarray:
-    mx = mat.max(axis=0)
-    return mx + np.log(np.exp(mat - mx[None, :]).sum(axis=0))
 
 
 def _default_epsilon(Cv: np.ndarray) -> float:
@@ -342,8 +341,8 @@ def _default_epsilon(Cv: np.ndarray) -> float:
 
 def solve_auto(a, b, C: np.ndarray) -> tuple[TransportPlan, float]:
     """Exact plan up to EXACT_SIZE_LIMIT coupling entries, entropic above,
-    with the default epsilon."""
-    Cv = _check_cost(C)
+    with the default epsilon. The chosen solver checks ``C``."""
+    Cv = np.asarray(C, dtype=float)
     if Cv.size <= EXACT_SIZE_LIMIT:
         return solve_exact(a, b, Cv)
     return solve_entropic(a, b, Cv, epsilon=_default_epsilon(Cv),

@@ -23,7 +23,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import ot
 from .flow_empirical import (
@@ -81,6 +80,8 @@ class ConvergenceReport:
 
 
 def _nn_predict(train_x, train_y, test_x):
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(np.asarray(train_x, dtype=float))
     _, idx = tree.query(np.asarray(test_x, dtype=float), k=1)
     return np.asarray(train_y)[idx]

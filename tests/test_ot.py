@@ -171,6 +171,30 @@ class TestSolveEntropic:
             ot.solve_entropic([1.0], [1.0], np.array([[1.0]]), epsilon=0.0)
 
 
+class TestSolveAuto:
+    # 501 x 500 entries exceed EXACT_SIZE_LIMIT and take the entropic branch
+    @pytest.mark.parametrize("shape", [(4, 3), (501, 500)],
+                             ids=["exact", "entropic"])
+    @pytest.mark.parametrize("bad", [np.nan, -1.0], ids=["nan", "negative"])
+    def test_rejects_bad_cost(self, shape, bad):
+        c = np.ones(shape)
+        c[1, 2] = bad
+        a, b = np.full(shape[0], 1 / shape[0]), np.full(shape[1], 1 / shape[1])
+        with pytest.raises(ValueError, match="cost matrix contains"):
+            ot.solve_auto(a, b, c)
+
+    def test_checks_cost_once(self, monkeypatch):
+        calls = []
+        check = ot._check_cost
+        monkeypatch.setattr(ot, "_check_cost",
+                            lambda C: calls.append(1) or check(C))
+        c = np.random.default_rng(12).random((4, 3))
+        plan, cost = ot.solve_auto(np.full(4, 0.25), np.full(3, 1 / 3), c)
+        assert len(calls) == 1
+        ref, ref_cost = ot.solve_exact(np.full(4, 0.25), np.full(3, 1 / 3), c)
+        assert np.array_equal(plan.coupling, ref.coupling) and cost == ref_cost
+
+
 class TestBarycentricMap:
     def test_identity_plan_returns_targets(self):
         y = np.array([[1.0, 0.0], [0.0, 2.0]])

@@ -1,6 +1,7 @@
 """Property tests: the exact transport paths (1-D sorted, assignment, LP)
 against independent oracles, plan invariants of both solvers, the CSV
-round trip of labeled measures, and finite flows at extreme input scales.
+round trip of labeled measures, finite flows at extreme input scales, and
+the numpy logsumexp and label entropy against their scipy forms.
 
 Examples are derandomized and no example database is kept, so every run
 draws the same cases.
@@ -8,9 +9,11 @@ draws the same cases.
 
 import dataclasses
 import itertools
+import warnings
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -19,8 +22,14 @@ from baryflow import ot
 from baryflow.datasets import load_csv, save_csv
 from baryflow.flow_empirical import EmpiricalFlowConfig, EmpiricalSampler, run_flow
 from baryflow.flow_gmm import GmmFlowConfig, run_gmm_flow
+from baryflow.functionals import entropy_potential
 from baryflow.gaussian import GaussianComponent, LabeledGMM
-from baryflow.measures import BarycentricCoordinates, EmpiricalMeasure
+from baryflow.measures import (
+    BarycentricCoordinates,
+    EmpiricalMeasure,
+    logsumexp,
+    softmax,
+)
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=100,
                     deadline=None)
@@ -325,3 +334,66 @@ class TestFlowScaling:
         final, trace = run_gmm_flow(inputs, cfg)
         assert_finite_run(np.concatenate([final.means().ravel(),
                                           final.chols().ravel()]), trace)
+
+
+# finite values and -inf entries
+log_values = st.one_of(st.floats(-1e3, 1e3, allow_subnormal=False),
+                       st.just(-np.inf))
+log_arrays = hnp.array_shapes(min_dims=2, max_dims=2, max_side=6).flatmap(
+    lambda shape: hnp.arrays(float, shape, elements=log_values))
+
+
+class TestLogsumexp:
+    """measures.logsumexp against scipy.special.logsumexp, and the label
+    entropy's 0 log 0 = 0 against scipy.special.xlogy."""
+
+    @SETTINGS
+    @given(log_arrays, st.sampled_from([0, 1]))
+    def test_matches_scipy(self, x, axis):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = logsumexp(x, axis=axis)
+        np.testing.assert_allclose(
+            got, scipy.special.logsumexp(x, axis=axis), rtol=0, atol=1e-12)
+
+    @SETTINGS
+    @given(log_arrays.map(lambda x: np.where(np.isinf(x), -5.0, x)),
+           st.sampled_from([0, 1]))
+    def test_finite_equals_max_shift_formula(self, x, axis):
+        # the Sinkhorn updates relied on this exact sequence of operations
+        mx = x.max(axis=axis)
+        ref = mx + np.log(np.exp(x - np.expand_dims(mx, axis)).sum(axis=axis))
+        assert np.array_equal(logsumexp(x, axis=axis), ref)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_all_neg_inf_slice(self, axis):
+        x = np.array([[-np.inf, -np.inf], [0.0, -np.inf]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = logsumexp(x if axis == 1 else x.T, axis=axis)
+        assert np.array_equal(got, [-np.inf, 0.0])
+
+    def test_entropy_saturated_logits_bitwise(self):
+        logits = np.array([[0.0, -1e3, 0.0], [5.0, -800.0, -900.0],
+                           [0.0, -750.0, 1.0], [2.0, 2.0, -1e4],
+                           [-3.0, 0.5, -2e3]])
+        y = softmax(logits)
+        assert np.count_nonzero(y == 0) == 6
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, grad = entropy_potential(logits)
+        assert value == float(-scipy.special.xlogy(y, y).sum() / len(y))
+        assert np.all(np.isfinite(grad))
+
+    # a -1e3 logit saturates: its softmax entry underflows to an exact zero
+    @SETTINGS
+    @given(hnp.arrays(float, (4, 3), elements=st.one_of(
+        st.floats(-10.0, 10.0), st.just(-1e3))))
+    def test_entropy_matches_xlogy(self, logits):
+        y = softmax(logits)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, _ = entropy_potential(logits)
+        # numpy's vectorized log may differ from libm's in the last bit
+        assert value == pytest.approx(
+            float(-scipy.special.xlogy(y, y).sum() / len(y)), rel=1e-14, abs=0.0)
