@@ -5,13 +5,15 @@ The joint feature-label ground metric is
 d(z, z')^2 = ||x - x'||^2 + beta * ||y - y'||^2. Every solver checks its
 cost array the same way, once per solve: 2-D, finite and nonnegative.
 
-The exact solver ``solve_exact`` takes one of three paths:
+The exact solver ``solve_exact`` takes one of four paths:
 
 - 1-D supports: when the caller passes ``supports=(x, y)``, the points whose
   squared Euclidean cost ``C`` is, and both are 1-D, the plan is the
   north-west-corner coupling of the sorted supports, optimal for any weights;
-- uniform marginals with an integer size ratio: a rectangular assignment
-  problem (exact and fast);
+- uniform marginals with L = lcm(n, m) at most ``LCM_RATIO_LIMIT * max(n, m)``:
+  an L x L assignment problem (exact and fast);
+- at most ``SIMPLEX_SIZE_LIMIT`` coupling entries: the transportation
+  simplex on the dense cost;
 - everything else: the HiGHS simplex on the transport LP.
 
 Problems above ``EXACT_SIZE_LIMIT`` coupling entries default to the
@@ -19,11 +21,13 @@ log-domain Sinkhorn solver with eps = 0.05 * median(C).
 
 This module imports numpy only. The assignment path loads
 ``scipy.optimize`` and the LP path ``scipy.optimize`` and ``scipy.sparse``
-on first use, so the sorted 1-D path and Sinkhorn never import scipy.
+on first use, so the sorted 1-D path, the transportation simplex and
+Sinkhorn never import scipy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +48,15 @@ __all__ = [
 
 # Above this many coupling entries, solve_auto switches to the entropic solver.
 EXACT_SIZE_LIMIT = 250_000
+# Uniform problems take the assignment path while lcm(n, m) <= this times
+# max(n, m); coprime sizes give lcm = n * m, an (n m)^2 expanded cost.
+LCM_RATIO_LIMIT = 4
+# Non-assignment problems up to this many coupling entries take the
+# transportation simplex, larger ones the HiGHS LP.
+SIMPLEX_SIZE_LIMIT = 400
+# The simplex enters the most negative reduced cost for this many pivots per
+# coupling entry, then Bland's rule, which cannot cycle.
+_DANTZIG_PIVOTS_PER_ENTRY = 1
 
 
 class ConvergenceError(RuntimeError):
@@ -139,6 +152,8 @@ def _check_cost(C) -> np.ndarray:
 
 
 def _check_marginals(a: np.ndarray, b: np.ndarray, n: int, m: int) -> None:
+    if n == 0 or m == 0:
+        raise ValueError(f"empty transport problem: cost shape ({n}, {m})")
     if a.shape != (n,) or b.shape != (m,):
         raise ValueError("marginal sizes do not match the cost matrix")
     if np.any(a < -1e-12) or np.any(b < -1e-12):
@@ -153,16 +168,17 @@ def _is_uniform(w: np.ndarray) -> bool:
 
 
 def _assignment_plan(C: np.ndarray) -> np.ndarray:
-    """Exact plan for uniform marginals with an integer size ratio.
+    """Exact plan for uniform marginals.
 
-    Rows are repeated L/n times and columns L/m times, L = max(n, m), into a
+    Rows are repeated L/n times and columns L/m times, L = lcm(n, m), into a
     square assignment problem; Birkhoff's theorem makes the contracted
-    solution optimal for the original LP.
+    solution optimal for the original LP. With an integer size ratio
+    L = max(n, m).
     """
     from scipy.optimize import linear_sum_assignment
 
     n, m = C.shape
-    L = max(n, m)
+    L = math.lcm(n, m)
     rows = np.repeat(np.arange(n), L // n)
     cols = np.repeat(np.arange(m), L // m)
     ri, ci = linear_sum_assignment(C[np.ix_(rows, cols)])
@@ -232,13 +248,142 @@ def _linprog_plan(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return plan
 
 
+def _simplex_plan(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact plan by the transportation simplex (Peyre & Cuturi,
+    Computational Optimal Transport, 2019, section 3).
+
+    The basis is a spanning tree of n + m - 1 cells of the bipartite
+    row-column graph, started at the north-west corner. Each pivot prices
+    the cells with the potentials u_i + v_j = C_ij of the basis, enters the
+    cell of most negative reduced cost and moves mass around the cycle it
+    closes in the tree; of the tied leaving cells the first in row-major
+    order leaves. After ``_DANTZIG_PIVOTS_PER_ENTRY * n * m`` pivots the
+    entering cell is the first negative one in row-major order instead
+    (Bland's rule), so degenerate pivots cannot cycle. A mismatch between
+    sum(a) and sum(b) stays in the marginals of the plan, as in the LP.
+    """
+    n, m = C.shape
+    a = np.maximum(a, 0.0).tolist()
+    b = np.maximum(b, 0.0).tolist()
+    rows = [[] for _ in range(n)]  # basis columns of each row
+    cols = [[] for _ in range(m)]  # basis rows of each column
+    mass = {}
+    i = j = 0
+    ra, rb = a[0], b[0]
+    while True:
+        t = min(ra, rb)
+        mass[i, j] = t
+        rows[i].append(j)
+        cols[j].append(i)
+        ra -= t
+        rb -= t
+        if i == n - 1 and j == m - 1:
+            break
+        # exactly one of row and column closes, so the cells form a tree
+        if j == m - 1 or (i < n - 1 and ra <= rb):
+            i += 1
+            ra = a[i]
+        else:
+            j += 1
+            rb = b[j]
+
+    Cl = C.tolist()
+    tol = 1e-12 * float(C.max())
+    dantzig = _DANTZIG_PIVOTS_PER_ENTRY * n * m
+    pivots = 0
+    while True:
+        u, v = _tree_potentials(Cl, rows, cols)
+        r = C - u[:, None] - v[None, :]
+        if pivots < dantzig:
+            k = int(r.argmin())
+        else:
+            k = int(np.argmax(r < -tol))
+        if not r.flat[k] < -tol:
+            break
+        p, q = divmod(k, m)
+        path = _tree_path(rows, cols, p, q)
+        minus, plus = path[0::2], path[1::2]
+        leave = min(minus, key=lambda c: (mass[c], c))
+        theta = mass.pop(leave)
+        for c in minus:
+            if c != leave:
+                mass[c] -= theta
+        for c in plus:
+            mass[c] += theta
+        mass[p, q] = theta
+        rows[leave[0]].remove(leave[1])
+        cols[leave[1]].remove(leave[0])
+        rows[p].append(q)
+        cols[q].append(p)
+        pivots += 1
+
+    plan = np.zeros((n, m))
+    cells = np.array(list(mass), dtype=np.intp)
+    plan[cells[:, 0], cells[:, 1]] = list(mass.values())
+    return plan
+
+
+def _tree_potentials(Cl, rows, cols) -> tuple[np.ndarray, np.ndarray]:
+    """Potentials with u_i + v_j = C_ij on every basis cell and u_0 = 0,
+    by a depth-first walk of the basis tree from row 0. Tree node i < n is
+    row i, node n + j column j."""
+    n, m = len(rows), len(cols)
+    u = [0.0] * n
+    v = [0.0] * m
+    seen = [False] * (n + m)
+    seen[0] = True
+    stack = [0]
+    while stack:
+        k = stack.pop()
+        if k < n:
+            for j in rows[k]:
+                if not seen[n + j]:
+                    seen[n + j] = True
+                    v[j] = Cl[k][j] - u[k]
+                    stack.append(n + j)
+        else:
+            j = k - n
+            for i in cols[j]:
+                if not seen[i]:
+                    seen[i] = True
+                    u[i] = Cl[i][j] - v[j]
+                    stack.append(i)
+    return np.array(u), np.array(v)
+
+
+def _tree_path(rows, cols, p: int, q: int) -> list[tuple[int, int]]:
+    """Basis cells on the tree path from row ``p`` to column ``q``, in
+    order from row ``p``: they alternate losing and gaining mass when
+    (p, q) enters. Nodes are numbered as in ``_tree_potentials``."""
+    n = len(rows)
+    parent = {p: -1}
+    stack = [p]
+    while n + q not in parent:
+        k = stack.pop()
+        nbrs = [n + j for j in rows[k]] if k < n else cols[k - n]
+        for nb in nbrs:
+            if nb not in parent:
+                parent[nb] = k
+                stack.append(nb)
+    path = []
+    k = n + q
+    while parent[k] >= 0:
+        prev = parent[k]
+        path.append((prev, k - n) if prev < n else (k, prev - n))
+        k = prev
+    path.reverse()
+    return path
+
+
 def solve_exact(a, b, C: np.ndarray, supports=None
                 ) -> tuple[TransportPlan, float]:
     """Solve the discrete OT problem exactly.
 
     Returns the optimal coupling and its cost <plan, C>. The path is chosen
-    here: 1-D supports take the sorted north-west-corner coupling, uniform
-    marginals with an integer size ratio the assignment reduction, and
+    here: 1-D supports take the sorted north-west-corner coupling; uniform
+    marginals the assignment reduction, while L = lcm(n, m) is at most
+    ``LCM_RATIO_LIMIT * max(n, m)``; other problems of at most
+    ``SIMPLEX_SIZE_LIMIT`` coupling entries the transportation simplex; and
     everything else the HiGHS LP.
 
     ``supports=(x, y)``, optional, are the points of the two sides, with
@@ -256,11 +401,12 @@ def solve_exact(a, b, C: np.ndarray, supports=None
     if supports is not None:
         x, y = _line_points(supports[0], n), _line_points(supports[1], m)
     uniform = _is_uniform(a) and _is_uniform(b)
-    divisible = max(n, m) % min(n, m) == 0
     if x is not None and y is not None:
         plan = _monotone_plan(a, b, x, y)
-    elif uniform and divisible:
+    elif uniform and math.lcm(n, m) <= LCM_RATIO_LIMIT * max(n, m):
         plan = _assignment_plan(Cv)
+    elif n * m <= SIMPLEX_SIZE_LIMIT:
+        plan = _simplex_plan(Cv, a, b)
     else:
         plan = _linprog_plan(Cv, a, b)
     cost = float((plan * Cv).sum())

@@ -263,7 +263,7 @@ class TestLinePlans:
     def test_unlabeled_1d_flow_takes_sorted_path(self, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("a 1-D feature-only plan left the sorted path")
-        for name in ("_assignment_plan", "_linprog_plan"):
+        for name in ("_assignment_plan", "_simplex_plan", "_linprog_plan"):
             monkeypatch.setattr(ot, name, fail)
         inputs = [GaussianSampler([0.0], std=1.0), GaussianSampler([4.0], std=1.0)]
         final, trace = run_flow(inputs, EmpiricalFlowConfig(32, 16, 10, HALF))

@@ -1,5 +1,6 @@
-"""Importing baryflow, its CLI and ``validate`` load no scipy module; the
-solver paths that need scipy load it on first use.
+"""Importing baryflow, its CLI and ``validate`` load no scipy module, nor
+does a small weighted solve on the transportation simplex; the solver paths
+that need scipy load it on first use.
 
 The checks run in one fresh interpreter (the rest of the suite imports scipy
 in-process), which prints the scipy modules loaded after each step.
@@ -15,23 +16,27 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# argv[1]: a JSON list of [step, command, config path]; command None imports
-# the module named by the step. Prints {step: [loaded scipy modules]}.
+# argv[1]: a JSON list of [step, command, argument]; command None imports
+# the module named by the step, "solve_exact" solves a weighted n x n problem
+# with n the argument (None: the smallest n above the simplex size limit),
+# and a CLI command runs on the config path in the argument. Prints
+# {step: [loaded scipy modules]}.
 CHILD = """
-import importlib, json, sys
+import importlib, json, math, sys
 loaded = {}
-for step, command, path in json.loads(sys.argv[1]):
+for step, command, arg in json.loads(sys.argv[1]):
     if command is None:
         importlib.import_module(step)
     elif command == "solve_exact":
         import numpy as np
         from baryflow import ot
-        x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
-        ot.solve_exact(np.full(3, 1 / 3), np.full(2, 1 / 2),
-                       ot.squared_distances(x, x[:2] + 0.5))
+        n = arg or math.isqrt(ot.SIMPLEX_SIZE_LIMIT) + 1
+        x = np.column_stack([np.arange(n), np.arange(n) % 3.0])
+        w = np.arange(1.0, n + 1) / (n * (n + 1) / 2)
+        ot.solve_exact(w, w[::-1], ot.squared_distances(x, x + 0.5))
     else:
         from baryflow.cli import main
-        code = main([command, path])
+        code = main([command, arg])
         if code != 0:
             sys.exit(f"{step}: exit {code}")
     loaded[step] = sorted(m for m in sys.modules if m.startswith("scipy"))
@@ -98,6 +103,7 @@ def scipy_after(tmp_path_factory):
     steps += [[f"validate-{name}", "validate", str(p)]
               for name, p in paths.items()]
     steps += [["run-bary1d", "barycenter", str(paths["bary1d"])],
+              ["solve_exact-simplex", "solve_exact", 6],
               ["solve_exact-lp", "solve_exact", None]]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
@@ -110,7 +116,7 @@ def scipy_after(tmp_path_factory):
 
 @pytest.mark.parametrize("step", [
     "baryflow", "baryflow.cli", "validate-bary1d", "validate-gmm",
-    "validate-msda", "validate-entropic", "run-bary1d"])
+    "validate-msda", "validate-entropic", "run-bary1d", "solve_exact-simplex"])
 def test_no_scipy_loaded(scipy_after, step):
     assert scipy_after[step] == []
 

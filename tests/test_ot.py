@@ -90,12 +90,33 @@ class TestSolveExact:
 
     def test_rectangular_uniform_matches_linprog(self):
         rng = np.random.default_rng(3)
-        for n, m in [(6, 3), (4, 8), (9, 3)]:
+        for n, m in [(6, 3), (4, 8), (9, 3), (96, 128), (4, 6), (6, 9)]:
             c = rng.random((n, m))
             a, b = np.full(n, 1.0 / n), np.full(m, 1.0 / m)
             _, fast = ot.solve_exact(a, b, c)
             slow = float((ot._linprog_plan(c, a, b) * c).sum())
             assert abs(fast - slow) <= 1e-9
+
+    @pytest.mark.parametrize("n, m, weighted, path", [
+        (96, 128, False, "_assignment_plan"),  # L = 384 <= 4 * 128
+        (7, 11, False, "_simplex_plan"),       # L = 77 > 4 * 11
+        (19, 23, False, "_linprog_plan"),      # L = 437 > 4 * 23; 437 entries
+        (6, 6, True, "_simplex_plan"),
+        (20, 21, True, "_linprog_plan"),       # 420 > SIMPLEX_SIZE_LIMIT
+    ])
+    def test_path_choice(self, monkeypatch, n, m, weighted, path):
+        # coprime uniform sizes must never build the n*m-square assignment
+        def fail(*args):
+            raise AssertionError(f"{n}x{m} left {path}")
+        for name in ("_assignment_plan", "_simplex_plan", "_linprog_plan"):
+            if name != path:
+                monkeypatch.setattr(ot, name, fail)
+        rng = np.random.default_rng(n * m)
+        a, b = np.full(n, 1.0 / n), np.full(m, 1.0 / m)
+        if weighted:
+            a, b = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m))
+        plan, _ = ot.solve_exact(a, b, rng.random((n, m)))
+        assert plan.coupling.shape == (n, m)
 
     def test_general_marginals_2x2_closed_form(self):
         # with marginals (a, 1-a), (b, 1-b) the plan has one free entry
@@ -169,6 +190,17 @@ class TestSolveEntropic:
     def test_requires_positive_eps(self):
         with pytest.raises(ValueError):
             ot.solve_entropic([1.0], [1.0], np.array([[1.0]]), epsilon=0.0)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (2, 0)])
+@pytest.mark.parametrize("solve", [
+    ot.solve_exact, lambda a, b, c: ot.solve_entropic(a, b, c, epsilon=1.0)],
+    ids=["exact", "entropic"])
+def test_empty_problem_rejected(solve, shape):
+    n, m = shape
+    with pytest.raises(ValueError, match="empty transport problem"):
+        solve(np.full(n, 1.0 / max(n, 1)), np.full(m, 1.0 / max(m, 1)),
+              np.zeros(shape))
 
 
 class TestSolveAuto:

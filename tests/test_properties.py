@@ -1,7 +1,8 @@
-"""Property tests: the exact transport paths (1-D sorted, assignment, LP)
-against independent oracles, plan invariants of both solvers, the CSV
-round trip of labeled measures, finite flows at extreme input scales, and
-the numpy logsumexp and label entropy against their scipy forms.
+"""Property tests: the exact transport paths (1-D sorted, assignment,
+transportation simplex, LP) against independent oracles, plan invariants of
+both solvers, the CSV round trip of labeled measures, finite flows at extreme
+input scales, and the numpy logsumexp and label entropy against their scipy
+forms.
 
 Examples are derandomized and no example database is kept, so every run
 draws the same cases.
@@ -9,6 +10,7 @@ draws the same cases.
 
 import dataclasses
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -49,10 +51,11 @@ def square_problem(draw):
 
 
 @st.composite
-def divisible_problem(draw):
-    small = draw(st.integers(1, 4))
-    large = small * draw(st.integers(1, 3))
-    n, m = (small, large) if draw(st.booleans()) else (large, small)
+def assignment_problem(draw):
+    """A cost matrix whose uniform marginals take the assignment path:
+    lcm(n, m) <= LCM_RATIO_LIMIT * max(n, m)."""
+    n, m = draw(st.tuples(st.integers(1, 12), st.integers(1, 12)).filter(
+        lambda s: math.lcm(*s) <= ot.LCM_RATIO_LIMIT * max(s)))
     return draw(cost_matrix(n, m))
 
 
@@ -64,6 +67,20 @@ def weighted_problem(draw):
     a = draw(hnp.arrays(float, n, elements=mass))
     b = draw(hnp.arrays(float, m, elements=mass))
     return a / a.sum(), b / b.sum(), draw(cost_matrix(n, m))
+
+
+@st.composite
+def degenerate_problem(draw):
+    """Marginals of mass one from small integer counts, zeros included, so
+    partial sums of the two sides often meet; integer costs, so ties are
+    common."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    a = draw(hnp.arrays(float, n, elements=st.integers(0, 3)))
+    b = draw(hnp.arrays(float, m, elements=st.integers(0, 3)))
+    a[0] += 1.0
+    b[-1] += 1.0
+    c = draw(hnp.arrays(float, (n, m), elements=st.integers(0, 2)))
+    return a / a.sum(), b / b.sum(), c
 
 
 # a few shared values, so supports hold duplicated points; every entry is
@@ -123,7 +140,7 @@ class TestExactOracles:
         assert cost == pytest.approx(best, abs=1e-9)
 
     @SETTINGS
-    @given(divisible_problem())
+    @given(assignment_problem())
     def test_assignment_path_matches_linprog(self, c):
         n, m = c.shape
         a, b = uniform(n), uniform(m)
@@ -142,6 +159,68 @@ class TestExactOracles:
                                  ot.joint_cost(x[:, None], y[:, None]))
         sorted_cost = float(np.mean((np.sort(x) - np.sort(y)) ** 2))
         assert cost == pytest.approx(sorted_cost, rel=1e-9, abs=1e-9)
+
+
+def simplex_solve(a, b, c):
+    """``ot._simplex_plan`` as a validated plan and its cost."""
+    g = ot._simplex_plan(c, a, b)
+    return ot.TransportPlan(g, a, b), float((g * c).sum())
+
+
+def assert_optimal_against_linprog(plan, cost, a, b, c):
+    """A feasible plan cannot cost less than the optimum, so optimality is
+    one-sided: no dearer than HiGHS. HiGHS itself may stop above the
+    optimum by its absolute tolerances (1e-7), which shows on tiny costs."""
+    assert_plan_invariants(plan, cost, a, b, c)
+    assert cost <= float((ot._linprog_plan(c, a, b) * c).sum()) + 1e-9
+
+
+class TestSimplexPath:
+    """``ot._simplex_plan``, the transportation simplex for small problems."""
+
+    @SETTINGS
+    @given(weighted_problem())
+    def test_matches_linprog(self, problem):
+        a, b, c = problem
+        assert_optimal_against_linprog(*simplex_solve(a, b, c), a, b, c)
+
+    @SETTINGS
+    @given(degenerate_problem())
+    def test_degenerate_matches_linprog(self, problem):
+        a, b, c = problem
+        assert_optimal_against_linprog(*simplex_solve(a, b, c), a, b, c)
+
+    @SETTINGS
+    @given(square_problem())
+    def test_uniform_square_matches_permutation_brute_force(self, c):
+        # the north-west start of a uniform square problem is maximally
+        # degenerate: every other basis cell carries zero mass
+        n = c.shape[0]
+        rows = np.arange(n)
+        best = min(c[rows, list(p)].sum()
+                   for p in itertools.permutations(range(n))) / n
+        plan, cost = simplex_solve(uniform(n), uniform(n), c)
+        assert_plan_invariants(plan, cost, uniform(n), uniform(n), c)
+        assert cost == pytest.approx(best, abs=1e-9)
+
+    @SETTINGS
+    @given(degenerate_problem())
+    def test_bland_rule_matches_linprog(self, problem):
+        # Bland's rule from the first pivot, the rule that ends a long run
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ot, "_DANTZIG_PIVOTS_PER_ENTRY", 0)
+            plan, cost = simplex_solve(*problem)
+        assert_optimal_against_linprog(plan, cost, *problem)
+
+    @pytest.mark.parametrize("a, b, c", [
+        ([0.5, 0.5], [0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]]),
+        ([0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [[0.0, 1.0, 2.0], [3.0, 1.0, 0.0],
+                                            [1.0, 1.0, 1.0]]),
+        ([0.25, 0.75], [0.5, 0.25, 0.25], np.ones((2, 3))),
+    ], ids=["equal-partial-sums", "zero-weights", "tied-costs"])
+    def test_degenerate_cases(self, a, b, c):
+        a, b, c = np.array(a), np.array(b), np.array(c)
+        assert_optimal_against_linprog(*simplex_solve(a, b, c), a, b, c)
 
 
 class TestLinePath:
@@ -178,7 +257,7 @@ class TestLinePath:
     @SETTINGS
     @given(weighted_problem(), st.booleans(), st.integers(2, 3), st.data())
     def test_higher_dimension_ignores_supports(self, problem, flat, d, data):
-        # flat marginals take the assignment path where sizes divide
+        # flat marginals take the assignment path within the lcm cap
         a, b, _ = problem
         if flat:
             a, b = uniform(a.shape[0]), uniform(b.shape[0])
@@ -200,7 +279,7 @@ class TestPlanInvariants:
         assert_plan_invariants(plan, cost, a, b, c)
 
     @SETTINGS
-    @given(divisible_problem())
+    @given(assignment_problem())
     def test_exact_assignment(self, c):
         a, b = uniform(c.shape[0]), uniform(c.shape[1])
         plan, cost = ot.solve_exact(a, b, c)

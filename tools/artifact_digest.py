@@ -16,8 +16,10 @@ The runs: the five configs of acceptance criterion 12, instance 0 of seed 0
 of each benchmark workload (from ``SRC_ROOT/bench/workloads.py``), ``toy``
 with ``fixed_point`` on a ``swiss_roll`` base, ``msda`` with
 ``discrete_baseline`` and with ``gmm``, ``gen`` ``location_scatter`` and
-``synthetic_msda``, and ``barycenter`` on two CSV inputs this script writes,
-labeled with the class names {cat, dog, fish}.
+``synthetic_msda``, ``barycenter`` with exact plans between 48 particles and
+batches of 32 (uniform, sizes not dividing) on two labeled ``swiss_roll``
+inputs, and ``barycenter`` on two CSV inputs this script writes, labeled with
+the class names {cat, dog, fish}.
 """
 
 from __future__ import annotations
@@ -93,6 +95,12 @@ CONFIGS = {
     "gen-synthetic-msda": {
         "command": "gen", "seed": 7,
         "dataset": {"kind": "synthetic_msda", "n_samples": 64}},
+    "barycenter-exact-lcm": {
+        "command": "barycenter", "seed": 9, "flow": "empirical",
+        "inputs": [{"kind": "swiss_roll", "n": 64, "noise_std": 0.3},
+                   {"kind": "swiss_roll", "n": 80, "noise_std": 0.5}],
+        "flow_config": {"n_particles": 48, "batch_size": 32, "n_iter": 10,
+                        "label_weight": 1.0, "solver": "exact"}},
     # a callable config is built from its run directory
     "barycenter-csv-class-names": lambda run_dir: {
         "command": "barycenter", "seed": 8, "flow": "empirical",
