@@ -53,10 +53,7 @@ EXACT_SIZE_LIMIT = 250_000
 LCM_RATIO_LIMIT = 4
 # Non-assignment problems up to this many coupling entries take the
 # transportation simplex, larger ones the HiGHS LP.
-SIMPLEX_SIZE_LIMIT = 400
-# The simplex enters the most negative reduced cost for this many pivots per
-# coupling entry, then Bland's rule, which cannot cycle.
-_DANTZIG_PIVOTS_PER_ENTRY = 1
+SIMPLEX_SIZE_LIMIT = 100
 
 
 class ConvergenceError(RuntimeError):
@@ -255,12 +252,11 @@ def _simplex_plan(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     The basis is a spanning tree of n + m - 1 cells of the bipartite
     row-column graph, started at the north-west corner. Each pivot prices
     the cells with the potentials u_i + v_j = C_ij of the basis, enters the
-    cell of most negative reduced cost and moves mass around the cycle it
-    closes in the tree; of the tied leaving cells the first in row-major
-    order leaves. After ``_DANTZIG_PIVOTS_PER_ENTRY * n * m`` pivots the
-    entering cell is the first negative one in row-major order instead
-    (Bland's rule), so degenerate pivots cannot cycle. A mismatch between
-    sum(a) and sum(b) stays in the marginals of the plan, as in the LP.
+    first cell in row-major order with a negative reduced cost and moves
+    mass around the cycle it closes in the tree; of the tied leaving cells
+    the first in row-major order leaves. This is Bland's rule, so
+    degenerate pivots cannot cycle. A mismatch between sum(a) and sum(b)
+    stays in the marginals of the plan, as in the LP.
     """
     n, m = C.shape
     a = np.maximum(a, 0.0).tolist()
@@ -289,19 +285,14 @@ def _simplex_plan(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Cl = C.tolist()
     tol = 1e-12 * float(C.max())
-    dantzig = _DANTZIG_PIVOTS_PER_ENTRY * n * m
-    pivots = 0
     while True:
-        u, v = _tree_potentials(Cl, rows, cols)
+        u, v, parent, depth = _tree_potentials(Cl, rows, cols)
         r = C - u[:, None] - v[None, :]
-        if pivots < dantzig:
-            k = int(r.argmin())
-        else:
-            k = int(np.argmax(r < -tol))
+        k = int(np.argmax(r < -tol))
         if not r.flat[k] < -tol:
             break
         p, q = divmod(k, m)
-        path = _tree_path(rows, cols, p, q)
+        path = _tree_path(parent, depth, n, p, q)
         minus, plus = path[0::2], path[1::2]
         leave = min(minus, key=lambda c: (mass[c], c))
         theta = mass.pop(leave)
@@ -315,7 +306,6 @@ def _simplex_plan(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         cols[leave[1]].remove(leave[0])
         rows[p].append(q)
         cols[q].append(p)
-        pivots += 1
 
     plan = np.zeros((n, m))
     cells = np.array(list(mass), dtype=np.intp)
@@ -323,56 +313,54 @@ def _simplex_plan(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return plan
 
 
-def _tree_potentials(Cl, rows, cols) -> tuple[np.ndarray, np.ndarray]:
+def _tree_potentials(Cl, rows, cols):
     """Potentials with u_i + v_j = C_ij on every basis cell and u_0 = 0,
-    by a depth-first walk of the basis tree from row 0. Tree node i < n is
-    row i, node n + j column j."""
+    by a depth-first walk of the basis tree from row 0, with each node's
+    parent and depth in that walk. Tree node i < n is row i, node n + j
+    column j."""
     n, m = len(rows), len(cols)
     u = [0.0] * n
     v = [0.0] * m
-    seen = [False] * (n + m)
-    seen[0] = True
+    parent = [-1] * (n + m)
+    depth = [-1] * (n + m)
+    depth[0] = 0
     stack = [0]
     while stack:
         k = stack.pop()
         if k < n:
             for j in rows[k]:
-                if not seen[n + j]:
-                    seen[n + j] = True
+                if depth[n + j] < 0:
+                    parent[n + j], depth[n + j] = k, depth[k] + 1
                     v[j] = Cl[k][j] - u[k]
                     stack.append(n + j)
         else:
             j = k - n
             for i in cols[j]:
-                if not seen[i]:
-                    seen[i] = True
+                if depth[i] < 0:
+                    parent[i], depth[i] = k, depth[k] + 1
                     u[i] = Cl[i][j] - v[j]
                     stack.append(i)
-    return np.array(u), np.array(v)
+    return np.array(u), np.array(v), parent, depth
 
 
-def _tree_path(rows, cols, p: int, q: int) -> list[tuple[int, int]]:
+def _tree_path(parent, depth, n: int, p: int, q: int) -> list[tuple[int, int]]:
     """Basis cells on the tree path from row ``p`` to column ``q``, in
     order from row ``p``: they alternate losing and gaining mass when
-    (p, q) enters. Nodes are numbered as in ``_tree_potentials``."""
-    n = len(rows)
-    parent = {p: -1}
-    stack = [p]
-    while n + q not in parent:
-        k = stack.pop()
-        nbrs = [n + j for j in rows[k]] if k < n else cols[k - n]
-        for nb in nbrs:
-            if nb not in parent:
-                parent[nb] = k
-                stack.append(nb)
-    path = []
-    k = n + q
-    while parent[k] >= 0:
-        prev = parent[k]
-        path.append((prev, k - n) if prev < n else (k, prev - n))
-        k = prev
-    path.reverse()
-    return path
+    (p, q) enters. Climbs from both ends to their common ancestor in the
+    walk of ``_tree_potentials``."""
+    def cell(k):
+        return (k, parent[k] - n) if k < n else (parent[k], k - n)
+
+    head, tail = [], []
+    x, y = p, n + q
+    while x != y:
+        if depth[x] >= depth[y]:
+            head.append(cell(x))
+            x = parent[x]
+        else:
+            tail.append(cell(y))
+            y = parent[y]
+    return head + tail[::-1]
 
 
 def solve_exact(a, b, C: np.ndarray, supports=None

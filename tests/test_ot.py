@@ -102,7 +102,7 @@ class TestSolveExact:
         (7, 11, False, "_simplex_plan"),       # L = 77 > 4 * 11
         (19, 23, False, "_linprog_plan"),      # L = 437 > 4 * 23; 437 entries
         (6, 6, True, "_simplex_plan"),
-        (20, 21, True, "_linprog_plan"),       # 420 > SIMPLEX_SIZE_LIMIT
+        (10, 11, True, "_linprog_plan"),       # 110 > SIMPLEX_SIZE_LIMIT
     ])
     def test_path_choice(self, monkeypatch, n, m, weighted, path):
         # coprime uniform sizes must never build the n*m-square assignment

@@ -203,15 +203,6 @@ class TestSimplexPath:
         assert_plan_invariants(plan, cost, uniform(n), uniform(n), c)
         assert cost == pytest.approx(best, abs=1e-9)
 
-    @SETTINGS
-    @given(degenerate_problem())
-    def test_bland_rule_matches_linprog(self, problem):
-        # Bland's rule from the first pivot, the rule that ends a long run
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ot, "_DANTZIG_PIVOTS_PER_ENTRY", 0)
-            plan, cost = simplex_solve(*problem)
-        assert_optimal_against_linprog(plan, cost, *problem)
-
     @pytest.mark.parametrize("a, b, c", [
         ([0.5, 0.5], [0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]]),
         ([0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [[0.0, 1.0, 2.0], [3.0, 1.0, 0.0],
