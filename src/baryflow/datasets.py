@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import EmpiricalMeasure
+from .measures import EmpiricalMeasure, _freeze
 
 __all__ = [
     "AffineMap",
@@ -46,12 +46,8 @@ class AffineMap:
             raise ValueError("A must be (d, d) and b length d")
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise ValueError("affine map contains non-finite entries")
-        a = np.array(a, copy=True)
-        b = np.array(b, copy=True)
-        a.flags.writeable = False
-        b.flags.writeable = False
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "a", _freeze(a))
+        object.__setattr__(self, "b", _freeze(b))
 
     @property
     def dim(self) -> int:
@@ -93,12 +89,8 @@ class DomainSpec:
             raise ValueError("shift dimension does not match class means")
         if self.n_samples < c:
             raise ValueError("need at least one sample per class")
-        means = np.array(means, copy=True)
-        chols = np.array(chols, copy=True)
-        means.flags.writeable = False
-        chols.flags.writeable = False
-        object.__setattr__(self, "class_means", means)
-        object.__setattr__(self, "class_chols", chols)
+        object.__setattr__(self, "class_means", _freeze(means))
+        object.__setattr__(self, "class_chols", _freeze(chols))
 
     @property
     def n_classes(self) -> int:

@@ -97,7 +97,6 @@ def mw2_fixed_plan_value_grad(state: LabeledGMM, other: LabeledGMM,
         for j, cj in enumerate(other.components):
             w = omega[i, j]
             if w == 0.0:
-                value += 0.0
                 continue
             value += w * bures_w2_sq(ci, cj)
             dmu, dl = bures_w2_grad(ci, cj)
@@ -203,14 +202,9 @@ def _step(state: LabeledGMM, inputs, cfg: GmmFlowConfig, rng, it: int):
 
     # chain the nu gradient through the softmax logits
     grad_nu_logits = None
-    if nu_logits is not None:
-        grad_nu_logits = np.zeros_like(nu_logits)
-        if grad_nu_total is not None:
-            jn = nu * grad_nu_total - nu * (nu * grad_nu_total).sum(
-                axis=1, keepdims=True)
-            grad_nu_logits += jn
-        if e_nu is not None:
-            grad_nu_logits += e_nu
+    if nu is not None:
+        grad_nu_logits = nu * grad_nu_total - nu * (nu * grad_nu_total).sum(
+            axis=1, keepdims=True) + e_nu
 
     a = cfg.step_size
     mus_new = mus - a * grad_mu

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import ot
-from .gaussian import LabeledGMM, component_log_probs, sample_reparam
+from .gaussian import LabeledGMM, _whiten, sample_reparam
 from .measures import EmpiricalMeasure, logsumexp, softmax, softmax_decode
 
 __all__ = [
@@ -242,30 +242,25 @@ def internal_energy_mc(gmm: LabeledGMM, n_samples: int, seed=None
     logits of pi and covers the density term only (the categorical draw is
     not differentiable).
     """
-    from scipy.linalg import solve_triangular
-
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     z, comp_idx, eps = sample_reparam(gmm, n_samples, seed)
     k, d = gmm.n_components, gmm.dim
-    mus = gmm.means()
     chols = gmm.chols()
 
-    lp = component_log_probs(gmm, z) + np.log(gmm.weights)[None, :]
+    u, lp = _whiten(gmm.means(), chols, z)
+    lp = lp + np.log(gmm.weights)[None, :]
     total = logsumexp(lp, axis=1)
     resp = np.exp(lp - total[:, None])  # (S, K)
     value = float(total.mean())
 
-    # v_sk = Sigma_k^{-1} (z_s - mu_k); g_s = d log p / d z at z_s
-    v = np.empty((n_samples, k, d))
-    for j in range(k):
-        u = solve_triangular(chols[j], (z - mus[j]).T, lower=True)
-        v[:, j, :] = solve_triangular(chols[j].T, u, lower=False).T
+    # v_sk = Sigma_k^{-1} (z_s - mu_k) = L_k^{-T} u_sk; g_s = d log p / d z
+    inv_t = np.linalg.inv(chols).transpose(0, 2, 1)
+    v = (inv_t @ u).transpose(2, 0, 1)
     g = -np.einsum("sk,skd->sd", resp, v)
 
     grad_mu = np.zeros((k, d))
     grad_l = np.zeros((k, d, d))
-    inv_t = [np.linalg.inv(chols[j]).T for j in range(k)]
     for j in range(k):
         sel = comp_idx == j
         # pathwise terms

@@ -8,6 +8,13 @@ Provides the closed-form squared 2-Wasserstein distance between Gaussians
 (Bures metric) with its analytic gradient, the component-level mixture
 distance MW2 (with an optional label term on component label vectors),
 EM fitting, reparametrized sampling, and JSON (de)serialization.
+
+The Bures value and gradient work on the factors through the Procrustes
+identity (Bhatia, Jain & Lim, Expo. Math. 2019):
+W2^2 = ||mu1 - mu2||^2 + ||L1||_F^2 + ||L2||_F^2 - 2 ||L1^T L2||_*,
+so the flow path takes one SVD of L1^T L2 per component pair and no
+covariance square root. ``bures_w2_sq_cov`` and ``matrix_sqrt_psd`` serve
+covariance inputs and the fixed-point barycenter.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ot
-from .measures import logsumexp, one_hot, validate_simplex
+from .measures import _freeze, logsumexp, one_hot, validate_simplex
 
 __all__ = [
     "GaussianComponent",
@@ -69,12 +76,8 @@ class GaussianComponent:
             raise ValueError("chol must have strictly positive diagonal")
         if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(L))):
             raise ValueError("component parameters contain non-finite entries")
-        mu = np.array(mu, copy=True)
-        L = np.array(np.tril(L), copy=True)
-        mu.flags.writeable = False
-        L.flags.writeable = False
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "chol", L)
+        object.__setattr__(self, "mu", _freeze(mu))
+        object.__setattr__(self, "chol", _freeze(np.tril(L)))
 
     @property
     def dim(self) -> int:
@@ -110,9 +113,7 @@ class LabeledGMM:
         d = comps[0].dim
         if any(c.dim != d for c in comps):
             raise ValueError("components must share one dimension")
-        w = np.array(w, copy=True)
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", _freeze(w))
         object.__setattr__(self, "components", comps)
         if self.nu is not None:
             nu = np.atleast_2d(np.asarray(self.nu, dtype=float))
@@ -121,9 +122,7 @@ class LabeledGMM:
             for row in nu:
                 if not validate_simplex(row, tol=1e-6):
                     raise ValueError("nu rows must lie on the class simplex")
-            nu = np.array(nu, copy=True)
-            nu.flags.writeable = False
-            object.__setattr__(self, "nu", nu)
+            object.__setattr__(self, "nu", _freeze(nu))
 
     @property
     def n_components(self) -> int:
@@ -167,15 +166,6 @@ def matrix_sqrt_psd(s: np.ndarray) -> np.ndarray:
     return (root + root.T) / 2.0
 
 
-def _inv_sqrt_pd(s: np.ndarray) -> np.ndarray:
-    s = np.asarray(s, dtype=float)
-    vals, vecs = np.linalg.eigh((s + s.T) / 2.0)
-    # relative to the largest eigenvalue, so the check holds at any scale
-    if vals.min() <= 1e-12 * float(vals.max()):
-        raise np.linalg.LinAlgError("singular matrix: no inverse square root")
-    return (vecs / np.sqrt(vals)) @ vecs.T
-
-
 def bures_w2_sq_cov(mu1, cov1, mu2, cov2) -> float:
     """Squared Gaussian W2 from means and covariances (PSD allowed):
     ||mu1 - mu2||^2 + Tr(S1 + S2 - 2 (S1^{1/2} S2 S1^{1/2})^{1/2})."""
@@ -195,10 +185,15 @@ def bures_w2_sq_cov(mu1, cov1, mu2, cov2) -> float:
 
 
 def bures_w2_sq(g1: GaussianComponent, g2: GaussianComponent) -> float:
-    """Squared Bures-Wasserstein distance between two Gaussian components."""
+    """Squared Bures-Wasserstein distance between two Gaussian components:
+    ||mu1 - mu2||^2 + ||L1||_F^2 + ||L2||_F^2 - 2 ||L1^T L2||_*."""
     if g1.dim != g2.dim:
         raise ValueError("components must share one dimension")
-    return bures_w2_sq_cov(g1.mu, g1.cov, g2.mu, g2.cov)
+    l1, l2 = g1.chol, g2.chol
+    sv = np.linalg.svd(l1.T @ l2, compute_uv=False)
+    val = float(((g1.mu - g2.mu) ** 2).sum()
+                + (l1 ** 2).sum() + (l2 ** 2).sum() - 2.0 * sv.sum())
+    return max(val, 0.0)
 
 
 def bures_w2_grad(g1: GaussianComponent, g2: GaussianComponent
@@ -207,18 +202,25 @@ def bures_w2_grad(g1: GaussianComponent, g2: GaussianComponent
 
     dmu = 2 (mu1 - mu2); the covariance gradient is I - T with T the optimal
     linear transport map, chained onto L as dL = (dS + dS^T) L, restricted to
-    the lower triangle. Requires Sigma1 strictly positive definite.
+    the lower triangle. With L1^T L2 = U S V^T, T = L1^{-T} U S U^T L1^{-1}.
+    Requires Sigma1 strictly positive definite: a factor with
+    sigma_min(L1)^2 <= 1e-12 sigma_max(L1)^2 raises LinAlgError.
     """
+    from scipy.linalg import solve_triangular
+
     if g1.dim != g2.dim:
         raise ValueError("components must share one dimension")
-    s1 = g1.cov
-    s1h = matrix_sqrt_psd(s1)
-    s1ih = _inv_sqrt_pd(s1)
-    cross = matrix_sqrt_psd(s1h @ g2.cov @ s1h)
-    tmap = s1ih @ cross @ s1ih
+    l1 = g1.chol
+    # relative to the largest singular value, so the check holds at any scale
+    sv1 = np.linalg.svd(l1, compute_uv=False)
+    if sv1[-1] ** 2 <= 1e-12 * sv1[0] ** 2:
+        raise np.linalg.LinAlgError("singular covariance: no transport map")
+    u, sv, _ = np.linalg.svd(l1.T @ g2.chol)
+    half = solve_triangular(l1, (u * sv) @ u.T, lower=True, trans="T")
+    tmap = solve_triangular(l1, half.T, lower=True, trans="T")
     dsigma = np.eye(g1.dim) - tmap
     dmu = 2.0 * (g1.mu - g2.mu)
-    dl = np.tril((dsigma + dsigma.T) @ g1.chol)
+    dl = np.tril((dsigma + dsigma.T) @ l1)
     return dmu, dl
 
 
@@ -251,19 +253,24 @@ def mw2_sq(p: LabeledGMM, q: LabeledGMM, beta: float = 0.0
     return value, plan
 
 
-def component_log_probs(gmm: LabeledGMM, z: np.ndarray) -> np.ndarray:
-    """Per-component Gaussian log densities, shape (n_samples, n_components)."""
+def _whiten(means: np.ndarray, chols: np.ndarray, z: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Whitened residuals u_k = L_k^{-1} (z - mu_k), shape (k, d, n), and the
+    component log densities, shape (n, k), of stacked means and factors."""
     from scipy.linalg import solve_triangular
 
-    z = np.atleast_2d(np.asarray(z, dtype=float))
-    out = np.empty((z.shape[0], gmm.n_components))
-    d = gmm.dim
+    u = solve_triangular(chols, (z[None, :, :] - means[:, None, :]
+                                 ).transpose(0, 2, 1), lower=True)
+    d = means.shape[1]
+    logdet = np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
     const = -0.5 * d * np.log(2.0 * np.pi)
-    for k, comp in enumerate(gmm.components):
-        u = solve_triangular(comp.chol, (z - comp.mu).T, lower=True)
-        logdet = np.log(np.diag(comp.chol)).sum()
-        out[:, k] = const - logdet - 0.5 * (u * u).sum(axis=0)
-    return out
+    return u, (const - logdet[:, None] - 0.5 * (u * u).sum(axis=1)).T
+
+
+def component_log_probs(gmm: LabeledGMM, z: np.ndarray) -> np.ndarray:
+    """Per-component Gaussian log densities, shape (n_samples, n_components)."""
+    z = np.atleast_2d(np.asarray(z, dtype=float))
+    return _whiten(gmm.means(), gmm.chols(), z)[1]
 
 
 def gmm_log_density(gmm: LabeledGMM, z: np.ndarray
@@ -314,9 +321,8 @@ def _em_single(data: np.ndarray, k: int, max_iter: int, tol: float,
 
     logliks: list[float] = []
     for _ in range(max_iter):
-        gmm = LabeledGMM(pis, tuple(
-            GaussianComponent.from_cov(mus[j], covs[j]) for j in range(k)))
-        lp = component_log_probs(gmm, data) + np.log(pis)[None, :]
+        chols = np.linalg.cholesky(covs)
+        lp = _whiten(mus, chols, data)[1] + np.log(pis)[None, :]
         total = logsumexp(lp, axis=1)
         loglik = float(total.sum())
         resp = np.exp(lp - total[:, None])
@@ -337,7 +343,8 @@ def _em_single(data: np.ndarray, k: int, max_iter: int, tol: float,
         if len(logliks) > 1 and abs(logliks[-1] - logliks[-2]) < tol:
             break
 
-    comps = [GaussianComponent.from_cov(mus[j], covs[j]) for j in range(k)]
+    chols = np.linalg.cholesky(covs)
+    comps = [GaussianComponent(mus[j], chols[j]) for j in range(k)]
     return pis, comps, logliks
 
 

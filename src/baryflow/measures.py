@@ -34,6 +34,7 @@ LABEL_EPS = 1e-6
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
+    """A read-only float copy of ``a``: how every value type stores arrays."""
     out = np.array(a, dtype=float, copy=True)
     out.flags.writeable = False
     return out

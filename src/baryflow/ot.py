@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import logsumexp
+from .measures import _freeze, logsumexp
 
 __all__ = [
     "TransportPlan",
@@ -87,9 +87,7 @@ class TransportPlan:
         if np.max(np.abs(g.sum(axis=0) - b)) > tol:
             raise ValueError("column sums do not match the column marginal")
         for name, arr in (("coupling", g), ("row_marginal", a), ("col_marginal", b)):
-            arr = np.array(arr, copy=True)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _freeze(arr))
 
 
 def squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -233,8 +231,11 @@ def _linprog_plan(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
                           shape=(m, n * m)),
     ]).tocsc()
     b_eq = np.concatenate([a, b])
+    # HiGHS's tolerances are absolute, so it sees the cost scaled to max 1
+    top = C.max()
+    c = (C / top if top > 0 else C).ravel()
     # drop one redundant constraint so the system has full row rank
-    res = linprog(C.ravel(), A_eq=A_eq[:-1], b_eq=b_eq[:-1],
+    res = linprog(c, A_eq=A_eq[:-1], b_eq=b_eq[:-1],
                   bounds=(0, None), method="highs")
     if res.status != 0:
         raise ConvergenceError(f"exact OT LP failed: {res.message}")

@@ -118,6 +118,18 @@ class TestSolveExact:
         plan, _ = ot.solve_exact(a, b, rng.random((n, m)))
         assert plan.coupling.shape == (n, m)
 
+    @pytest.mark.parametrize("scale", [1e-8, 1e-6])
+    def test_lp_path_is_scale_free(self, scale):
+        # 121 entries take HiGHS, whose tolerances are absolute; the
+        # transportation simplex is the reference at any scale
+        rng = np.random.default_rng(11)
+        x, y = rng.standard_normal((11, 2)), rng.standard_normal((11, 2))
+        a, b = rng.dirichlet(np.ones(11)), rng.dirichlet(np.ones(11))
+        c = scale * ot.squared_distances(x, y)
+        _, cost = ot.solve_exact(a, b, c)
+        reference = float((ot._simplex_plan(c, a, b) * c).sum())
+        assert abs(cost - reference) <= 1e-9 * reference
+
     def test_general_marginals_2x2_closed_form(self):
         # with marginals (a, 1-a), (b, 1-b) the plan has one free entry
         # g in [max(0, a+b-1), min(a, b)] and the cost is linear in g

@@ -1,8 +1,9 @@
 """Property tests: the exact transport paths (1-D sorted, assignment,
 transportation simplex, LP) against independent oracles, plan invariants of
 both solvers, the CSV round trip of labeled measures, finite flows at extreme
-input scales, and the numpy logsumexp and label entropy against their scipy
-forms.
+input scales, the Bures value and gradient on Cholesky factors against their
+covariance forms, and the numpy logsumexp and label entropy against their
+scipy forms.
 
 Examples are derandomized and no example database is kept, so every run
 draws the same cases.
@@ -25,7 +26,13 @@ from baryflow.datasets import load_csv, save_csv
 from baryflow.flow_empirical import EmpiricalFlowConfig, EmpiricalSampler, run_flow
 from baryflow.flow_gmm import GmmFlowConfig, run_gmm_flow
 from baryflow.functionals import entropy_potential
-from baryflow.gaussian import GaussianComponent, LabeledGMM
+from baryflow.gaussian import (
+    GaussianComponent,
+    LabeledGMM,
+    bures_w2_grad,
+    bures_w2_sq,
+    bures_w2_sq_cov,
+)
 from baryflow.measures import (
     BarycentricCoordinates,
     EmpiricalMeasure,
@@ -170,7 +177,7 @@ def simplex_solve(a, b, c):
 def assert_optimal_against_linprog(plan, cost, a, b, c):
     """A feasible plan cannot cost less than the optimum, so optimality is
     one-sided: no dearer than HiGHS. HiGHS itself may stop above the
-    optimum by its absolute tolerances (1e-7), which shows on tiny costs."""
+    optimum by its tolerances (1e-7 of the largest cost)."""
     assert_plan_invariants(plan, cost, a, b, c)
     assert cost <= float((ot._linprog_plan(c, a, b) * c).sum()) + 1e-9
 
@@ -404,6 +411,71 @@ class TestFlowScaling:
         final, trace = run_gmm_flow(inputs, cfg)
         assert_finite_run(np.concatenate([final.means().ravel(),
                                           final.chols().ravel()]), trace)
+
+
+@st.composite
+def gaussian(draw, d, scale):
+    """A Gaussian with covariance eigenvalues in [1, 1e3] in a random basis,
+    means in [-3, 3]^d, both scaled by ``scale``."""
+    basis, _ = np.linalg.qr(draw(hnp.arrays(float, (d, d), elements=unit_coords)))
+    eig = draw(hnp.arrays(float, d, elements=st.floats(1.0, 1e3)))
+    cov = (basis * eig) @ basis.T
+    return GaussianComponent(
+        scale * draw(hnp.arrays(float, d, elements=unit_coords)),
+        scale * np.linalg.cholesky((cov + cov.T) / 2.0))
+
+
+@st.composite
+def gaussian_pair(draw, min_dim=1):
+    d = draw(st.integers(min_dim, 6))
+    scale = draw(st.sampled_from(SCALES))
+    return draw(gaussian(d, scale)), draw(gaussian(d, scale))
+
+
+def eigh_transport_map(s1, s2):
+    """S1^{-1/2} (S1^{1/2} S2 S1^{1/2})^{1/2} S1^{-1/2} by eigendecompositions."""
+    w, q = np.linalg.eigh(s1)
+    half, inv_half = (q * np.sqrt(w)) @ q.T, (q / np.sqrt(w)) @ q.T
+    w, q = np.linalg.eigh(half @ s2 @ half)
+    return inv_half @ ((q * np.sqrt(np.maximum(w, 0.0))) @ q.T) @ inv_half
+
+
+class TestBuresKernel:
+    """The Bures value and gradient on Cholesky factors against the
+    covariance forms, at condition numbers up to 1e3 and scales 1e-6 to 1e6."""
+
+    @SETTINGS
+    @given(gaussian_pair())
+    def test_value_matches_covariance_form(self, pair):
+        g1, g2 = pair
+        size = (((g1.mu - g2.mu) ** 2).sum() + np.trace(g1.cov)
+                + np.trace(g2.cov))
+        reference = bures_w2_sq_cov(g1.mu, g1.cov, g2.mu, g2.cov)
+        assert abs(bures_w2_sq(g1, g2) - reference) <= 1e-12 * size
+
+    @SETTINGS
+    @given(gaussian_pair())
+    def test_grad_matches_eigh_map(self, pair):
+        g1, g2 = pair
+        dmu, dl = bures_w2_grad(g1, g2)
+        dsigma = np.eye(g1.dim) - eigh_transport_map(g1.cov, g2.cov)
+        reference = np.tril((dsigma + dsigma.T) @ g1.chol)
+        assert np.array_equal(dmu, 2.0 * (g1.mu - g2.mu))
+        # the map's terms set the scale: the gradient itself may cancel to 0
+        size = max(np.abs(reference).max(), 2.0 * np.abs(g1.chol).max())
+        assert np.abs(dl - reference).max() <= 1e-10 * size
+
+    @SETTINGS
+    @given(gaussian_pair(min_dim=2), st.data())
+    def test_relatively_singular_factor_raises(self, pair, data):
+        g1, g2 = pair
+        chol = g1.chol.copy()
+        j = data.draw(st.integers(0, g1.dim - 1))
+        # sigma_min <= |L_jj| and sigma_max >= every other |L_ii|: a ratio
+        # of at most 1e-7
+        chol[j, j] = 1e-7 * np.delete(np.diag(chol), j).max()
+        with pytest.raises(np.linalg.LinAlgError):
+            bures_w2_grad(GaussianComponent(g1.mu, chol), g2)
 
 
 # finite values and -inf entries

@@ -1,6 +1,7 @@
 """Digest the artifacts of a fixed set of CLI runs for one source tree.
 
 Usage: python3 tools/artifact_digest.py SRC_ROOT WORK_DIR
+       python3 tools/artifact_digest.py --compare WORK_A WORK_B
 
 Runs each config below through ``baryflow.cli.main``, imported from
 ``SRC_ROOT/src``, with outputs under ``WORK_DIR``, and prints one line
@@ -11,6 +12,14 @@ that exits non-zero prints ``run exit CODE``. Two source trees write the
 same artifacts and reports when the outputs for both are equal, so a change
 that must keep them byte-identical is checked by ``diff`` of two runs of
 this script.
+
+``--compare`` reads the outputs of two earlier runs of this script, from
+their work directories, and prints one line ``run file`` per artifact with
+``identical``, ``max_rel_diff X`` (the largest relative difference over the
+numeric CSV cells and JSON leaves; other cells must be equal) or
+``mismatch: REASON`` when the two differ in structure. ``run_report.json``
+is compared after ``normalized_report``. It checks a change whose artifacts
+may move only by rounding, e.g. by ``max_rel_diff`` below 1e-12.
 
 The runs: the five configs of acceptance criterion 12, instance 0 of seed 0
 of each benchmark workload (from ``SRC_ROOT/bench/workloads.py``), ``toy``
@@ -25,8 +34,10 @@ the class names {cat, dog, fish}.
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -124,7 +135,85 @@ def normalized_report(path: Path, work: Path) -> bytes:
     return text.replace(str(work), WORK_TOKEN).encode()
 
 
+class Mismatch(Exception):
+    """Two artifacts differ in structure, or in a non-numeric value."""
+
+
+def _rel_diff(x: float, y: float) -> float:
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return math.inf
+    return abs(x - y) / max(abs(x), abs(y))
+
+
+def _cells(text: str) -> list[list]:
+    """CSV rows, with each cell that parses as a number as a float."""
+    def cell(c):
+        try:
+            return float(c)
+        except ValueError:
+            return c
+    return [[cell(c) for c in row] for row in csv.reader(text.splitlines())]
+
+
+def _diff(a, b, where: str = "") -> float:
+    """Largest relative difference of the numeric leaves of two JSON values
+    (or CSV rows); Mismatch if anything else differs."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        if a.keys() != b.keys():
+            raise Mismatch(f"{where or '/'}: keys differ")
+        return max((_diff(a[k], b[k], f"{where}/{k}") for k in a),
+                   default=0.0)
+    if isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            raise Mismatch(f"{where or '/'}: {len(a)} vs {len(b)} items")
+        return max((_diff(x, y, f"{where}/{i}")
+                    for i, (x, y) in enumerate(zip(a, b))), default=0.0)
+    numeric = (int, float)
+    if (isinstance(a, numeric) and isinstance(b, numeric)
+            and not isinstance(a, bool) and not isinstance(b, bool)):
+        return _rel_diff(a, b)
+    if a != b:
+        raise Mismatch(f"{where or '/'}: {a!r} vs {b!r}")
+    return 0.0
+
+
+def compare(work_a: Path, work_b: Path) -> None:
+    """Print how each artifact under ``work_b`` differs from ``work_a``."""
+    def artifacts(work):
+        return {f.relative_to(work) for f in work.glob("**/out/*")}
+
+    def read(work, rel):
+        f = work / rel
+        data = (normalized_report(f, work) if f.name == "run_report.json"
+                else f.read_bytes())
+        return data.decode()
+
+    found_a, found_b = artifacts(work_a), artifacts(work_b)
+    for rel in sorted(found_a | found_b):
+        label = f"{rel.parts[0]} {rel.name}"
+        if rel not in found_a or rel not in found_b:
+            print(label, "mismatch: only in",
+                  work_a if rel in found_a else work_b)
+            continue
+        a, b = read(work_a, rel), read(work_b, rel)
+        if a == b:
+            print(label, "identical")
+            continue
+        try:
+            worst = (_diff(_cells(a), _cells(b)) if rel.suffix == ".csv"
+                     else _diff(json.loads(a), json.loads(b)))
+        except Mismatch as e:
+            print(label, "mismatch:", e)
+        else:
+            print(label, "max_rel_diff", f"{worst:.3g}")
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--compare":
+        compare(Path(argv[1]).resolve(), Path(argv[2]).resolve())
+        return 0
     if len(argv) != 2:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
