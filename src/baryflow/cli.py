@@ -236,8 +236,8 @@ def _parse_input(d: dict, idx: int, rng: np.random.Generator):
         mean = np.asarray(_get(d, "mean", list, ctx, required=True), dtype=float)
         std = _get(d, "std", (int, float, list), ctx, 1.0)
         std = np.broadcast_to(np.asarray(std, dtype=float), mean.shape).copy()
-        comp = GaussianComponent(mean, np.diag(std))
-        return GaussianSampler(mean, std), None, LabeledGMM([1.0], (comp,))
+        gmm = LabeledGMM([1.0], mean[None], np.diag(std)[None])
+        return GaussianSampler(mean, std), None, gmm
     if kind == "gmm_json":
         _check_keys(d, ["kind", "path"], ctx)
         gmm = _load(load_gmm, _get(d, "path", str, ctx, required=True), ctx)
@@ -430,7 +430,7 @@ def _prepare_toy(cfg: dict, seed: int, ctx: str):
             for m in maps
         ]
         oracle = fixed_point_gaussian_barycenter(family_gaussians, coords.lam)
-        ref_gmm = LabeledGMM([1.0], (oracle,))
+        ref_gmm = LabeledGMM([1.0], oracle.mu[None], oracle.chol[None])
         ref_pts, _, _ = sample_reparam(ref_gmm, n, rng)
         reference = EmpiricalMeasure(ref_pts)
     else:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gaussian import _check_factors
 from .measures import EmpiricalMeasure, _freeze
 
 __all__ = [
@@ -78,13 +79,8 @@ class DomainSpec:
 
     def __post_init__(self):
         means = np.atleast_2d(np.asarray(self.class_means, dtype=float))
-        chols = np.asarray(self.class_chols, dtype=float)
+        chols = _check_factors(means, np.asarray(self.class_chols, dtype=float))
         c, d = means.shape
-        if chols.shape != (c, d, d):
-            raise ValueError("class_chols must be (C, d, d)")
-        for l in chols:
-            if not np.allclose(l, np.tril(l)) or np.any(np.diag(l) <= 0):
-                raise ValueError("class_chols must be valid Cholesky factors")
         if self.shift.dim != d:
             raise ValueError("shift dimension does not match class means")
         if self.n_samples < c:

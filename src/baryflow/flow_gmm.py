@@ -127,7 +127,7 @@ def _energy_grads(state: LabeledGMM, cfg: GmmFlowConfig, rng):
     spec = cfg.functional
     k, d = state.n_components, state.dim
     nu_logits = None if state.nu is None else _nu_logits(state.nu)
-    v, u, g_mu, g_nu = _label_energies(state.means(), nu_logits, spec)
+    v, u, g_mu, g_nu = _label_energies(state.means, nu_logits, spec)
     g = 0.0
     g_l = np.zeros((k, d, d))
     g_w = np.zeros(k)
@@ -164,7 +164,7 @@ def _evaluate(state: LabeledGMM, inputs, cfg: GmmFlowConfig, rng, it: int):
     for l, (_, _, value) in zip(cfg.coordinates.lam, solved):
         b_hat += l * value
     v, u, g, *energy_grads = _energy_grads(state, cfg, rng)
-    mus, chols = state.means(), state.chols()
+    mus, chols = state.means, state.chols
     record = TraceRecord(
         it, float(b_hat), float(v), float(u), float(g),
         float(b_hat + v + u + g),
@@ -178,8 +178,8 @@ def _step(state: LabeledGMM, inputs, cfg: GmmFlowConfig, rng, it: int):
     lam = cfg.coordinates.lam
     beta = cfg.label_weight
     k, d = state.n_components, state.dim
-    mus = state.means()
-    chols = state.chols()
+    mus = state.means
+    chols = state.chols
     nu = state.nu
     nu_logits = None if nu is None else _nu_logits(nu)
 
@@ -228,11 +228,7 @@ def _step(state: LabeledGMM, inputs, cfg: GmmFlowConfig, rng, it: int):
         chain = state.weights * (grad_pi - float(state.weights @ grad_pi)) + e_w
         weights_new = softmax(w_logits - a * chain)
 
-    new_state = LabeledGMM(
-        weights_new,
-        tuple(GaussianComponent(mus_new[i], chols_new[i]) for i in range(k)),
-        nu=nu_new)
-    return new_state, record
+    return LabeledGMM(weights_new, mus_new, chols_new, nu=nu_new), record
 
 
 def gmm_flow_step(state: LabeledGMM, inputs, cfg: GmmFlowConfig,
@@ -275,7 +271,7 @@ def _init_state(inputs, cfg: GmmFlowConfig, rng) -> LabeledGMM:
                          seed=rng, diag=cfg.diag_only)
             nu = np.zeros((fit.n_components, n_classes))
             nu[:, present] = fit.nu
-            state = LabeledGMM(fit.weights, fit.components, nu=nu)
+            state = LabeledGMM(fit.weights, fit.means, fit.chols, nu=nu)
         else:
             state = em_fit(pool, components_per_class=cfg.n_components,
                            seed=rng, diag=cfg.diag_only)
@@ -284,12 +280,11 @@ def _init_state(inputs, cfg: GmmFlowConfig, rng) -> LabeledGMM:
         idx = rng.choice(pool.shape[0], size=k, replace=pool.shape[0] < k)
         std = pool.std(axis=0)
         std = np.where(std > 0, std, 1.0)
-        chol = np.diag(std)
-        comps = tuple(GaussianComponent(pool[i], chol) for i in idx)
+        chols = np.repeat(np.diag(std)[None], k, axis=0)
         nu = None
         if labeled:
             nu = np.full((k, n_classes), 1.0 / n_classes)
-        state = LabeledGMM(np.full(k, 1.0 / k), comps, nu=nu)
+        state = LabeledGMM(np.full(k, 1.0 / k), pool[idx], chols, nu=nu)
     return state
 
 
@@ -323,8 +318,6 @@ def fixed_point_gaussian_barycenter(gaussians, lam=None, tol: float = 1e-10,
     comps = list(gaussians)
     if lam is None:
         lam = np.full(len(comps), 1.0 / len(comps))
-    elif isinstance(lam, BarycentricCoordinates):
-        lam = lam.lam
     else:
         lam = np.asarray(lam, dtype=float)
     if lam.shape != (len(comps),):

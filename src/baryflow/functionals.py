@@ -246,9 +246,9 @@ def internal_energy_mc(gmm: LabeledGMM, n_samples: int, seed=None
         raise ValueError("n_samples must be >= 1")
     z, comp_idx, eps = sample_reparam(gmm, n_samples, seed)
     k, d = gmm.n_components, gmm.dim
-    chols = gmm.chols()
+    chols = gmm.chols
 
-    u, lp = _whiten(gmm.means(), chols, z)
+    u, lp = _whiten(gmm.means, chols, z)
     lp = lp + np.log(gmm.weights)[None, :]
     total = logsumexp(lp, axis=1)
     resp = np.exp(lp - total[:, None])  # (S, K)

@@ -2,7 +2,9 @@
 
 Covariances are parametrized by lower-triangular Cholesky factors L with
 positive diagonal (Sigma = L L^T), which is what the mixture flow optimizes
-and what the reparametrized sampler consumes directly.
+and what the reparametrized sampler consumes directly. A mixture is stacked
+arrays: weights (k,), means (k, d), factors (k, d, d) and optional label
+vectors (k, C); ``_check_factors`` is the one check of a stack of factors.
 
 Provides the closed-form squared 2-Wasserstein distance between Gaussians
 (Bures metric) with its analytic gradient, the component-level mixture
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,7 +42,6 @@ __all__ = [
     "em_fit",
     "sample_reparam",
     "gmm_log_density",
-    "component_log_probs",
     "gmm_to_json",
     "gmm_from_json",
     "save_gmm",
@@ -49,10 +51,37 @@ __all__ = [
 GMM_SCHEMA_VERSION = 1
 # Relative tolerance of matrix_sqrt_psd's symmetry and PSD checks.
 SQRT_PSD_TOL = 1e-10
+# An entry above the diagonal of a Cholesky factor counts as zero up to
+# TRIL_RTOL times the factor's largest entry, so the check has no units.
+TRIL_RTOL = 1e-8
 # EM stops after EM_MAX_ITER iterations, or once the log-likelihood changes
 # by less than EM_TOL.
 EM_MAX_ITER = 200
 EM_TOL = 1e-8
+
+
+def _check_factors(means: np.ndarray, chols: np.ndarray) -> np.ndarray:
+    """Check a stack of Gaussians in one pass and return its factors with
+    ``np.tril`` applied.
+
+    ``means`` must be a non-empty (k, d) matrix and ``chols`` (k, d, d), all
+    entries finite; each factor must be lower-triangular up to TRIL_RTOL of
+    its largest entry and have a strictly positive diagonal.
+    """
+    if means.ndim != 2 or 0 in means.shape:
+        raise ValueError(f"means must be a non-empty (k, d) matrix, "
+                         f"got shape {means.shape}")
+    k, d = means.shape
+    if chols.shape != (k, d, d):
+        raise ValueError(f"chols must be ({k}, {d}, {d}), got {chols.shape}")
+    if not (np.all(np.isfinite(means)) and np.all(np.isfinite(chols))):
+        raise ValueError("component parameters contain non-finite entries")
+    largest = np.abs(chols).max(axis=(1, 2))
+    if np.any(np.abs(np.triu(chols, 1)).max(axis=(1, 2)) > TRIL_RTOL * largest):
+        raise ValueError("chol must be lower-triangular")
+    if np.any(np.diagonal(chols, axis1=1, axis2=2) <= 0):
+        raise ValueError("chol must have strictly positive diagonal")
+    return np.tril(chols)
 
 
 @dataclass(frozen=True)
@@ -64,20 +93,10 @@ class GaussianComponent:
 
     def __post_init__(self):
         mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
-        L = np.atleast_2d(np.asarray(self.chol, dtype=float))
-        if mu.ndim != 1 or mu.shape[0] < 1:
-            raise ValueError("mu must be a non-empty 1-D vector")
-        d = mu.shape[0]
-        if L.shape != (d, d):
-            raise ValueError(f"chol must be ({d}, {d}), got {L.shape}")
-        if not np.allclose(L, np.tril(L)):
-            raise ValueError("chol must be lower-triangular")
-        if np.any(np.diag(L) <= 0):
-            raise ValueError("chol must have strictly positive diagonal")
-        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(L))):
-            raise ValueError("component parameters contain non-finite entries")
+        chol = np.atleast_2d(np.asarray(self.chol, dtype=float))
+        chol = _check_factors(mu[None], chol[None])[0]
         object.__setattr__(self, "mu", _freeze(mu))
-        object.__setattr__(self, "chol", _freeze(np.tril(L)))
+        object.__setattr__(self, "chol", _freeze(chol))
 
     @property
     def dim(self) -> int:
@@ -94,43 +113,50 @@ class GaussianComponent:
 
 @dataclass(frozen=True)
 class LabeledGMM:
-    """Gaussian mixture with optional per-component label vectors.
-
-    ``nu`` rows, when present, lie on the class simplex.
+    """Gaussian mixture of k components in d dimensions, as stacked arrays:
+    ``weights`` (k,) on the simplex, ``means`` (k, d), lower-triangular
+    Cholesky factors ``chols`` (k, d, d), and optional label vectors ``nu``
+    (k, C) whose rows lie on the class simplex.
     """
 
     weights: np.ndarray
-    components: tuple
+    means: np.ndarray
+    chols: np.ndarray
     nu: np.ndarray | None = None
 
     def __post_init__(self):
+        means = np.asarray(self.means, dtype=float)
+        chols = _check_factors(means, np.asarray(self.chols, dtype=float))
         w = np.atleast_1d(np.asarray(self.weights, dtype=float))
-        comps = tuple(self.components)
-        if len(comps) != w.shape[0] or len(comps) == 0:
+        if w.shape != (means.shape[0],):
             raise ValueError("need one weight per component")
         if not validate_simplex(w, tol=1e-9):
             raise ValueError("mixture weights must lie on the simplex")
-        d = comps[0].dim
-        if any(c.dim != d for c in comps):
-            raise ValueError("components must share one dimension")
         object.__setattr__(self, "weights", _freeze(w))
-        object.__setattr__(self, "components", comps)
+        object.__setattr__(self, "means", _freeze(means))
+        object.__setattr__(self, "chols", _freeze(chols))
         if self.nu is not None:
             nu = np.atleast_2d(np.asarray(self.nu, dtype=float))
-            if nu.shape[0] != len(comps):
+            if nu.ndim != 2 or nu.shape[0] != means.shape[0]:
                 raise ValueError("nu must have one row per component")
-            for row in nu:
-                if not validate_simplex(row, tol=1e-6):
-                    raise ValueError("nu rows must lie on the class simplex")
+            if not validate_simplex(nu, tol=1e-6):
+                raise ValueError("nu rows must lie on the class simplex")
             object.__setattr__(self, "nu", _freeze(nu))
+
+    @cached_property
+    def components(self) -> tuple:
+        """The components as GaussianComponents, built on first read, for
+        the per-pair Bures calls."""
+        return tuple(GaussianComponent(mu, l)
+                     for mu, l in zip(self.means, self.chols))
 
     @property
     def n_components(self) -> int:
-        return len(self.components)
+        return self.means.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.components[0].dim
+        return self.means.shape[1]
 
     @property
     def n_classes(self) -> int | None:
@@ -140,12 +166,6 @@ class LabeledGMM:
     def class_names(self) -> None:
         """Mixtures carry no class names."""
         return None
-
-    def means(self) -> np.ndarray:
-        return np.stack([c.mu for c in self.components])
-
-    def chols(self) -> np.ndarray:
-        return np.stack([c.chol for c in self.components])
 
 
 def matrix_sqrt_psd(s: np.ndarray) -> np.ndarray:
@@ -267,17 +287,11 @@ def _whiten(means: np.ndarray, chols: np.ndarray, z: np.ndarray
     return u, (const - logdet[:, None] - 0.5 * (u * u).sum(axis=1)).T
 
 
-def component_log_probs(gmm: LabeledGMM, z: np.ndarray) -> np.ndarray:
-    """Per-component Gaussian log densities, shape (n_samples, n_components)."""
-    z = np.atleast_2d(np.asarray(z, dtype=float))
-    return _whiten(gmm.means(), gmm.chols(), z)[1]
-
-
 def gmm_log_density(gmm: LabeledGMM, z: np.ndarray
                     ) -> tuple[float, np.ndarray]:
     """Mixture log density at a point, plus component responsibilities."""
     z = np.asarray(z, dtype=float)
-    lp = component_log_probs(gmm, z[None, :]) + np.log(gmm.weights)[None, :]
+    lp = _whiten(gmm.means, gmm.chols, z[None, :])[1] + np.log(gmm.weights)
     total = logsumexp(lp, axis=1)
     resp = np.exp(lp - total[:, None])
     return float(total[0]), resp[0]
@@ -296,16 +310,15 @@ def sample_reparam(gmm: LabeledGMM, n: int, seed=None
         return np.zeros((0, d)), np.zeros(0, dtype=int), np.zeros((0, d))
     idx = rng.choice(gmm.n_components, size=n, p=gmm.weights)
     eps = rng.standard_normal((n, d))
-    mus = gmm.means()
-    chols = gmm.chols()
-    pts = mus[idx] + np.einsum("nij,nj->ni", chols[idx], eps)
+    pts = gmm.means[idx] + np.einsum("nij,nj->ni", gmm.chols[idx], eps)
     return pts, idx, eps
 
 
 def _em_single(data: np.ndarray, k: int, max_iter: int, tol: float,
                rng: np.random.Generator, diag: bool
-               ) -> tuple[np.ndarray, list[GaussianComponent], list[float]]:
-    """Fit one GMM with EM; returns (weights, components, loglik trace)."""
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float]]:
+    """Fit one GMM with EM; returns (weights, means, Cholesky factors,
+    loglik trace)."""
     n, d = data.shape
     if n < k:
         raise ValueError(f"need at least {k} points to fit {k} components")
@@ -343,9 +356,7 @@ def _em_single(data: np.ndarray, k: int, max_iter: int, tol: float,
         if len(logliks) > 1 and abs(logliks[-1] - logliks[-2]) < tol:
             break
 
-    chols = np.linalg.cholesky(covs)
-    comps = [GaussianComponent(mus[j], chols[j]) for j in range(k)]
-    return pis, comps, logliks
+    return pis, mus, np.linalg.cholesky(covs), logliks
 
 
 def _ridge(cov: np.ndarray, d: int) -> np.ndarray:
@@ -366,27 +377,24 @@ def em_fit(data, labels=None, components_per_class: int = 1, seed=None,
     data = np.atleast_2d(np.asarray(data, dtype=float))
     rng = np.random.default_rng(seed)
     if labels is None:
-        pis, comps, _ = _em_single(
+        pis, mus, chols, _ = _em_single(
             data, components_per_class, EM_MAX_ITER, EM_TOL, rng, diag)
-        return LabeledGMM(pis, tuple(comps))
+        return LabeledGMM(pis, mus, chols)
 
     labels = np.asarray(labels)
-    classes = np.arange(int(labels.max()) + 1)
-    weights: list[float] = []
-    comps: list[GaussianComponent] = []
-    nus: list[np.ndarray] = []
-    for c in classes:
+    n_classes = int(labels.max()) + 1
+    fits = []
+    for c in range(n_classes):
         rows = data[labels == c]
         if rows.shape[0] == 0:
             raise ValueError(f"class {c} has no samples")
-        pis_c, comps_c, _ = _em_single(
+        pis_c, mus_c, chols_c, _ = _em_single(
             rows, components_per_class, EM_MAX_ITER, EM_TOL, rng, diag)
-        freq = rows.shape[0] / data.shape[0]
-        weights.extend(freq * pis_c)
-        comps.extend(comps_c)
-        nus.extend(one_hot(np.full(len(comps_c), c), len(classes)))
-    w = np.asarray(weights)
-    return LabeledGMM(w / w.sum(), tuple(comps), nu=np.asarray(nus))
+        fits.append((rows.shape[0] / data.shape[0] * pis_c, mus_c, chols_c))
+    w, mus, chols = (np.concatenate(parts) for parts in zip(*fits))
+    nu = one_hot(np.repeat(np.arange(n_classes), components_per_class),
+                 n_classes)
+    return LabeledGMM(w / w.sum(), mus, chols, nu=nu)
 
 
 def gmm_to_json(gmm: LabeledGMM) -> dict:
@@ -394,8 +402,8 @@ def gmm_to_json(gmm: LabeledGMM) -> dict:
     return {
         "schema_version": GMM_SCHEMA_VERSION,
         "weights": gmm.weights.tolist(),
-        "means": gmm.means().tolist(),
-        "cholesky_rows": gmm.chols().tolist(),
+        "means": gmm.means.tolist(),
+        "cholesky_rows": gmm.chols.tolist(),
         "labels": gmm.nu.tolist() if gmm.nu is not None else None,
     }
 
@@ -404,12 +412,8 @@ def gmm_from_json(doc: dict) -> LabeledGMM:
     version = doc.get("schema_version", GMM_SCHEMA_VERSION)
     if version != GMM_SCHEMA_VERSION:
         raise ValueError(f"unsupported GMM schema version {version}")
-    comps = tuple(
-        GaussianComponent(np.asarray(mu), np.asarray(rows))
-        for mu, rows in zip(doc["means"], doc["cholesky_rows"])
-    )
-    nu = None if doc.get("labels") is None else np.asarray(doc["labels"])
-    return LabeledGMM(np.asarray(doc["weights"]), comps, nu=nu)
+    return LabeledGMM(doc["weights"], doc["means"], doc["cholesky_rows"],
+                      nu=doc.get("labels"))
 
 
 def save_gmm(gmm: LabeledGMM, path) -> None:

@@ -41,14 +41,16 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 def validate_simplex(v: np.ndarray, tol: float = 1e-9) -> bool:
-    """Return True iff ``v`` lies on the probability simplex within ``tol``.
+    """Return True iff ``v``, or each row of a matrix ``v``, lies on the
+    probability simplex within ``tol``.
 
     Raises ValueError on non-finite input.
     """
     v = np.asarray(v, dtype=float)
     if not np.all(np.isfinite(v)):
         raise ValueError("simplex vector contains non-finite entries")
-    return bool(np.all(v >= -tol) and abs(v.sum() - 1.0) <= tol)
+    return bool(np.all(v >= -tol)
+                and np.all(np.abs(v.sum(axis=-1) - 1.0) <= tol))
 
 
 def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:

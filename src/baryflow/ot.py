@@ -432,10 +432,10 @@ def solve_entropic(a, b, C: np.ndarray, epsilon: float,
         levels.append(e)
         e /= 2.0
     for eps in levels:
-        f, g, _ = _sinkhorn_potentials(Cv, loga, logb, f, g, eps,
-                                       max_iter=30, a=a, b=b, tol=0.0)
-    f, g, violation = _sinkhorn_potentials(Cv, loga, logb, f, g, epsilon,
-                                           max_iter=max_iter, a=a, b=b, tol=tol)
+        f, g = _sinkhorn_potentials(Cv, loga, logb, f, g, eps,
+                                    max_iter=30, b=b, tol=0.0)
+    f, g = _sinkhorn_potentials(Cv, loga, logb, f, g, epsilon,
+                                max_iter=max_iter, b=b, tol=tol)
 
     plan = np.exp((-Cv + f[:, None] + g[None, :]) / epsilon)
     if not np.all(np.isfinite(plan)):
@@ -448,14 +448,14 @@ def solve_entropic(a, b, C: np.ndarray, epsilon: float,
     return TransportPlan(plan, a, b, marginal_tol=max(1e-8, violation)), cost
 
 
-def _sinkhorn_potentials(Cv, loga, logb, f, g, eps, max_iter, a, b, tol):
-    """Run log-domain Sinkhorn updates at one epsilon level.
+def _sinkhorn_potentials(Cv, loga, logb, f, g, eps, max_iter, b, tol):
+    """Run log-domain Sinkhorn updates at one epsilon level; returns (f, g).
 
-    The f-update runs last, so row marginals are satisfied exactly and the
-    violation is measured on the columns.
+    The f-update runs last, so row marginals are satisfied exactly, and the
+    updates stop once the column violation is at most ``tol`` (never when
+    ``tol`` is 0).
     """
     keps = -Cv / eps
-    violation = np.inf
     for it in range(max_iter):
         g = eps * (logb - logsumexp(keps + f[:, None] / eps, axis=0))
         f = eps * (loga - logsumexp(keps + g[None, :] / eps, axis=1))
@@ -464,7 +464,7 @@ def _sinkhorn_potentials(Cv, loga, logb, f, g, eps, max_iter, a, b, tol):
             violation = float(np.max(np.abs(plan.sum(axis=0) - b)))
             if violation <= tol:
                 break
-    return f, g, violation
+    return f, g
 
 
 def _default_epsilon(Cv: np.ndarray) -> float:

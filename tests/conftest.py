@@ -59,3 +59,11 @@ def random_pd_component(rng: np.random.Generator, d: int):
     chol = np.linalg.cholesky(a @ a.T / d + 0.5 * np.eye(d))
     return GaussianComponent(rng.standard_normal(d), chol)
 
+
+
+def stack_gmm(weights, components, nu=None):
+    """A LabeledGMM of the given GaussianComponents, stacked into its means
+    and Cholesky factors."""
+    from baryflow.gaussian import LabeledGMM
+    return LabeledGMM(weights, np.stack([c.mu for c in components]),
+                      np.stack([c.chol for c in components]), nu=nu)

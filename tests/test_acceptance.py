@@ -32,7 +32,6 @@ from baryflow.functionals import (
 )
 from baryflow.gaussian import (
     GaussianComponent,
-    LabeledGMM,
     bures_w2_grad,
     bures_w2_sq,
     bures_w2_sq_cov,
@@ -42,7 +41,7 @@ from baryflow.gaussian import (
 from baryflow.measures import BarycentricCoordinates, EmpiricalMeasure
 from baryflow.pipeline import convergence_report, msda_adapt
 
-from conftest import TWO_GAUSSIAN_SEEDS, random_pd_component
+from conftest import TWO_GAUSSIAN_SEEDS, random_pd_component, stack_gmm
 
 
 def report(criterion: int, message: str) -> None:
@@ -87,8 +86,8 @@ def test_criterion_02_1d_quantile_oracle():
 
 def _chunked_empirical_w2sq(g1, g2, n_total, chunk, seed):
     rng = np.random.default_rng(seed)
-    x = sample_reparam(LabeledGMM([1.0], (g1,)), n_total, rng)[0]
-    y = sample_reparam(LabeledGMM([1.0], (g2,)), n_total, rng)[0]
+    x = sample_reparam(stack_gmm([1.0], (g1,)), n_total, rng)[0]
+    y = sample_reparam(stack_gmm([1.0], (g2,)), n_total, rng)[0]
     vals = []
     for i in range(n_total // chunk):
         xs, ys = x[i * chunk:(i + 1) * chunk], y[i * chunk:(i + 1) * chunk]
@@ -210,12 +209,12 @@ def test_criterion_04_gradient_suite():
     worst = 0.0
     for _ in range(100):
         k, m, d, c = 2, 2, 2, 2
-        state = LabeledGMM(rng.dirichlet(np.ones(k)),
-                           tuple(random_pd_component(rng, d) for _ in range(k)),
-                           nu=rng.dirichlet(np.ones(c), size=k))
-        other = LabeledGMM(rng.dirichlet(np.ones(m)),
-                           tuple(random_pd_component(rng, d) for _ in range(m)),
-                           nu=rng.dirichlet(np.ones(c), size=m))
+        state = stack_gmm(rng.dirichlet(np.ones(k)),
+                          tuple(random_pd_component(rng, d) for _ in range(k)),
+                          nu=rng.dirichlet(np.ones(c), size=k))
+        other = stack_gmm(rng.dirichlet(np.ones(m)),
+                          tuple(random_pd_component(rng, d) for _ in range(m)),
+                          nu=rng.dirichlet(np.ones(c), size=m))
         beta = 1.1
         _, plan = mw2_sq(state, other, beta=beta)
         omega = plan.coupling
@@ -233,7 +232,7 @@ def test_criterion_04_gradient_suite():
                         + beta * ((nus[i] - other.nu[j]) ** 2).sum())
             return val
 
-        mus, chols, nus = state.means(), state.chols(), np.array(state.nu)
+        mus, chols, nus = state.means, state.chols, np.array(state.nu)
         i = int(rng.integers(0, k))
         j = int(rng.integers(0, d))
         e = np.zeros((k, d))
@@ -261,7 +260,7 @@ def test_criterion_04_gradient_suite():
         seed = 10_000 + t
 
         def build(mus_, chols_):
-            return LabeledGMM(w, tuple(
+            return stack_gmm(w, tuple(
                 GaussianComponent(mus_[q], chols_[q]) for q in range(k)))
 
         _, gm, gl, _ = internal_energy_mc(build(mus, chols), 256, seed=seed)
@@ -305,9 +304,9 @@ def test_criterion_05_gaussian_barycenter_recovery(two_gaussian_runs_m128):
 
 def test_criterion_06_gmm_flow_recovery():
     t0 = time.perf_counter()
-    q1 = LabeledGMM([1.0], (GaussianComponent.from_cov(
+    q1 = stack_gmm([1.0], (GaussianComponent.from_cov(
         [0.0, 0.0], [[1.0, 0.3], [0.3, 0.8]]),))
-    q2 = LabeledGMM([1.0], (GaussianComponent.from_cov(
+    q2 = stack_gmm([1.0], (GaussianComponent.from_cov(
         [4.0, 1.0], [[2.0, -0.4], [-0.4, 1.5]]),))
     cfg = GmmFlowConfig(1, 1500, BarycentricCoordinates.uniform(2),
                         step_size=0.1, seed=0)
@@ -330,12 +329,12 @@ def test_criterion_07_proposition1_equality():
         m = int(rng.integers(2, 4))
         d, c = 2, 3
         beta = float(rng.uniform(0.2, 2.0))
-        p = LabeledGMM(rng.dirichlet(np.ones(k)),
-                       tuple(random_pd_component(rng, d) for _ in range(k)),
-                       nu=rng.dirichlet(np.ones(c), size=k))
-        q = LabeledGMM(rng.dirichlet(np.ones(m)),
-                       tuple(random_pd_component(rng, d) for _ in range(m)),
-                       nu=rng.dirichlet(np.ones(c), size=m))
+        p = stack_gmm(rng.dirichlet(np.ones(k)),
+                      tuple(random_pd_component(rng, d) for _ in range(k)),
+                      nu=rng.dirichlet(np.ones(c), size=k))
+        q = stack_gmm(rng.dirichlet(np.ones(m)),
+                      tuple(random_pd_component(rng, d) for _ in range(m)),
+                      nu=rng.dirichlet(np.ones(c), size=m))
         cost_dec, _ = mw2_sq(p, q, beta=beta)
 
         def lift(gmm):

@@ -15,6 +15,8 @@ from baryflow.functionals import FunctionalSpec
 from baryflow.gaussian import load_gmm
 from baryflow.measures import BarycentricCoordinates, EmpiricalMeasure
 
+from conftest import stack_gmm
+
 
 def write_config(tmp_path, name, cfg):
     path = tmp_path / name
@@ -58,14 +60,14 @@ def toy_with(**changes):
 
 def three_component_gmm_inputs(tmp_path):
     """gmm_json inputs: two 2-D mixtures of three components each."""
-    from baryflow.gaussian import GaussianComponent, LabeledGMM, save_gmm
+    from baryflow.gaussian import GaussianComponent, save_gmm
     inputs = []
     for i, shift in enumerate((0.0, 4.0)):
         comps = tuple(GaussianComponent([shift + c, -c],
                                         np.diag([1.0, 0.5 + 0.25 * c]))
                       for c in range(3))
         path = tmp_path / f"g{i}.json"
-        save_gmm(LabeledGMM(np.full(3, 1 / 3), comps), path)
+        save_gmm(stack_gmm(np.full(3, 1 / 3), comps), path)
         inputs.append({"kind": "gmm_json", "path": str(path)})
     return inputs
 
@@ -111,11 +113,11 @@ def named_inputs(tmp_path, *label_sets):
 
 def labeled_gmm_json(tmp_path):
     """A gmm_json input of two 2-D components with two unnamed classes."""
-    from baryflow.gaussian import GaussianComponent, LabeledGMM, save_gmm
+    from baryflow.gaussian import GaussianComponent, save_gmm
     path = tmp_path / "labeled_gmm.json"
     comps = tuple(GaussianComponent(CLASS_CENTERS[c], np.eye(2))
                   for c in ("cat", "dog"))
-    save_gmm(LabeledGMM([0.5, 0.5], comps, nu=np.eye(2)), path)
+    save_gmm(stack_gmm([0.5, 0.5], comps, nu=np.eye(2)), path)
     return {"kind": "gmm_json", "path": str(path)}
 
 
@@ -608,11 +610,11 @@ class TestBarycenterCommand:
 
 
     def test_gmm_json_inputs(self, tmp_path):
-        from baryflow.gaussian import GaussianComponent, LabeledGMM, save_gmm
+        from baryflow.gaussian import GaussianComponent, save_gmm
         paths = []
         for mean in (0.0, 4.0):
             path = tmp_path / f"g{mean}.json"
-            save_gmm(LabeledGMM([1.0], (GaussianComponent([mean], [[1.0]]),)),
+            save_gmm(stack_gmm([1.0], (GaussianComponent([mean], [[1.0]]),)),
                      path)
             paths.append(str(path))
         cfg = bary_config(tmp_path / "out", flow="gmm")
@@ -626,14 +628,14 @@ class TestBarycenterCommand:
     def test_class_count_from_inputs(self, tmp_path, init_mode):
         # class 2 is too rare to be drawn for the initial state; the state
         # still has one label column per class of the inputs
-        from baryflow.gaussian import GaussianComponent, LabeledGMM, save_gmm
+        from baryflow.gaussian import GaussianComponent, save_gmm
         cfg = bary_config(tmp_path / "out", flow="gmm")
         cfg["inputs"] = []
         for i, shift in enumerate((0.0, 4.0)):
             comps = tuple(GaussianComponent([shift + c, 0.0], np.eye(2))
                           for c in range(3))
             path = tmp_path / f"g{i}.json"
-            save_gmm(LabeledGMM([0.5, 0.5 - 1e-9, 1e-9], comps, nu=np.eye(3)),
+            save_gmm(stack_gmm([0.5, 0.5 - 1e-9, 1e-9], comps, nu=np.eye(3)),
                      path)
             cfg["inputs"].append({"kind": "gmm_json", "path": str(path)})
         cfg["flow_config"] = {"n_components": 3, "n_iter": 5,

@@ -248,6 +248,15 @@ class TestDomainSpecValidation:
             DomainSpec(np.zeros((2, 2)), np.zeros((2, 2, 2)),
                        AffineMap.identity(2), 10)
 
+    def test_triangularity_is_scale_free(self):
+        means = np.zeros((1, 2))
+        with pytest.raises(ValueError, match="lower-triangular"):
+            DomainSpec(means, [[[1e-6, 5e-9], [0.0, 1e-6]]],
+                       AffineMap.identity(2), 10)
+        spec = DomainSpec(means, [[[1e6, 1e-7], [0.0, 1e6]]],
+                          AffineMap.identity(2), 10)
+        assert np.array_equal(spec.class_chols[0], np.diag([1e6, 1e6]))
+
     def test_rejects_too_few_samples(self):
         chols = np.repeat(np.eye(2)[None], 2, axis=0)
         with pytest.raises(ValueError):

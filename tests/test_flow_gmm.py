@@ -12,21 +12,20 @@ from baryflow.flow_gmm import (
 from baryflow.functionals import FunctionalSpec, hinge_repulsion
 from baryflow.gaussian import (
     GaussianComponent,
-    LabeledGMM,
     bures_w2_sq,
     mw2_cost_matrix,
     mw2_sq,
 )
 from baryflow.measures import BarycentricCoordinates, EmpiricalMeasure
 
-from conftest import random_pd_component
+from conftest import random_pd_component, stack_gmm
 
 UNIT = BarycentricCoordinates.uniform(1)
 HALF = BarycentricCoordinates.uniform(2)
 
 
 def single(mu, cov):
-    return LabeledGMM([1.0], (GaussianComponent.from_cov(mu, cov),))
+    return stack_gmm([1.0], (GaussianComponent.from_cov(mu, cov),))
 
 
 class TestConfigValidation:
@@ -80,11 +79,11 @@ class TestEnvelopeGradient:
         h = 1e-5
         for _ in range(10):
             k, m, d, c = 2, 3, 2, 2
-            state = LabeledGMM(
+            state = stack_gmm(
                 rng.dirichlet(np.ones(k)),
                 tuple(random_pd_component(rng, d) for _ in range(k)),
                 nu=rng.dirichlet(np.ones(c), size=k))
-            other = LabeledGMM(
+            other = stack_gmm(
                 rng.dirichlet(np.ones(m)),
                 tuple(random_pd_component(rng, d) for _ in range(m)),
                 nu=rng.dirichlet(np.ones(c), size=m))
@@ -105,7 +104,7 @@ class TestEnvelopeGradient:
                             + beta * ((nu[i] - other.nu[j]) ** 2).sum())
                 return val
 
-            mus, chols, nu = state.means(), state.chols(), np.array(state.nu)
+            mus, chols, nu = state.means, state.chols, np.array(state.nu)
             _, gm, gl, gn = mw2_fixed_plan_value_grad(state, other, omega, beta)
             for i in range(k):
                 for j in range(d):
@@ -132,9 +131,9 @@ class TestEnvelopeGradient:
 class TestGmmFlowStep:
     def test_fixed_point_state_equals_input(self):
         rng = np.random.default_rng(2)
-        state = LabeledGMM([0.5, 0.5],
-                           (random_pd_component(rng, 2),
-                            random_pd_component(rng, 2)))
+        state = stack_gmm([0.5, 0.5],
+                          (random_pd_component(rng, 2),
+                           random_pd_component(rng, 2)))
         cfg = GmmFlowConfig(2, 1, UNIT, step_size=0.2, seed=0)
         new = gmm_flow_step(state, [state], cfg)
         for a, b in zip(new.components, state.components):
@@ -166,15 +165,15 @@ class TestGmmFlowStep:
         # classical interpolation with coefficient 2 a pi_i per component
         rng = np.random.default_rng(3)
         k = 2
-        state = LabeledGMM(
+        state = stack_gmm(
             [0.5, 0.5],
             tuple(GaussianComponent(rng.standard_normal(2),
-                                    np.diag(rng.uniform(0.5, 2.0, 2)))
+                                   np.diag(rng.uniform(0.5, 2.0, 2)))
                   for _ in range(k)))
-        q = LabeledGMM(
+        q = stack_gmm(
             [0.5, 0.5],
             tuple(GaussianComponent(rng.standard_normal(2) + 1.0,
-                                    np.diag(rng.uniform(0.5, 2.0, 2)))
+                                   np.diag(rng.uniform(0.5, 2.0, 2)))
                   for _ in range(k)))
         alpha = 0.05
         cfg = GmmFlowConfig(k, 1, UNIT, step_size=alpha, diag_only=True, seed=0)
@@ -185,7 +184,7 @@ class TestGmmFlowStep:
         omega = plan.coupling
         for i, comp in enumerate(state.components):
             pi = state.weights[i]
-            t_mu = (omega[i] @ q.means()) / pi
+            t_mu = (omega[i] @ q.means) / pi
             t_sd = (omega[i] @ np.stack([np.diag(c.chol) for c in q.components])) / pi
             a_eff = 2 * alpha * pi
             exp_mu = (1 - a_eff) * comp.mu + a_eff * t_mu
@@ -206,10 +205,10 @@ class TestGmmFlowStep:
 class TestRunGmmFlow:
     def test_objective_non_increasing_small_step(self):
         rng = np.random.default_rng(4)
-        q1 = LabeledGMM([0.5, 0.5], (random_pd_component(rng, 2),
-                                     random_pd_component(rng, 2)))
-        q2 = LabeledGMM([0.5, 0.5], (random_pd_component(rng, 2),
-                                     random_pd_component(rng, 2)))
+        q1 = stack_gmm([0.5, 0.5], (random_pd_component(rng, 2),
+                                    random_pd_component(rng, 2)))
+        q2 = stack_gmm([0.5, 0.5], (random_pd_component(rng, 2),
+                                    random_pd_component(rng, 2)))
         cfg = GmmFlowConfig(2, 60, HALF, step_size=0.02, seed=0)
         _, trace = run_gmm_flow([q1, q2], cfg)
         b = np.array([r.b_hat for r in trace])
@@ -222,7 +221,7 @@ class TestRunGmmFlow:
             comps = tuple(GaussianComponent(r.standard_normal(2) + 4 * i,
                                             0.5 * np.eye(2))
                           for i in range(3))
-            return LabeledGMM(np.full(3, 1 / 3), comps, nu=np.eye(3))
+            return stack_gmm(np.full(3, 1 / 3), comps, nu=np.eye(3))
         inputs = [labeled_input(0), labeled_input(1)]
         cfg = GmmFlowConfig(3, 150, HALF, step_size=0.05, label_weight=50.0,
                             seed=0)
@@ -232,34 +231,34 @@ class TestRunGmmFlow:
 
     def test_deterministic(self):
         rng = np.random.default_rng(6)
-        q1 = LabeledGMM([1.0], (random_pd_component(rng, 2),))
-        q2 = LabeledGMM([1.0], (random_pd_component(rng, 2),))
+        q1 = stack_gmm([1.0], (random_pd_component(rng, 2),))
+        q2 = stack_gmm([1.0], (random_pd_component(rng, 2),))
         cfg = GmmFlowConfig(1, 20, HALF, step_size=0.1, seed=9)
         f1, t1 = run_gmm_flow([q1, q2], cfg)
         f2, t2 = run_gmm_flow([q1, q2], cfg)
-        assert np.array_equal(f1.means(), f2.means())
+        assert np.array_equal(f1.means, f2.means)
         assert t1 == t2
 
     def test_permutation_symmetry_with_explicit_init(self):
         rng = np.random.default_rng(7)
-        q1 = LabeledGMM([1.0], (random_pd_component(rng, 2),))
-        q2 = LabeledGMM([1.0], (random_pd_component(rng, 2),))
-        init = LabeledGMM([1.0], (random_pd_component(rng, 2),))
+        q1 = stack_gmm([1.0], (random_pd_component(rng, 2),))
+        q2 = stack_gmm([1.0], (random_pd_component(rng, 2),))
+        init = stack_gmm([1.0], (random_pd_component(rng, 2),))
         lam = BarycentricCoordinates([0.3, 0.7])
         lam_rev = BarycentricCoordinates([0.7, 0.3])
         cfg = GmmFlowConfig(1, 40, lam, step_size=0.1, seed=0)
         cfg_rev = GmmFlowConfig(1, 40, lam_rev, step_size=0.1, seed=0)
         f1, _ = run_gmm_flow([q1, q2], cfg, init=init)
         f2, _ = run_gmm_flow([q2, q1], cfg_rev, init=init)
-        assert np.max(np.abs(f1.means() - f2.means())) <= 1e-9
-        assert np.max(np.abs(f1.chols() - f2.chols())) <= 1e-9
+        assert np.max(np.abs(f1.means - f2.means)) <= 1e-9
+        assert np.max(np.abs(f1.chols - f2.chols)) <= 1e-9
 
     def test_flow_weights_mode(self):
         rng = np.random.default_rng(8)
-        state = LabeledGMM([0.5, 0.5], (random_pd_component(rng, 2),
-                                        random_pd_component(rng, 2)))
-        q = LabeledGMM([0.8, 0.2], (random_pd_component(rng, 2),
-                                    random_pd_component(rng, 2)))
+        state = stack_gmm([0.5, 0.5], (random_pd_component(rng, 2),
+                                       random_pd_component(rng, 2)))
+        q = stack_gmm([0.8, 0.2], (random_pd_component(rng, 2),
+                                   random_pd_component(rng, 2)))
         cfg = GmmFlowConfig(2, 30, UNIT, step_size=0.05, flow_weights=True,
                             seed=0)
         final, _ = run_gmm_flow([q], cfg, init=state)
@@ -274,7 +273,7 @@ class TestTraceComposition:
         def labeled_input(shift):
             comps = tuple(random_pd_component(rng, 2) for _ in range(2))
             comps = tuple(GaussianComponent(c.mu + shift, c.chol) for c in comps)
-            return LabeledGMM([0.4, 0.6], comps, nu=np.eye(2))
+            return stack_gmm([0.4, 0.6], comps, nu=np.eye(2))
 
         inputs = [labeled_input(0.0), labeled_input(3.0)]
         spec = FunctionalSpec(
@@ -291,9 +290,9 @@ class TestTraceComposition:
         for lam, q in zip(HALF.lam, inputs):
             cost = mw2_cost_matrix(state, q, beta=1.0)
             b_hat += lam * ot.solve_exact(state.weights, q.weights, cost)[1]
-        u = 0.1 * hinge_repulsion(state.means(), np.argmax(state.nu, axis=1),
+        u = 0.1 * hinge_repulsion(state.means, np.argmax(state.nu, axis=1),
                                   5.0)[0]
-        norm = np.sqrt((state.means() ** 2).sum() + (state.chols() ** 2).sum())
+        norm = np.sqrt((state.means ** 2).sum() + (state.chols ** 2).sum())
         last = trace[-1]
         assert last.iter == 4 and u > 0 and last.g != 0.0
         np.testing.assert_allclose([last.b_hat, last.u, last.param_norm],
@@ -317,8 +316,8 @@ class TestLabelChecks:
     def labeled(n_classes):
         comps = tuple(GaussianComponent([float(c)], [[1.0]])
                       for c in range(n_classes))
-        return LabeledGMM(np.full(n_classes, 1.0 / n_classes), comps,
-                          nu=np.eye(n_classes))
+        return stack_gmm(np.full(n_classes, 1.0 / n_classes), comps,
+                         nu=np.eye(n_classes))
 
     def test_labeled_and_unlabeled_rejected(self):
         cfg = GmmFlowConfig(2, 3, HALF)
@@ -355,7 +354,7 @@ class TestEmInit:
         def labeled_input(offset):
             comps = (GaussianComponent([0.0 + offset, 0.0], 0.3 * np.eye(2)),
                      GaussianComponent([6.0 + offset, 0.0], 0.3 * np.eye(2)))
-            return LabeledGMM([0.5, 0.5], comps, nu=np.eye(2))
+            return stack_gmm([0.5, 0.5], comps, nu=np.eye(2))
         cfg = GmmFlowConfig(2, 0, HALF, seed=0)
         final, trace = run_gmm_flow([labeled_input(0.0), labeled_input(0.5)], cfg)
         assert final.nu is not None

@@ -20,7 +20,12 @@ from baryflow.gaussian import (
     save_gmm,
 )
 
-from conftest import random_pd_component
+from conftest import random_pd_component, stack_gmm
+
+# Factors with an upper entry of 0.5% of the diagonal at scale 1e-6, and
+# with rounding noise above the diagonal at scale 1e6.
+TINY_UPPER = [[1e-6, 5e-9], [0.0, 1e-6]]
+NOISY_UPPER = [[1e6, 1e-7], [0.0, 1e6]]
 
 
 class TestMatrixSqrtPsd:
@@ -133,7 +138,7 @@ class TestBuresGrad:
 def random_labeled_gmm(rng, k, d, n_classes):
     comps = tuple(random_pd_component(rng, d) for _ in range(k))
     nu = rng.dirichlet(np.ones(n_classes), size=k)
-    return LabeledGMM(rng.dirichlet(np.ones(k)), comps, nu=nu)
+    return stack_gmm(rng.dirichlet(np.ones(k)), comps, nu=nu)
 
 
 class TestMw2:
@@ -146,18 +151,18 @@ class TestMw2:
     def test_single_component_reduces_to_bures(self):
         rng = np.random.default_rng(7)
         g1, g2 = random_pd_component(rng, 2), random_pd_component(rng, 2)
-        p = LabeledGMM([1.0], (g1,), nu=[[1.0, 0.0]])
-        q = LabeledGMM([1.0], (g2,), nu=[[0.0, 1.0]])
+        p = stack_gmm([1.0], (g1,), nu=[[1.0, 0.0]])
+        q = stack_gmm([1.0], (g2,), nu=[[0.0, 1.0]])
         cost, _ = mw2_sq(p, q, beta=2.0)
         assert abs(cost - (bures_w2_sq(g1, g2) + 2.0 * 2.0)) <= 1e-10
 
     def test_two_component_permutation_enumeration(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
-            p = LabeledGMM([0.5, 0.5],
-                           tuple(random_pd_component(rng, 2) for _ in range(2)))
-            q = LabeledGMM([0.5, 0.5],
-                           tuple(random_pd_component(rng, 2) for _ in range(2)))
+            p = stack_gmm([0.5, 0.5],
+                          tuple(random_pd_component(rng, 2) for _ in range(2)))
+            q = stack_gmm([0.5, 0.5],
+                          tuple(random_pd_component(rng, 2) for _ in range(2)))
             cost, _ = mw2_sq(p, q)
             c = np.array([[bures_w2_sq(a, b) for b in q.components]
                           for a in p.components])
@@ -228,8 +233,8 @@ class TestEmFit:
     def test_loglik_non_decreasing(self):
         rng = np.random.default_rng(14)
         data = rng.standard_normal((200, 2))
-        _, _, logliks = ga._em_single(data, 3, 60, 0.0, np.random.default_rng(0),
-                                      diag=False)
+        *_, logliks = ga._em_single(data, 3, 60, 0.0, np.random.default_rng(0),
+                                    diag=False)
         diffs = np.diff(logliks)
         assert np.all(diffs >= -1e-9)
 
@@ -248,39 +253,39 @@ class TestEmFit:
 
 class TestSampleReparam:
     def test_clt_mean_bound(self):
-        g = LabeledGMM([1.0], (GaussianComponent([0.0, 0.0], np.eye(2)),))
+        g = stack_gmm([1.0], (GaussianComponent([0.0, 0.0], np.eye(2)),))
         pts, _, _ = sample_reparam(g, 4096, seed=0)
         assert np.all(np.abs(pts.mean(axis=0)) <= 4.0 / np.sqrt(4096))
 
     def test_reparam_identity(self):
-        g = LabeledGMM([1.0], (GaussianComponent([3.0, -1.0], np.eye(2)),))
+        g = stack_gmm([1.0], (GaussianComponent([3.0, -1.0], np.eye(2)),))
         pts, _, eps = sample_reparam(g, 50, seed=1)
         assert np.allclose(pts - np.array([3.0, -1.0]), eps)
 
     def test_degenerate_weights(self):
-        g = LabeledGMM([1.0, 0.0],
-                       (GaussianComponent([0.0], [[1.0]]),
-                        GaussianComponent([9.0], [[1.0]])))
+        g = stack_gmm([1.0, 0.0],
+                      (GaussianComponent([0.0], [[1.0]]),
+                       GaussianComponent([9.0], [[1.0]])))
         _, idx, _ = sample_reparam(g, 100, seed=2)
         assert np.all(idx == 0)
 
     def test_empty(self):
-        g = LabeledGMM([1.0], (GaussianComponent([0.0], [[1.0]]),))
+        g = stack_gmm([1.0], (GaussianComponent([0.0], [[1.0]]),))
         pts, idx, eps = sample_reparam(g, 0, seed=3)
         assert pts.shape == (0, 1) and idx.shape == (0,) and eps.shape == (0, 1)
 
 
 class TestGmmLogDensity:
     def test_standard_normal_at_origin(self):
-        g = LabeledGMM([1.0], (GaussianComponent([0.0], [[1.0]]),))
+        g = stack_gmm([1.0], (GaussianComponent([0.0], [[1.0]]),))
         logp, resp = gmm_log_density(g, np.array([0.0]))
         assert abs(logp - (-0.5 * np.log(2 * np.pi))) <= 1e-12
         assert np.allclose(resp, [1.0])
 
     def test_separated_responsibilities(self):
-        g = LabeledGMM([0.5, 0.5],
-                       (GaussianComponent([0.0], [[1.0]]),
-                        GaussianComponent([40.0], [[1.0]])))
+        g = stack_gmm([0.5, 0.5],
+                      (GaussianComponent([0.0], [[1.0]]),
+                       GaussianComponent([40.0], [[1.0]])))
         _, resp0 = gmm_log_density(g, np.array([0.0]))
         _, resp1 = gmm_log_density(g, np.array([40.0]))
         assert resp0[0] >= 1.0 - 1e-12
@@ -315,7 +320,7 @@ class TestSerialization:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_unlabeled_round_trip(self, tmp_path):
-        g = LabeledGMM([1.0], (GaussianComponent([0.0], [[1.0]]),))
+        g = stack_gmm([1.0], (GaussianComponent([0.0], [[1.0]]),))
         path = tmp_path / "g.json"
         save_gmm(g, path)
         assert load_gmm(path).nu is None
@@ -332,10 +337,50 @@ class TestValidation:
 
     def test_gmm_weights_simplex(self):
         with pytest.raises(ValueError):
-            LabeledGMM([0.7, 0.7], (GaussianComponent([0.0], [[1.0]]),
-                                    GaussianComponent([1.0], [[1.0]])))
+            stack_gmm([0.7, 0.7], (GaussianComponent([0.0], [[1.0]]),
+                                   GaussianComponent([1.0], [[1.0]])))
 
     def test_nu_rows_simplex(self):
         with pytest.raises(ValueError):
-            LabeledGMM([1.0], (GaussianComponent([0.0], [[1.0]]),),
-                       nu=[[0.7, 0.7]])
+            stack_gmm([1.0], (GaussianComponent([0.0], [[1.0]]),),
+                      nu=[[0.7, 0.7]])
+
+    def test_triangularity_is_scale_free(self):
+        # an upper entry of 0.5% of the diagonal at scale 1e-6 is rejected,
+        # rounding noise at scale 1e6 is zeroed
+        with pytest.raises(ValueError, match="lower-triangular"):
+            GaussianComponent([0.0, 0.0], TINY_UPPER)
+        with pytest.raises(ValueError, match="lower-triangular"):
+            LabeledGMM([1.0], np.zeros((1, 2)), [TINY_UPPER])
+        g = GaussianComponent([0.0, 0.0], NOISY_UPPER)
+        assert np.array_equal(g.chol, np.diag([1e6, 1e6]))
+        gmm = LabeledGMM([1.0], np.zeros((1, 2)), [NOISY_UPPER])
+        assert np.array_equal(gmm.chols[0], np.diag([1e6, 1e6]))
+
+    @pytest.mark.parametrize("weights, means, chols, nu, match", [
+        ([1.0], np.zeros((1, 2)), np.eye(3)[None], None,
+         r"chols must be \(1, 2, 2\)"),
+        ([0.5, 0.5], np.zeros((1, 2)), np.eye(2)[None], None,
+         "one weight per component"),
+        ([1.0], [[np.nan, 0.0]], np.eye(2)[None], None, "non-finite"),
+        ([1.0], np.zeros((1, 2)), [[[np.inf, 0.0], [0.0, 1.0]]], None,
+         "non-finite"),
+        ([1.0], np.zeros((1, 2)), np.eye(2)[None], [[np.nan, 1.0]],
+         "non-finite"),
+        ([0.5, 0.5], np.zeros((2, 1)), np.ones((2, 1, 1)),
+         [[1.0, 0.0], [0.7, 0.7]], "class simplex"),
+    ], ids=["shape", "weight-count", "mean-nan", "chol-inf", "nu-nan",
+            "nu-row-off-simplex"])
+    def test_gmm_rejects(self, weights, means, chols, nu, match):
+        with pytest.raises(ValueError, match=match):
+            LabeledGMM(weights, means, chols, nu=nu)
+
+    def test_components_view(self):
+        g = random_labeled_gmm(np.random.default_rng(19), 3, 2, 2)
+        comps = g.components
+        assert comps is g.components
+        assert len(comps) == g.n_components
+        for c, mu, chol in zip(comps, g.means, g.chols):
+            assert np.array_equal(c.mu, mu) and np.array_equal(c.chol, chol)
+        assert not (g.means.flags.writeable or g.chols.flags.writeable)
+

@@ -29,6 +29,10 @@ class TestValidateSimplex:
         with pytest.raises(ValueError):
             validate_simplex(np.array([np.nan, 1.0]), 1e-9)
 
+    def test_matrix_rows(self):
+        assert validate_simplex(np.array([[0.5, 0.5], [1.0, 0.0]]), 1e-9)
+        assert not validate_simplex(np.array([[0.5, 0.5], [0.6, 0.5]]), 1e-9)
+
 
 class TestOneHot:
     def test_basic(self):

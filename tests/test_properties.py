@@ -40,6 +40,8 @@ from baryflow.measures import (
     softmax,
 )
 
+from conftest import stack_gmm
+
 SETTINGS = settings(derandomize=True, database=None, max_examples=100,
                     deadline=None)
 
@@ -371,8 +373,8 @@ def gmm_inputs(draw, d, labeled):
             draw(hnp.arrays(float, d, elements=unit_coords)) + shift,
             np.diag(draw(hnp.arrays(float, d, elements=st.floats(0.5, 2.0)))))
             for _ in range(2))
-        out.append(LabeledGMM([0.5, 0.5], comps,
-                              nu=np.eye(2) if labeled else None))
+        out.append(stack_gmm([0.5, 0.5], comps,
+                             nu=np.eye(2) if labeled else None))
     return out
 
 
@@ -403,14 +405,13 @@ class TestFlowScaling:
     @given(st.data())
     def test_gmm_flow_finite(self, d, label_weight, scale, data):
         mixtures = data.draw(gmm_inputs(d, labeled=label_weight > 0))
-        inputs = [LabeledGMM(q.weights, tuple(
-            GaussianComponent(scale * c.mu, scale * c.chol)
-            for c in q.components), q.nu) for q in mixtures]
+        inputs = [LabeledGMM(q.weights, scale * q.means, scale * q.chols, q.nu)
+                  for q in mixtures]
         cfg = GmmFlowConfig(2, 4, HALF, label_weight=label_weight,
                             mc_samples=16, init_samples=64)
         final, trace = run_gmm_flow(inputs, cfg)
-        assert_finite_run(np.concatenate([final.means().ravel(),
-                                          final.chols().ravel()]), trace)
+        assert_finite_run(np.concatenate([final.means.ravel(),
+                                          final.chols.ravel()]), trace)
 
 
 @st.composite

@@ -27,8 +27,9 @@ with ``fixed_point`` on a ``swiss_roll`` base, ``msda`` with
 ``discrete_baseline`` and with ``gmm``, ``gen`` ``location_scatter`` and
 ``synthetic_msda``, ``barycenter`` with exact plans between 48 particles and
 batches of 32 (uniform, sizes not dividing) on two labeled ``swiss_roll``
-inputs, and ``barycenter`` on two CSV inputs this script writes, labeled with
-the class names {cat, dog, fish}.
+inputs, ``barycenter`` with the gmm flow from a random diagonal initial
+state on two labeled ``swiss_roll`` inputs, and ``barycenter`` on two CSV
+inputs this script writes, labeled with the class names {cat, dog, fish}.
 """
 
 from __future__ import annotations
@@ -112,6 +113,12 @@ CONFIGS = {
                    {"kind": "swiss_roll", "n": 80, "noise_std": 0.5}],
         "flow_config": {"n_particles": 48, "batch_size": 32, "n_iter": 10,
                         "label_weight": 1.0, "solver": "exact"}},
+    "barycenter-gmm-random-init": {
+        "command": "barycenter", "seed": 10, "flow": "gmm",
+        "inputs": [{"kind": "swiss_roll", "n": 96, "noise_std": 0.3},
+                   {"kind": "swiss_roll", "n": 96, "noise_std": 0.5}],
+        "flow_config": {"n_components": 4, "n_iter": 10, "label_weight": 1.0,
+                        "init_mode": "random", "diag_only": True}},
     # a callable config is built from its run directory
     "barycenter-csv-class-names": lambda run_dir: {
         "command": "barycenter", "seed": 8, "flow": "empirical",
