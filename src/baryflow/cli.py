@@ -26,9 +26,9 @@ fixed seed), mixtures are GMM JSON files, and ``run_report.json`` is the one
 machine-readable report: the config, versions, wall-clock timings, the
 artifact paths and the command's summary.
 
-Importing the CLI loads numpy only. The assignment, LP, kd-tree and
-triangular-solve paths import scipy on first use, so ``validate`` and a
-run that takes none of them (the sorted 1-D exact path) never load it.
+Importing the CLI loads numpy only. The assignment, LP and kd-tree paths
+import scipy on first use, so ``validate`` and a run that takes none of them
+(the sorted 1-D exact path, a GMM flow) never load it.
 """
 
 from __future__ import annotations

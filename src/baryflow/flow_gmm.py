@@ -29,6 +29,7 @@ from .functionals import hinge_repulsion  # noqa: F401  (bench/tests trace it he
 from .gaussian import (
     GaussianComponent,
     LabeledGMM,
+    _pathwise_grads,
     bures_w2_grad,
     bures_w2_sq,
     bures_w2_sq_cov,
@@ -135,10 +136,9 @@ def _energy_grads(state: LabeledGMM, cfg: GmmFlowConfig, rng):
         z, idx, eps = sample_reparam(state, cfg.mc_samples, rng)
         tv, tg, _ = target_potential(EmpiricalMeasure(z), spec.target_measure)
         v += spec.target_weight * tv
-        for j in range(k):
-            sel = idx == j
-            g_mu[j] += spec.target_weight * tg[sel].sum(axis=0)
-            g_l[j] += spec.target_weight * np.tril(tg[sel].T @ eps[sel])
+        t_mu, t_l = _pathwise_grads(tg, idx, eps, k)
+        g_mu = g_mu + spec.target_weight * t_mu
+        g_l = g_l + spec.target_weight * t_l
     if spec.internal_weight > 0:
         iv, im, il, iw = internal_energy_mc(state, cfg.mc_samples, rng)
         g += spec.internal_weight * iv
@@ -210,7 +210,7 @@ def _step(state: LabeledGMM, inputs, cfg: GmmFlowConfig, rng, it: int):
     mus_new = mus - a * grad_mu
     chols_new = np.tril(chols - a * grad_l)
     if cfg.diag_only:
-        chols_new = chols_new * np.eye(d)[None, :, :]
+        chols_new = np.where(np.eye(d) == 1.0, chols_new, 0.0)
     diag_idx = np.arange(d)
     diags = chols_new[:, diag_idx, diag_idx]
     if np.any(diags < CHOL_DIAG_FLOOR):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import ot
-from .gaussian import LabeledGMM, _whiten, sample_reparam
+from .gaussian import LabeledGMM, _pathwise_grads, _whiten, sample_reparam
 from .measures import EmpiricalMeasure, logsumexp, softmax, softmax_decode
 
 __all__ = [
@@ -245,7 +245,6 @@ def internal_energy_mc(gmm: LabeledGMM, n_samples: int, seed=None
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     z, comp_idx, eps = sample_reparam(gmm, n_samples, seed)
-    k, d = gmm.n_components, gmm.dim
     chols = gmm.chols
 
     u, lp = _whiten(gmm.means, chols, z)
@@ -259,13 +258,8 @@ def internal_energy_mc(gmm: LabeledGMM, n_samples: int, seed=None
     v = (inv_t @ u).transpose(2, 0, 1)
     g = -np.einsum("sk,skd->sd", resp, v)
 
-    grad_mu = np.zeros((k, d))
-    grad_l = np.zeros((k, d, d))
-    for j in range(k):
-        sel = comp_idx == j
-        # pathwise terms
-        grad_mu[j] = g[sel].sum(axis=0)
-        grad_l[j] = np.tril(g[sel].T @ eps[sel])
+    grad_mu, grad_l = _pathwise_grads(g, comp_idx, eps, gmm.n_components)
+    for j in range(gmm.n_components):
         # direct density terms
         grad_mu[j] += np.einsum("s,sd->d", resp[:, j], v[:, j, :])
         vl = np.einsum("s,sd,se->de", resp[:, j], v[:, j, :], v[:, j, :])

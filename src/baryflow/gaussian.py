@@ -222,12 +222,10 @@ def bures_w2_grad(g1: GaussianComponent, g2: GaussianComponent
 
     dmu = 2 (mu1 - mu2); the covariance gradient is I - T with T the optimal
     linear transport map, chained onto L as dL = (dS + dS^T) L, restricted to
-    the lower triangle. With L1^T L2 = U S V^T, T = L1^{-T} U S U^T L1^{-1}.
-    Requires Sigma1 strictly positive definite: a factor with
-    sigma_min(L1)^2 <= 1e-12 sigma_max(L1)^2 raises LinAlgError.
+    the lower triangle. With L1^T L2 = U S V^T and W = L1^{-T} U from one
+    solve, T = W S W^T. Requires Sigma1 strictly positive definite: a factor
+    with sigma_min(L1)^2 <= 1e-12 sigma_max(L1)^2 raises LinAlgError.
     """
-    from scipy.linalg import solve_triangular
-
     if g1.dim != g2.dim:
         raise ValueError("components must share one dimension")
     l1 = g1.chol
@@ -236,8 +234,8 @@ def bures_w2_grad(g1: GaussianComponent, g2: GaussianComponent
     if sv1[-1] ** 2 <= 1e-12 * sv1[0] ** 2:
         raise np.linalg.LinAlgError("singular covariance: no transport map")
     u, sv, _ = np.linalg.svd(l1.T @ g2.chol)
-    half = solve_triangular(l1, (u * sv) @ u.T, lower=True, trans="T")
-    tmap = solve_triangular(l1, half.T, lower=True, trans="T")
+    w = np.linalg.solve(l1.T, u)
+    tmap = (w * sv) @ w.T
     dsigma = np.eye(g1.dim) - tmap
     dmu = 2.0 * (g1.mu - g2.mu)
     dl = np.tril((dsigma + dsigma.T) @ l1)
@@ -277,10 +275,8 @@ def _whiten(means: np.ndarray, chols: np.ndarray, z: np.ndarray
             ) -> tuple[np.ndarray, np.ndarray]:
     """Whitened residuals u_k = L_k^{-1} (z - mu_k), shape (k, d, n), and the
     component log densities, shape (n, k), of stacked means and factors."""
-    from scipy.linalg import solve_triangular
-
-    u = solve_triangular(chols, (z[None, :, :] - means[:, None, :]
-                                 ).transpose(0, 2, 1), lower=True)
+    u = np.linalg.solve(chols, (z[None, :, :] - means[:, None, :]
+                                ).transpose(0, 2, 1))
     d = means.shape[1]
     logdet = np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
     const = -0.5 * d * np.log(2.0 * np.pi)
@@ -314,6 +310,21 @@ def sample_reparam(gmm: LabeledGMM, n: int, seed=None
     return pts, idx, eps
 
 
+def _pathwise_grads(grad: np.ndarray, idx: np.ndarray, eps: np.ndarray,
+                    k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Chain per-sample gradients (n, d) at the samples z = mu_idx + L_idx eps
+    of ``sample_reparam`` onto the k means, sum_{idx=j} grad, and the k
+    factors, tril(sum_{idx=j} grad eps^T)."""
+    d = grad.shape[1]
+    grad_mu = np.zeros((k, d))
+    grad_l = np.zeros((k, d, d))
+    for j in range(k):
+        sel = idx == j
+        grad_mu[j] = grad[sel].sum(axis=0)
+        grad_l[j] = np.tril(grad[sel].T @ eps[sel])
+    return grad_mu, grad_l
+
+
 def _em_single(data: np.ndarray, k: int, max_iter: int, tol: float,
                rng: np.random.Generator, diag: bool
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float]]:
@@ -326,10 +337,7 @@ def _em_single(data: np.ndarray, k: int, max_iter: int, tol: float,
     idx = rng.choice(n, size=k, replace=False)
     mus = data[idx].copy()
     base_cov = np.cov(data.T, ddof=0).reshape(d, d) if n > 1 else np.eye(d)
-    base_cov = base_cov + _ridge(base_cov, d)
-    if diag:
-        base_cov = np.diag(np.diag(base_cov))
-    covs = np.repeat(base_cov[None], k, axis=0)
+    covs = np.repeat(_regularized(base_cov[None], diag), k, axis=0)
     pis = np.full(k, 1.0 / k)
 
     logliks: list[float] = []
@@ -344,13 +352,10 @@ def _em_single(data: np.ndarray, k: int, max_iter: int, tol: float,
         nk = np.maximum(nk, 1e-12)
         pis = nk / n
         mus = (resp.T @ data) / nk[:, None]
-        for j in range(k):
-            diff = data - mus[j]
-            cov = (resp[:, j][:, None] * diff).T @ diff / nk[j]
-            cov = (cov + cov.T) / 2.0 + _ridge(cov, d)
-            if diag:
-                cov = np.diag(np.diag(cov))
-            covs[j] = cov
+        diff = data[None, :, :] - mus[:, None, :]
+        covs = (resp.T[:, :, None] * diff).transpose(0, 2, 1) @ diff
+        covs = covs / nk[:, None, None]
+        covs = _regularized((covs + covs.transpose(0, 2, 1)) / 2.0, diag)
 
         logliks.append(loglik)
         if len(logliks) > 1 and abs(logliks[-1] - logliks[-2]) < tol:
@@ -359,10 +364,14 @@ def _em_single(data: np.ndarray, k: int, max_iter: int, tol: float,
     return pis, mus, np.linalg.cholesky(covs), logliks
 
 
-def _ridge(cov: np.ndarray, d: int) -> np.ndarray:
-    # prevents covariance collapse on degenerate clusters
-    lift = 1e-6 * max(np.trace(cov) / d, 1e-6)
-    return lift * np.eye(d)
+def _regularized(covs: np.ndarray, diag: bool) -> np.ndarray:
+    """A (k, d, d) stack of covariances plus a ridge, which prevents collapse
+    on degenerate clusters, zeroed off the diagonal when ``diag``."""
+    d = covs.shape[-1]
+    lift = 1e-6 * np.maximum(np.trace(covs, axis1=1, axis2=2) / d, 1e-6)
+    eye = np.eye(d)
+    covs = covs + lift[:, None, None] * eye
+    return np.where(eye == 1.0, covs, 0.0) if diag else covs
 
 
 def em_fit(data, labels=None, components_per_class: int = 1, seed=None,

@@ -152,13 +152,15 @@ class TestGmmFlowStep:
         assert 0.95 <= sigma <= 1.05
 
     def test_diag_only_keeps_off_diagonal_zero(self):
+        # the correlated input pulls the off-diagonal entries negative before
+        # they are zeroed, which must not leave -0.0 behind
         q1 = single([0.0, 0.0], np.diag([1.0, 2.0]))
-        q2 = single([2.0, 1.0], np.diag([2.0, 0.5]))
         cfg = GmmFlowConfig(1, 50, HALF, step_size=0.1, diag_only=True, seed=0)
-        final, _ = run_gmm_flow([q1, q2], cfg)
-        for comp in final.components:
-            off = comp.chol - np.diag(np.diag(comp.chol))
+        for cov2 in (np.diag([2.0, 0.5]), [[2.0, -0.6], [-0.6, 0.5]]):
+            final, _ = run_gmm_flow([q1, single([2.0, 1.0], cov2)], cfg)
+            off = final.chols[:, ~np.eye(2, dtype=bool)]
             assert np.all(off == 0.0)
+            assert not np.any(np.signbit(off))
 
     def test_diag_only_matches_interpolation_update(self):
         # axis-aligned case: one raw gradient step with size a equals the

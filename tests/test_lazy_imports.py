@@ -1,6 +1,7 @@
 """Importing baryflow, its CLI and ``validate`` load no scipy module, nor
-does a small weighted solve on the transportation simplex; the solver paths
-that need scipy load it on first use.
+do a sorted 1-D empirical run, a small weighted solve on the transportation
+simplex, and a GMM flow run (EM fit, Bures gradients and component plans on
+that simplex); the solver paths that need scipy load it on first use.
 
 The checks run in one fresh interpreter (the rest of the suite imports scipy
 in-process), which prints the scipy modules loaded after each step.
@@ -104,6 +105,7 @@ def scipy_after(tmp_path_factory):
               for name, p in paths.items()]
     steps += [["run-bary1d", "barycenter", str(paths["bary1d"])],
               ["solve_exact-simplex", "solve_exact", 6],
+              ["run-gmm", "barycenter", str(paths["gmm"])],
               ["solve_exact-lp", "solve_exact", None]]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
@@ -111,12 +113,14 @@ def scipy_after(tmp_path_factory):
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert (tmp / "out_bary1d" / "final_measure.csv").is_file()
+    assert (tmp / "out_gmm" / "final_mixture.json").is_file()
     return json.loads(proc.stdout.splitlines()[-1])
 
 
 @pytest.mark.parametrize("step", [
     "baryflow", "baryflow.cli", "validate-bary1d", "validate-gmm",
-    "validate-msda", "validate-entropic", "run-bary1d", "solve_exact-simplex"])
+    "validate-msda", "validate-entropic", "run-bary1d", "solve_exact-simplex",
+    "run-gmm"])
 def test_no_scipy_loaded(scipy_after, step):
     assert scipy_after[step] == []
 

@@ -28,8 +28,10 @@ with ``fixed_point`` on a ``swiss_roll`` base, ``msda`` with
 ``synthetic_msda``, ``barycenter`` with exact plans between 48 particles and
 batches of 32 (uniform, sizes not dividing) on two labeled ``swiss_roll``
 inputs, ``barycenter`` with the gmm flow from a random diagonal initial
-state on two labeled ``swiss_roll`` inputs, and ``barycenter`` on two CSV
-inputs this script writes, labeled with the class names {cat, dog, fish}.
+state on two labeled ``swiss_roll`` inputs, ``barycenter`` with the gmm flow
+and the two Monte-Carlo energies (target potential on a CSV batch this script
+writes, internal energy), and ``barycenter`` on two CSV inputs this script
+writes, labeled with the class names {cat, dog, fish}.
 """
 
 from __future__ import annotations
@@ -56,6 +58,14 @@ def class_name_inputs(run_dir: Path) -> list[dict]:
         path.write_text("f0,f1,label\n" + rows)
         inputs.append({"kind": "csv", "path": str(path), "label_column": "label"})
     return inputs
+
+
+def target_csv(run_dir: Path) -> str:
+    """An unlabeled 2-D target batch of 24 points, written under ``run_dir``."""
+    path = run_dir / "target.csv"
+    path.write_text("f0,f1\n" + "".join(
+        f"{0.5 * j - 6.0},{j * 5 % 7 - 3.0}\n" for j in range(24)))
+    return str(path)
 
 
 GAUSSIANS_1D = [{"kind": "gaussian", "mean": [0.0], "std": 1.0},
@@ -120,6 +130,13 @@ CONFIGS = {
         "flow_config": {"n_components": 4, "n_iter": 10, "label_weight": 1.0,
                         "init_mode": "random", "diag_only": True}},
     # a callable config is built from its run directory
+    "barycenter-gmm-energies": lambda run_dir: {
+        "command": "barycenter", "seed": 11, "flow": "gmm",
+        "inputs": [{"kind": "swiss_roll", "n": 96, "noise_std": 0.3},
+                   {"kind": "swiss_roll", "n": 96, "noise_std": 0.5}],
+        "flow_config": {"n_components": 4, "n_iter": 5, "mc_samples": 64},
+        "functional": {"target_weight": 0.1, "internal_weight": 0.05,
+                       "target_csv": target_csv(run_dir)}},
     "barycenter-csv-class-names": lambda run_dir: {
         "command": "barycenter", "seed": 8, "flow": "empirical",
         "inputs": class_name_inputs(run_dir),
