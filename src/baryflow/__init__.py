@@ -17,7 +17,6 @@ from .ot import (
     w2_empirical,
 )
 from .gaussian import (
-    GaussianComponent,
     LabeledGMM,
     bures_w2_grad,
     bures_w2_sq,

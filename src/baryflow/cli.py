@@ -75,7 +75,6 @@ from .flow_gmm import (
 )
 from .functionals import FunctionalSpec, check_inputs
 from .gaussian import (
-    GaussianComponent,
     LabeledGMM,
     em_fit,
     load_gmm,
@@ -181,6 +180,8 @@ def load_config(path) -> dict:
             cfg = json.load(fh)
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: invalid JSON ({e})") from None
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"{path}: cannot read the config ({e})") from None
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     return cfg
@@ -424,14 +425,10 @@ def _prepare_toy(cfg: dict, seed: int, ctx: str):
         maps = pd_affine_family(k, dim=2, seed=rng, shift_scale=1.5)
         maps = [AffineMap(m.a, m.b + np.array([4.0, 3.0])) for m in maps]
         # the family of a Gaussian base has a computable barycenter
-        family_gaussians = [
-            GaussianComponent(m.apply(mean0[None])[0],
-                              np.linalg.cholesky(m.a @ cov0 @ m.a.T))
-            for m in maps
-        ]
-        oracle = fixed_point_gaussian_barycenter(family_gaussians, coords.lam)
-        ref_gmm = LabeledGMM([1.0], oracle.mu[None], oracle.chol[None])
-        ref_pts, _, _ = sample_reparam(ref_gmm, n, rng)
+        oracle = fixed_point_gaussian_barycenter(
+            [m.apply(mean0[None])[0] for m in maps],
+            [np.linalg.cholesky(m.a @ cov0 @ m.a.T) for m in maps], coords.lam)
+        ref_pts, _, _ = sample_reparam(oracle, n, rng)
         reference = EmpiricalMeasure(ref_pts)
     else:
         q0 = swiss_roll(n, _get(cfg, "noise_std", float, ctx, 0.05), seed=rng)

@@ -27,8 +27,8 @@ from .functionals import (
 )
 from .functionals import hinge_repulsion  # noqa: F401  (bench/tests trace it here)
 from .gaussian import (
-    GaussianComponent,
     LabeledGMM,
+    _check_factors,
     _pathwise_grads,
     bures_w2_grad,
     bures_w2_sq,
@@ -94,13 +94,13 @@ def mw2_fixed_plan_value_grad(state: LabeledGMM, other: LabeledGMM,
     grad_mu = np.zeros((n, d))
     grad_l = np.zeros((n, d, d))
     value = 0.0
-    for i, ci in enumerate(state.components):
-        for j, cj in enumerate(other.components):
+    for i, (mu_i, l_i) in enumerate(zip(state.means, state.chols)):
+        for j, (mu_j, l_j) in enumerate(zip(other.means, other.chols)):
             w = omega[i, j]
             if w == 0.0:
                 continue
-            value += w * bures_w2_sq(ci, cj)
-            dmu, dl = bures_w2_grad(ci, cj)
+            value += w * bures_w2_sq(mu_i, l_i, mu_j, l_j)
+            dmu, dl = bures_w2_grad(mu_i, l_i, mu_j, l_j)
             grad_mu[i] += w * dmu
             grad_l[i] += w * dl
     grad_nu = None
@@ -235,17 +235,20 @@ def gmm_flow_step(state: LabeledGMM, inputs, cfg: GmmFlowConfig,
                   rng=None) -> LabeledGMM:
     """One flow step on the mixture parameters (couplings held fixed)."""
     check_inputs(inputs, cfg)
-    _check_state(state, inputs, cfg)
+    _check_state(state, inputs)
     rng = np.random.default_rng(cfg.seed if rng is None else rng)
     new_state, _ = _step(state, inputs, cfg, rng, 0)
     return new_state
 
 
-def _check_state(state, inputs, cfg):
+def _check_state(state, inputs):
+    """A flow state against inputs that passed ``check_inputs``: one
+    dimension, and the inputs' class count (None when all are unlabeled)."""
     if any(q.dim != state.dim for q in inputs):
         raise ValueError("all mixtures must share one dimension")
-    if cfg.label_weight > 0 and state.nu is None:
-        raise ValueError("label_weight > 0 requires a labeled flow state")
+    if state.n_classes != inputs[0].n_classes:
+        raise ValueError(f"the flow state has class count {state.n_classes}, "
+                         f"the inputs {inputs[0].n_classes}")
 
 
 def _init_state(inputs, cfg: GmmFlowConfig, rng) -> LabeledGMM:
@@ -298,7 +301,7 @@ def run_gmm_flow(inputs, cfg: GmmFlowConfig, init: LabeledGMM | None = None):
     check_inputs(inputs, cfg)
     rng = np.random.default_rng(cfg.seed)
     state = init if init is not None else _init_state(inputs, cfg, rng)
-    _check_state(state, inputs, cfg)
+    _check_state(state, inputs)
     trace = []
     for it in range(cfg.n_iter):
         state, record = _step(state, inputs, cfg, rng, it)
@@ -307,23 +310,23 @@ def run_gmm_flow(inputs, cfg: GmmFlowConfig, init: LabeledGMM | None = None):
     return state, trace
 
 
-def fixed_point_gaussian_barycenter(gaussians, lam=None, tol: float = 1e-10,
-                                    max_iter: int = 500) -> GaussianComponent:
-    """Gaussian barycenter via the classical covariance fixed-point map.
+def fixed_point_gaussian_barycenter(means, chols, lam=None, tol: float = 1e-10,
+                                    max_iter: int = 500) -> LabeledGMM:
+    """Barycenter of the Gaussians N(means[k], chols[k] chols[k]^T) with
+    coordinates ``lam`` (uniform by default), as a one-component LabeledGMM.
 
-    Iterates S <- S^{-1/2} (sum_k lam_k (S^{1/2} Sigma_k S^{1/2})^{1/2})^2
-    S^{-1/2} until the W2 change between iterates drops below tol; the mean
-    is the coordinate-weighted average of means.
+    The mean is the coordinate-weighted average of means; the covariance
+    iterates S <- S^{-1/2} (sum_k lam_k (S^{1/2} Sigma_k S^{1/2})^{1/2})^2
+    S^{-1/2} until the W2 change between iterates drops below tol.
     """
-    comps = list(gaussians)
-    if lam is None:
-        lam = np.full(len(comps), 1.0 / len(comps))
-    else:
-        lam = np.asarray(lam, dtype=float)
-    if lam.shape != (len(comps),):
+    means = np.asarray(means, dtype=float)
+    chols = _check_factors(means, np.asarray(chols, dtype=float))
+    k = means.shape[0]
+    lam = np.full(k, 1.0 / k) if lam is None else np.asarray(lam, dtype=float)
+    if lam.shape != (k,):
         raise ValueError("need one coordinate per Gaussian")
-    mean = sum(l * c.mu for l, c in zip(lam, comps))
-    covs = [c.cov for c in comps]
+    mean = sum(l * mu for l, mu in zip(lam, means))
+    covs = [f @ f.T for f in chols]
     s = sum(l * cv for l, cv in zip(lam, covs))
     for _ in range(max_iter):
         sh = matrix_sqrt_psd(s)
@@ -337,6 +340,6 @@ def fixed_point_gaussian_barycenter(gaussians, lam=None, tol: float = 1e-10,
         change = np.sqrt(bures_w2_sq_cov(mean, s, mean, s_new))
         s = s_new
         if change < tol:
-            return GaussianComponent(mean, np.linalg.cholesky(s))
+            return LabeledGMM([1.0], mean[None], np.linalg.cholesky(s)[None])
     raise ot.ConvergenceError(
         f"Gaussian barycenter fixed point did not converge in {max_iter} iterations")

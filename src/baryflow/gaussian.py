@@ -2,17 +2,19 @@
 
 Covariances are parametrized by lower-triangular Cholesky factors L with
 positive diagonal (Sigma = L L^T), which is what the mixture flow optimizes
-and what the reparametrized sampler consumes directly. A mixture is stacked
-arrays: weights (k,), means (k, d), factors (k, d, d) and optional label
-vectors (k, C); ``_check_factors`` is the one check of a stack of factors.
+and what the reparametrized sampler consumes directly. ``LabeledGMM`` is the
+one Gaussian type: stacked weights (k,), means (k, d), factors (k, d, d) and
+optional label vectors (k, C). A single Gaussian is a one-component mixture,
+or one row (mean, factor) of the stacks; ``_check_factors`` is the one check
+of a stack of factors.
 
 Provides the closed-form squared 2-Wasserstein distance between Gaussians
 (Bures metric) with its analytic gradient, the component-level mixture
 distance MW2 (with an optional label term on component label vectors),
 EM fitting, reparametrized sampling, and JSON (de)serialization.
 
-The Bures value and gradient work on the factors through the Procrustes
-identity (Bhatia, Jain & Lim, Expo. Math. 2019):
+The Bures value and gradient are a per-pair kernel on factor rows, through
+the Procrustes identity (Bhatia, Jain & Lim, Expo. Math. 2019):
 W2^2 = ||mu1 - mu2||^2 + ||L1||_F^2 + ||L2||_F^2 - 2 ||L1^T L2||_*,
 so the flow path takes one SVD of L1^T L2 per component pair and no
 covariance square root. ``bures_w2_sq_cov`` and ``matrix_sqrt_psd`` serve
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -31,7 +32,6 @@ from . import ot
 from .measures import _freeze, logsumexp, one_hot, validate_simplex
 
 __all__ = [
-    "GaussianComponent",
     "LabeledGMM",
     "matrix_sqrt_psd",
     "bures_w2_sq",
@@ -85,33 +85,6 @@ def _check_factors(means: np.ndarray, chols: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class GaussianComponent:
-    """One Gaussian N(mu, L L^T) with lower-triangular Cholesky factor L."""
-
-    mu: np.ndarray
-    chol: np.ndarray
-
-    def __post_init__(self):
-        mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
-        chol = np.atleast_2d(np.asarray(self.chol, dtype=float))
-        chol = _check_factors(mu[None], chol[None])[0]
-        object.__setattr__(self, "mu", _freeze(mu))
-        object.__setattr__(self, "chol", _freeze(chol))
-
-    @property
-    def dim(self) -> int:
-        return self.mu.shape[0]
-
-    @property
-    def cov(self) -> np.ndarray:
-        return self.chol @ self.chol.T
-
-    @staticmethod
-    def from_cov(mu, cov) -> "GaussianComponent":
-        return GaussianComponent(mu, np.linalg.cholesky(np.asarray(cov, dtype=float)))
-
-
-@dataclass(frozen=True)
 class LabeledGMM:
     """Gaussian mixture of k components in d dimensions, as stacked arrays:
     ``weights`` (k,) on the simplex, ``means`` (k, d), lower-triangular
@@ -142,13 +115,6 @@ class LabeledGMM:
             if not validate_simplex(nu, tol=1e-6):
                 raise ValueError("nu rows must lie on the class simplex")
             object.__setattr__(self, "nu", _freeze(nu))
-
-    @cached_property
-    def components(self) -> tuple:
-        """The components as GaussianComponents, built on first read, for
-        the per-pair Bures calls."""
-        return tuple(GaussianComponent(mu, l)
-                     for mu, l in zip(self.means, self.chols))
 
     @property
     def n_components(self) -> int:
@@ -204,21 +170,20 @@ def bures_w2_sq_cov(mu1, cov1, mu2, cov2) -> float:
     return max(val, 0.0)
 
 
-def bures_w2_sq(g1: GaussianComponent, g2: GaussianComponent) -> float:
-    """Squared Bures-Wasserstein distance between two Gaussian components:
+def bures_w2_sq(mu1, l1, mu2, l2) -> float:
+    """Squared Bures-Wasserstein distance between N(mu1, L1 L1^T) and
+    N(mu2, L2 L2^T), on mean and factor rows of ``LabeledGMM`` stacks:
     ||mu1 - mu2||^2 + ||L1||_F^2 + ||L2||_F^2 - 2 ||L1^T L2||_*."""
-    if g1.dim != g2.dim:
+    if mu1.shape != mu2.shape or l1.shape != l2.shape:
         raise ValueError("components must share one dimension")
-    l1, l2 = g1.chol, g2.chol
     sv = np.linalg.svd(l1.T @ l2, compute_uv=False)
-    val = float(((g1.mu - g2.mu) ** 2).sum()
+    val = float(((mu1 - mu2) ** 2).sum()
                 + (l1 ** 2).sum() + (l2 ** 2).sum() - 2.0 * sv.sum())
     return max(val, 0.0)
 
 
-def bures_w2_grad(g1: GaussianComponent, g2: GaussianComponent
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient of bures_w2_sq(g1, g2) w.r.t. g1's mean and Cholesky factor.
+def bures_w2_grad(mu1, l1, mu2, l2) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient of bures_w2_sq(mu1, l1, mu2, l2) w.r.t. mu1 and L1.
 
     dmu = 2 (mu1 - mu2); the covariance gradient is I - T with T the optimal
     linear transport map, chained onto L as dL = (dS + dS^T) L, restricted to
@@ -226,18 +191,17 @@ def bures_w2_grad(g1: GaussianComponent, g2: GaussianComponent
     solve, T = W S W^T. Requires Sigma1 strictly positive definite: a factor
     with sigma_min(L1)^2 <= 1e-12 sigma_max(L1)^2 raises LinAlgError.
     """
-    if g1.dim != g2.dim:
+    if mu1.shape != mu2.shape or l1.shape != l2.shape:
         raise ValueError("components must share one dimension")
-    l1 = g1.chol
     # relative to the largest singular value, so the check holds at any scale
     sv1 = np.linalg.svd(l1, compute_uv=False)
     if sv1[-1] ** 2 <= 1e-12 * sv1[0] ** 2:
         raise np.linalg.LinAlgError("singular covariance: no transport map")
-    u, sv, _ = np.linalg.svd(l1.T @ g2.chol)
+    u, sv, _ = np.linalg.svd(l1.T @ l2)
     w = np.linalg.solve(l1.T, u)
     tmap = (w * sv) @ w.T
-    dsigma = np.eye(g1.dim) - tmap
-    dmu = 2.0 * (g1.mu - g2.mu)
+    dsigma = np.eye(mu1.shape[0]) - tmap
+    dmu = 2.0 * (mu1 - mu2)
     dl = np.tril((dsigma + dsigma.T) @ l1)
     return dmu, dl
 
@@ -251,9 +215,9 @@ def mw2_cost_matrix(p: LabeledGMM, q: LabeledGMM, beta: float = 0.0
     """
     n, m = p.n_components, q.n_components
     cost = np.empty((n, m))
-    for i, ci in enumerate(p.components):
-        for j, cj in enumerate(q.components):
-            cost[i, j] = bures_w2_sq(ci, cj)
+    for i, (mu_i, l_i) in enumerate(zip(p.means, p.chols)):
+        for j, (mu_j, l_j) in enumerate(zip(q.means, q.chols)):
+            cost[i, j] = bures_w2_sq(mu_i, l_i, mu_j, l_j)
     if beta > 0 and p.nu is not None and q.nu is not None:
         cost = cost + beta * ot.squared_distances(p.nu, q.nu)
     return cost
@@ -418,11 +382,18 @@ def gmm_to_json(gmm: LabeledGMM) -> dict:
 
 
 def gmm_from_json(doc: dict) -> LabeledGMM:
+    """The mixture of a ``gmm_to_json`` document; ValueError if ``doc`` is
+    not a JSON object or a field is not a numeric array."""
+    if not isinstance(doc, dict):
+        raise ValueError("a GMM document must be a JSON object")
     version = doc.get("schema_version", GMM_SCHEMA_VERSION)
     if version != GMM_SCHEMA_VERSION:
         raise ValueError(f"unsupported GMM schema version {version}")
-    return LabeledGMM(doc["weights"], doc["means"], doc["cholesky_rows"],
-                      nu=doc.get("labels"))
+    try:
+        return LabeledGMM(doc["weights"], doc["means"], doc["cholesky_rows"],
+                          nu=doc.get("labels"))
+    except TypeError as e:
+        raise ValueError(f"GMM fields must be numeric arrays ({e})") from None
 
 
 def save_gmm(gmm: LabeledGMM, path) -> None:

@@ -427,7 +427,7 @@ def solve_entropic(a, b, C: np.ndarray, epsilon: float,
     # epsilon scaling: anneal from median(C) down to the target, warm-starting
     # the potentials at each level
     levels = []
-    e = float(np.median(Cv)) if Cv.size else epsilon
+    e = float(np.median(Cv))
     while e > 2.0 * epsilon:
         levels.append(e)
         e /= 2.0

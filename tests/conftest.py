@@ -53,17 +53,7 @@ def two_gaussian_runs_m16():
 
 
 def random_pd_component(rng: np.random.Generator, d: int):
-    """A random strictly-PD Gaussian component for gradient/metric tests."""
-    from baryflow.gaussian import GaussianComponent
+    """A random strictly-PD Gaussian (mu, chol) for gradient/metric tests."""
     a = rng.standard_normal((d, d))
     chol = np.linalg.cholesky(a @ a.T / d + 0.5 * np.eye(d))
-    return GaussianComponent(rng.standard_normal(d), chol)
-
-
-
-def stack_gmm(weights, components, nu=None):
-    """A LabeledGMM of the given GaussianComponents, stacked into its means
-    and Cholesky factors."""
-    from baryflow.gaussian import LabeledGMM
-    return LabeledGMM(weights, np.stack([c.mu for c in components]),
-                      np.stack([c.chol for c in components]), nu=nu)
+    return rng.standard_normal(d), chol

@@ -31,7 +31,7 @@ from baryflow.functionals import (
     target_potential,
 )
 from baryflow.gaussian import (
-    GaussianComponent,
+    LabeledGMM,
     bures_w2_grad,
     bures_w2_sq,
     bures_w2_sq_cov,
@@ -41,7 +41,7 @@ from baryflow.gaussian import (
 from baryflow.measures import BarycentricCoordinates, EmpiricalMeasure
 from baryflow.pipeline import convergence_report, msda_adapt
 
-from conftest import TWO_GAUSSIAN_SEEDS, random_pd_component, stack_gmm
+from conftest import TWO_GAUSSIAN_SEEDS, random_pd_component
 
 
 def report(criterion: int, message: str) -> None:
@@ -86,8 +86,8 @@ def test_criterion_02_1d_quantile_oracle():
 
 def _chunked_empirical_w2sq(g1, g2, n_total, chunk, seed):
     rng = np.random.default_rng(seed)
-    x = sample_reparam(stack_gmm([1.0], (g1,)), n_total, rng)[0]
-    y = sample_reparam(stack_gmm([1.0], (g2,)), n_total, rng)[0]
+    x = sample_reparam(LabeledGMM([1.0], [g1[0]], [g1[1]]), n_total, rng)[0]
+    y = sample_reparam(LabeledGMM([1.0], [g2[0]], [g2[1]]), n_total, rng)[0]
     vals = []
     for i in range(n_total // chunk):
         xs, ys = x[i * chunk:(i + 1) * chunk], y[i * chunk:(i + 1) * chunk]
@@ -104,8 +104,8 @@ def test_criterion_03_bures_closed_form():
         m1, m2 = rng.standard_normal(2) * 3
         s1, s2 = rng.uniform(0.2, 3.0, size=2)
         expected = (m1 - m2) ** 2 + (s1 - s2) ** 2
-        got = bures_w2_sq(GaussianComponent([m1], [[s1]]),
-                          GaussianComponent([m2], [[s2]]))
+        got = bures_w2_sq(np.array([m1]), np.array([[s1]]),
+                          np.array([m2]), np.array([[s2]]))
         assert abs(got - expected) <= 1e-12 * max(1.0, expected)
 
     rels = {}
@@ -113,12 +113,12 @@ def test_criterion_03_bures_closed_form():
         r = np.random.default_rng(200 + d)
         mu1, mu2 = r.normal(size=d) * 2, r.normal(size=d) * 2 + 2.0
         a, b = r.normal(size=(d, d)), r.normal(size=(d, d))
-        g1 = GaussianComponent(mu1, np.linalg.cholesky(a @ a.T / d + 0.5 * np.eye(d)))
-        g2 = GaussianComponent(mu2, np.linalg.cholesky(b @ b.T / d + 0.5 * np.eye(d)))
+        g1 = mu1, np.linalg.cholesky(a @ a.T / d + 0.5 * np.eye(d))
+        g2 = mu2, np.linalg.cholesky(b @ b.T / d + 0.5 * np.eye(d))
         # 20 000 samples per side, evaluated as 20 disjoint 1000 x 1000
         # exact couplings (the full 20k x 20k coupling is out of desk scale)
         emp = _chunked_empirical_w2sq(g1, g2, 20_000, 1000, seed=300 + d)
-        true = bures_w2_sq(g1, g2)
+        true = bures_w2_sq(*g1, *g2)
         rel = abs(np.sqrt(emp) - np.sqrt(true)) / np.sqrt(true)
         rels[d] = rel
         assert rel <= 0.05
@@ -139,19 +139,19 @@ def test_criterion_04_gradient_suite():
     worst = 0.0
     for i in range(100):
         d = int(rng.integers(1, 4))
-        g1, g2 = random_pd_component(rng, d), random_pd_component(rng, d)
-        dmu, dl = bures_w2_grad(g1, g2)
+        (mu1, l1), g2 = random_pd_component(rng, d), random_pd_component(rng, d)
+        dmu, dl = bures_w2_grad(mu1, l1, *g2)
         j = int(rng.integers(0, d))
         e = np.zeros(d)
         e[j] = h
-        fd = (bures_w2_sq(GaussianComponent(g1.mu + e, g1.chol), g2)
-              - bures_w2_sq(GaussianComponent(g1.mu - e, g1.chol), g2)) / (2 * h)
+        fd = (bures_w2_sq(mu1 + e, l1, *g2)
+              - bures_w2_sq(mu1 - e, l1, *g2)) / (2 * h)
         worst = max(worst, abs(fd - dmu[j]) / max(1.0, abs(fd)))
         r, c = int(rng.integers(0, d)), 0
         em = np.zeros((d, d))
         em[r, c] = h
-        fd = (bures_w2_sq(GaussianComponent(g1.mu, g1.chol + em), g2)
-              - bures_w2_sq(GaussianComponent(g1.mu, g1.chol - em), g2)) / (2 * h)
+        fd = (bures_w2_sq(mu1, l1 + em, *g2)
+              - bures_w2_sq(mu1, l1 - em, *g2)) / (2 * h)
         worst = max(worst, abs(fd - dl[r, c]) / max(1.0, abs(fd)))
     assert worst < 1e-4
     bures_worst = worst
@@ -209,12 +209,12 @@ def test_criterion_04_gradient_suite():
     worst = 0.0
     for _ in range(100):
         k, m, d, c = 2, 2, 2, 2
-        state = stack_gmm(rng.dirichlet(np.ones(k)),
-                          tuple(random_pd_component(rng, d) for _ in range(k)),
-                          nu=rng.dirichlet(np.ones(c), size=k))
-        other = stack_gmm(rng.dirichlet(np.ones(m)),
-                          tuple(random_pd_component(rng, d) for _ in range(m)),
-                          nu=rng.dirichlet(np.ones(c), size=m))
+        state = LabeledGMM(rng.dirichlet(np.ones(k)),
+                           *zip(*(random_pd_component(rng, d) for _ in range(k))),
+                           nu=rng.dirichlet(np.ones(c), size=k))
+        other = LabeledGMM(rng.dirichlet(np.ones(m)),
+                           *zip(*(random_pd_component(rng, d) for _ in range(m))),
+                           nu=rng.dirichlet(np.ones(c), size=m))
         beta = 1.1
         _, plan = mw2_sq(state, other, beta=beta)
         omega = plan.coupling
@@ -226,9 +226,9 @@ def test_criterion_04_gradient_suite():
                 for j in range(m):
                     if omega[i, j] == 0.0:
                         continue
-                    gi = GaussianComponent(mus[i], chols[i])
                     val += omega[i, j] * (
-                        bures_w2_sq(gi, other.components[j])
+                        bures_w2_sq(mus[i], chols[i],
+                                    other.means[j], other.chols[j])
                         + beta * ((nus[i] - other.nu[j]) ** 2).sum())
             return val
 
@@ -255,13 +255,12 @@ def test_criterion_04_gradient_suite():
     for t in range(100):
         k, d = 2, 2
         mus = rng.standard_normal((k, d))
-        chols = [random_pd_component(rng, d).chol for _ in range(k)]
+        chols = [random_pd_component(rng, d)[1] for _ in range(k)]
         w = rng.dirichlet(np.ones(k))
         seed = 10_000 + t
 
         def build(mus_, chols_):
-            return stack_gmm(w, tuple(
-                GaussianComponent(mus_[q], chols_[q]) for q in range(k)))
+            return LabeledGMM(w, mus_, chols_)
 
         _, gm, gl, _ = internal_energy_mc(build(mus, chols), 256, seed=seed)
         i, j = int(rng.integers(0, k)), int(rng.integers(0, d))
@@ -304,16 +303,17 @@ def test_criterion_05_gaussian_barycenter_recovery(two_gaussian_runs_m128):
 
 def test_criterion_06_gmm_flow_recovery():
     t0 = time.perf_counter()
-    q1 = stack_gmm([1.0], (GaussianComponent.from_cov(
-        [0.0, 0.0], [[1.0, 0.3], [0.3, 0.8]]),))
-    q2 = stack_gmm([1.0], (GaussianComponent.from_cov(
-        [4.0, 1.0], [[2.0, -0.4], [-0.4, 1.5]]),))
+    q1 = LabeledGMM([1.0], [[0.0, 0.0]],
+                    np.linalg.cholesky([[[1.0, 0.3], [0.3, 0.8]]]))
+    q2 = LabeledGMM([1.0], [[4.0, 1.0]],
+                    np.linalg.cholesky([[[2.0, -0.4], [-0.4, 1.5]]]))
     cfg = GmmFlowConfig(1, 1500, BarycentricCoordinates.uniform(2),
                         step_size=0.1, seed=0)
     final, _ = run_gmm_flow([q1, q2], cfg)
     oracle = fixed_point_gaussian_barycenter(
-        [q1.components[0], q2.components[0]])
-    w2 = float(np.sqrt(bures_w2_sq(final.components[0], oracle)))
+        np.concatenate([q1.means, q2.means]), np.concatenate([q1.chols, q2.chols]))
+    w2 = float(np.sqrt(bures_w2_sq(final.means[0], final.chols[0],
+                                   oracle.means[0], oracle.chols[0])))
     wall = time.perf_counter() - t0
     assert w2 <= 1e-2
     assert wall < 10.0
@@ -329,20 +329,20 @@ def test_criterion_07_proposition1_equality():
         m = int(rng.integers(2, 4))
         d, c = 2, 3
         beta = float(rng.uniform(0.2, 2.0))
-        p = stack_gmm(rng.dirichlet(np.ones(k)),
-                      tuple(random_pd_component(rng, d) for _ in range(k)),
-                      nu=rng.dirichlet(np.ones(c), size=k))
-        q = stack_gmm(rng.dirichlet(np.ones(m)),
-                      tuple(random_pd_component(rng, d) for _ in range(m)),
-                      nu=rng.dirichlet(np.ones(c), size=m))
+        p = LabeledGMM(rng.dirichlet(np.ones(k)),
+                       *zip(*(random_pd_component(rng, d) for _ in range(k))),
+                       nu=rng.dirichlet(np.ones(c), size=k))
+        q = LabeledGMM(rng.dirichlet(np.ones(m)),
+                       *zip(*(random_pd_component(rng, d) for _ in range(m))),
+                       nu=rng.dirichlet(np.ones(c), size=m))
         cost_dec, _ = mw2_sq(p, q, beta=beta)
 
         def lift(gmm):
             out = []
-            for comp, nu in zip(gmm.components, gmm.nu):
-                mu = np.concatenate([comp.mu, np.sqrt(beta) * nu])
+            for mean, chol, nu in zip(gmm.means, gmm.chols, gmm.nu):
+                mu = np.concatenate([mean, np.sqrt(beta) * nu])
                 cov = np.zeros((d + c, d + c))
-                cov[:d, :d] = comp.cov
+                cov[:d, :d] = chol @ chol.T
                 out.append((mu, cov))
             return out
 

@@ -12,10 +12,8 @@ from baryflow.datasets import save_csv, synthetic_domain_specs
 from baryflow.flow_empirical import EmpiricalFlowConfig
 from baryflow.flow_gmm import GmmFlowConfig
 from baryflow.functionals import FunctionalSpec
-from baryflow.gaussian import load_gmm
+from baryflow.gaussian import LabeledGMM, load_gmm, save_gmm
 from baryflow.measures import BarycentricCoordinates, EmpiricalMeasure
-
-from conftest import stack_gmm
 
 
 def write_config(tmp_path, name, cfg):
@@ -60,14 +58,13 @@ def toy_with(**changes):
 
 def three_component_gmm_inputs(tmp_path):
     """gmm_json inputs: two 2-D mixtures of three components each."""
-    from baryflow.gaussian import GaussianComponent, save_gmm
     inputs = []
     for i, shift in enumerate((0.0, 4.0)):
-        comps = tuple(GaussianComponent([shift + c, -c],
-                                        np.diag([1.0, 0.5 + 0.25 * c]))
-                      for c in range(3))
         path = tmp_path / f"g{i}.json"
-        save_gmm(stack_gmm(np.full(3, 1 / 3), comps), path)
+        save_gmm(LabeledGMM(np.full(3, 1 / 3),
+                            [[shift + c, -c] for c in range(3)],
+                            [np.diag([1.0, 0.5 + 0.25 * c]) for c in range(3)]),
+                 path)
         inputs.append({"kind": "gmm_json", "path": str(path)})
     return inputs
 
@@ -113,12 +110,17 @@ def named_inputs(tmp_path, *label_sets):
 
 def labeled_gmm_json(tmp_path):
     """A gmm_json input of two 2-D components with two unnamed classes."""
-    from baryflow.gaussian import GaussianComponent, save_gmm
     path = tmp_path / "labeled_gmm.json"
-    comps = tuple(GaussianComponent(CLASS_CENTERS[c], np.eye(2))
-                  for c in ("cat", "dog"))
-    save_gmm(stack_gmm([0.5, 0.5], comps, nu=np.eye(2)), path)
+    save_gmm(LabeledGMM([0.5, 0.5], [CLASS_CENTERS[c] for c in ("cat", "dog")],
+                        [np.eye(2)] * 2, nu=np.eye(2)), path)
     return {"kind": "gmm_json", "path": str(path)}
+
+
+def gmm_json_doc(tmp_path, doc):
+    """Two gmm_json inputs that name one file holding the JSON ``doc``."""
+    path = tmp_path / "doc_gmm.json"
+    path.write_text(json.dumps(doc))
+    return [{"kind": "gmm_json", "path": str(path)}] * 2
 
 
 def labeled_2d_csv(tmp_path):
@@ -166,9 +168,14 @@ class TestValidate:
         assert exc.value.code == 0
         assert "usage: baryflow" in capsys.readouterr().out
 
-    def test_bad_json(self, tmp_path, capsys):
+    @pytest.mark.parametrize("write", [
+        lambda p: p.write_text("{not json"),
+        lambda p: p.write_bytes(b'{"command": "\xff\xfe"}'),
+        lambda p: p.mkdir(),
+    ], ids=["invalid-json", "undecodable-bytes", "directory"])
+    def test_bad_json(self, tmp_path, capsys, write):
         path = tmp_path / "c.json"
-        path.write_text("{not json")
+        write(path)
         assert main(["validate", str(path)]) == 1
 
     def test_command_subcommand_mismatch(self, tmp_path, capsys):
@@ -322,6 +329,11 @@ class TestValidate:
             {"kind": "csv", "path": csv_file(t, "f0,label\n0,01\n1,1\n2,2\n"),
              "label_column": "label"}] * 2), 1,
             id="csv-non-canonical-integer-label"),
+        pytest.param(lambda t: bary_with("gmm", inputs=gmm_json_doc(t, [])), 1,
+                     id="gmm-json-not-object"),
+        pytest.param(lambda t: bary_with("gmm", inputs=gmm_json_doc(t, {
+            "weights": {}, "means": [[0.0]], "cholesky_rows": [[[1.0]]]})), 1,
+            id="gmm-json-weights-object"),
         pytest.param(lambda t: bary_with(
             "gmm", inputs=three_component_gmm_inputs(t), n_components=3,
             n_iter=20, step_size=5.0), 2, id="gmm-singular-covariance"),
@@ -527,7 +539,7 @@ class TestBarycenterCommand:
         path = write_config(tmp_path, "c.json", bary_config(out, flow="gmm"))
         assert main(["barycenter", path]) == 0
         mixture = load_gmm(out / "final_mixture.json")
-        assert 1.5 <= mixture.components[0].mu[0] <= 2.5
+        assert 1.5 <= mixture.means[0, 0] <= 2.5
 
     def test_malformed_config_exit_1(self, tmp_path, capsys):
         cfg = bary_config(tmp_path / "out")
@@ -610,33 +622,29 @@ class TestBarycenterCommand:
 
 
     def test_gmm_json_inputs(self, tmp_path):
-        from baryflow.gaussian import GaussianComponent, save_gmm
         paths = []
         for mean in (0.0, 4.0):
             path = tmp_path / f"g{mean}.json"
-            save_gmm(stack_gmm([1.0], (GaussianComponent([mean], [[1.0]]),)),
-                     path)
+            save_gmm(LabeledGMM([1.0], [[mean]], [[[1.0]]]), path)
             paths.append(str(path))
         cfg = bary_config(tmp_path / "out", flow="gmm")
         cfg["inputs"] = [{"kind": "gmm_json", "path": p} for p in paths]
         path = write_config(tmp_path, "c.json", cfg)
         assert main(["barycenter", path]) == 0
         mixture = load_gmm(tmp_path / "out" / "final_mixture.json")
-        assert 1.5 <= mixture.components[0].mu[0] <= 2.5
+        assert 1.5 <= mixture.means[0, 0] <= 2.5
 
     @pytest.mark.parametrize("init_mode", ["em", "random"])
     def test_class_count_from_inputs(self, tmp_path, init_mode):
         # class 2 is too rare to be drawn for the initial state; the state
         # still has one label column per class of the inputs
-        from baryflow.gaussian import GaussianComponent, save_gmm
         cfg = bary_config(tmp_path / "out", flow="gmm")
         cfg["inputs"] = []
         for i, shift in enumerate((0.0, 4.0)):
-            comps = tuple(GaussianComponent([shift + c, 0.0], np.eye(2))
-                          for c in range(3))
             path = tmp_path / f"g{i}.json"
-            save_gmm(stack_gmm([0.5, 0.5 - 1e-9, 1e-9], comps, nu=np.eye(3)),
-                     path)
+            save_gmm(LabeledGMM([0.5, 0.5 - 1e-9, 1e-9],
+                                [[shift + c, 0.0] for c in range(3)],
+                                [np.eye(2)] * 3, nu=np.eye(3)), path)
             cfg["inputs"].append({"kind": "gmm_json", "path": str(path)})
         cfg["flow_config"] = {"n_components": 3, "n_iter": 5,
                               "label_weight": 1.0, "init_mode": init_mode}
@@ -670,7 +678,7 @@ class TestBarycenterCommand:
         path = write_config(tmp_path, "c.json", cfg)
         assert main(["barycenter", path]) == 0
         mixture = load_gmm(tmp_path / "out" / "final_mixture.json")
-        assert 2.5 <= mixture.components[0].mu[0] <= 3.5
+        assert 2.5 <= mixture.means[0, 0] <= 3.5
 
         cfg["coordinates"] = [0.5]
         path = write_config(tmp_path, "c.json", cfg)

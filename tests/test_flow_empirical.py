@@ -22,7 +22,7 @@ from baryflow.functionals import (
     hinge_repulsion,
     target_potential,
 )
-from baryflow.gaussian import GaussianComponent
+from baryflow.gaussian import LabeledGMM
 from baryflow.measures import (
     BarycentricCoordinates,
     EmpiricalMeasure,
@@ -30,8 +30,6 @@ from baryflow.measures import (
     one_hot,
     softmax,
 )
-
-from conftest import stack_gmm
 
 UNIT = BarycentricCoordinates.uniform(1)
 HALF = BarycentricCoordinates.uniform(2)
@@ -476,8 +474,7 @@ class TestSamplers:
         assert batch.labels.shape == (8, 3)
 
     def test_gmm_sampler(self):
-        gmm = stack_gmm([1.0], (GaussianComponent([5.0], [[0.5]]),),
-                        nu=[[0.0, 1.0]])
+        gmm = LabeledGMM([1.0], [[5.0]], [[[0.5]]], nu=[[0.0, 1.0]])
         batch = GmmSampler(gmm).sample(16, np.random.default_rng(10))
         assert np.array_equal(batch.labels,
                               np.tile([0.0, 1.0], (16, 1)))

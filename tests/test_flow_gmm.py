@@ -11,21 +11,22 @@ from baryflow.flow_gmm import (
 )
 from baryflow.functionals import FunctionalSpec, hinge_repulsion
 from baryflow.gaussian import (
-    GaussianComponent,
+    LabeledGMM,
     bures_w2_sq,
     mw2_cost_matrix,
     mw2_sq,
 )
 from baryflow.measures import BarycentricCoordinates, EmpiricalMeasure
 
-from conftest import random_pd_component, stack_gmm
+from conftest import random_pd_component
 
 UNIT = BarycentricCoordinates.uniform(1)
 HALF = BarycentricCoordinates.uniform(2)
 
 
 def single(mu, cov):
-    return stack_gmm([1.0], (GaussianComponent.from_cov(mu, cov),))
+    return LabeledGMM([1.0], [mu],
+                      np.linalg.cholesky(np.asarray(cov, dtype=float))[None])
 
 
 class TestConfigValidation:
@@ -39,38 +40,50 @@ class TestConfigValidation:
 
 
 class TestFixedPointGaussianBarycenter:
+    @staticmethod
+    def cov(out):
+        return out.chols[0] @ out.chols[0].T
+
     def test_identical_inputs(self):
-        g = random_pd_component(np.random.default_rng(0), 3)
-        out = fixed_point_gaussian_barycenter([g, g, g])
-        assert np.allclose(out.mu, g.mu)
-        assert np.max(np.abs(out.cov - g.cov)) <= 1e-10
+        mu, chol = random_pd_component(np.random.default_rng(0), 3)
+        out = fixed_point_gaussian_barycenter([mu] * 3, [chol] * 3)
+        assert np.allclose(out.means[0], mu)
+        assert np.max(np.abs(self.cov(out) - chol @ chol.T)) <= 1e-10
 
     def test_1d_averages_std(self):
-        g1 = GaussianComponent([0.0], [[1.0]])
-        g2 = GaussianComponent([4.0], [[3.0]])
-        out = fixed_point_gaussian_barycenter([g1, g2])
-        assert np.allclose(out.mu, [2.0])
-        assert abs(out.chol[0, 0] - 2.0) <= 1e-10
+        out = fixed_point_gaussian_barycenter([[0.0], [4.0]], [[[1.0]], [[3.0]]])
+        assert np.allclose(out.means[0], [2.0])
+        assert abs(out.chols[0, 0, 0] - 2.0) <= 1e-10
 
     def test_commuting_diagonal_case(self):
-        g1 = GaussianComponent.from_cov([0.0, 0.0], np.diag([1.0, 4.0]))
-        g2 = GaussianComponent.from_cov([2.0, 2.0], np.diag([9.0, 1.0]))
-        out = fixed_point_gaussian_barycenter([g1, g2])
+        out = fixed_point_gaussian_barycenter(
+            [[0.0, 0.0], [2.0, 2.0]],
+            np.linalg.cholesky([np.diag([1.0, 4.0]), np.diag([9.0, 1.0])]))
         # commuting covariances: barycenter stds are the averaged stds
         expected = np.diag([((1 + 3) / 2) ** 2, ((2 + 1) / 2) ** 2])
-        assert np.max(np.abs(out.cov - expected)) <= 1e-9
+        assert np.max(np.abs(self.cov(out) - expected)) <= 1e-9
 
     def test_weighted(self):
-        g1 = GaussianComponent([0.0], [[1.0]])
-        g2 = GaussianComponent([10.0], [[1.0]])
-        out = fixed_point_gaussian_barycenter([g1, g2], lam=[0.9, 0.1])
-        assert np.allclose(out.mu, [1.0])
+        out = fixed_point_gaussian_barycenter([[0.0], [10.0]], [[[1.0]], [[1.0]]],
+                                              lam=[0.9, 0.1])
+        assert np.allclose(out.means[0], [1.0])
 
     def test_non_convergence_reported(self):
-        g1 = GaussianComponent([0.0], [[1.0]])
-        g2 = GaussianComponent([4.0], [[3.0]])
         with pytest.raises(ot.ConvergenceError):
-            fixed_point_gaussian_barycenter([g1, g2], tol=0.0, max_iter=3)
+            fixed_point_gaussian_barycenter([[0.0], [4.0]], [[[1.0]], [[3.0]]],
+                                            tol=0.0, max_iter=3)
+
+    @pytest.mark.parametrize("means, chols, lam, match", [
+        (np.zeros((2, 1)), np.stack([np.eye(2)] * 2), None,
+         r"chols must be \(2, 1, 1\)"),
+        (np.zeros((2, 2)), [[[1.0, 0.5], [0.0, 1.0]], np.eye(2)], None,
+         "lower-triangular"),
+        (np.zeros((2, 1)), np.ones((2, 1, 1)), [1.0],
+         "one coordinate per Gaussian"),
+    ], ids=["shape", "upper-triangular", "lam-length"])
+    def test_rejects_bad_inputs(self, means, chols, lam, match):
+        with pytest.raises(ValueError, match=match):
+            fixed_point_gaussian_barycenter(means, chols, lam=lam)
 
 
 class TestEnvelopeGradient:
@@ -79,13 +92,13 @@ class TestEnvelopeGradient:
         h = 1e-5
         for _ in range(10):
             k, m, d, c = 2, 3, 2, 2
-            state = stack_gmm(
+            state = LabeledGMM(
                 rng.dirichlet(np.ones(k)),
-                tuple(random_pd_component(rng, d) for _ in range(k)),
+                *zip(*(random_pd_component(rng, d) for _ in range(k))),
                 nu=rng.dirichlet(np.ones(c), size=k))
-            other = stack_gmm(
+            other = LabeledGMM(
                 rng.dirichlet(np.ones(m)),
-                tuple(random_pd_component(rng, d) for _ in range(m)),
+                *zip(*(random_pd_component(rng, d) for _ in range(m))),
                 nu=rng.dirichlet(np.ones(c), size=m))
             beta = 1.3
             _, plan = mw2_sq(state, other, beta=beta)
@@ -98,9 +111,9 @@ class TestEnvelopeGradient:
                     for j in range(m):
                         if omega[i, j] == 0.0:
                             continue
-                        gi = GaussianComponent(mus[i], chols[i])
                         val += omega[i, j] * (
-                            bures_w2_sq(gi, other.components[j])
+                            bures_w2_sq(mus[i], chols[i],
+                                        other.means[j], other.chols[j])
                             + beta * ((nu[i] - other.nu[j]) ** 2).sum())
                 return val
 
@@ -131,14 +144,12 @@ class TestEnvelopeGradient:
 class TestGmmFlowStep:
     def test_fixed_point_state_equals_input(self):
         rng = np.random.default_rng(2)
-        state = stack_gmm([0.5, 0.5],
-                          (random_pd_component(rng, 2),
-                           random_pd_component(rng, 2)))
+        state = LabeledGMM([0.5, 0.5], *zip(random_pd_component(rng, 2),
+                                            random_pd_component(rng, 2)))
         cfg = GmmFlowConfig(2, 1, UNIT, step_size=0.2, seed=0)
         new = gmm_flow_step(state, [state], cfg)
-        for a, b in zip(new.components, state.components):
-            assert np.max(np.abs(a.mu - b.mu)) <= 1e-9
-            assert np.max(np.abs(a.chol - b.chol)) <= 1e-8
+        assert np.max(np.abs(new.means - state.means)) <= 1e-9
+        assert np.max(np.abs(new.chols - state.chols)) <= 1e-8
 
     def test_1d_two_gaussians(self):
         q1 = single([0.0], [[1.0]])
@@ -146,8 +157,8 @@ class TestGmmFlowStep:
         cfg = GmmFlowConfig(1, 800, HALF, step_size=0.1, seed=0)
         init = single([1.0], [[0.25]])
         final, _ = run_gmm_flow([q1, q2], cfg, init=init)
-        mu = final.components[0].mu[0]
-        sigma = final.components[0].chol[0, 0]
+        mu = final.means[0, 0]
+        sigma = final.chols[0, 0, 0]
         assert 1.95 <= mu <= 2.05
         assert 0.95 <= sigma <= 1.05
 
@@ -167,16 +178,14 @@ class TestGmmFlowStep:
         # classical interpolation with coefficient 2 a pi_i per component
         rng = np.random.default_rng(3)
         k = 2
-        state = stack_gmm(
+        state = LabeledGMM(
             [0.5, 0.5],
-            tuple(GaussianComponent(rng.standard_normal(2),
-                                   np.diag(rng.uniform(0.5, 2.0, 2)))
-                  for _ in range(k)))
-        q = stack_gmm(
+            *zip(*((rng.standard_normal(2), np.diag(rng.uniform(0.5, 2.0, 2)))
+                   for _ in range(k))))
+        q = LabeledGMM(
             [0.5, 0.5],
-            tuple(GaussianComponent(rng.standard_normal(2) + 1.0,
-                                   np.diag(rng.uniform(0.5, 2.0, 2)))
-                  for _ in range(k)))
+            *zip(*((rng.standard_normal(2) + 1.0,
+                    np.diag(rng.uniform(0.5, 2.0, 2))) for _ in range(k))))
         alpha = 0.05
         cfg = GmmFlowConfig(k, 1, UNIT, step_size=alpha, diag_only=True, seed=0)
         new = gmm_flow_step(state, [q], cfg)
@@ -184,15 +193,15 @@ class TestGmmFlowStep:
         cost = mw2_cost_matrix(state, q)
         plan, _ = ot.solve_exact(state.weights, q.weights, cost)
         omega = plan.coupling
-        for i, comp in enumerate(state.components):
+        for i, (mu, chol) in enumerate(zip(state.means, state.chols)):
             pi = state.weights[i]
             t_mu = (omega[i] @ q.means) / pi
-            t_sd = (omega[i] @ np.stack([np.diag(c.chol) for c in q.components])) / pi
+            t_sd = (omega[i] @ np.stack([np.diag(c) for c in q.chols])) / pi
             a_eff = 2 * alpha * pi
-            exp_mu = (1 - a_eff) * comp.mu + a_eff * t_mu
-            exp_sd = (1 - a_eff) * np.diag(comp.chol) + a_eff * t_sd
-            assert np.max(np.abs(new.components[i].mu - exp_mu)) <= 1e-6
-            assert np.max(np.abs(np.diag(new.components[i].chol) - exp_sd)) <= 1e-6
+            exp_mu = (1 - a_eff) * mu + a_eff * t_mu
+            exp_sd = (1 - a_eff) * np.diag(chol) + a_eff * t_sd
+            assert np.max(np.abs(new.means[i] - exp_mu)) <= 1e-6
+            assert np.max(np.abs(np.diag(new.chols[i]) - exp_sd)) <= 1e-6
 
     def test_chol_clamp_warns_never_crashes(self):
         # gradient toward a near-degenerate input overshoots the diagonal
@@ -201,16 +210,16 @@ class TestGmmFlowStep:
         cfg = GmmFlowConfig(1, 1, UNIT, step_size=5.0, seed=0)
         with pytest.warns(RuntimeWarning):
             new = gmm_flow_step(state, [q1], cfg)
-        assert new.components[0].chol[0, 0] >= 1e-6
+        assert new.chols[0, 0, 0] >= 1e-6
 
 
 class TestRunGmmFlow:
     def test_objective_non_increasing_small_step(self):
         rng = np.random.default_rng(4)
-        q1 = stack_gmm([0.5, 0.5], (random_pd_component(rng, 2),
-                                    random_pd_component(rng, 2)))
-        q2 = stack_gmm([0.5, 0.5], (random_pd_component(rng, 2),
-                                    random_pd_component(rng, 2)))
+        q1 = LabeledGMM([0.5, 0.5], *zip(random_pd_component(rng, 2),
+                                         random_pd_component(rng, 2)))
+        q2 = LabeledGMM([0.5, 0.5], *zip(random_pd_component(rng, 2),
+                                         random_pd_component(rng, 2)))
         cfg = GmmFlowConfig(2, 60, HALF, step_size=0.02, seed=0)
         _, trace = run_gmm_flow([q1, q2], cfg)
         b = np.array([r.b_hat for r in trace])
@@ -220,10 +229,9 @@ class TestRunGmmFlow:
         rng = np.random.default_rng(5)
         def labeled_input(seed):
             r = np.random.default_rng(seed)
-            comps = tuple(GaussianComponent(r.standard_normal(2) + 4 * i,
-                                            0.5 * np.eye(2))
-                          for i in range(3))
-            return stack_gmm(np.full(3, 1 / 3), comps, nu=np.eye(3))
+            means = [r.standard_normal(2) + 4 * i for i in range(3)]
+            return LabeledGMM(np.full(3, 1 / 3), means, [0.5 * np.eye(2)] * 3,
+                              nu=np.eye(3))
         inputs = [labeled_input(0), labeled_input(1)]
         cfg = GmmFlowConfig(3, 150, HALF, step_size=0.05, label_weight=50.0,
                             seed=0)
@@ -233,8 +241,8 @@ class TestRunGmmFlow:
 
     def test_deterministic(self):
         rng = np.random.default_rng(6)
-        q1 = stack_gmm([1.0], (random_pd_component(rng, 2),))
-        q2 = stack_gmm([1.0], (random_pd_component(rng, 2),))
+        q1 = LabeledGMM([1.0], *zip(random_pd_component(rng, 2)))
+        q2 = LabeledGMM([1.0], *zip(random_pd_component(rng, 2)))
         cfg = GmmFlowConfig(1, 20, HALF, step_size=0.1, seed=9)
         f1, t1 = run_gmm_flow([q1, q2], cfg)
         f2, t2 = run_gmm_flow([q1, q2], cfg)
@@ -243,9 +251,9 @@ class TestRunGmmFlow:
 
     def test_permutation_symmetry_with_explicit_init(self):
         rng = np.random.default_rng(7)
-        q1 = stack_gmm([1.0], (random_pd_component(rng, 2),))
-        q2 = stack_gmm([1.0], (random_pd_component(rng, 2),))
-        init = stack_gmm([1.0], (random_pd_component(rng, 2),))
+        q1 = LabeledGMM([1.0], *zip(random_pd_component(rng, 2)))
+        q2 = LabeledGMM([1.0], *zip(random_pd_component(rng, 2)))
+        init = LabeledGMM([1.0], *zip(random_pd_component(rng, 2)))
         lam = BarycentricCoordinates([0.3, 0.7])
         lam_rev = BarycentricCoordinates([0.7, 0.3])
         cfg = GmmFlowConfig(1, 40, lam, step_size=0.1, seed=0)
@@ -257,10 +265,10 @@ class TestRunGmmFlow:
 
     def test_flow_weights_mode(self):
         rng = np.random.default_rng(8)
-        state = stack_gmm([0.5, 0.5], (random_pd_component(rng, 2),
-                                       random_pd_component(rng, 2)))
-        q = stack_gmm([0.8, 0.2], (random_pd_component(rng, 2),
-                                   random_pd_component(rng, 2)))
+        state = LabeledGMM([0.5, 0.5], *zip(random_pd_component(rng, 2),
+                                            random_pd_component(rng, 2)))
+        q = LabeledGMM([0.8, 0.2], *zip(random_pd_component(rng, 2),
+                                        random_pd_component(rng, 2)))
         cfg = GmmFlowConfig(2, 30, UNIT, step_size=0.05, flow_weights=True,
                             seed=0)
         final, _ = run_gmm_flow([q], cfg, init=state)
@@ -273,9 +281,9 @@ class TestTraceComposition:
         rng = np.random.default_rng(7)
 
         def labeled_input(shift):
-            comps = tuple(random_pd_component(rng, 2) for _ in range(2))
-            comps = tuple(GaussianComponent(c.mu + shift, c.chol) for c in comps)
-            return stack_gmm([0.4, 0.6], comps, nu=np.eye(2))
+            means, chols = zip(*(random_pd_component(rng, 2) for _ in range(2)))
+            return LabeledGMM([0.4, 0.6], np.array(means) + shift, chols,
+                              nu=np.eye(2))
 
         inputs = [labeled_input(0.0), labeled_input(3.0)]
         spec = FunctionalSpec(
@@ -316,10 +324,9 @@ class TestLabelChecks:
 
     @staticmethod
     def labeled(n_classes):
-        comps = tuple(GaussianComponent([float(c)], [[1.0]])
-                      for c in range(n_classes))
-        return stack_gmm(np.full(n_classes, 1.0 / n_classes), comps,
-                         nu=np.eye(n_classes))
+        return LabeledGMM(np.full(n_classes, 1.0 / n_classes),
+                          np.arange(n_classes, dtype=float)[:, None],
+                          np.ones((n_classes, 1, 1)), nu=np.eye(n_classes))
 
     def test_labeled_and_unlabeled_rejected(self):
         cfg = GmmFlowConfig(2, 3, HALF)
@@ -342,6 +349,25 @@ class TestLabelChecks:
                            match=r"one class_names, got None and \('cat'"):
             run_gmm_flow([self.labeled(2), named], cfg)
 
+    @pytest.mark.parametrize("run", [
+        lambda inputs, cfg, init: run_gmm_flow(inputs, cfg, init=init),
+        lambda inputs, cfg, init: gmm_flow_step(init, inputs, cfg),
+    ], ids=["run_gmm_flow", "gmm_flow_step"])
+    @pytest.mark.parametrize("init_classes, input_classes, label_weight", [
+        (2, 3, 1.0), (None, 3, 1.0), (2, None, 0.0)],
+        ids=["2-of-3", "unlabeled-of-3", "2-of-unlabeled"])
+    def test_state_class_count_differs_rejected(self, run, init_classes,
+                                                input_classes, label_weight):
+        # the state of run_gmm_flow(init=...) and gmm_flow_step gets the
+        # inputs' label rule
+        def mixture(n_classes):
+            return single([0.0], [[1.0]]) if n_classes is None else \
+                self.labeled(n_classes)
+        cfg = GmmFlowConfig(2, 3, HALF, label_weight=label_weight)
+        with pytest.raises(ValueError, match=f"class count {init_classes}, "
+                                             f"the inputs {input_classes}"):
+            run([mixture(input_classes)] * 2, cfg, mixture(init_classes))
+
     @pytest.mark.parametrize("spec", [FunctionalSpec(repulsion_weight=0.1),
                                       FunctionalSpec(entropy_weight=0.1)])
     def test_label_energy_needs_labels(self, spec):
@@ -354,9 +380,9 @@ class TestEmInit:
     def test_em_init_respects_labels(self):
         rng = np.random.default_rng(9)
         def labeled_input(offset):
-            comps = (GaussianComponent([0.0 + offset, 0.0], 0.3 * np.eye(2)),
-                     GaussianComponent([6.0 + offset, 0.0], 0.3 * np.eye(2)))
-            return stack_gmm([0.5, 0.5], comps, nu=np.eye(2))
+            return LabeledGMM([0.5, 0.5],
+                              [[0.0 + offset, 0.0], [6.0 + offset, 0.0]],
+                              [0.3 * np.eye(2)] * 2, nu=np.eye(2))
         cfg = GmmFlowConfig(2, 0, HALF, seed=0)
         final, trace = run_gmm_flow([labeled_input(0.0), labeled_input(0.5)], cfg)
         assert final.nu is not None

@@ -12,7 +12,7 @@ from baryflow.functionals import (
     internal_energy_mc,
     target_potential,
 )
-from baryflow.gaussian import GaussianComponent
+from baryflow.gaussian import LabeledGMM
 from baryflow.measures import (
     BarycentricCoordinates,
     EmpiricalMeasure,
@@ -20,7 +20,7 @@ from baryflow.measures import (
     one_hot,
 )
 
-from conftest import random_pd_component, stack_gmm
+from conftest import random_pd_component
 
 
 class TestEntropyPotential:
@@ -151,22 +151,20 @@ class TestTargetPotential:
 
 class TestInternalEnergyMc:
     def test_standard_normal_entropy(self):
-        g = stack_gmm([1.0], (GaussianComponent([0.0], [[1.0]]),))
+        g = LabeledGMM([1.0], [[0.0]], [[[1.0]]])
         value, _, _, _ = internal_energy_mc(g, 100_000, seed=0)
         assert abs(value - (-0.5 * np.log(2 * np.pi * np.e))) <= 0.05
 
     def test_decreases_with_scale(self):
         vals = []
         for sigma in (0.5, 1.0, 2.0, 4.0):
-            g = stack_gmm([1.0], (GaussianComponent([0.0], [[sigma]]),))
+            g = LabeledGMM([1.0], [[0.0]], [[[sigma]]])
             vals.append(internal_energy_mc(g, 20_000, seed=1)[0])
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
     def test_two_far_components(self):
-        single = stack_gmm([1.0], (GaussianComponent([0.0], [[1.0]]),))
-        double = stack_gmm([0.5, 0.5],
-                           (GaussianComponent([0.0], [[1.0]]),
-                            GaussianComponent([200.0], [[1.0]])))
+        single = LabeledGMM([1.0], [[0.0]], [[[1.0]]])
+        double = LabeledGMM([0.5, 0.5], [[0.0], [200.0]], [[[1.0]], [[1.0]]])
         v1 = internal_energy_mc(single, 100_000, seed=2)[0]
         v2 = internal_energy_mc(double, 100_000, seed=2)[0]
         assert abs(v2 - (v1 - np.log(2.0))) <= 0.05
@@ -177,12 +175,11 @@ class TestInternalEnergyMc:
         for trial in range(5):
             k, d = 2, 2
             mus = rng.standard_normal((k, d))
-            chols = [random_pd_component(rng, d).chol for _ in range(k)]
+            chols = [random_pd_component(rng, d)[1] for _ in range(k)]
             w = rng.dirichlet(np.ones(k))
 
             def build(mus_, chols_):
-                return stack_gmm(w, tuple(
-                    GaussianComponent(mus_[i], chols_[i]) for i in range(k)))
+                return LabeledGMM(w, mus_, chols_)
 
             seed = 100 + trial
             _, gm, gl, _ = internal_energy_mc(build(mus, chols), 256, seed=seed)
@@ -207,9 +204,7 @@ class TestInternalEnergyMc:
 
     def test_weight_gradient_unbiased_at_truth(self):
         # responsibilities average to the weights when sampling from the model
-        g = stack_gmm([0.3, 0.7],
-                      (GaussianComponent([0.0], [[1.0]]),
-                       GaussianComponent([8.0], [[1.0]])))
+        g = LabeledGMM([0.3, 0.7], [[0.0], [8.0]], [[[1.0]], [[1.0]]])
         _, _, _, gw = internal_energy_mc(g, 200_000, seed=3)
         assert np.max(np.abs(gw)) <= 5e-3
 
@@ -252,10 +247,9 @@ def labeled_measure(n_classes):
 
 
 def labeled_gmm(n_classes):
-    comps = tuple(GaussianComponent([float(c)], [[1.0]])
-                  for c in range(n_classes))
-    return stack_gmm(np.full(n_classes, 1.0 / n_classes), comps,
-                     nu=np.eye(n_classes))
+    return LabeledGMM(np.full(n_classes, 1.0 / n_classes),
+                      np.arange(n_classes, dtype=float)[:, None],
+                      np.ones((n_classes, 1, 1)), nu=np.eye(n_classes))
 
 
 def labeled_batch(n_classes):
@@ -264,7 +258,7 @@ def labeled_batch(n_classes):
 
 
 UNLABELED = [EmpiricalMeasure(np.zeros((3, 1))),
-             stack_gmm([1.0], (GaussianComponent([0.0], [[1.0]]),)),
+             LabeledGMM([1.0], [[0.0]], [[[1.0]]]),
              MiniBatch(np.zeros((4, 1)))]
 
 

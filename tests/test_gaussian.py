@@ -5,7 +5,6 @@ import pytest
 
 from baryflow import gaussian as ga
 from baryflow.gaussian import (
-    GaussianComponent,
     LabeledGMM,
     bures_w2_grad,
     bures_w2_sq,
@@ -20,7 +19,7 @@ from baryflow.gaussian import (
     save_gmm,
 )
 
-from conftest import random_pd_component, stack_gmm
+from conftest import random_pd_component
 
 # Factors with an upper entry of 0.5% of the diagonal at scale 1e-6, and
 # with rounding noise above the diagonal at scale 1e6.
@@ -58,50 +57,55 @@ class TestMatrixSqrtPsd:
         assert np.allclose(r, np.diag([1.0, 0.0]))
 
 
+def gaussian(mu, chol):
+    """One Gaussian as a (mean, factor) row pair of float arrays."""
+    return np.array(mu, dtype=float), np.array(chol, dtype=float)
+
+
 class TestBures:
     def test_zero_on_identical(self):
         g = random_pd_component(np.random.default_rng(1), 3)
-        assert bures_w2_sq(g, g) <= 1e-10
+        assert bures_w2_sq(*g, *g) <= 1e-10
 
     def test_mean_shift_only(self):
-        g1 = GaussianComponent([0.0, 0.0], np.eye(2))
-        g2 = GaussianComponent([4.0, 0.0], np.eye(2))
-        assert abs(bures_w2_sq(g1, g2) - 16.0) <= 1e-12
+        g1 = gaussian([0.0, 0.0], np.eye(2))
+        g2 = gaussian([4.0, 0.0], np.eye(2))
+        assert abs(bures_w2_sq(*g1, *g2) - 16.0) <= 1e-12
 
     def test_1d_scale(self):
-        g1 = GaussianComponent([0.0], [[1.0]])
-        g2 = GaussianComponent([0.0], [[2.0]])
-        assert abs(bures_w2_sq(g1, g2) - 1.0) <= 1e-12
+        g1 = gaussian([0.0], [[1.0]])
+        g2 = gaussian([0.0], [[2.0]])
+        assert abs(bures_w2_sq(*g1, *g2) - 1.0) <= 1e-12
 
     def test_1d_closed_form_exact(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             m1, m2 = rng.standard_normal(2) * 3
             s1, s2 = rng.uniform(0.2, 3.0, size=2)
-            g1 = GaussianComponent([m1], [[s1]])
-            g2 = GaussianComponent([m2], [[s2]])
+            g1 = gaussian([m1], [[s1]])
+            g2 = gaussian([m2], [[s2]])
             expected = (m1 - m2) ** 2 + (s1 - s2) ** 2
-            assert abs(bures_w2_sq(g1, g2) - expected) <= 1e-12 * max(1, expected)
+            assert abs(bures_w2_sq(*g1, *g2) - expected) <= 1e-12 * max(1, expected)
 
     def test_symmetry(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             g1 = random_pd_component(rng, 3)
             g2 = random_pd_component(rng, 3)
-            assert abs(bures_w2_sq(g1, g2) - bures_w2_sq(g2, g1)) <= 1e-9
+            assert abs(bures_w2_sq(*g1, *g2) - bures_w2_sq(*g2, *g1)) <= 1e-9
 
 
 class TestBuresGrad:
     def test_zero_at_identical(self):
         g = random_pd_component(np.random.default_rng(4), 3)
-        dmu, dl = bures_w2_grad(g, g)
+        dmu, dl = bures_w2_grad(*g, *g)
         assert np.max(np.abs(dmu)) <= 1e-10
         assert np.max(np.abs(dl)) <= 1e-8
 
     def test_1d_mean_gradient(self):
-        g1 = GaussianComponent([0.0], [[1.0]])
-        g2 = GaussianComponent([4.0], [[1.0]])
-        dmu, _ = bures_w2_grad(g1, g2)
+        g1 = gaussian([0.0], [[1.0]])
+        g2 = gaussian([4.0], [[1.0]])
+        dmu, _ = bures_w2_grad(*g1, *g2)
         assert np.allclose(dmu, [-8.0])
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -109,36 +113,36 @@ class TestBuresGrad:
         rng = np.random.default_rng(5 + d)
         h = 1e-5
         for _ in range(20):
-            g1 = random_pd_component(rng, d)
+            mu1, l1 = random_pd_component(rng, d)
             g2 = random_pd_component(rng, d)
-            dmu, dl = bures_w2_grad(g1, g2)
+            dmu, dl = bures_w2_grad(mu1, l1, *g2)
             for i in range(d):
                 e = np.zeros(d)
                 e[i] = h
-                fd = (bures_w2_sq(GaussianComponent(g1.mu + e, g1.chol), g2)
-                      - bures_w2_sq(GaussianComponent(g1.mu - e, g1.chol), g2)
+                fd = (bures_w2_sq(mu1 + e, l1, *g2)
+                      - bures_w2_sq(mu1 - e, l1, *g2)
                       ) / (2 * h)
                 assert abs(fd - dmu[i]) <= 1e-4 * max(1.0, abs(fd))
             for i in range(d):
                 for j in range(i + 1):
                     e = np.zeros((d, d))
                     e[i, j] = h
-                    fd = (bures_w2_sq(GaussianComponent(g1.mu, g1.chol + e), g2)
-                          - bures_w2_sq(GaussianComponent(g1.mu, g1.chol - e), g2)
+                    fd = (bures_w2_sq(mu1, l1 + e, *g2)
+                          - bures_w2_sq(mu1, l1 - e, *g2)
                           ) / (2 * h)
                     assert abs(fd - dl[i, j]) <= 1e-4 * max(1.0, abs(fd))
 
     def test_rejects_singular(self):
-        g1 = GaussianComponent([0.0, 0.0], np.diag([1.0, 1e-9]))
-        g2 = GaussianComponent([1.0, 1.0], np.eye(2))
+        g1 = gaussian([0.0, 0.0], np.diag([1.0, 1e-9]))
+        g2 = gaussian([1.0, 1.0], np.eye(2))
         with pytest.raises(ValueError):
-            bures_w2_grad(g1, g2)
+            bures_w2_grad(*g1, *g2)
 
 
 def random_labeled_gmm(rng, k, d, n_classes):
-    comps = tuple(random_pd_component(rng, d) for _ in range(k))
+    means, chols = zip(*(random_pd_component(rng, d) for _ in range(k)))
     nu = rng.dirichlet(np.ones(n_classes), size=k)
-    return stack_gmm(rng.dirichlet(np.ones(k)), comps, nu=nu)
+    return LabeledGMM(rng.dirichlet(np.ones(k)), means, chols, nu=nu)
 
 
 class TestMw2:
@@ -151,21 +155,21 @@ class TestMw2:
     def test_single_component_reduces_to_bures(self):
         rng = np.random.default_rng(7)
         g1, g2 = random_pd_component(rng, 2), random_pd_component(rng, 2)
-        p = stack_gmm([1.0], (g1,), nu=[[1.0, 0.0]])
-        q = stack_gmm([1.0], (g2,), nu=[[0.0, 1.0]])
+        p = LabeledGMM([1.0], [g1[0]], [g1[1]], nu=[[1.0, 0.0]])
+        q = LabeledGMM([1.0], [g2[0]], [g2[1]], nu=[[0.0, 1.0]])
         cost, _ = mw2_sq(p, q, beta=2.0)
-        assert abs(cost - (bures_w2_sq(g1, g2) + 2.0 * 2.0)) <= 1e-10
+        assert abs(cost - (bures_w2_sq(*g1, *g2) + 2.0 * 2.0)) <= 1e-10
 
     def test_two_component_permutation_enumeration(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
-            p = stack_gmm([0.5, 0.5],
-                          tuple(random_pd_component(rng, 2) for _ in range(2)))
-            q = stack_gmm([0.5, 0.5],
-                          tuple(random_pd_component(rng, 2) for _ in range(2)))
+            p = LabeledGMM([0.5, 0.5], *zip(
+                *(random_pd_component(rng, 2) for _ in range(2))))
+            q = LabeledGMM([0.5, 0.5], *zip(
+                *(random_pd_component(rng, 2) for _ in range(2))))
             cost, _ = mw2_sq(p, q)
-            c = np.array([[bures_w2_sq(a, b) for b in q.components]
-                          for a in p.components])
+            c = np.array([[bures_w2_sq(*a, *b) for b in zip(q.means, q.chols)]
+                          for a in zip(p.means, p.chols)])
             best = min(0.5 * (c[0, 0] + c[1, 1]), 0.5 * (c[0, 1] + c[1, 0]))
             assert abs(cost - best) <= 1e-10
 
@@ -196,10 +200,10 @@ class TestProposition1Decomposition:
 
             def lift(gmm):
                 out = []
-                for comp, nu in zip(gmm.components, gmm.nu):
-                    mu = np.concatenate([comp.mu, np.sqrt(beta) * nu])
+                for mean, chol, nu in zip(gmm.means, gmm.chols, gmm.nu):
+                    mu = np.concatenate([mean, np.sqrt(beta) * nu])
                     cov = np.zeros((4, 4))
-                    cov[:2, :2] = comp.cov
+                    cov[:2, :2] = chol @ chol.T
                     out.append((mu, cov))
                 return out
 
@@ -219,7 +223,7 @@ class TestEmFit:
         data = rng.standard_normal((800, 2)) * 1.5 + np.array([2.0, -1.0])
         fit = em_fit(data, components_per_class=1, seed=0)
         se = 1.5 / np.sqrt(800)
-        assert np.all(np.abs(fit.components[0].mu - data.mean(axis=0)) <= 3 * se)
+        assert np.all(np.abs(fit.means[0] - data.mean(axis=0)) <= 3 * se)
 
     def test_labeled_one_hot_nu(self):
         rng = np.random.default_rng(13)
@@ -247,45 +251,41 @@ class TestEmFit:
         rng = np.random.default_rng(15)
         data = rng.standard_normal((100, 3))
         fit = em_fit(data, components_per_class=2, seed=0, diag=True)
-        for comp in fit.components:
-            assert np.allclose(comp.chol, np.diag(np.diag(comp.chol)))
+        for chol in fit.chols:
+            assert np.allclose(chol, np.diag(np.diag(chol)))
 
 
 class TestSampleReparam:
     def test_clt_mean_bound(self):
-        g = stack_gmm([1.0], (GaussianComponent([0.0, 0.0], np.eye(2)),))
+        g = LabeledGMM([1.0], [[0.0, 0.0]], [np.eye(2)])
         pts, _, _ = sample_reparam(g, 4096, seed=0)
         assert np.all(np.abs(pts.mean(axis=0)) <= 4.0 / np.sqrt(4096))
 
     def test_reparam_identity(self):
-        g = stack_gmm([1.0], (GaussianComponent([3.0, -1.0], np.eye(2)),))
+        g = LabeledGMM([1.0], [[3.0, -1.0]], [np.eye(2)])
         pts, _, eps = sample_reparam(g, 50, seed=1)
         assert np.allclose(pts - np.array([3.0, -1.0]), eps)
 
     def test_degenerate_weights(self):
-        g = stack_gmm([1.0, 0.0],
-                      (GaussianComponent([0.0], [[1.0]]),
-                       GaussianComponent([9.0], [[1.0]])))
+        g = LabeledGMM([1.0, 0.0], [[0.0], [9.0]], [[[1.0]], [[1.0]]])
         _, idx, _ = sample_reparam(g, 100, seed=2)
         assert np.all(idx == 0)
 
     def test_empty(self):
-        g = stack_gmm([1.0], (GaussianComponent([0.0], [[1.0]]),))
+        g = LabeledGMM([1.0], [[0.0]], [[[1.0]]])
         pts, idx, eps = sample_reparam(g, 0, seed=3)
         assert pts.shape == (0, 1) and idx.shape == (0,) and eps.shape == (0, 1)
 
 
 class TestGmmLogDensity:
     def test_standard_normal_at_origin(self):
-        g = stack_gmm([1.0], (GaussianComponent([0.0], [[1.0]]),))
+        g = LabeledGMM([1.0], [[0.0]], [[[1.0]]])
         logp, resp = gmm_log_density(g, np.array([0.0]))
         assert abs(logp - (-0.5 * np.log(2 * np.pi))) <= 1e-12
         assert np.allclose(resp, [1.0])
 
     def test_separated_responsibilities(self):
-        g = stack_gmm([0.5, 0.5],
-                      (GaussianComponent([0.0], [[1.0]]),
-                       GaussianComponent([40.0], [[1.0]])))
+        g = LabeledGMM([0.5, 0.5], [[0.0], [40.0]], [[[1.0]], [[1.0]]])
         _, resp0 = gmm_log_density(g, np.array([0.0]))
         _, resp1 = gmm_log_density(g, np.array([40.0]))
         assert resp0[0] >= 1.0 - 1e-12
@@ -306,9 +306,8 @@ class TestSerialization:
         g2 = gmm_from_json(gmm_to_json(g))
         assert np.array_equal(g.weights, g2.weights)
         assert np.array_equal(g.nu, g2.nu)
-        for a, b in zip(g.components, g2.components):
-            assert np.array_equal(a.mu, b.mu)
-            assert np.array_equal(a.chol, b.chol)
+        assert np.array_equal(g.means, g2.means)
+        assert np.array_equal(g.chols, g2.chols)
 
     def test_file_round_trip_byte_stable(self, tmp_path):
         rng = np.random.default_rng(18)
@@ -320,7 +319,7 @@ class TestSerialization:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_unlabeled_round_trip(self, tmp_path):
-        g = stack_gmm([1.0], (GaussianComponent([0.0], [[1.0]]),))
+        g = LabeledGMM([1.0], [[0.0]], [[[1.0]]])
         path = tmp_path / "g.json"
         save_gmm(g, path)
         assert load_gmm(path).nu is None
@@ -329,31 +328,25 @@ class TestSerialization:
 class TestValidation:
     def test_chol_must_be_lower_triangular(self):
         with pytest.raises(ValueError):
-            GaussianComponent([0.0, 0.0], np.array([[1.0, 0.5], [0.0, 1.0]]))
+            LabeledGMM([1.0], [[0.0, 0.0]], [[[1.0, 0.5], [0.0, 1.0]]])
 
     def test_chol_positive_diagonal(self):
         with pytest.raises(ValueError):
-            GaussianComponent([0.0], [[-1.0]])
+            LabeledGMM([1.0], [[0.0]], [[[-1.0]]])
 
     def test_gmm_weights_simplex(self):
         with pytest.raises(ValueError):
-            stack_gmm([0.7, 0.7], (GaussianComponent([0.0], [[1.0]]),
-                                   GaussianComponent([1.0], [[1.0]])))
+            LabeledGMM([0.7, 0.7], [[0.0], [1.0]], [[[1.0]], [[1.0]]])
 
     def test_nu_rows_simplex(self):
         with pytest.raises(ValueError):
-            stack_gmm([1.0], (GaussianComponent([0.0], [[1.0]]),),
-                      nu=[[0.7, 0.7]])
+            LabeledGMM([1.0], [[0.0]], [[[1.0]]], nu=[[0.7, 0.7]])
 
     def test_triangularity_is_scale_free(self):
         # an upper entry of 0.5% of the diagonal at scale 1e-6 is rejected,
         # rounding noise at scale 1e6 is zeroed
         with pytest.raises(ValueError, match="lower-triangular"):
-            GaussianComponent([0.0, 0.0], TINY_UPPER)
-        with pytest.raises(ValueError, match="lower-triangular"):
             LabeledGMM([1.0], np.zeros((1, 2)), [TINY_UPPER])
-        g = GaussianComponent([0.0, 0.0], NOISY_UPPER)
-        assert np.array_equal(g.chol, np.diag([1e6, 1e6]))
         gmm = LabeledGMM([1.0], np.zeros((1, 2)), [NOISY_UPPER])
         assert np.array_equal(gmm.chols[0], np.diag([1e6, 1e6]))
 
@@ -375,12 +368,7 @@ class TestValidation:
         with pytest.raises(ValueError, match=match):
             LabeledGMM(weights, means, chols, nu=nu)
 
-    def test_components_view(self):
+    def test_stacks_read_only(self):
         g = random_labeled_gmm(np.random.default_rng(19), 3, 2, 2)
-        comps = g.components
-        assert comps is g.components
-        assert len(comps) == g.n_components
-        for c, mu, chol in zip(comps, g.means, g.chols):
-            assert np.array_equal(c.mu, mu) and np.array_equal(c.chol, chol)
         assert not (g.means.flags.writeable or g.chols.flags.writeable)
 

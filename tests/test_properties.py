@@ -27,7 +27,6 @@ from baryflow.flow_empirical import EmpiricalFlowConfig, EmpiricalSampler, run_f
 from baryflow.flow_gmm import GmmFlowConfig, run_gmm_flow
 from baryflow.functionals import entropy_potential
 from baryflow.gaussian import (
-    GaussianComponent,
     LabeledGMM,
     bures_w2_grad,
     bures_w2_sq,
@@ -39,8 +38,6 @@ from baryflow.measures import (
     logsumexp,
     softmax,
 )
-
-from conftest import stack_gmm
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=100,
                     deadline=None)
@@ -369,12 +366,12 @@ def gmm_inputs(draw, d, labeled):
     the second, Cholesky factors diagonal in [0.5, 2]."""
     out = []
     for shift in (0.0, 4.0):
-        comps = tuple(GaussianComponent(
+        means, chols = zip(*((
             draw(hnp.arrays(float, d, elements=unit_coords)) + shift,
             np.diag(draw(hnp.arrays(float, d, elements=st.floats(0.5, 2.0)))))
-            for _ in range(2))
-        out.append(stack_gmm([0.5, 0.5], comps,
-                             nu=np.eye(2) if labeled else None))
+            for _ in range(2)))
+        out.append(LabeledGMM([0.5, 0.5], means, chols,
+                              nu=np.eye(2) if labeled else None))
     return out
 
 
@@ -416,14 +413,13 @@ class TestFlowScaling:
 
 @st.composite
 def gaussian(draw, d, scale):
-    """A Gaussian with covariance eigenvalues in [1, 1e3] in a random basis,
-    means in [-3, 3]^d, both scaled by ``scale``."""
+    """A Gaussian (mu, chol) with covariance eigenvalues in [1, 1e3] in a
+    random basis, means in [-3, 3]^d, both scaled by ``scale``."""
     basis, _ = np.linalg.qr(draw(hnp.arrays(float, (d, d), elements=unit_coords)))
     eig = draw(hnp.arrays(float, d, elements=st.floats(1.0, 1e3)))
     cov = (basis * eig) @ basis.T
-    return GaussianComponent(
-        scale * draw(hnp.arrays(float, d, elements=unit_coords)),
-        scale * np.linalg.cholesky((cov + cov.T) / 2.0))
+    return (scale * draw(hnp.arrays(float, d, elements=unit_coords)),
+            scale * np.linalg.cholesky((cov + cov.T) / 2.0))
 
 
 @st.composite
@@ -448,35 +444,36 @@ class TestBuresKernel:
     @SETTINGS
     @given(gaussian_pair())
     def test_value_matches_covariance_form(self, pair):
-        g1, g2 = pair
-        size = (((g1.mu - g2.mu) ** 2).sum() + np.trace(g1.cov)
-                + np.trace(g2.cov))
-        reference = bures_w2_sq_cov(g1.mu, g1.cov, g2.mu, g2.cov)
-        assert abs(bures_w2_sq(g1, g2) - reference) <= 1e-12 * size
+        (mu1, l1), (mu2, l2) = pair
+        cov1, cov2 = l1 @ l1.T, l2 @ l2.T
+        size = (((mu1 - mu2) ** 2).sum() + np.trace(cov1)
+                + np.trace(cov2))
+        reference = bures_w2_sq_cov(mu1, cov1, mu2, cov2)
+        assert abs(bures_w2_sq(mu1, l1, mu2, l2) - reference) <= 1e-12 * size
 
     @SETTINGS
     @given(gaussian_pair())
     def test_grad_matches_eigh_map(self, pair):
-        g1, g2 = pair
-        dmu, dl = bures_w2_grad(g1, g2)
-        dsigma = np.eye(g1.dim) - eigh_transport_map(g1.cov, g2.cov)
-        reference = np.tril((dsigma + dsigma.T) @ g1.chol)
-        assert np.array_equal(dmu, 2.0 * (g1.mu - g2.mu))
+        (mu1, l1), (mu2, l2) = pair
+        dmu, dl = bures_w2_grad(mu1, l1, mu2, l2)
+        dsigma = np.eye(len(mu1)) - eigh_transport_map(l1 @ l1.T, l2 @ l2.T)
+        reference = np.tril((dsigma + dsigma.T) @ l1)
+        assert np.array_equal(dmu, 2.0 * (mu1 - mu2))
         # the map's terms set the scale: the gradient itself may cancel to 0
-        size = max(np.abs(reference).max(), 2.0 * np.abs(g1.chol).max())
+        size = max(np.abs(reference).max(), 2.0 * np.abs(l1).max())
         assert np.abs(dl - reference).max() <= 1e-10 * size
 
     @SETTINGS
     @given(gaussian_pair(min_dim=2), st.data())
     def test_relatively_singular_factor_raises(self, pair, data):
-        g1, g2 = pair
-        chol = g1.chol.copy()
-        j = data.draw(st.integers(0, g1.dim - 1))
+        (mu1, l1), g2 = pair
+        chol = l1.copy()
+        j = data.draw(st.integers(0, len(mu1) - 1))
         # sigma_min <= |L_jj| and sigma_max >= every other |L_ii|: a ratio
         # of at most 1e-7
         chol[j, j] = 1e-7 * np.delete(np.diag(chol), j).max()
         with pytest.raises(np.linalg.LinAlgError):
-            bures_w2_grad(GaussianComponent(g1.mu, chol), g2)
+            bures_w2_grad(mu1, chol, *g2)
 
 
 # finite values and -inf entries

@@ -29,6 +29,8 @@ with ``fixed_point`` on a ``swiss_roll`` base, ``msda`` with
 batches of 32 (uniform, sizes not dividing) on two labeled ``swiss_roll``
 inputs, ``barycenter`` with the gmm flow from a random diagonal initial
 state on two labeled ``swiss_roll`` inputs, ``barycenter`` with the gmm flow
+moving the weights (``flow_weights``) on two labeled ``swiss_roll`` inputs
+fitted with two components per class, ``barycenter`` with the gmm flow
 and the two Monte-Carlo energies (target potential on a CSV batch this script
 writes, internal energy), and ``barycenter`` on two CSV inputs this script
 writes, labeled with the class names {cat, dog, fish}.
@@ -129,6 +131,14 @@ CONFIGS = {
                    {"kind": "swiss_roll", "n": 96, "noise_std": 0.5}],
         "flow_config": {"n_components": 4, "n_iter": 10, "label_weight": 1.0,
                         "init_mode": "random", "diag_only": True}},
+    "barycenter-gmm-flow-weights": {
+        "command": "barycenter", "seed": 12, "flow": "gmm",
+        "inputs": [{"kind": "swiss_roll", "n": 96, "noise_std": 0.3,
+                    "components_per_class": 2},
+                   {"kind": "swiss_roll", "n": 96, "noise_std": 0.5,
+                    "components_per_class": 2}],
+        "flow_config": {"n_components": 4, "n_iter": 10, "label_weight": 1.0,
+                        "flow_weights": True}},
     # a callable config is built from its run directory
     "barycenter-gmm-energies": lambda run_dir: {
         "command": "barycenter", "seed": 11, "flow": "gmm",
