@@ -17,7 +17,9 @@ The exact solver ``solve_exact`` takes one of four paths:
 - everything else: the HiGHS simplex on the transport LP.
 
 Problems above ``EXACT_SIZE_LIMIT`` coupling entries default to the
-log-domain Sinkhorn solver with eps = 0.05 * median(C).
+entropic solver with eps = 0.05 * median(C): Sinkhorn in the scaling domain,
+with the scalings absorbed into the potentials before they overflow, and
+log-domain updates where the kernel underflows.
 
 This module imports numpy only. The assignment path loads
 ``scipy.optimize`` and the LP path ``scipy.optimize`` and ``scipy.sparse``
@@ -54,6 +56,9 @@ LCM_RATIO_LIMIT = 4
 # Non-assignment problems up to this many coupling entries take the
 # transportation simplex, larger ones the HiGHS LP.
 SIMPLEX_SIZE_LIMIT = 100
+# Sinkhorn scalings outside [1 / _SCALING_BOUND, _SCALING_BOUND] are absorbed
+# into the potentials, far from float overflow and underflow.
+_SCALING_BOUND = 1e30
 
 
 class ConvergenceError(RuntimeError):
@@ -405,24 +410,34 @@ def solve_exact(a, b, C: np.ndarray, supports=None
 def solve_entropic(a, b, C: np.ndarray, epsilon: float,
                    max_iter: int = 10_000, tol: float = 1e-9,
                    ) -> tuple[TransportPlan, float]:
-    """Entropy-regularized OT via log-domain Sinkhorn iterations.
+    """Entropy-regularized OT via stabilized Sinkhorn scaling iterations
+    (``_sinkhorn_potentials``), annealing epsilon from median(C) by halving.
+    Rows and columns of zero mass get exact zeros, and the rest is solved on
+    the positive-mass support.
 
     The returned cost is <plan, C> without the entropy term. If the marginal
     violation is still above ``tol`` at ``max_iter``, the plan is returned
     with its feasibility tolerance widened to the observed violation.
+    ``epsilon`` must be finite and positive, ``max_iter`` at least 1 and
+    ``tol`` finite and nonnegative.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError("epsilon must be finite and > 0")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError("tol must be finite and >= 0")
     Cv = _check_cost(C)
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
     n, m = Cv.shape
     _check_marginals(a, b, n, m)
 
-    loga = np.log(np.maximum(a, 1e-300))
-    logb = np.log(np.maximum(b, 1e-300))
-    f = np.zeros(n)
-    g = np.zeros(m)
+    rows, cols = np.flatnonzero(a > 0), np.flatnonzero(b > 0)
+    support = np.ix_(rows, cols)
+    Cs, a_s, b_s = Cv[support], a[rows], b[cols]
+    f = np.zeros(Cs.shape[0])
+    g = np.zeros(Cs.shape[1])
 
     # epsilon scaling: anneal from median(C) down to the target, warm-starting
     # the potentials at each level
@@ -431,13 +446,15 @@ def solve_entropic(a, b, C: np.ndarray, epsilon: float,
     while e > 2.0 * epsilon:
         levels.append(e)
         e /= 2.0
-    for eps in levels:
-        f, g = _sinkhorn_potentials(Cv, loga, logb, f, g, eps,
-                                    max_iter=30, b=b, tol=0.0)
-    f, g = _sinkhorn_potentials(Cv, loga, logb, f, g, epsilon,
-                                max_iter=max_iter, b=b, tol=tol)
+    if Cs.size:
+        for eps in levels:
+            f, g = _sinkhorn_potentials(Cs, a_s, b_s, f, g, eps,
+                                        max_iter=30, tol=0.0)
+        f, g = _sinkhorn_potentials(Cs, a_s, b_s, f, g, epsilon,
+                                    max_iter=max_iter, tol=tol)
 
-    plan = np.exp((-Cv + f[:, None] + g[None, :]) / epsilon)
+    plan = np.zeros((n, m))
+    plan[support] = _gibbs(Cs, f, g, epsilon)
     if not np.all(np.isfinite(plan)):
         raise ConvergenceError("entropic solver produced non-finite plan")
     violation = max(
@@ -448,13 +465,51 @@ def solve_entropic(a, b, C: np.ndarray, epsilon: float,
     return TransportPlan(plan, a, b, marginal_tol=max(1e-8, violation)), cost
 
 
-def _sinkhorn_potentials(Cv, loga, logb, f, g, eps, max_iter, b, tol):
-    """Run log-domain Sinkhorn updates at one epsilon level; returns (f, g).
+def _sinkhorn_potentials(Cv, a, b, f, g, eps, max_iter, tol):
+    """Sinkhorn at one epsilon level on positive marginals; returns (f, g).
 
-    The f-update runs last, so row marginals are satisfied exactly, and the
-    updates stop once the column violation is at most ``tol`` (never when
-    ``tol`` is 0).
+    The plan is diag(u) K diag(v) with K = exp((f + g - C) / eps), and each
+    iteration is two matrix-vector products: v = b / (K^T u), then
+    u = a / (K v), so row marginals are satisfied exactly. Every 5
+    iterations and at the last one, the column violation |v (K^T u) - b| is
+    read, and the updates stop once it is at most ``tol`` (never when
+    ``tol`` is 0). At the same points, scalings outside [1e-30, 1e30]
+    (``_SCALING_BOUND``) are absorbed into (f, g) and K is rebuilt. A
+    scaling that is 0, inf or NaN (a row or column of K underflowed)
+    restarts the level from its starting potentials with the log-domain
+    updates of ``_sinkhorn_log``.
     """
+    f0, g0 = f, g
+    with np.errstate(all="ignore"):
+        K = _gibbs(Cv, f, g, eps)
+        u = np.ones_like(f)
+        Ktu = u @ K
+        for it in range(max_iter):
+            v = b / Ktu
+            u = a / (K @ v)
+            Ktu = u @ K
+            if it % 5 != 4 and it != max_iter - 1:
+                continue
+            low = min(u.min(), v.min())
+            high = max(u.max(), v.max())
+            if not 0.0 < low <= high < np.inf:
+                return _sinkhorn_log(Cv, a, b, f0, g0, eps, max_iter, tol)
+            if tol > 0 and np.max(np.abs(v * Ktu - b)) <= tol:
+                break
+            if low < 1.0 / _SCALING_BOUND or high > _SCALING_BOUND:
+                f = f + eps * np.log(u)
+                g = g + eps * np.log(v)
+                K = _gibbs(Cv, f, g, eps)
+                u, v = np.ones_like(f), np.ones_like(g)
+                Ktu = u @ K
+    return f + eps * np.log(u), g + eps * np.log(v)
+
+
+def _sinkhorn_log(Cv, a, b, f, g, eps, max_iter, tol):
+    """Log-domain Sinkhorn updates at one epsilon level, the fallback of
+    ``_sinkhorn_potentials`` with the same update order and stopping rule;
+    returns (f, g)."""
+    loga, logb = np.log(a), np.log(b)
     keps = -Cv / eps
     for it in range(max_iter):
         g = eps * (logb - logsumexp(keps + f[:, None] / eps, axis=0))
@@ -465,6 +520,12 @@ def _sinkhorn_potentials(Cv, loga, logb, f, g, eps, max_iter, b, tol):
             if violation <= tol:
                 break
     return f, g
+
+
+def _gibbs(Cv, f, g, eps):
+    """exp((f_i + g_j - C_ij) / eps): the entropic plan of potentials (f, g),
+    and the Sinkhorn kernel they offset."""
+    return np.exp((f[:, None] + g[None, :] - Cv) / eps)
 
 
 def _default_epsilon(Cv: np.ndarray) -> float:

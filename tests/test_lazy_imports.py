@@ -1,7 +1,8 @@
 """Importing baryflow, its CLI and ``validate`` load no scipy module, nor
 do a sorted 1-D empirical run, a small weighted solve on the transportation
-simplex, and a GMM flow run (EM fit, Bures gradients and component plans on
-that simplex); the solver paths that need scipy load it on first use.
+simplex, a small weighted Sinkhorn solve, and a GMM flow run (EM fit, Bures
+gradients and component plans on that simplex); the solver paths that need
+scipy load it on first use.
 
 The checks run in one fresh interpreter (the rest of the suite imports scipy
 in-process), which prints the scipy modules loaded after each step.
@@ -18,23 +19,27 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # argv[1]: a JSON list of [step, command, argument]; command None imports
-# the module named by the step, "solve_exact" solves a weighted n x n problem
-# with n the argument (None: the smallest n above the simplex size limit),
-# and a CLI command runs on the config path in the argument. Prints
-# {step: [loaded scipy modules]}.
+# the module named by the step, "solve_exact" and "solve_entropic" solve a
+# weighted n x n problem with n the argument (None: the smallest n above the
+# simplex size limit), and a CLI command runs on the config path in the
+# argument. Prints {step: [loaded scipy modules]}.
 CHILD = """
 import importlib, json, math, sys
 loaded = {}
 for step, command, arg in json.loads(sys.argv[1]):
     if command is None:
         importlib.import_module(step)
-    elif command == "solve_exact":
+    elif command in ("solve_exact", "solve_entropic"):
         import numpy as np
         from baryflow import ot
         n = arg or math.isqrt(ot.SIMPLEX_SIZE_LIMIT) + 1
         x = np.column_stack([np.arange(n), np.arange(n) % 3.0])
         w = np.arange(1.0, n + 1) / (n * (n + 1) / 2)
-        ot.solve_exact(w, w[::-1], ot.squared_distances(x, x + 0.5))
+        c = ot.squared_distances(x, x + 0.5)
+        if command == "solve_exact":
+            ot.solve_exact(w, w[::-1], c)
+        else:
+            ot.solve_entropic(w, w[::-1], c, epsilon=0.05 * np.median(c))
     else:
         from baryflow.cli import main
         code = main([command, arg])
@@ -105,6 +110,7 @@ def scipy_after(tmp_path_factory):
               for name, p in paths.items()]
     steps += [["run-bary1d", "barycenter", str(paths["bary1d"])],
               ["solve_exact-simplex", "solve_exact", 6],
+              ["solve_entropic", "solve_entropic", 6],
               ["run-gmm", "barycenter", str(paths["gmm"])],
               ["solve_exact-lp", "solve_exact", None]]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -120,7 +126,7 @@ def scipy_after(tmp_path_factory):
 @pytest.mark.parametrize("step", [
     "baryflow", "baryflow.cli", "validate-bary1d", "validate-gmm",
     "validate-msda", "validate-entropic", "run-bary1d", "solve_exact-simplex",
-    "run-gmm"])
+    "solve_entropic", "run-gmm"])
 def test_no_scipy_loaded(scipy_after, step):
     assert scipy_after[step] == []
 

@@ -203,6 +203,37 @@ class TestSolveEntropic:
         with pytest.raises(ValueError):
             ot.solve_entropic([1.0], [1.0], np.array([[1.0]]), epsilon=0.0)
 
+    @pytest.mark.parametrize("epsilon", [np.nan, np.inf])
+    def test_rejects_non_finite_eps(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon must be finite and > 0"):
+            ot.solve_entropic([1.0], [1.0], np.array([[1.0]]), epsilon=epsilon)
+
+    # below one iteration the "plan" would be exp(-C / eps), far off the
+    # marginals, with its feasibility tolerance widened to match
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_rejects_max_iter_below_one(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            ot.solve_entropic([0.5, 0.5], [0.3, 0.7],
+                              np.array([[0.0, 1.0], [1.0, 0.0]]),
+                              epsilon=0.1, max_iter=max_iter)
+
+    @pytest.mark.parametrize("tol", [-1e-9, np.nan, np.inf])
+    def test_rejects_bad_tol(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            ot.solve_entropic([1.0], [1.0], np.array([[1.0]]), epsilon=1.0,
+                              tol=tol)
+
+    def test_massless_problem_gives_zero_plan(self):
+        plan, cost = ot.solve_entropic([0.0, 0.0], [0.0, 0.0, 0.0],
+                                       np.ones((2, 3)), epsilon=1.0)
+        assert not plan.coupling.any() and cost == 0.0
+
+    def test_zero_tol_accepted(self):
+        c = np.array([[0.0, 1.0], [1.0, 0.0]])
+        plan, _ = ot.solve_entropic([0.5, 0.5], [0.3, 0.7], c, epsilon=0.1,
+                                    max_iter=50, tol=0.0)
+        assert np.max(np.abs(plan.coupling.sum(axis=0) - [0.3, 0.7])) <= 1e-12
+
 
 @pytest.mark.parametrize("shape", [(0, 0), (2, 0)])
 @pytest.mark.parametrize("solve", [

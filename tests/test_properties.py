@@ -1,7 +1,8 @@
 """Property tests: the exact transport paths (1-D sorted, assignment,
 transportation simplex, LP) against independent oracles, plan invariants of
-both solvers, the CSV round trip of labeled measures, finite flows at extreme
-input scales, the Bures value and gradient on Cholesky factors against their
+both solvers, the scaling-domain Sinkhorn against its log-domain reference,
+the CSV round trip of labeled measures, finite flows at extreme input
+scales, the Bures value and gradient on Cholesky factors against their
 covariance forms, and the numpy logsumexp and label entropy against their
 scipy forms.
 
@@ -288,6 +289,106 @@ class TestPlanInvariants:
         a, b, c = problem
         plan, cost = ot.solve_entropic(a, b, c, epsilon=epsilon, max_iter=500)
         assert_plan_invariants(plan, cost, a, b, c)
+
+
+def log_domain_entropic(a, b, c, epsilon, max_iter=10_000, tol=1e-9):
+    """Reference for ``ot.solve_entropic``: log-domain Sinkhorn with the same
+    epsilon levels, update order and stopping rule, each update a logsumexp
+    over the dense cost. Zero masses are clamped to 1e-300. Returns
+    (coupling, cost)."""
+    loga = np.log(np.maximum(a, 1e-300))
+    logb = np.log(np.maximum(b, 1e-300))
+    f, g = np.zeros(len(a)), np.zeros(len(b))
+    levels = []
+    e = float(np.median(c))
+    while e > 2.0 * epsilon:
+        levels.append((e, 30, 0.0))
+        e /= 2.0
+    for eps, iters, stop in levels + [(epsilon, max_iter, tol)]:
+        keps = -c / eps
+        for it in range(iters):
+            g = eps * (logb - logsumexp(keps + f[:, None] / eps, axis=0))
+            f = eps * (loga - logsumexp(keps + g[None, :] / eps, axis=1))
+            if stop > 0 and (it % 5 == 4 or it == iters - 1):
+                plan = np.exp(keps + (f[:, None] + g[None, :]) / eps)
+                if np.max(np.abs(plan.sum(axis=0) - b)) <= stop:
+                    break
+    plan = np.exp((-c + f[:, None] + g[None, :]) / epsilon)
+    return plan, float((plan * c).sum())
+
+
+def assert_matches_log_domain(plan, cost, ref_plan, ref_cost):
+    top = ref_plan.max()
+    assert np.max(np.abs(plan.coupling - ref_plan)) <= 1e-12 * top
+    assert abs(cost - ref_cost) <= 1e-12 * abs(ref_cost)
+
+
+class TestEntropicOracle:
+    """The scaling-domain Sinkhorn of ``ot.solve_entropic`` against the
+    log-domain reference, on two 6 x 5 problems per case."""
+
+    @pytest.mark.parametrize("weights", ["uniform", "positive", "zeros"])
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("eps_factor", [1e-3, 1e-2, 1e-1, 1.0])
+    def test_matches_log_domain(self, eps_factor, scale, weights):
+        rng = np.random.default_rng(0)
+        for _ in range(2):
+            x = scale * rng.standard_normal((6, 2))
+            y = scale * (rng.standard_normal((5, 2)) + 1.0)
+            a, b, tol = uniform(6), uniform(5), 1e-9
+            if weights != "uniform":
+                a, b = rng.uniform(0.05, 1.0, 6), rng.uniform(0.05, 1.0, 5)
+            if weights == "zeros":
+                # the reference's zero-mass rows enter its first update with
+                # f = 0, so its iterates differ from a solve on the support
+                # until both reach the fixed point: compare converged plans
+                a[[1, 4]], b[2], tol = 0.0, 0.0, 1e-13
+            a, b = a / a.sum(), b / b.sum()
+            c = ot.squared_distances(x, y)
+            eps = eps_factor * float(np.median(c))
+            plan, cost = ot.solve_entropic(a, b, c, eps, tol=tol)
+            assert_matches_log_domain(
+                plan, cost, *log_domain_entropic(a, b, c, eps, tol=tol))
+            if weights == "zeros":
+                assert not plan.coupling[[1, 4]].any()
+                assert not plan.coupling[:, 2].any()
+
+    # max_iter 7 stops unconverged, where the plan depends on every iterate
+    @pytest.mark.parametrize("max_iter", [7, 10_000])
+    def test_absorbing_at_every_check_matches_log_domain(self, monkeypatch,
+                                                         max_iter):
+        # a bound of 1 folds the scalings into (f, g) at every check
+        monkeypatch.setattr(ot, "_SCALING_BOUND", 1.0)
+        rng = np.random.default_rng(1)
+        a, b = rng.uniform(0.05, 1.0, 6), rng.uniform(0.05, 1.0, 5)
+        a, b = a / a.sum(), b / b.sum()
+        c = ot.squared_distances(rng.standard_normal((6, 2)),
+                                 rng.standard_normal((5, 2)) + 1.0)
+        eps = 0.01 * float(np.median(c))
+        plan, cost = ot.solve_entropic(a, b, c, eps, max_iter=max_iter)
+        assert_matches_log_domain(
+            plan, cost, *log_domain_entropic(a, b, c, eps, max_iter=max_iter))
+
+    def test_underflowed_kernel_row_takes_log_domain_fallback(self,
+                                                              monkeypatch):
+        # at the first epsilon level, median(C), the outlier's kernel row
+        # exp(-C / eps) underflows to zero, so its scaling is inf
+        x = np.append(np.linspace(0.0, 1.0, 10), 50.0)[:, None]
+        y = np.linspace(0.0, 1.0, 8)[:, None]
+        a = np.append(np.full(10, (1.0 - 1e-3) / 10), 1e-3)
+        b = uniform(8)
+        c = ot.squared_distances(x, y)
+        eps = 0.1 * float(np.median(c))
+        calls = []
+        fallback = ot._sinkhorn_log
+        monkeypatch.setattr(ot, "_sinkhorn_log",
+                            lambda *args: calls.append(1) or fallback(*args))
+        plan, _ = ot.solve_entropic(a, b, c, eps)
+        assert len(calls) == 1
+        # the cost is not compared: the outlier's cost of ~2500 per unit mass
+        # turns one ulp of its potential into a 1e-11 relative cost change
+        ref, _ = log_domain_entropic(a, b, c, eps)
+        assert np.max(np.abs(plan.coupling - ref)) <= 1e-12 * ref.max()
 
 
 def _is_int(s):
