@@ -30,6 +30,7 @@ from .gaussian import (
     LabeledGMM,
     _check_factors,
     _pathwise_grads,
+    _per_class_components,
     bures_w2_grad,
     bures_w2_sq,
     bures_w2_sq_cov,
@@ -48,6 +49,8 @@ __all__ = [
     "mw2_fixed_plan_value_grad",
 ]
 
+# a step clamps Cholesky diagonals at this fraction of the largest diagonal
+# of the state and the inputs, so the clamp does not depend on their units
 CHOL_DIAG_FLOOR = 1e-6
 GMM_INIT_MODES = ("em", "random")
 
@@ -213,10 +216,12 @@ def _step(state: LabeledGMM, inputs, cfg: GmmFlowConfig, rng, it: int):
         chols_new = np.where(np.eye(d) == 1.0, chols_new, 0.0)
     diag_idx = np.arange(d)
     diags = chols_new[:, diag_idx, diag_idx]
-    if np.any(diags < CHOL_DIAG_FLOOR):
+    floor = CHOL_DIAG_FLOOR * max(
+        np.diagonal(g.chols, axis1=1, axis2=2).max() for g in (state, *inputs))
+    if np.any(diags < floor):
         warnings.warn("Cholesky diagonal clamped to keep covariances PD",
                       RuntimeWarning, stacklevel=2)
-        chols_new[:, diag_idx, diag_idx] = np.maximum(diags, CHOL_DIAG_FLOOR)
+        chols_new[:, diag_idx, diag_idx] = np.maximum(diags, floor)
 
     nu_new = nu
     if grad_nu_logits is not None:
@@ -269,7 +274,7 @@ def _init_state(inputs, cfg: GmmFlowConfig, rng) -> LabeledGMM:
             # EM fits the classes drawn; one that was not drawn gets no
             # component, and its column of nu stays 0
             present, labels = np.unique(labels, return_inverse=True)
-            per_class = max(1, cfg.n_components // n_classes)
+            per_class = _per_class_components(cfg.n_components, n_classes)
             fit = em_fit(pool, labels, components_per_class=per_class,
                          seed=rng, diag=cfg.diag_only)
             nu = np.zeros((fit.n_components, n_classes))

@@ -247,14 +247,14 @@ def internal_energy_mc(gmm: LabeledGMM, n_samples: int, seed=None
     z, comp_idx, eps = sample_reparam(gmm, n_samples, seed)
     chols = gmm.chols
 
-    u, lp = _whiten(gmm.means, chols, z)
+    u, lp, inv = _whiten(gmm.means, chols, z)
     lp = lp + np.log(gmm.weights)[None, :]
     total = logsumexp(lp, axis=1)
     resp = np.exp(lp - total[:, None])  # (S, K)
     value = float(total.mean())
 
     # v_sk = Sigma_k^{-1} (z_s - mu_k) = L_k^{-T} u_sk; g_s = d log p / d z
-    inv_t = np.linalg.inv(chols).transpose(0, 2, 1)
+    inv_t = inv.transpose(0, 2, 1)
     v = (inv_t @ u).transpose(2, 0, 1)
     g = -np.einsum("sk,skd->sd", resp, v)
 

@@ -236,15 +236,19 @@ def mw2_sq(p: LabeledGMM, q: LabeledGMM, beta: float = 0.0
 
 
 def _whiten(means: np.ndarray, chols: np.ndarray, z: np.ndarray
-            ) -> tuple[np.ndarray, np.ndarray]:
-    """Whitened residuals u_k = L_k^{-1} (z - mu_k), shape (k, d, n), and the
-    component log densities, shape (n, k), of stacked means and factors."""
-    u = np.linalg.solve(chols, (z[None, :, :] - means[:, None, :]
-                                ).transpose(0, 2, 1))
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Whitened residuals u_k = L_k^{-1} (z - mu_k), shape (k, d, n), the
+    component log densities, shape (n, k), and the factor inverses L_k^{-1},
+    shape (k, d, d), of stacked means and factors.
+
+    u is one batched product with the inverses, which are formed once per
+    call; its error is about cond(L) * eps."""
+    inv = np.linalg.inv(chols)
+    u = inv @ (z.T - means[:, :, None])
     d = means.shape[1]
     logdet = np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
     const = -0.5 * d * np.log(2.0 * np.pi)
-    return u, (const - logdet[:, None] - 0.5 * (u * u).sum(axis=1)).T
+    return u, (const - logdet[:, None] - 0.5 * (u * u).sum(axis=1)).T, inv
 
 
 def gmm_log_density(gmm: LabeledGMM, z: np.ndarray
@@ -336,6 +340,13 @@ def _regularized(covs: np.ndarray, diag: bool) -> np.ndarray:
     eye = np.eye(d)
     covs = covs + lift[:, None, None] * eye
     return np.where(eye == 1.0, covs, 0.0) if diag else covs
+
+
+def _per_class_components(n_components: int, n_classes: int) -> int:
+    """Components per class that ``em_fit`` fits when a flow asks for
+    ``n_components`` on ``n_classes`` classes: the floor of the ratio, at
+    least 1."""
+    return max(1, n_components // n_classes)
 
 
 def em_fit(data, labels=None, components_per_class: int = 1, seed=None,

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -211,6 +213,17 @@ class TestGmmFlowStep:
         with pytest.warns(RuntimeWarning):
             new = gmm_flow_step(state, [q1], cfg)
         assert new.chols[0, 0, 0] >= 1e-6
+
+    def test_no_clamp_at_small_scale(self):
+        # the clamp floor is relative: diagonals that converge below 1e-6
+        # are not lifted
+        q1 = LabeledGMM([0.5, 0.5], [[0.0], [1e-5]], [[[5e-7]], [[5e-7]]])
+        q2 = LabeledGMM([0.5, 0.5], [[1e-6], [1.1e-5]], [[[6e-7]], [[4e-7]]])
+        cfg = GmmFlowConfig(2, 20, HALF, seed=0, init_samples=64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            final, _ = run_gmm_flow([q1, q2], cfg)
+        assert 0.0 < final.chols.min() < 1e-6
 
 
 class TestRunGmmFlow:

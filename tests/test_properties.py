@@ -29,6 +29,7 @@ from baryflow.flow_gmm import GmmFlowConfig, run_gmm_flow
 from baryflow.functionals import entropy_potential
 from baryflow.gaussian import (
     LabeledGMM,
+    _whiten,
     bures_w2_grad,
     bures_w2_sq,
     bures_w2_sq_cov,
@@ -575,6 +576,46 @@ class TestBuresKernel:
         chol[j, j] = 1e-7 * np.delete(np.diag(chol), j).max()
         with pytest.raises(np.linalg.LinAlgError):
             bures_w2_grad(mu1, chol, *g2)
+
+
+@st.composite
+def whiten_problem(draw):
+    """1 to 4 Gaussians in d <= 5 with factor condition numbers up to 1e3
+    (covariance eigenvalues in [1, 1e6]) and 1 to 8 points, all at one scale
+    from 1e-6 to 1e6."""
+    k, d, n = (draw(st.integers(1, top)) for top in (4, 5, 8))
+    scale = draw(st.sampled_from(SCALES))
+    basis, _ = np.linalg.qr(draw(hnp.arrays(float, (k, d, d),
+                                            elements=unit_coords)))
+    eig = draw(hnp.arrays(float, (k, 1, d), elements=st.floats(1.0, 1e6)))
+    covs = (basis * eig) @ basis.transpose(0, 2, 1)
+    chols = scale * np.linalg.cholesky((covs + covs.transpose(0, 2, 1)) / 2.0)
+    means = scale * draw(hnp.arrays(float, (k, d), elements=unit_coords))
+    z = scale * draw(hnp.arrays(float, (n, d), elements=unit_coords))
+    return means, chols, z
+
+
+class TestWhitenOracle:
+    """gaussian._whiten, which multiplies by the factor inverses, against a
+    solve per component."""
+
+    @SETTINGS
+    @given(whiten_problem())
+    def test_matches_per_component_solve(self, problem):
+        means, chols, z = problem
+        u, lp, inv = _whiten(means, chols, z)
+        ref = np.stack([np.linalg.solve(chol, (z - mu).T)
+                        for mu, chol in zip(means, chols)])
+        size = np.abs(ref).max(axis=(1, 2), keepdims=True)
+        assert np.all(np.abs(u - ref) <= 1e-12 * size)
+        assert np.abs(inv @ chols - np.eye(means.shape[1])).max() <= 1e-12
+        # log N(z; mu, LL^T) = c - log|L| - |u|^2 / 2, relative to its terms
+        const = -0.5 * means.shape[1] * np.log(2.0 * np.pi)
+        logdet = np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
+        sq = 0.5 * (ref * ref).sum(axis=1).T
+        ref_lp = const - logdet - sq
+        assert np.all(np.abs(lp - ref_lp)
+                      <= 1e-12 * (abs(const) + np.abs(logdet) + sq))
 
 
 # finite values and -inf entries

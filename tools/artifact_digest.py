@@ -32,8 +32,10 @@ state on two labeled ``swiss_roll`` inputs, ``barycenter`` with the gmm flow
 moving the weights (``flow_weights``) on two labeled ``swiss_roll`` inputs
 fitted with two components per class, ``barycenter`` with the gmm flow
 and the two Monte-Carlo energies (target potential on a CSV batch this script
-writes, internal energy), and ``barycenter`` on two CSV inputs this script
-writes, labeled with the class names {cat, dog, fish}.
+writes, internal energy), ``barycenter`` on two CSV inputs this script
+writes, labeled with the class names {cat, dog, fish}, and ``barycenter``
+with the gmm flow on two 1-D mixtures this script writes at scale 1e-6,
+whose factors converge below 1e-6.
 """
 
 from __future__ import annotations
@@ -68,6 +70,20 @@ def target_csv(run_dir: Path) -> str:
     path.write_text("f0,f1\n" + "".join(
         f"{0.5 * j - 6.0},{j * 5 % 7 - 3.0}\n" for j in range(24)))
     return str(path)
+
+
+def small_scale_inputs(run_dir: Path) -> list[dict]:
+    """Two 1-D two-component mixtures of ``gmm_json`` files under
+    ``run_dir``: unit-scale means and factors, scaled by 1e-6."""
+    inputs = []
+    for i, (shift, stds) in enumerate([(0.0, (0.5, 0.5)), (1.0, (0.6, 0.4))]):
+        doc = {"weights": [0.5, 0.5],
+               "means": [[1e-6 * shift], [1e-6 * (shift + 10.0)]],
+               "cholesky_rows": [[[1e-6 * s]] for s in stds]}
+        path = run_dir / f"input_{i}.json"
+        path.write_text(json.dumps(doc))
+        inputs.append({"kind": "gmm_json", "path": str(path)})
+    return inputs
 
 
 GAUSSIANS_1D = [{"kind": "gaussian", "mean": [0.0], "std": 1.0},
@@ -152,6 +168,10 @@ CONFIGS = {
         "inputs": class_name_inputs(run_dir),
         "flow_config": {"n_particles": 12, "batch_size": 12, "n_iter": 10,
                         "label_weight": 1.0, "init": "subsample"}},
+    "barycenter-gmm-small-scale": lambda run_dir: {
+        "command": "barycenter", "seed": 13, "flow": "gmm",
+        "inputs": small_scale_inputs(run_dir),
+        "flow_config": {"n_components": 2, "n_iter": 20}},
 }
 WORKLOADS = ("bary1d", "gmm5d", "msda2d", "entropic2d")
 WORK_TOKEN = "<WORK_DIR>"
