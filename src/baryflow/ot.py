@@ -11,7 +11,11 @@ The exact solver ``solve_exact`` takes one of four paths:
   squared Euclidean cost ``C`` is, and both are 1-D, the plan is the
   north-west-corner coupling of the sorted supports, optimal for any weights;
 - uniform marginals with L = lcm(n, m) at most ``LCM_RATIO_LIMIT * max(n, m)``:
-  an L x L assignment problem (exact and fast);
+  an L x L assignment problem (exact and fast). When both sides are
+  expanded (L > max(n, m)), a short annealed Sinkhorn on the n x m cost
+  gives the assignment solver starting prices; they shift every assignment
+  by one constant, so the plan is that of the plain cost, which is solved
+  instead when median(C) is not positive or the prices are not finite;
 - at most ``SIMPLEX_SIZE_LIMIT`` coupling entries: the transportation
   simplex on the dense cost;
 - everything else: the HiGHS simplex on the transport LP.
@@ -56,6 +60,10 @@ LCM_RATIO_LIMIT = 4
 # Non-assignment problems up to this many coupling entries take the
 # transportation simplex, larger ones the HiGHS LP.
 SIMPLEX_SIZE_LIMIT = 100
+# Sinkhorn epsilon levels (halving from median(C)) and iterations per level
+# that price an lcm assignment before it is solved.
+_WARM_LEVELS = 9
+_WARM_ITERS = 5
 # Sinkhorn scalings outside [1 / _SCALING_BOUND, _SCALING_BOUND] are absorbed
 # into the potentials, far from float overflow and underflow.
 _SCALING_BOUND = 1e30
@@ -173,7 +181,17 @@ def _assignment_plan(C: np.ndarray) -> np.ndarray:
     Rows are repeated L/n times and columns L/m times, L = lcm(n, m), into a
     square assignment problem; Birkhoff's theorem makes the contracted
     solution optimal for the original LP. With an integer size ratio
-    L = max(n, m).
+    L = max(n, m), and the plain expanded cost is solved: there starting
+    prices gain no time and reorder tied plans.
+
+    When both sides are expanded (L > max(n, m)), the solver is given
+    starting prices: the expanded cost is the reduced cost
+    C - f (+) g of ``_reduced_cost``, formed on the n x m cost and then
+    expanded. A full assignment uses every row copy and every column copy
+    once, so the shift adds the same constant
+    sum_i (L/n) f_i + sum_j (L/m) g_j to every assignment, and the optimal
+    assignments are those of the plain cost. When median(C) is not positive,
+    or the reduced cost is not finite, the plain expanded cost is solved.
     """
     from scipy.optimize import linear_sum_assignment
 
@@ -181,10 +199,30 @@ def _assignment_plan(C: np.ndarray) -> np.ndarray:
     L = math.lcm(n, m)
     rows = np.repeat(np.arange(n), L // n)
     cols = np.repeat(np.arange(m), L // m)
-    ri, ci = linear_sum_assignment(C[np.ix_(rows, cols)])
+    R = _reduced_cost(C) if L > max(n, m) else C
+    ri, ci = linear_sum_assignment(R[np.ix_(rows, cols)])
     plan = np.zeros((n, m))
     np.add.at(plan, (rows[ri], cols[ci]), 1.0 / L)
     return plan
+
+
+def _reduced_cost(C: np.ndarray) -> np.ndarray:
+    """C - f (+) g for approximate dual prices (f, g) of the uniform problem
+    on ``C``: a short annealed Sinkhorn, ``_WARM_ITERS`` iterations at each
+    of ``_WARM_LEVELS`` epsilons halving from median(C). ``C`` itself when
+    median(C) is not positive or the reduced cost is not finite."""
+    eps = float(np.median(C))
+    if not eps > 0:
+        return C
+    n, m = C.shape
+    f, g = np.zeros(n), np.zeros(m)
+    a, b = np.full(n, 1.0 / n), np.full(m, 1.0 / m)
+    for _ in range(_WARM_LEVELS):
+        f, g = _sinkhorn_potentials(C, a, b, f, g, eps,
+                                    max_iter=_WARM_ITERS, tol=0.0)
+        eps /= 2.0
+    R = C - f[:, None] - g[None, :]
+    return R if np.all(np.isfinite(R)) else C
 
 
 def _monotone_plan(a: np.ndarray, b: np.ndarray, x: np.ndarray,
@@ -376,9 +414,11 @@ def solve_exact(a, b, C: np.ndarray, supports=None
     Returns the optimal coupling and its cost <plan, C>. The path is chosen
     here: 1-D supports take the sorted north-west-corner coupling; uniform
     marginals the assignment reduction, while L = lcm(n, m) is at most
-    ``LCM_RATIO_LIMIT * max(n, m)``; other problems of at most
-    ``SIMPLEX_SIZE_LIMIT`` coupling entries the transportation simplex; and
-    everything else the HiGHS LP.
+    ``LCM_RATIO_LIMIT * max(n, m)``, solved with Sinkhorn starting prices
+    where L > max(n, m) and on the plain cost where median(C) is not
+    positive or the prices are not finite (``_assignment_plan``); other
+    problems of at most ``SIMPLEX_SIZE_LIMIT`` coupling entries the
+    transportation simplex; and everything else the HiGHS LP.
 
     ``supports=(x, y)``, optional, are the points of the two sides, with
     ``C[i, j] = ||x_i - y_j||^2``; the caller vouches for that, it is not

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from baryflow.flow_empirical import EmpiricalFlowConfig, GaussianSampler, run_flow
 from baryflow.measures import BarycentricCoordinates
@@ -57,3 +60,17 @@ def random_pd_component(rng: np.random.Generator, d: int):
     a = rng.standard_normal((d, d))
     chol = np.linalg.cholesky(a @ a.T / d + 0.5 * np.eye(d))
     return rng.standard_normal(d), chol
+
+
+def plain_assignment_plan(c: np.ndarray) -> np.ndarray:
+    """Reference for ``ot._assignment_plan``: ``linear_sum_assignment`` on
+    the plain cost, rows repeated L/n and columns L/m times (L = lcm(n, m)),
+    contracted back to an n x m plan."""
+    n, m = c.shape
+    L = math.lcm(n, m)
+    rows = np.repeat(np.arange(n), L // n)
+    cols = np.repeat(np.arange(m), L // m)
+    ri, ci = linear_sum_assignment(c[np.ix_(rows, cols)])
+    plan = np.zeros((n, m))
+    np.add.at(plan, (rows[ri], cols[ci]), 1.0 / L)
+    return plan

@@ -5,6 +5,7 @@ import pytest
 
 from baryflow import ot
 from baryflow.measures import EmpiricalMeasure
+from conftest import plain_assignment_plan
 
 
 def brute_force_uniform(cost: np.ndarray) -> float:
@@ -163,6 +164,52 @@ class TestSolveExact:
         plan, _ = ot.solve_exact(a, b, c)
         assert np.max(np.abs(plan.coupling.sum(axis=1) - a)) <= 1e-8
         assert np.max(np.abs(plan.coupling.sum(axis=0) - b)) <= 1e-8
+
+
+def planar_cost(n, m, far, seed):
+    """Squared distances between n and m 2-D normal points: particles about
+    the origin and targets about (5, 0) when ``far``, both about (4, 3)
+    with spread 1.5 otherwise."""
+    rng = np.random.default_rng(seed)
+    if far:
+        x = rng.standard_normal((n, 2))
+        y = np.array([5.0, 0.0]) + rng.standard_normal((m, 2))
+    else:
+        x = np.array([4.0, 3.0]) + 1.5 * rng.standard_normal((n, 2))
+        y = np.array([4.0, 3.0]) + 1.5 * rng.standard_normal((m, 2))
+    return ot.squared_distances(x, y)
+
+
+class TestWarmAssignment:
+    """Where both sides are expanded, the lcm assignment is solved on a
+    Sinkhorn-reduced cost; it must give the plan of the plain cost."""
+
+    @pytest.mark.parametrize("far", [True, False])
+    @pytest.mark.parametrize("n, m", [(48, 32), (96, 64), (96, 128),
+                                      (192, 256)])
+    def test_matches_plain_assignment_and_lp(self, n, m, far):
+        c = planar_cost(n, m, far, seed=n + m)
+        a, b = np.full(n, 1.0 / n), np.full(m, 1.0 / m)
+        # HiGHS sees C / max C, so one LP plan serves every scale
+        lp_plan = ot._linprog_plan(c, a, b)
+        for scale in (1e-8, 1.0, 1e8):
+            cs = scale * c
+            plan = ot._assignment_plan(cs)
+            assert np.array_equal(plan, plain_assignment_plan(cs))
+            cost = float((plan * cs).sum())
+            reference = float((lp_plan * cs).sum())
+            assert abs(cost - reference) <= 1e-9 * reference
+
+    @pytest.mark.parametrize("n, m, priced", [
+        (96, 128, True), (48, 32, True), (128, 64, False), (64, 64, False)])
+    def test_prices_only_when_both_sides_expand(self, monkeypatch, n, m,
+                                                priced):
+        calls = []
+        sinkhorn = ot._sinkhorn_potentials
+        monkeypatch.setattr(ot, "_sinkhorn_potentials", lambda *args, **kw:
+                            calls.append(1) or sinkhorn(*args, **kw))
+        ot._assignment_plan(planar_cost(n, m, True, seed=0))
+        assert len(calls) == (ot._WARM_LEVELS if priced else 0)
 
 
 class TestSolveEntropic:

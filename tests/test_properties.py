@@ -40,6 +40,7 @@ from baryflow.measures import (
     logsumexp,
     softmax,
 )
+from conftest import plain_assignment_plan
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=100,
                     deadline=None)
@@ -59,11 +60,16 @@ def square_problem(draw):
 
 
 @st.composite
-def assignment_problem(draw):
+def assignment_problem(draw, both_expand=False):
     """A cost matrix whose uniform marginals take the assignment path:
-    lcm(n, m) <= LCM_RATIO_LIMIT * max(n, m)."""
-    n, m = draw(st.tuples(st.integers(1, 12), st.integers(1, 12)).filter(
-        lambda s: math.lcm(*s) <= ot.LCM_RATIO_LIMIT * max(s)))
+    lcm(n, m) <= LCM_RATIO_LIMIT * max(n, m); with ``both_expand`` also
+    lcm(n, m) > max(n, m), so both sides are expanded."""
+    def sizes(s):
+        L = math.lcm(*s)
+        return (L <= ot.LCM_RATIO_LIMIT * max(s)
+                and (L > max(s) or not both_expand))
+    n, m = draw(st.tuples(st.integers(1, 12), st.integers(1, 12))
+                .filter(sizes))
     return draw(cost_matrix(n, m))
 
 
@@ -175,6 +181,46 @@ class TestExactOracles:
                                  ot.joint_cost(x[:, None], y[:, None]))
         sorted_cost = float(np.mean((np.sort(x) - np.sort(y)) ** 2))
         assert cost == pytest.approx(sorted_cost, rel=1e-9, abs=1e-9)
+
+
+class TestWarmAssignment:
+    """The Sinkhorn prices of the lcm assignment path change no optimal
+    cost, and a cost they cannot price is solved plain."""
+
+    @SETTINGS
+    @given(assignment_problem(both_expand=True))
+    def test_matches_plain_assignment(self, c):
+        # plans may differ only where another plan costs the same
+        warm, plain = ot._assignment_plan(c), plain_assignment_plan(c)
+        gap = float((warm * c).sum()) - float((plain * c).sum())
+        assert abs(gap) <= 1e-12 * max(1.0, c.max())
+
+    @SETTINGS
+    @given(assignment_problem(both_expand=True), st.randoms())
+    def test_median_zero_solves_plain(self, c, rnd):
+        # more than half of the entries are zero, so median(C) is 0
+        c = c.copy()
+        zeros = rnd.sample(range(c.size), c.size // 2 + 1)
+        c.flat[zeros] = 0.0
+        a, b = uniform(c.shape[0]), uniform(c.shape[1])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ot, "_sinkhorn_potentials", lambda *args, **kw:
+                       pytest.fail("a cost of median 0 was priced"))
+            plan, cost = ot.solve_exact(a, b, c)
+        assert np.array_equal(plan.coupling, plain_assignment_plan(c))
+        assert_optimal_against_linprog(plan, cost, a, b, c)
+
+    @SETTINGS
+    @given(assignment_problem(both_expand=True),
+           st.sampled_from([np.nan, np.inf, -np.inf]))
+    def test_non_finite_prices_solve_plain(self, c, bad):
+        a, b = uniform(c.shape[0]), uniform(c.shape[1])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ot, "_sinkhorn_potentials",
+                       lambda Cv, a, b, f, g, *args, **kw: (f + bad, g))
+            plan, cost = ot.solve_exact(a, b, c)
+        assert np.array_equal(plan.coupling, plain_assignment_plan(c))
+        assert_optimal_against_linprog(plan, cost, a, b, c)
 
 
 def simplex_solve(a, b, c):

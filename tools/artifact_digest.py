@@ -27,15 +27,18 @@ with ``fixed_point`` on a ``swiss_roll`` base, ``msda`` with
 ``discrete_baseline`` and with ``gmm``, ``gen`` ``location_scatter`` and
 ``synthetic_msda``, ``barycenter`` with exact plans between 48 particles and
 batches of 32 (uniform, sizes not dividing) on two labeled ``swiss_roll``
-inputs, ``barycenter`` with the gmm flow from a random diagonal initial
-state on two labeled ``swiss_roll`` inputs, ``barycenter`` with the gmm flow
-moving the weights (``flow_weights``) on two labeled ``swiss_roll`` inputs
-fitted with two components per class, ``barycenter`` with the gmm flow
-and the two Monte-Carlo energies (target potential on a CSV batch this script
-writes, internal energy), ``barycenter`` on two CSV inputs this script
-writes, labeled with the class names {cat, dog, fish}, and ``barycenter``
-with the gmm flow on two 1-D mixtures this script writes at scale 1e-6,
-whose factors converge below 1e-6.
+inputs, ``barycenter`` with exact plans between 96 particles and batches of
+64 (the lcm assignment path, with starting prices) on two unlabeled 2-D
+``gaussian`` inputs far from the origin, ``barycenter`` with the gmm flow
+from a random diagonal initial state on two labeled ``swiss_roll`` inputs,
+``barycenter`` with the gmm flow moving the weights (``flow_weights``) on
+two labeled ``swiss_roll`` inputs fitted with two components per class,
+``barycenter`` with the gmm flow and the two Monte-Carlo energies (target
+potential on a CSV batch this script writes, internal energy),
+``barycenter`` on two CSV inputs this script writes, labeled with the class
+names {cat, dog, fish}, and ``barycenter`` with the gmm flow on two 1-D
+mixtures this script writes at scale 1e-6, whose factors converge below
+1e-6.
 """
 
 from __future__ import annotations
@@ -141,6 +144,12 @@ CONFIGS = {
                    {"kind": "swiss_roll", "n": 80, "noise_std": 0.5}],
         "flow_config": {"n_particles": 48, "batch_size": 32, "n_iter": 10,
                         "label_weight": 1.0, "solver": "exact"}},
+    "barycenter-exact-lcm-far": {
+        "command": "barycenter", "seed": 14, "flow": "empirical",
+        "inputs": [{"kind": "gaussian", "mean": [6.0, 5.0], "std": 1.0},
+                   {"kind": "gaussian", "mean": [9.0, 2.0], "std": 0.5}],
+        "flow_config": {"n_particles": 96, "batch_size": 64, "n_iter": 10,
+                        "solver": "exact"}},
     "barycenter-gmm-random-init": {
         "command": "barycenter", "seed": 10, "flow": "gmm",
         "inputs": [{"kind": "swiss_roll", "n": 96, "noise_std": 0.3},
