@@ -28,17 +28,15 @@ from .functionals import (
 from .functionals import hinge_repulsion  # noqa: F401  (bench/tests trace it here)
 from .gaussian import (
     LabeledGMM,
+    _bures_kernel,
     _check_factors,
     _pathwise_grads,
     _per_class_components,
-    bures_w2_grad,
-    bures_w2_sq,
-    bures_w2_sq_cov,
     em_fit,
-    matrix_sqrt_psd,
     mw2_cost_matrix,
     sample_reparam,
 )
+from .gaussian import bures_w2_grad, bures_w2_sq  # noqa: F401  (bench/tests trace them here)
 from .measures import BarycentricCoordinates, EmpiricalMeasure, softmax
 
 __all__ = [
@@ -88,30 +86,33 @@ def mw2_fixed_plan_value_grad(state: LabeledGMM, other: LabeledGMM,
     Objective: sum_ij omega_ij (W2(P_i, Q_j)^2 + beta ||nu_i - nu_j||^2),
     differentiated w.r.t. the state's means, Cholesky factors, and component
     label vectors (returned w.r.t. nu directly, before any logit chain rule).
+    One Bures kernel call gives the value and transport map T_ij of each
+    pair with omega_ij != 0; with row sums r, grad_mu = 2 (r mu - omega mu')
+    and grad_L_i = tril((D_i + D_i^T) L_i), D_i = r_i I - sum_j omega_ij T_ij.
+    A relatively singular factor of a state component with mass in omega
+    raises LinAlgError (see ``bures_w2_grad``).
     """
     omega = np.asarray(omega, dtype=float)
     n, m = state.n_components, other.n_components
     if omega.shape != (n, m):
         raise ValueError("omega shape does not match the component counts")
-    d = state.dim
-    grad_mu = np.zeros((n, d))
-    grad_l = np.zeros((n, d, d))
-    value = 0.0
-    for i, (mu_i, l_i) in enumerate(zip(state.means, state.chols)):
-        for j, (mu_j, l_j) in enumerate(zip(other.means, other.chols)):
-            w = omega[i, j]
-            if w == 0.0:
-                continue
-            value += w * bures_w2_sq(mu_i, l_i, mu_j, l_j)
-            dmu, dl = bures_w2_grad(mu_i, l_i, mu_j, l_j)
-            grad_mu[i] += w * dmu
-            grad_l[i] += w * dl
+    # only the nonzero pairs of the plan carry a value and a map; an exact
+    # plan is sparse (a vertex has at most n + m - 1 nonzeros)
+    i, j = np.nonzero(omega)
+    values, tmaps = _bures_kernel(state.means[i], state.chols[i],
+                                  other.means[j], other.chols[j], maps=True)
+    w = omega[i, j]
+    value = float(w @ values)
+    rows = omega.sum(axis=1)
+    grad_mu = 2.0 * (rows[:, None] * state.means - omega @ other.means)
+    dsigma = rows[:, None, None] * np.eye(state.dim)
+    np.add.at(dsigma, i, -w[:, None, None] * tmaps)
+    grad_l = np.tril((dsigma + dsigma.transpose(0, 2, 1)) @ state.chols)
     grad_nu = None
     if beta > 0 and state.nu is not None and other.nu is not None:
         diff_sq = ot.squared_distances(state.nu, other.nu)
         value += beta * float((omega * diff_sq).sum())
-        grad_nu = 2.0 * beta * (
-            omega.sum(axis=1)[:, None] * state.nu - omega @ other.nu)
+        grad_nu = 2.0 * beta * (rows[:, None] * state.nu - omega @ other.nu)
     return value, grad_mu, grad_l, grad_nu
 
 
@@ -321,8 +322,13 @@ def fixed_point_gaussian_barycenter(means, chols, lam=None, tol: float = 1e-10,
     coordinates ``lam`` (uniform by default), as a one-component LabeledGMM.
 
     The mean is the coordinate-weighted average of means; the covariance
-    iterates S <- S^{-1/2} (sum_k lam_k (S^{1/2} Sigma_k S^{1/2})^{1/2})^2
-    S^{-1/2} until the W2 change between iterates drops below tol.
+    iterates S <- M S M with M = sum_k lam_k T_k, T_k the optimal map from
+    N(0, S) to the k-th Gaussian (Alvarez-Esteban, del Barrio,
+    Cuesta-Albertos & Matran, 2016), on a factor L of S: L <- M L, with the
+    T_k from the Bures kernel on L. M is also the optimal map from S to
+    M S M, so the W2 change between iterates is ||(I - M) L||_F, which has
+    no cancellation; the iteration stops once it drops below tol. A singular
+    iterate raises ConvergenceError.
     """
     means = np.asarray(means, dtype=float)
     chols = _check_factors(means, np.asarray(chols, dtype=float))
@@ -330,21 +336,19 @@ def fixed_point_gaussian_barycenter(means, chols, lam=None, tol: float = 1e-10,
     lam = np.full(k, 1.0 / k) if lam is None else np.asarray(lam, dtype=float)
     if lam.shape != (k,):
         raise ValueError("need one coordinate per Gaussian")
-    mean = sum(l * mu for l, mu in zip(lam, means))
-    covs = [f @ f.T for f in chols]
-    s = sum(l * cv for l, cv in zip(lam, covs))
-    for _ in range(max_iter):
-        sh = matrix_sqrt_psd(s)
-        vals, vecs = np.linalg.eigh(sh)
-        if vals.min() <= 1e-14 * max(1.0, float(vals.max())):
-            raise ot.ConvergenceError("fixed-point iterate became singular")
-        sih = (vecs / vals) @ vecs.T
-        t = sum(l * matrix_sqrt_psd(sh @ cv @ sh) for l, cv in zip(lam, covs))
-        s_new = sih @ t @ t @ sih
-        s_new = (s_new + s_new.T) / 2.0
-        change = np.sqrt(bures_w2_sq_cov(mean, s, mean, s_new))
-        s = s_new
-        if change < tol:
-            return LabeledGMM([1.0], mean[None], np.linalg.cholesky(s)[None])
+    mean = lam @ means
+    try:
+        factor = np.linalg.cholesky(
+            np.einsum("k,kij->ij", lam, chols @ chols.transpose(0, 2, 1)))
+        for _ in range(max_iter):
+            _, tmaps = _bures_kernel(mean, factor, means, chols, maps=True)
+            moved = np.einsum("k,kij->ij", lam, tmaps) @ factor
+            change = np.sqrt(((moved - factor) ** 2).sum())
+            factor = moved
+            if change < tol:
+                return LabeledGMM([1.0], mean[None],
+                                  np.linalg.cholesky(factor @ factor.T)[None])
+    except np.linalg.LinAlgError:
+        raise ot.ConvergenceError("fixed-point iterate became singular") from None
     raise ot.ConvergenceError(
         f"Gaussian barycenter fixed point did not converge in {max_iter} iterations")

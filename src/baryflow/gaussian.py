@@ -13,12 +13,13 @@ Provides the closed-form squared 2-Wasserstein distance between Gaussians
 distance MW2 (with an optional label term on component label vectors),
 EM fitting, reparametrized sampling, and JSON (de)serialization.
 
-The Bures value and gradient are a per-pair kernel on factor rows, through
-the Procrustes identity (Bhatia, Jain & Lim, Expo. Math. 2019):
-W2^2 = ||mu1 - mu2||^2 + ||L1||_F^2 + ||L2||_F^2 - 2 ||L1^T L2||_*,
-so the flow path takes one SVD of L1^T L2 per component pair and no
-covariance square root. ``bures_w2_sq_cov`` and ``matrix_sqrt_psd`` serve
-covariance inputs and the fixed-point barycenter.
+Every Bures value and transport map comes from one kernel on two stacks of
+factors, through the Procrustes identity (Bhatia, Jain & Lim, Expo. Math.
+2019): W2^2 = ||mu1 - mu2||^2 + ||L1||_F^2 + ||L2||_F^2 - 2 ||L1^T L2||_*.
+A (k, m) cost matrix, or the maps of a gradient pass at the nonzero entries
+of a plan, take one batched SVD of the stacked products L1^T L2 and no
+covariance square root; the one-pair ``bures_w2_sq`` and ``bures_w2_grad``
+call the same kernel on one pair.
 """
 
 from __future__ import annotations
@@ -33,9 +34,7 @@ from .measures import _freeze, logsumexp, one_hot, validate_simplex
 
 __all__ = [
     "LabeledGMM",
-    "matrix_sqrt_psd",
     "bures_w2_sq",
-    "bures_w2_sq_cov",
     "bures_w2_grad",
     "mw2_sq",
     "mw2_cost_matrix",
@@ -49,8 +48,6 @@ __all__ = [
 ]
 
 GMM_SCHEMA_VERSION = 1
-# Relative tolerance of matrix_sqrt_psd's symmetry and PSD checks.
-SQRT_PSD_TOL = 1e-10
 # An entry above the diagonal of a Cholesky factor counts as zero up to
 # TRIL_RTOL times the factor's largest entry, so the check has no units.
 TRIL_RTOL = 1e-8
@@ -134,90 +131,72 @@ class LabeledGMM:
         return None
 
 
-def matrix_sqrt_psd(s: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root via eigendecomposition.
+def _bures_kernel(mu1, l1, mu2, l2, maps: bool = False):
+    """Squared Bures-Wasserstein distances between Gaussians N(mu1, L1 L1^T)
+    and N(mu2, L2 L2^T), on stacks of means (..., d) and factors (..., d, d)
+    that broadcast against each other: (k, 1, d) against (m, d) gives all
+    k x m pairs, (n, d) against (n, d) gives n pairs. A factor need not be
+    triangular.
 
-    Eigenvalues within -SQRT_PSD_TOL (relative to the largest) are clamped
-    to zero; asymmetry or indefiniteness beyond tolerance raises ValueError.
+    Returns the values; with ``maps``, also the optimal linear maps T, which
+    push N(0, L1 L1^T) to N(0, L2 L2^T). One batched SVD of
+    A = L1^T L2 = U S V^T gives the value
+    ||mu1 - mu2||^2 + ||L1||_F^2 + ||L2||_F^2 - 2 sum(S) and the map
+    T = W S W^T, with W = L1^{-T} U from the inverses of the L1 stack. The
+    maps need every Sigma1 strictly positive definite: a factor in the L1
+    stack with sigma_min^2 <= 1e-12 sigma_max^2 raises LinAlgError.
     """
-    tol = SQRT_PSD_TOL
-    s = np.atleast_2d(np.asarray(s, dtype=float))
-    scale = max(1.0, float(np.max(np.abs(s))) if s.size else 1.0)
-    if np.max(np.abs(s - s.T)) > tol * scale:
-        raise ValueError("matrix is not symmetric within tolerance")
-    vals, vecs = np.linalg.eigh((s + s.T) / 2.0)
-    if vals.min() < -tol * max(1.0, float(vals.max())):
-        raise ValueError(f"matrix is not PSD (min eigenvalue {vals.min():.3g})")
-    root = (vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.T
-    return (root + root.T) / 2.0
-
-
-def bures_w2_sq_cov(mu1, cov1, mu2, cov2) -> float:
-    """Squared Gaussian W2 from means and covariances (PSD allowed):
-    ||mu1 - mu2||^2 + Tr(S1 + S2 - 2 (S1^{1/2} S2 S1^{1/2})^{1/2})."""
-    mu1 = np.atleast_1d(np.asarray(mu1, dtype=float))
-    mu2 = np.atleast_1d(np.asarray(mu2, dtype=float))
-    cov1 = np.atleast_2d(np.asarray(cov1, dtype=float))
-    cov2 = np.atleast_2d(np.asarray(cov2, dtype=float))
-    if mu1.shape != mu2.shape or cov1.shape != cov2.shape:
-        raise ValueError("Gaussian parameters must share one dimension")
-    s1h = matrix_sqrt_psd(cov1)
-    cross = matrix_sqrt_psd(s1h @ cov2 @ s1h)
-    val = float(
-        ((mu1 - mu2) ** 2).sum()
-        + np.trace(cov1) + np.trace(cov2) - 2.0 * np.trace(cross)
-    )
-    return max(val, 0.0)
+    if mu1.shape[-1] != mu2.shape[-1] or l1.shape[-2:] != l2.shape[-2:]:
+        raise ValueError("components must share one dimension")
+    a = l1.swapaxes(-1, -2) @ l2
+    if maps:
+        # relative to the largest singular value, so the check holds at any
+        # scale
+        sv1 = np.linalg.svd(l1, compute_uv=False)
+        if np.any(sv1[..., -1] ** 2 <= 1e-12 * sv1[..., 0] ** 2):
+            raise np.linalg.LinAlgError("singular covariance: no transport map")
+        u, sv, _ = np.linalg.svd(a)
+    else:
+        sv = np.linalg.svd(a, compute_uv=False)
+    values = np.maximum(
+        ((mu1 - mu2) ** 2).sum(axis=-1) + (l1 ** 2).sum(axis=(-2, -1))
+        + (l2 ** 2).sum(axis=(-2, -1)) - 2.0 * sv.sum(axis=-1), 0.0)
+    if not maps:
+        return values
+    w = np.linalg.inv(l1).swapaxes(-1, -2) @ u
+    return values, (w * sv[..., None, :]) @ w.swapaxes(-1, -2)
 
 
 def bures_w2_sq(mu1, l1, mu2, l2) -> float:
     """Squared Bures-Wasserstein distance between N(mu1, L1 L1^T) and
     N(mu2, L2 L2^T), on mean and factor rows of ``LabeledGMM`` stacks:
     ||mu1 - mu2||^2 + ||L1||_F^2 + ||L2||_F^2 - 2 ||L1^T L2||_*."""
-    if mu1.shape != mu2.shape or l1.shape != l2.shape:
-        raise ValueError("components must share one dimension")
-    sv = np.linalg.svd(l1.T @ l2, compute_uv=False)
-    val = float(((mu1 - mu2) ** 2).sum()
-                + (l1 ** 2).sum() + (l2 ** 2).sum() - 2.0 * sv.sum())
-    return max(val, 0.0)
+    return float(_bures_kernel(mu1, l1, mu2, l2))
 
 
 def bures_w2_grad(mu1, l1, mu2, l2) -> tuple[np.ndarray, np.ndarray]:
     """Gradient of bures_w2_sq(mu1, l1, mu2, l2) w.r.t. mu1 and L1.
 
-    dmu = 2 (mu1 - mu2); the covariance gradient is I - T with T the optimal
-    linear transport map, chained onto L as dL = (dS + dS^T) L, restricted to
-    the lower triangle. With L1^T L2 = U S V^T and W = L1^{-T} U from one
-    solve, T = W S W^T. Requires Sigma1 strictly positive definite: a factor
-    with sigma_min(L1)^2 <= 1e-12 sigma_max(L1)^2 raises LinAlgError.
+    dmu = 2 (mu1 - mu2); the covariance gradient is I - T with T the
+    kernel's optimal linear transport map, chained onto L as
+    dL = (dS + dS^T) L, restricted to the lower triangle. Requires Sigma1
+    strictly positive definite: a factor with
+    sigma_min(L1)^2 <= 1e-12 sigma_max(L1)^2 raises LinAlgError.
     """
-    if mu1.shape != mu2.shape or l1.shape != l2.shape:
-        raise ValueError("components must share one dimension")
-    # relative to the largest singular value, so the check holds at any scale
-    sv1 = np.linalg.svd(l1, compute_uv=False)
-    if sv1[-1] ** 2 <= 1e-12 * sv1[0] ** 2:
-        raise np.linalg.LinAlgError("singular covariance: no transport map")
-    u, sv, _ = np.linalg.svd(l1.T @ l2)
-    w = np.linalg.solve(l1.T, u)
-    tmap = (w * sv) @ w.T
+    _, tmap = _bures_kernel(mu1, l1, mu2, l2, maps=True)
     dsigma = np.eye(mu1.shape[0]) - tmap
-    dmu = 2.0 * (mu1 - mu2)
-    dl = np.tril((dsigma + dsigma.T) @ l1)
-    return dmu, dl
+    return 2.0 * (mu1 - mu2), np.tril((dsigma + dsigma.T) @ l1)
 
 
 def mw2_cost_matrix(p: LabeledGMM, q: LabeledGMM, beta: float = 0.0
                     ) -> np.ndarray:
     """Component-pair cost matrix: Bures W2^2 plus the squared label metric.
 
-    C_ij = W2(P_i, Q_j)^2 + beta * ||nu_i - nu_j||^2. The label term is
-    dropped when either mixture has no labels or beta = 0.
+    C_ij = W2(P_i, Q_j)^2 + beta * ||nu_i - nu_j||^2, all Bures values from
+    one kernel call on the two mixtures' stacks. The label term is dropped
+    when either mixture has no labels or beta = 0.
     """
-    n, m = p.n_components, q.n_components
-    cost = np.empty((n, m))
-    for i, (mu_i, l_i) in enumerate(zip(p.means, p.chols)):
-        for j, (mu_j, l_j) in enumerate(zip(q.means, q.chols)):
-            cost[i, j] = bures_w2_sq(mu_i, l_i, mu_j, l_j)
+    cost = _bures_kernel(p.means[:, None], p.chols[:, None], q.means, q.chols)
     if beta > 0 and p.nu is not None and q.nu is not None:
         cost = cost + beta * ot.squared_distances(p.nu, q.nu)
     return cost

@@ -74,3 +74,61 @@ def plain_assignment_plan(c: np.ndarray) -> np.ndarray:
     plan = np.zeros((n, m))
     np.add.at(plan, (rows[ri], cols[ci]), 1.0 / L)
     return plan
+
+
+# The covariance form of the Gaussian W2 and of the barycenter fixed point:
+# independent oracles for the factor-form Bures kernel in baryflow.gaussian.
+
+# Relative tolerance of matrix_sqrt_psd's symmetry and PSD checks.
+SQRT_PSD_TOL = 1e-10
+
+
+def matrix_sqrt_psd(s: np.ndarray) -> np.ndarray:
+    """Symmetric PSD square root via eigendecomposition.
+
+    Eigenvalues within -SQRT_PSD_TOL (relative to the largest) are clamped
+    to zero; asymmetry or indefiniteness beyond tolerance raises ValueError.
+    """
+    tol = SQRT_PSD_TOL
+    s = np.atleast_2d(np.asarray(s, dtype=float))
+    scale = max(1.0, float(np.max(np.abs(s))) if s.size else 1.0)
+    if np.max(np.abs(s - s.T)) > tol * scale:
+        raise ValueError("matrix is not symmetric within tolerance")
+    vals, vecs = np.linalg.eigh((s + s.T) / 2.0)
+    if vals.min() < -tol * max(1.0, float(vals.max())):
+        raise ValueError(f"matrix is not PSD (min eigenvalue {vals.min():.3g})")
+    root = (vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.T
+    return (root + root.T) / 2.0
+
+
+def bures_w2_sq_cov(mu1, cov1, mu2, cov2) -> float:
+    """Squared Gaussian W2 from means and covariances (PSD allowed):
+    ||mu1 - mu2||^2 + Tr(S1 + S2 - 2 (S1^{1/2} S2 S1^{1/2})^{1/2})."""
+    mu1 = np.atleast_1d(np.asarray(mu1, dtype=float))
+    mu2 = np.atleast_1d(np.asarray(mu2, dtype=float))
+    cov1 = np.atleast_2d(np.asarray(cov1, dtype=float))
+    cov2 = np.atleast_2d(np.asarray(cov2, dtype=float))
+    if mu1.shape != mu2.shape or cov1.shape != cov2.shape:
+        raise ValueError("Gaussian parameters must share one dimension")
+    s1h = matrix_sqrt_psd(cov1)
+    cross = matrix_sqrt_psd(s1h @ cov2 @ s1h)
+    val = float(
+        ((mu1 - mu2) ** 2).sum()
+        + np.trace(cov1) + np.trace(cov2) - 2.0 * np.trace(cross)
+    )
+    return max(val, 0.0)
+
+
+def covariance_fixed_point(covs, lam, n_iter: int = 50) -> np.ndarray:
+    """Barycenter covariance of the Gaussians with covariances ``covs`` and
+    coordinates ``lam``: n_iter steps of
+    S <- S^{-1/2} (sum_k lam_k (S^{1/2} Sigma_k S^{1/2})^{1/2})^2 S^{-1/2}
+    from the coordinate average of the covariances."""
+    s = sum(l * cv for l, cv in zip(lam, covs))
+    for _ in range(n_iter):
+        sh = matrix_sqrt_psd(s)
+        sih = np.linalg.inv(sh)
+        t = sum(l * matrix_sqrt_psd(sh @ cv @ sh) for l, cv in zip(lam, covs))
+        s = sih @ t @ t @ sih
+        s = (s + s.T) / 2.0
+    return s

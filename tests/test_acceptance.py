@@ -34,14 +34,18 @@ from baryflow.gaussian import (
     LabeledGMM,
     bures_w2_grad,
     bures_w2_sq,
-    bures_w2_sq_cov,
     mw2_sq,
     sample_reparam,
 )
 from baryflow.measures import BarycentricCoordinates, EmpiricalMeasure
 from baryflow.pipeline import convergence_report, msda_adapt
 
-from conftest import TWO_GAUSSIAN_SEEDS, random_pd_component
+from conftest import (
+    TWO_GAUSSIAN_SEEDS,
+    bures_w2_sq_cov,
+    covariance_fixed_point,
+    random_pd_component,
+)
 
 
 def report(criterion: int, message: str) -> None:
@@ -221,14 +225,16 @@ def test_criterion_04_gradient_suite():
         _, gm, gl, gn = mw2_fixed_plan_value_grad(state, other, omega, beta)
 
         def objective(mus, chols, nus):
+            # priced in the covariance form, independent of the Bures kernel
             val = 0.0
             for i in range(k):
                 for j in range(m):
                     if omega[i, j] == 0.0:
                         continue
                     val += omega[i, j] * (
-                        bures_w2_sq(mus[i], chols[i],
-                                    other.means[j], other.chols[j])
+                        bures_w2_sq_cov(mus[i], chols[i] @ chols[i].T,
+                                        other.means[j],
+                                        other.chols[j] @ other.chols[j].T)
                         + beta * ((nus[i] - other.nu[j]) ** 2).sum())
             return val
 
@@ -317,8 +323,16 @@ def test_criterion_06_gmm_flow_recovery():
     wall = time.perf_counter() - t0
     assert w2 <= 1e-2
     assert wall < 10.0
+    # flow and oracle share the Bures kernel, so the oracle is checked
+    # against the covariance-form fixed point
+    cov = oracle.chols[0] @ oracle.chols[0].T
+    reference = covariance_fixed_point(
+        [f @ f.T for f in (q1.chols[0], q2.chols[0])], [0.5, 0.5])
+    cov_diff = np.abs(cov - reference).max() / np.abs(reference).max()
+    assert cov_diff <= 1e-10
     report(6, f"GMM flow within W2 {w2:.2e} of the fixed-point oracle "
-              f"(<= 1e-2) in {wall:.1f}s < 10s")
+              f"(<= 1e-2) in {wall:.1f}s < 10s; oracle covariance within "
+              f"{cov_diff:.1e} (<= 1e-10) of the covariance-form fixed point")
 
 
 def test_criterion_07_proposition1_equality():

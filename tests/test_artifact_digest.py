@@ -1,5 +1,5 @@
 """``tools/artifact_digest.py --compare`` on two hand-written work
-directories."""
+directories: its lines and its exit code."""
 
 import importlib.util
 import json
@@ -53,6 +53,21 @@ def test_compare_identical_after_normalizing(digest, tmp_path, capsys):
     digest.compare(a, b)
     assert capsys.readouterr().out.splitlines() == [
         "run run_report.json identical", "run trace.csv identical"]
+
+
+@pytest.mark.parametrize("value, name, extra, code", [
+    ("1.0000000000001", "x", None, 0),
+    ("1.00000000001", "x", None, 1),
+    ("1.0", "y", None, 1),
+    ("1.0", "x", "v\n1\n", 1),
+], ids=["rounding", "above-bound", "mismatch", "one-side-only"])
+def test_compare_exit_code(digest, tmp_path, capsys, value, name, extra, code):
+    # exit 1 on a mismatch, a file on one side only, or a relative move
+    # above ROUNDING_BOUND (1e-12)
+    a, b = tmp_path / "a", tmp_path / "b"
+    write_run(a, "x\n1.0\n", {"name": "x"})
+    write_run(b, f"x\n{value}\n", {"name": name}, extra=extra)
+    assert digest.main(["--compare", str(a), str(b)]) == code
 
 
 def test_non_finite_cells(digest):

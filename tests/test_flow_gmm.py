@@ -14,13 +14,12 @@ from baryflow.flow_gmm import (
 from baryflow.functionals import FunctionalSpec, hinge_repulsion
 from baryflow.gaussian import (
     LabeledGMM,
-    bures_w2_sq,
     mw2_cost_matrix,
     mw2_sq,
 )
 from baryflow.measures import BarycentricCoordinates, EmpiricalMeasure
 
-from conftest import random_pd_component
+from conftest import bures_w2_sq_cov, random_pd_component
 
 UNIT = BarycentricCoordinates.uniform(1)
 HALF = BarycentricCoordinates.uniform(2)
@@ -75,6 +74,12 @@ class TestFixedPointGaussianBarycenter:
             fixed_point_gaussian_barycenter([[0.0], [4.0]], [[[1.0]], [[3.0]]],
                                             tol=0.0, max_iter=3)
 
+    def test_singular_iterate_reported(self):
+        # both inputs, and so the first iterate, have a variance ratio 1e-30
+        chols = [np.diag([1.0, 1e-15]), np.diag([2.0, 1e-15])]
+        with pytest.raises(ot.ConvergenceError, match="became singular"):
+            fixed_point_gaussian_barycenter(np.zeros((2, 2)), chols)
+
     @pytest.mark.parametrize("means, chols, lam, match", [
         (np.zeros((2, 1)), np.stack([np.eye(2)] * 2), None,
          r"chols must be \(2, 1, 1\)"),
@@ -107,15 +112,17 @@ class TestEnvelopeGradient:
             omega = plan.coupling
 
             def objective(mus, chols, nu):
-                # evaluated directly so nu can be perturbed off the simplex
+                # evaluated directly so nu can be perturbed off the simplex,
+                # and in the covariance form, independent of the Bures kernel
                 val = 0.0
                 for i in range(k):
                     for j in range(m):
                         if omega[i, j] == 0.0:
                             continue
                         val += omega[i, j] * (
-                            bures_w2_sq(mus[i], chols[i],
-                                        other.means[j], other.chols[j])
+                            bures_w2_sq_cov(mus[i], chols[i] @ chols[i].T,
+                                            other.means[j],
+                                            other.chols[j] @ other.chols[j].T)
                             + beta * ((nu[i] - other.nu[j]) ** 2).sum())
                 return val
 

@@ -13,13 +13,12 @@ from baryflow.gaussian import (
     gmm_log_density,
     gmm_to_json,
     load_gmm,
-    matrix_sqrt_psd,
     mw2_sq,
     sample_reparam,
     save_gmm,
 )
 
-from conftest import random_pd_component
+from conftest import bures_w2_sq_cov, matrix_sqrt_psd, random_pd_component
 
 # Factors with an upper entry of 0.5% of the diagonal at scale 1e-6, and
 # with rounding noise above the diagonal at scale 1e6.
@@ -208,7 +207,7 @@ class TestProposition1Decomposition:
                 return out
 
             lifted_cost = np.array([
-                [ga.bures_w2_sq_cov(mi, ci, mj, cj)
+                [bures_w2_sq_cov(mi, ci, mj, cj)
                  for (mj, cj) in lift(q)]
                 for (mi, ci) in lift(p)
             ])

@@ -2,9 +2,9 @@
 transportation simplex, LP) against independent oracles, plan invariants of
 both solvers, the scaling-domain Sinkhorn against its log-domain reference,
 the CSV round trip of labeled measures, finite flows at extreme input
-scales, the Bures value and gradient on Cholesky factors against their
-covariance forms, and the numpy logsumexp and label entropy against their
-scipy forms.
+scales, the Bures values, maps and gradients on Cholesky factors, one pair
+at a time and batched, against their covariance forms, and the numpy
+logsumexp and label entropy against their scipy forms.
 
 Examples are derandomized and no example database is kept, so every run
 draws the same cases.
@@ -25,14 +25,15 @@ from hypothesis.extra import numpy as hnp
 from baryflow import ot
 from baryflow.datasets import load_csv, save_csv
 from baryflow.flow_empirical import EmpiricalFlowConfig, EmpiricalSampler, run_flow
-from baryflow.flow_gmm import GmmFlowConfig, run_gmm_flow
+from baryflow.flow_gmm import GmmFlowConfig, mw2_fixed_plan_value_grad, run_gmm_flow
 from baryflow.functionals import entropy_potential
 from baryflow.gaussian import (
     LabeledGMM,
+    _bures_kernel,
     _whiten,
     bures_w2_grad,
     bures_w2_sq,
-    bures_w2_sq_cov,
+    mw2_cost_matrix,
 )
 from baryflow.measures import (
     BarycentricCoordinates,
@@ -40,7 +41,7 @@ from baryflow.measures import (
     logsumexp,
     softmax,
 )
-from conftest import plain_assignment_plan
+from conftest import bures_w2_sq_cov, plain_assignment_plan
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=100,
                     deadline=None)
@@ -577,6 +578,30 @@ def gaussian_pair(draw, min_dim=1):
     return draw(gaussian(d, scale)), draw(gaussian(d, scale))
 
 
+@st.composite
+def gaussian_stacks(draw, min_dim=1):
+    """Two mixtures of k != m Gaussians (1 to 4 each) in one dimension d
+    from min_dim to 5, with uniform weights, all at one scale 2^-20, 1 or
+    2^20."""
+    d = draw(st.integers(min_dim, 5))
+    scale = draw(st.sampled_from([2.0 ** -20, 1.0, 2.0 ** 20]))
+    k = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 4).filter(lambda m: m != k))
+
+    def stack(n):
+        means, chols = zip(*(draw(gaussian(d, scale)) for _ in range(n)))
+        return LabeledGMM(np.full(n, 1.0 / n), means, chols)
+    return stack(k), stack(m)
+
+
+def pairs(p, q):
+    """Each component pair (i, j) of two mixtures, with its means and
+    covariances."""
+    for i, j in itertools.product(range(p.n_components), range(q.n_components)):
+        l1, l2 = p.chols[i], q.chols[j]
+        yield i, j, p.means[i], l1, l1 @ l1.T, q.means[j], l2 @ l2.T
+
+
 def eigh_transport_map(s1, s2):
     """S1^{-1/2} (S1^{1/2} S2 S1^{1/2})^{1/2} S1^{-1/2} by eigendecompositions."""
     w, q = np.linalg.eigh(s1)
@@ -586,8 +611,9 @@ def eigh_transport_map(s1, s2):
 
 
 class TestBuresKernel:
-    """The Bures value and gradient on Cholesky factors against the
-    covariance forms, at condition numbers up to 1e3 and scales 1e-6 to 1e6."""
+    """The Bures values, maps and gradients on Cholesky factors, one pair at
+    a time and batched over two stacks, against the covariance forms, at
+    condition numbers up to 1e3 and scales 1e-6 to 1e6."""
 
     @SETTINGS
     @given(gaussian_pair())
@@ -622,6 +648,69 @@ class TestBuresKernel:
         chol[j, j] = 1e-7 * np.delete(np.diag(chol), j).max()
         with pytest.raises(np.linalg.LinAlgError):
             bures_w2_grad(mu1, chol, *g2)
+
+    @SETTINGS
+    @given(gaussian_stacks())
+    def test_cost_matrix_matches_covariance_form(self, stacks):
+        p, q = stacks
+        cost = mw2_cost_matrix(p, q)
+        assert cost.shape == (p.n_components, q.n_components)
+        for i, j, mu1, l1, cov1, mu2, cov2 in pairs(p, q):
+            size = ((mu1 - mu2) ** 2).sum() + np.trace(cov1) + np.trace(cov2)
+            reference = bures_w2_sq_cov(mu1, cov1, mu2, cov2)
+            assert abs(cost[i, j] - reference) <= 1e-12 * size
+
+    @SETTINGS
+    @given(gaussian_stacks())
+    def test_maps_match_eigh_map(self, stacks):
+        p, q = stacks
+        _, tmaps = _bures_kernel(p.means[:, None], p.chols[:, None], q.means,
+                                 q.chols, maps=True)
+        for i, j, _, _, cov1, _, cov2 in pairs(p, q):
+            reference = eigh_transport_map(cov1, cov2)
+            assert (np.abs(tmaps[i, j] - reference).max()
+                    <= 1e-10 * np.abs(reference).max())
+
+    @SETTINGS
+    @given(gaussian_stacks(), st.data())
+    def test_fixed_plan_grad_matches_pair_loop(self, stacks, data):
+        p, q = stacks
+        k, m, d = p.n_components, q.n_components, p.dim
+        omega = data.draw(hnp.arrays(float, (k, m), elements=st.floats(0.0, 1.0)))
+        value, gm, gl, gn = mw2_fixed_plan_value_grad(p, q, omega)
+        ref_value, ref_mu, ref_l = 0.0, np.zeros((k, d)), np.zeros((k, d, d))
+        size = 0.0
+        for i, j, mu1, l1, cov1, mu2, cov2 in pairs(p, q):
+            w = omega[i, j]
+            ref_value += w * bures_w2_sq_cov(mu1, cov1, mu2, cov2)
+            ref_mu[i] += w * 2.0 * (mu1 - mu2)
+            dsigma = np.eye(d) - eigh_transport_map(cov1, cov2)
+            ref_l[i] += w * np.tril((dsigma + dsigma.T) @ l1)
+            size += w * (((mu1 - mu2) ** 2).sum() + np.trace(cov1)
+                         + np.trace(cov2))
+        assert gn is None
+        assert abs(value - ref_value) <= 1e-12 * size
+        mu_size = 2.0 * omega.sum() * max(np.abs(p.means).max(),
+                                          np.abs(q.means).max())
+        assert np.abs(gm - ref_mu).max() <= 1e-12 * mu_size
+        # the map's terms set the scale: the gradient itself may cancel to 0
+        l_size = max(np.abs(ref_l).max(),
+                     2.0 * omega.sum() * np.abs(p.chols).max())
+        assert np.abs(gl - ref_l).max() <= 1e-10 * l_size
+
+    @SETTINGS
+    @given(gaussian_stacks(min_dim=2), st.data())
+    def test_relatively_singular_factor_in_stack_raises(self, stacks, data):
+        p, q = stacks
+        chols = p.chols.copy()
+        i = data.draw(st.integers(0, p.n_components - 1))
+        j = data.draw(st.integers(0, p.dim - 1))
+        # as in test_relatively_singular_factor_raises, on one factor of the
+        # stack
+        chols[i, j, j] = 1e-7 * np.delete(np.diag(chols[i]), j).max()
+        state = LabeledGMM(p.weights, p.means, chols)
+        with pytest.raises(np.linalg.LinAlgError):
+            mw2_fixed_plan_value_grad(state, q, np.outer(p.weights, q.weights))
 
 
 @st.composite

@@ -19,7 +19,9 @@ their work directories, and prints one line ``run file`` per artifact with
 numeric CSV cells and JSON leaves; other cells must be equal) or
 ``mismatch: REASON`` when the two differ in structure. ``run_report.json``
 is compared after ``normalized_report``. It checks a change whose artifacts
-may move only by rounding, e.g. by ``max_rel_diff`` below 1e-12.
+may move only by rounding: it exits 1 when an artifact is a mismatch, exists
+under one work directory only, or has ``max_rel_diff`` above
+ROUNDING_BOUND (1e-12), and 0 otherwise.
 
 The runs: the five configs of acceptance criterion 12, instance 0 of seed 0
 of each benchmark workload (from ``SRC_ROOT/bench/workloads.py``), ``toy``
@@ -184,6 +186,9 @@ CONFIGS = {
 }
 WORKLOADS = ("bary1d", "gmm5d", "msda2d", "entropic2d")
 WORK_TOKEN = "<WORK_DIR>"
+# the largest relative move of a numeric artifact value that --compare
+# accepts as rounding
+ROUNDING_BOUND = 1e-12
 
 
 def normalized_report(path: Path, work: Path) -> bytes:
@@ -242,8 +247,10 @@ def _diff(a, b, where: str = "") -> float:
     return 0.0
 
 
-def compare(work_a: Path, work_b: Path) -> None:
-    """Print how each artifact under ``work_b`` differs from ``work_a``."""
+def compare(work_a: Path, work_b: Path) -> bool:
+    """Print how each artifact under ``work_b`` differs from ``work_a``;
+    return whether every artifact is on both sides and within
+    ROUNDING_BOUND."""
     def artifacts(work):
         return {f.relative_to(work) for f in work.glob("**/out/*")}
 
@@ -254,11 +261,13 @@ def compare(work_a: Path, work_b: Path) -> None:
         return data.decode()
 
     found_a, found_b = artifacts(work_a), artifacts(work_b)
+    ok = True
     for rel in sorted(found_a | found_b):
         label = f"{rel.parts[0]} {rel.name}"
         if rel not in found_a or rel not in found_b:
             print(label, "mismatch: only in",
                   work_a if rel in found_a else work_b)
+            ok = False
             continue
         a, b = read(work_a, rel), read(work_b, rel)
         if a == b:
@@ -269,14 +278,17 @@ def compare(work_a: Path, work_b: Path) -> None:
                      else _diff(json.loads(a), json.loads(b)))
         except Mismatch as e:
             print(label, "mismatch:", e)
+            ok = False
         else:
             print(label, "max_rel_diff", f"{worst:.3g}")
+            ok = ok and worst <= ROUNDING_BOUND
+    return ok
 
 
 def main(argv: list[str]) -> int:
     if len(argv) == 3 and argv[0] == "--compare":
-        compare(Path(argv[1]).resolve(), Path(argv[2]).resolve())
-        return 0
+        return 0 if compare(Path(argv[1]).resolve(),
+                            Path(argv[2]).resolve()) else 1
     if len(argv) != 2:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
