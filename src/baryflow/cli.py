@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import inspect
 import json
 import os
@@ -283,7 +284,9 @@ def _table(header, rows):
     return lambda path: write_table(path, header, rows)
 
 
+@functools.cache
 def _git_describe() -> str:
+    """``git describe`` of the source tree, read once per process."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],

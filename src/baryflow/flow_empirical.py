@@ -123,12 +123,12 @@ class FlowState:
 # ---------------------------------------------------------------------------
 # samplers: anything with .sample(m, rng) -> MiniBatch drives run_flow
 
-def _batch(measure: EmpiricalMeasure, idx) -> MiniBatch:
-    """The points ``idx`` of a measure as a batch, hard labels one-hot."""
-    labels = None
-    if measure.label_logits is not None:
-        labels = one_hot(measure.hard_labels()[idx], measure.n_classes)
-    return MiniBatch(measure.points[idx], labels, measure.class_names)
+def _one_hot_labels(measure: EmpiricalMeasure) -> np.ndarray | None:
+    """A measure's hard labels one-hot, (n, C), or None when it is
+    unlabeled; the samplers decode them once, when built."""
+    if measure.label_logits is None:
+        return None
+    return one_hot(measure.hard_labels(), measure.n_classes)
 
 
 class EmpiricalSampler:
@@ -136,10 +136,13 @@ class EmpiricalSampler:
 
     def __init__(self, measure):
         self.measure = measure
+        self._labels = _one_hot_labels(measure)
 
     def sample(self, m: int, rng: np.random.Generator) -> MiniBatch:
         meas = self.measure
-        return _batch(meas, rng.choice(meas.n, size=m, p=meas.weights))
+        idx = rng.choice(meas.n, size=m, p=meas.weights)
+        labels = None if self._labels is None else self._labels[idx]
+        return MiniBatch(meas.points[idx], labels, meas.class_names)
 
 
 class FullBatchSampler:
@@ -147,9 +150,11 @@ class FullBatchSampler:
 
     def __init__(self, measure):
         self.measure = measure
+        self._batch = MiniBatch(measure.points, _one_hot_labels(measure),
+                                measure.class_names)
 
     def sample(self, m: int, rng: np.random.Generator) -> MiniBatch:
-        return _batch(self.measure, slice(None))
+        return self._batch
 
 
 class GaussianSampler:

@@ -247,7 +247,7 @@ def internal_energy_mc(gmm: LabeledGMM, n_samples: int, seed=None
     z, comp_idx, eps = sample_reparam(gmm, n_samples, seed)
     chols = gmm.chols
 
-    u, lp, inv = _whiten(gmm.means, chols, z)
+    u, lp, inv = _whiten(gmm.means, chols, z.T)
     lp = lp + np.log(gmm.weights)[None, :]
     total = logsumexp(lp, axis=1)
     resp = np.exp(lp - total[:, None])  # (S, K)

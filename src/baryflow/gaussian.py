@@ -214,16 +214,18 @@ def mw2_sq(p: LabeledGMM, q: LabeledGMM, beta: float = 0.0
     return value, plan
 
 
-def _whiten(means: np.ndarray, chols: np.ndarray, z: np.ndarray
+def _whiten(means: np.ndarray, chols: np.ndarray, zt: np.ndarray
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Whitened residuals u_k = L_k^{-1} (z - mu_k), shape (k, d, n), the
     component log densities, shape (n, k), and the factor inverses L_k^{-1},
-    shape (k, d, d), of stacked means and factors.
+    shape (k, d, d), of stacked means and factors, at the n points that are
+    the columns of ``zt`` (d, n).
 
     u is one batched product with the inverses, which are formed once per
-    call; its error is about cond(L) * eps."""
+    call; its error is about cond(L) * eps. A C-contiguous ``zt`` makes the
+    residuals twice as fast as a transposed view, with the same bits."""
     inv = np.linalg.inv(chols)
-    u = inv @ (z.T - means[:, :, None])
+    u = inv @ (zt - means[:, :, None])
     d = means.shape[1]
     logdet = np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
     const = -0.5 * d * np.log(2.0 * np.pi)
@@ -234,7 +236,7 @@ def gmm_log_density(gmm: LabeledGMM, z: np.ndarray
                     ) -> tuple[float, np.ndarray]:
     """Mixture log density at a point, plus component responsibilities."""
     z = np.asarray(z, dtype=float)
-    lp = _whiten(gmm.means, gmm.chols, z[None, :])[1] + np.log(gmm.weights)
+    lp = _whiten(gmm.means, gmm.chols, z[:, None])[1] + np.log(gmm.weights)
     total = logsumexp(lp, axis=1)
     resp = np.exp(lp - total[:, None])
     return float(total[0]), resp[0]
@@ -276,7 +278,8 @@ def _em_single(data: np.ndarray, k: int, max_iter: int, tol: float,
                rng: np.random.Generator, diag: bool
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float]]:
     """Fit one GMM with EM; returns (weights, means, Cholesky factors,
-    loglik trace)."""
+    loglik trace). Both steps read the pool as one contiguous (d, n)
+    array, so residuals are (k, d, n) stacks."""
     n, d = data.shape
     if n < k:
         raise ValueError(f"need at least {k} points to fit {k} components")
@@ -286,11 +289,12 @@ def _em_single(data: np.ndarray, k: int, max_iter: int, tol: float,
     base_cov = np.cov(data.T, ddof=0).reshape(d, d) if n > 1 else np.eye(d)
     covs = np.repeat(_regularized(base_cov[None], diag), k, axis=0)
     pis = np.full(k, 1.0 / k)
+    data_t = np.ascontiguousarray(data.T)
 
     logliks: list[float] = []
     for _ in range(max_iter):
         chols = np.linalg.cholesky(covs)
-        lp = _whiten(mus, chols, data)[1] + np.log(pis)[None, :]
+        lp = _whiten(mus, chols, data_t)[1] + np.log(pis)[None, :]
         total = logsumexp(lp, axis=1)
         loglik = float(total.sum())
         resp = np.exp(lp - total[:, None])
@@ -299,8 +303,8 @@ def _em_single(data: np.ndarray, k: int, max_iter: int, tol: float,
         nk = np.maximum(nk, 1e-12)
         pis = nk / n
         mus = (resp.T @ data) / nk[:, None]
-        diff = data[None, :, :] - mus[:, None, :]
-        covs = (resp.T[:, :, None] * diff).transpose(0, 2, 1) @ diff
+        diff_t = data_t - mus[:, :, None]
+        covs = (diff_t * resp.T[:, None, :]) @ diff_t.transpose(0, 2, 1)
         covs = covs / nk[:, None, None]
         covs = _regularized((covs + covs.transpose(0, 2, 1)) / 2.0, diag)
 

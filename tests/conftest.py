@@ -5,7 +5,8 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from baryflow.flow_empirical import EmpiricalFlowConfig, GaussianSampler, run_flow
-from baryflow.measures import BarycentricCoordinates
+from baryflow.gaussian import _regularized
+from baryflow.measures import BarycentricCoordinates, logsumexp
 
 TWO_GAUSSIAN_SEEDS = (0, 1, 2, 3, 4)
 
@@ -132,3 +133,37 @@ def covariance_fixed_point(covs, lam, n_iter: int = 50) -> np.ndarray:
         s = sih @ t @ t @ sih
         s = (s + s.T) / 2.0
     return s
+
+
+def em_single_reference(data, k, max_iter, tol, rng, diag):
+    """Reference for ``gaussian._em_single`` on an (n, d) pool, same
+    arguments and returns: the same initialization, E-step and stopping
+    rule, with the residuals of both steps formed from the pool as it is,
+    (k, n, d) in the M-step."""
+    n, d = data.shape
+    idx = rng.choice(n, size=k, replace=False)
+    mus = data[idx].copy()
+    base_cov = np.cov(data.T, ddof=0).reshape(d, d) if n > 1 else np.eye(d)
+    covs = np.repeat(_regularized(base_cov[None], diag), k, axis=0)
+    pis = np.full(k, 1.0 / k)
+    const = -0.5 * d * np.log(2.0 * np.pi)
+    logliks = []
+    for _ in range(max_iter):
+        chols = np.linalg.cholesky(covs)
+        u = np.linalg.inv(chols) @ (data.T - mus[:, :, None])
+        logdet = np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
+        lp = (const - logdet[:, None] - 0.5 * (u * u).sum(axis=1)).T
+        lp = lp + np.log(pis)[None, :]
+        total = logsumexp(lp, axis=1)
+        resp = np.exp(lp - total[:, None])
+        nk = np.maximum(resp.sum(axis=0), 1e-12)
+        pis = nk / n
+        mus = (resp.T @ data) / nk[:, None]
+        diff = data[None, :, :] - mus[:, None, :]
+        covs = (resp.T[:, :, None] * diff).transpose(0, 2, 1) @ diff
+        covs = covs / nk[:, None, None]
+        covs = _regularized((covs + covs.transpose(0, 2, 1)) / 2.0, diag)
+        logliks.append(float(total.sum()))
+        if len(logliks) > 1 and abs(logliks[-1] - logliks[-2]) < tol:
+            break
+    return pis, mus, np.linalg.cholesky(covs), logliks

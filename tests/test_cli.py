@@ -504,6 +504,27 @@ class TestConfigSchema:
         np.testing.assert_equal(fields(omitted), fields(expected))
 
 
+class TestReport:
+    def test_git_describe_runs_once_per_process(self, tmp_path, monkeypatch):
+        calls = []
+
+        def fake_run(*args, **kwargs):
+            calls.append(args)
+            return cli.subprocess.CompletedProcess(args, 0, "v1-abc\n", "")
+
+        monkeypatch.setattr(cli.subprocess, "run", fake_run)
+        cli._git_describe.cache_clear()
+        try:
+            for name in ("a", "b"):
+                (tmp_path / name).mkdir()
+                path = cli.write_report(tmp_path / name, "validate", {}, {},
+                                        [], {})
+                assert json.loads(path.read_text())["git_describe"] == "v1-abc"
+        finally:
+            cli._git_describe.cache_clear()
+        assert len(calls) == 1
+
+
 class TestBarycenterCommand:
     def test_minimal_two_gaussian_run(self, tmp_path):
         out = tmp_path / "out"

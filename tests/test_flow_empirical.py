@@ -473,6 +473,22 @@ class TestSamplers:
         batch = EmpiricalSampler(m).sample(8, np.random.default_rng(9))
         assert batch.labels.shape == (8, 3)
 
+    @pytest.mark.parametrize("sampler", [EmpiricalSampler, FullBatchSampler])
+    def test_labels_decoded_once(self, sampler, monkeypatch):
+        m = EmpiricalMeasure.from_hard_labels(
+            np.arange(6.0)[:, None], np.array([0, 1, 2, 1, 0, 2]), 3)
+        calls = []
+        decode = EmpiricalMeasure.hard_labels
+        monkeypatch.setattr(EmpiricalMeasure, "hard_labels",
+                            lambda self: calls.append(1) or decode(self))
+        s = sampler(m)
+        rng = np.random.default_rng(11)
+        batches = [s.sample(8, rng) for _ in range(4)]
+        assert len(calls) == 1
+        for batch in batches:
+            idx = batch.points[:, 0].astype(int)
+            assert np.array_equal(batch.labels, one_hot(decode(m)[idx], 3))
+
     def test_gmm_sampler(self):
         gmm = LabeledGMM([1.0], [[5.0]], [[[0.5]]], nu=[[0.0, 1.0]])
         batch = GmmSampler(gmm).sample(16, np.random.default_rng(10))

@@ -18,7 +18,12 @@ from baryflow.gaussian import (
     save_gmm,
 )
 
-from conftest import bures_w2_sq_cov, matrix_sqrt_psd, random_pd_component
+from conftest import (
+    bures_w2_sq_cov,
+    em_single_reference,
+    matrix_sqrt_psd,
+    random_pd_component,
+)
 
 # Factors with an upper entry of 0.5% of the diagonal at scale 1e-6, and
 # with rounding noise above the diagonal at scale 1e6.
@@ -252,6 +257,47 @@ class TestEmFit:
         fit = em_fit(data, components_per_class=2, seed=0, diag=True)
         for chol in fit.chols:
             assert np.allclose(chol, np.diag(np.diag(chol)))
+
+
+def fit_counting(fit, data, labels, diag, components):
+    """``em_fit`` of a seeded pool with ``fit`` as its ``_em_single``, and
+    the iteration count of each fit."""
+    counts = []
+
+    def counted(*args):
+        out = fit(*args)
+        counts.append(len(out[3]))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ga, "_em_single", counted)
+        gmm = em_fit(data, labels, components_per_class=components, seed=3,
+                     diag=diag)
+    return gmm, counts
+
+
+class TestEmOracle:
+    """``em_fit`` against EM with the (k, n, d) M-step of
+    ``conftest.em_single_reference``."""
+
+    @pytest.mark.parametrize("diag", [False, True])
+    @pytest.mark.parametrize("labeled", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_reference(self, seed, labeled, diag):
+        rng = np.random.default_rng(seed)
+        centers = 4.0 * rng.standard_normal((6, 4))
+        data = (centers[np.arange(240) % 6]
+                + rng.standard_normal((240, 4)) * rng.uniform(0.3, 2.0, 4))
+        labels = np.arange(240) % 2 if labeled else None
+        components = 3 if labeled else 6
+        got, counts = fit_counting(ga._em_single, data, labels, diag,
+                                   components)
+        ref, ref_counts = fit_counting(em_single_reference, data, labels,
+                                       diag, components)
+        assert counts == ref_counts
+        for name in ("weights", "means", "chols"):
+            x, y = getattr(got, name), getattr(ref, name)
+            assert np.abs(x - y).max() <= 1e-12 * np.abs(y).max()
 
 
 class TestSampleReparam:

@@ -230,6 +230,43 @@ def simplex_solve(a, b, c):
     return ot.TransportPlan(g, a, b), float((g * c).sum())
 
 
+@st.composite
+def dirichlet_problem(draw):
+    """Dirichlet weights on a k x m problem, 1 <= k, m <= 10, with the drawn
+    weights zeroed (one of each side is kept); costs uniform on [0, 10] or,
+    for ties, the integers 0 to 2."""
+    n, m = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def weights(size):
+        w = rng.dirichlet(np.ones(size))
+        zero = draw(hnp.arrays(bool, size))
+        zero[rng.integers(size)] = False
+        w[zero] = 0.0
+        return w / w.sum()
+
+    tied = draw(st.booleans())
+    c = (rng.integers(0, 3, (n, m)).astype(float) if tied
+         else rng.uniform(0.0, 10.0, (n, m)))
+    return weights(n), weights(m), c
+
+
+def assert_spanning_tree(cells, n, m):
+    """n + m - 1 cells of the row-column graph that close no cycle."""
+    assert len(cells) == n + m - 1
+    root = list(range(n + m))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for i, j in cells:
+        ri, rj = find(i), find(n + j)
+        assert ri != rj
+        root[ri] = rj
+
+
 class TestSimplexPath:
     """``ot._simplex_plan``, the transportation simplex for small problems."""
 
@@ -248,8 +285,8 @@ class TestSimplexPath:
     @SETTINGS
     @given(square_problem())
     def test_uniform_square_matches_permutation_brute_force(self, c):
-        # the north-west start of a uniform square problem is maximally
-        # degenerate: every other basis cell carries zero mass
+        # the least-cost start of a uniform square problem is maximally
+        # degenerate: n cells carry 1/n and the other n - 1 carry zero mass
         n = c.shape[0]
         rows = np.arange(n)
         best = min(c[rows, list(p)].sum()
@@ -267,6 +304,45 @@ class TestSimplexPath:
     def test_degenerate_cases(self, a, b, c):
         a, b, c = np.array(a), np.array(b), np.array(c)
         assert_optimal_against_linprog(*simplex_solve(a, b, c), a, b, c)
+
+    @SETTINGS
+    @given(dirichlet_problem())
+    def test_least_cost_start_is_spanning_tree(self, problem):
+        a, b, c = problem
+        mass = ot._least_cost_start(c, a, b)
+        assert_spanning_tree(mass, *c.shape)
+        start = np.zeros(c.shape)
+        for cell, t in mass.items():
+            start[cell] = t
+        assert start.min() >= 0.0
+        assert np.abs(start.sum(axis=1) - a).max() <= 1e-12
+        assert np.abs(start.sum(axis=0) - b).max() <= 1e-12
+
+    @SETTINGS
+    @given(dirichlet_problem())
+    def test_dirichlet_matches_linprog(self, problem):
+        a, b, c = problem
+        assert_optimal_against_linprog(*simplex_solve(a, b, c), a, b, c)
+
+    @SETTINGS
+    @given(dirichlet_problem(), st.floats(-1e-8, 1e-8))
+    # every column fills before the rows empty: the last open column must
+    # not close while two rows are open
+    @example((np.array([0.5, 0.5]), np.array([0.5, 0.5]),
+              np.array([[0.0, 1.0], [1.0, 0.0]])), -1e-8)
+    def test_mass_mismatch(self, problem, delta):
+        # the mismatch stays in the marginals, and moves the optimum by at
+        # most that mass at the largest cost
+        a, b, c = problem
+        scaled = b * (1.0 + delta)
+        assert_spanning_tree(ot._least_cost_start(c, a, scaled), *c.shape)
+        g = ot._simplex_plan(c, a, scaled)
+        assert g.min() >= 0.0
+        bound = abs(delta) + 1e-15
+        assert np.abs(g.sum(axis=1) - a).max() <= bound
+        assert np.abs(g.sum(axis=0) - scaled).max() <= bound
+        reference = float((ot._linprog_plan(c, a, b) * c).sum())
+        assert float((g * c).sum()) <= reference + 1e-9 + 2 * bound * c.max()
 
 
 class TestLinePath:
@@ -736,9 +812,17 @@ class TestWhitenOracle:
 
     @SETTINGS
     @given(whiten_problem())
+    def test_contiguous_equals_transposed(self, problem):
+        means, chols, z = problem
+        got = _whiten(means, chols, np.ascontiguousarray(z.T))
+        for x, y in zip(got, _whiten(means, chols, z.T)):
+            assert np.array_equal(x, y)
+
+    @SETTINGS
+    @given(whiten_problem())
     def test_matches_per_component_solve(self, problem):
         means, chols, z = problem
-        u, lp, inv = _whiten(means, chols, z)
+        u, lp, inv = _whiten(means, chols, z.T)
         ref = np.stack([np.linalg.solve(chol, (z - mu).T)
                         for mu, chol in zip(means, chols)])
         size = np.abs(ref).max(axis=(1, 2), keepdims=True)
