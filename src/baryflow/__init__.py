@@ -35,7 +35,6 @@ from .functionals import (
 from .flow_empirical import (
     EmpiricalFlowConfig,
     EmpiricalSampler,
-    FlowState,
     FullBatchSampler,
     GaussianSampler,
     GmmSampler,
@@ -46,7 +45,6 @@ from .flow_empirical import (
 from .flow_gmm import (
     GmmFlowConfig,
     fixed_point_gaussian_barycenter,
-    gmm_flow_step,
     run_gmm_flow,
 )
 from .datasets import (

@@ -122,9 +122,19 @@ def _get(d: dict, key: str, types, ctx: str, default=None, required=False):
     return val
 
 
-# Parameter annotations a config key can set, and the `_get` type of each;
-# JSON has no value for None, so a `float | None` key takes a number.
-_KEY_TYPES = {int: int, float: float, str: str, bool: bool, float | None: float}
+def _get_numbers(d: dict, key: str, ctx: str) -> np.ndarray:
+    """A list of numbers as a float array. Booleans and numeric strings are
+    rejected, as ``_get`` rejects them for a number key; numpy would read
+    them as 1.0, 0.0 or 0.5."""
+    val = _get(d, key, list, ctx, required=True)
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+               for v in val):
+        raise ConfigError(f"{ctx}: key {key!r} must be a list of numbers")
+    return np.asarray(val, dtype=float)
+
+
+# Parameter annotations a config key can set, and the `_get` type of each.
+_KEY_TYPES = {int: int, float: float, str: str, bool: bool}
 
 
 def _build(fn, section: dict, ctx: str, defaults=None, extra=(), /, **fixed):
@@ -213,12 +223,12 @@ def _parse_functional(cfg: dict, ctx: str, target_measure=None) -> FunctionalSpe
 
 
 def _parse_coordinates(cfg: dict, k: int, ctx: str) -> BarycentricCoordinates:
-    coords = cfg.get("coordinates")
-    if coords is None:
+    if cfg.get("coordinates") is None:
         return BarycentricCoordinates.uniform(k)
-    if not isinstance(coords, list) or len(coords) != k:
+    coords = _get_numbers(cfg, "coordinates", ctx)
+    if len(coords) != k:
         raise ConfigError(f"{ctx}: coordinates must be a list of {k} numbers")
-    return BarycentricCoordinates(np.asarray(coords, dtype=float))
+    return BarycentricCoordinates(coords)
 
 
 INPUT_KINDS = ("csv", "gaussian", "gmm_json", "swiss_roll")
@@ -235,9 +245,10 @@ def _parse_input(d: dict, idx: int, rng: np.random.Generator):
         return EmpiricalSampler(measure), measure, None
     if kind == "gaussian":
         _check_keys(d, ["kind", "mean", "std"], ctx)
-        mean = np.asarray(_get(d, "mean", list, ctx, required=True), dtype=float)
-        std = _get(d, "std", (int, float, list), ctx, 1.0)
-        std = np.broadcast_to(np.asarray(std, dtype=float), mean.shape).copy()
+        mean = _get_numbers(d, "mean", ctx)
+        std = (_get_numbers(d, "std", ctx) if isinstance(d.get("std"), list)
+               else _get(d, "std", float, ctx, 1.0))
+        std = np.broadcast_to(std, mean.shape).copy()
         gmm = LabeledGMM([1.0], mean[None], np.diag(std)[None])
         return GaussianSampler(mean, std), None, gmm
     if kind == "gmm_json":
@@ -479,8 +490,13 @@ def _prepare_toy(cfg: dict, seed: int, ctx: str):
 # msda command
 
 MSDA_KEYS = ["task", "sources_csv", "target_csv", "label_column", "method",
-             "combos", "flow", "gmm", "functional", "target_batch"]
+             "combos", "flow", "gmm", "functional"]
 MSDA_COMBOS = ("B", "B+V", "B+U", "B+V+U")
+# Target points the target potential sees. The potential couples them to
+# the particles of the empirical flow or to the Monte-Carlo draws of the GMM
+# flow, both 128 by default, and equal sizes make its plan a square uniform
+# problem, which the exact solver reduces to an assignment.
+TARGET_BATCH = 128
 
 
 def _prepare_msda(cfg: dict, seed: int, ctx: str):
@@ -513,11 +529,8 @@ def _prepare_msda(cfg: dict, seed: int, ctx: str):
         eval_labels = data.target_labels
 
     coords = BarycentricCoordinates.uniform(len(sources))
-    target_batch = _get(cfg, "target_batch", int, ctx, 128)
-    if target_batch < 1:
-        raise ConfigError(f"{ctx}: target_batch must be >= 1")
     idx = rng.choice(target_features.n,
-                     size=min(target_batch, target_features.n), replace=False)
+                     size=min(TARGET_BATCH, target_features.n), replace=False)
     target_sub = EmpiricalMeasure(target_features.points[idx])
     functional = _parse_functional(cfg, ctx, target_measure=target_sub)
     _check_dims([(f"sources[{i}]", s.dim) for i, s in enumerate(sources)]

@@ -8,9 +8,11 @@ internally as alpha' * n / 2, so that with zero energies and full batches one
 step reproduces the classical update
 z <- (1 - alpha') z + alpha' sum_k lambda_k T_k(z) exactly.
 
-Trace entries record the objective of the measure they index: entry 0 is the
-initialization evaluated on the first batches, entry t the post-step measure
-evaluated on the batches used in step t.
+The measure is the flow's state. ``flow_step(measure, batches, cfg, it)``
+returns the moved measure and the trace record of step ``it``, and
+``run_flow`` owns the trace: it starts it with entry 0, the initialization
+evaluated on the first batches, and appends entry t, the post-step measure
+evaluated on the batches used in step t, for t = 1..n_iter.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .measures import (
 
 __all__ = [
     "EmpiricalFlowConfig",
-    "FlowState",
     "TraceRecord",
     "flow_step",
     "run_flow",
@@ -85,7 +86,6 @@ class EmpiricalFlowConfig:
     label_init: str = "uniform"
     seed: int = 0
     solver: str = "exact"
-    entropic_eps: float | None = None
 
     def __post_init__(self):
         if self.n_particles < 1 or self.batch_size < 1 or self.n_iter < 0:
@@ -100,24 +100,9 @@ class EmpiricalFlowConfig:
             raise ValueError(f"label_init must be one of {LABEL_INIT_MODES}")
         if self.solver not in SOLVERS:
             raise ValueError(f"solver must be one of {SOLVERS}")
-        if self.entropic_eps is not None and not 0 < self.entropic_eps < np.inf:
-            raise ValueError("entropic_eps must be finite and > 0")
         if self.functional.internal_weight > 0:
             raise ValueError("the empirical flow has no internal energy; "
                              "functional.internal_weight must be 0")
-
-
-@dataclass(frozen=True)
-class FlowState:
-    """Current barycenter measure plus the objective trace up to it."""
-
-    measure: object
-    iter: int
-    trace: tuple
-
-    def __post_init__(self):
-        if len(self.trace) != self.iter + 1:
-            raise ValueError("trace must hold one record per iterate (iter + 1)")
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +182,9 @@ def _batch_cost(points, soft_labels, batch: MiniBatch, beta: float):
 def _solve_plans(points, soft_labels, batches, cfg: EmpiricalFlowConfig):
     """One uniform-marginal plan per batch at fixed particles, as a list of
     (plan, cost) pairs. A feature-only cost (label_weight 0) hands the exact
-    solver its supports, so 1-D plans take the sorted path."""
+    solver its supports, so 1-D plans take the sorted path; the entropic
+    solver takes epsilon = 0.05 median(cost), which follows the cost's
+    scale."""
     def solve(batch):
         cost = _batch_cost(points, soft_labels, batch, cfg.label_weight)
         n, m = cost.shape
@@ -206,10 +193,8 @@ def _solve_plans(points, soft_labels, batches, cfg: EmpiricalFlowConfig):
         if cfg.solver == "exact":
             supports = None if cfg.label_weight > 0 else (points, batch.points)
             return ot.solve_exact(a, b, cost, supports=supports)
-        eps = cfg.entropic_eps
-        if eps is None:
-            eps = ot._default_epsilon(cost)
-        return ot.solve_entropic(a, b, cost, epsilon=eps, max_iter=2000, tol=1e-9)
+        return ot.solve_entropic(a, b, cost, epsilon=ot._default_epsilon(cost),
+                                 max_iter=2000, tol=1e-9)
 
     return [solve(batch) for batch in batches]
 
@@ -255,19 +240,21 @@ def _evaluate(measure, batches, cfg, it: int) -> TraceRecord:
     return _record(it, b_hat, v, u, measure.points)
 
 
-def flow_step(state: FlowState, batches, cfg: EmpiricalFlowConfig) -> FlowState:
+def flow_step(measure: EmpiricalMeasure, batches, cfg: EmpiricalFlowConfig,
+              it: int) -> tuple[EmpiricalMeasure, TraceRecord]:
     """One block-coordinate step: plans at fixed particles, then a descent
     step on particles (and label logits).
 
-    The appended trace record holds the objective of the updated particles
-    under the plans just solved, i.e. the mid-sweep value of the
+    Returns (new measure, trace record); ``it`` is the step number, the
+    index of the record in the trace (entry 0 is the initialization), and
+    becomes ``record.iter``. The record holds the objective of the updated
+    particles under the plans just solved, i.e. the mid-sweep value of the
     block-coordinate scheme; the next step's plan solve then improves on it.
     This keeps one plan solve per input per step.
     """
-    measure = state.measure
     check_inputs(batches, cfg)
     if cfg.label_weight > 0 and measure.label_logits is None:
-        raise ValueError("label_weight > 0 requires a labeled flow state")
+        raise ValueError("label_weight > 0 requires a labeled measure")
     x = measure.points
     n = x.shape[0]
     lam = cfg.coordinates.lam
@@ -301,8 +288,7 @@ def flow_step(state: FlowState, batches, cfg: EmpiricalFlowConfig) -> FlowState:
     if target_plan is not None:
         cost = ot.joint_cost(x_new, spec.target_measure.points)
         v += spec.target_weight * float((target_plan.coupling * cost).sum())
-    record = _record(state.iter + 1, b_hat, v, u, x_new)
-    return FlowState(new_measure, state.iter + 1, state.trace + (record,))
+    return new_measure, _record(it, b_hat, v, u, x_new)
 
 
 def _initial_measure(init_batches, cfg, rng):
@@ -361,18 +347,21 @@ def run_flow(inputs, cfg: EmpiricalFlowConfig):
     """Run the full mini-batch flow; returns (final measure, trace).
 
     ``inputs`` are samplers exposing sample(m, rng) -> MiniBatch (datasets
-    wrapped in EmpiricalSampler, generators, or GmmSampler). Deterministic
-    for a fixed config seed.
+    wrapped in EmpiricalSampler, generators, or GmmSampler). The trace has
+    n_iter + 1 records: entry 0 evaluates the initial measure on the first
+    batches, and entry t is the record of ``flow_step(..., it=t)``.
+    Deterministic for a fixed config seed.
     """
     rng = np.random.default_rng(cfg.seed)
     init_batches = [inp.sample(cfg.batch_size, rng) for inp in inputs]
     check_inputs(init_batches, cfg)
     measure = _initial_measure(init_batches, cfg, rng)
-    state = FlowState(measure, 0, (_evaluate(measure, init_batches, cfg, 0),))
-    for _ in range(cfg.n_iter):
+    trace = [_evaluate(measure, init_batches, cfg, 0)]
+    for it in range(1, cfg.n_iter + 1):
         batches = [inp.sample(cfg.batch_size, rng) for inp in inputs]
-        state = flow_step(state, batches, cfg)
-    return state.measure, list(state.trace)
+        measure, record = flow_step(measure, batches, cfg, it)
+        trace.append(record)
+    return measure, trace
 
 
 def fixed_point_baseline(datasets, cfg: EmpiricalFlowConfig):
@@ -381,7 +370,8 @@ def fixed_point_baseline(datasets, cfg: EmpiricalFlowConfig):
     Particles interpolate toward the coordinate-weighted barycentric maps,
     with cfg.step_size as the interpolation coefficient, and label
     probability vectors are propagated through the same plans. No energy
-    applies, so ``cfg.functional`` must have no positive weight.
+    applies, so ``cfg.functional`` must have no positive weight. Every
+    iteration uses the full datasets, so ``cfg.batch_size`` is not read.
     """
     a = cfg.step_size
     if cfg.functional.any_active:

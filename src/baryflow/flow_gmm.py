@@ -41,7 +41,6 @@ from .measures import BarycentricCoordinates, EmpiricalMeasure, softmax
 
 __all__ = [
     "GmmFlowConfig",
-    "gmm_flow_step",
     "run_gmm_flow",
     "fixed_point_gaussian_barycenter",
     "mw2_fixed_plan_value_grad",
@@ -235,16 +234,6 @@ def _step(state: LabeledGMM, inputs, cfg: GmmFlowConfig, rng, it: int):
         weights_new = softmax(w_logits - a * chain)
 
     return LabeledGMM(weights_new, mus_new, chols_new, nu=nu_new), record
-
-
-def gmm_flow_step(state: LabeledGMM, inputs, cfg: GmmFlowConfig,
-                  rng=None) -> LabeledGMM:
-    """One flow step on the mixture parameters (couplings held fixed)."""
-    check_inputs(inputs, cfg)
-    _check_state(state, inputs)
-    rng = np.random.default_rng(cfg.seed if rng is None else rng)
-    new_state, _ = _step(state, inputs, cfg, rng, 0)
-    return new_state
 
 
 def _check_state(state, inputs):

@@ -136,8 +136,8 @@ def msda_adapt(sources, target_features: EmpiricalMeasure, eval_labels,
 
     ``method`` picks the barycenter: "empirical" (mini-batch flow), "gmm"
     (mixture flow, sampled to particles), or "discrete_baseline" (full-batch
-    fixed point). ``cfg`` is the matching flow config; ``eval_labels`` are
-    used only for the final accuracies.
+    fixed point, which reads no ``cfg.batch_size``). ``cfg`` is the matching
+    flow config; ``eval_labels`` are used only for the final accuracies.
     """
     if len(sources) == 0:
         raise ValueError("need at least one source measure")

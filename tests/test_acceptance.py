@@ -12,12 +12,7 @@ import pytest
 from baryflow import ot
 from baryflow.cli import main as cli_main
 from baryflow.datasets import synthetic_domain_specs, synthetic_msda
-from baryflow.flow_empirical import (
-    EmpiricalFlowConfig,
-    FlowState,
-    TraceRecord,
-    flow_step,
-)
+from baryflow.flow_empirical import EmpiricalFlowConfig, flow_step
 from baryflow.flow_gmm import (
     GmmFlowConfig,
     fixed_point_gaussian_barycenter,
@@ -380,9 +375,7 @@ def test_criterion_08_fixed_point_equivalence():
     lam = BarycentricCoordinates([0.4, 0.6])
     alpha = 0.45
     cfg = EmpiricalFlowConfig(n, n, 1, lam, step_size=alpha)
-    state = FlowState(EmpiricalMeasure(pts), 0,
-                      (TraceRecord(0, 0, 0, 0, 0, 0, 0),))
-    new = flow_step(state, batches, cfg)
+    new, _ = flow_step(EmpiricalMeasure(pts), batches, cfg, 1)
 
     mapped = np.zeros_like(pts)
     for l, batch in zip(lam.lam, batches):
@@ -390,7 +383,7 @@ def test_criterion_08_fixed_point_equivalence():
         plan, _ = ot.solve_exact(np.full(n, 1 / n), np.full(n, 1 / n), cost)
         mapped += l * ot.barycentric_map(plan, batch.points)
     expected = (1 - alpha) * pts + alpha * mapped
-    err = float(np.max(np.abs(new.measure.points - expected)))
+    err = float(np.max(np.abs(new.points - expected)))
     assert err <= 1e-10
     report(8, f"full-batch flow step equals the fixed-point update; "
               f"max abs deviation {err:.1e} <= 1e-10")

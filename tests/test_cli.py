@@ -49,6 +49,12 @@ def bary_with(flow="empirical", inputs=None, **flow_config):
     return cfg
 
 
+def gaussian_pair(**first):
+    """Two 1-D gaussian inputs, the first with its keys changed."""
+    return [{"kind": "gaussian", "mean": [0.0], **first},
+            {"kind": "gaussian", "mean": [4.0]}]
+
+
 def toy_with(**changes):
     """A small toy config with top-level keys changed."""
     return {"command": "toy", "n_family": 2, "n_samples": 32,
@@ -281,13 +287,22 @@ class TestValidate:
                      id="toy-flow-label-weight"),
         pytest.param(lambda t: toy_with(gmm={"label_weight": 1.0}), 1,
                      id="toy-gmm-label-weight"),
-        pytest.param(lambda t: bary_with(solver="entropic", entropic_eps=0.0),
-                     1, id="entropic-eps-zero"),
-        pytest.param(lambda t: {"command": "msda", "flow": {
-            "solver": "entropic", "entropic_eps": -1.0}}, 1,
-            id="msda-entropic-eps-negative"),
         pytest.param(lambda t: dict(bary_with(), coordinates=[[0.5], [0.5]]),
                      1, id="coordinates-2d"),
+        pytest.param(lambda t: dict(bary_with(), coordinates=[True, False]),
+                     1, id="coordinates-bool"),
+        pytest.param(lambda t: dict(bary_with(), coordinates=["0.5", 0.5]),
+                     1, id="coordinates-string"),
+        pytest.param(lambda t: bary_with(inputs=gaussian_pair(mean=[True])),
+                     1, id="gaussian-mean-bool"),
+        pytest.param(lambda t: bary_with(inputs=gaussian_pair(mean=["0.0"])),
+                     1, id="gaussian-mean-string"),
+        pytest.param(lambda t: bary_with(inputs=gaussian_pair(std=[True])),
+                     1, id="gaussian-std-bool"),
+        pytest.param(lambda t: bary_with(inputs=gaussian_pair(std=["1.0"])),
+                     1, id="gaussian-std-string"),
+        pytest.param(lambda t: bary_with(inputs=gaussian_pair(std=True)),
+                     1, id="gaussian-std-bool-scalar"),
         pytest.param(lambda t: bary_with(inputs=[
             {"kind": "gaussian", "mean": []},
             {"kind": "gaussian", "mean": []}]), 1, id="gaussian-mean-empty"),
@@ -372,6 +387,18 @@ class TestValidate:
             assert "n_classes must be >= 1" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("first, key", [
+        ({"mean": ["0.0"]}, "mean"), ({"std": [True]}, "std"),
+        ({"std": True}, "std")],
+        ids=["mean-string", "std-bool", "std-scalar-bool"])
+    def test_number_list_error_names_input_and_key(self, tmp_path, capsys,
+                                                   first, key):
+        cfg = dict(bary_with(inputs=gaussian_pair(**first)),
+                   output_dir=str(tmp_path / "out"))
+        path = write_config(tmp_path, "c.json", cfg)
+        assert main(["validate", path]) == 1
+        assert f"inputs[0]: key {key!r} must be" in capsys.readouterr().err
+
     def test_names_and_integers_name_both_files(self, tmp_path, capsys):
         cfg = dict(bary_with(inputs=named_inputs(
             tmp_path, ["cat", "dog"], ["0", "1"])),
@@ -418,7 +445,7 @@ class TestConfigSchema:
         pytest.param({"command": "barycenter", "flow": "empirical",
                       "inputs": [{"kind": "gaussian", "mean": [0.0]}]},
                      ("flow_config",),
-                     ["batch_size", "entropic_eps", "init", "label_init",
+                     ["batch_size", "init", "label_init",
                       "label_weight", "n_iter", "n_particles", "solver",
                       "step_size"], id="empirical-flow"),
         pytest.param({"command": "barycenter", "flow": "gmm",
@@ -470,7 +497,6 @@ class TestConfigSchema:
             "n_particles": 128, "batch_size": 128, "n_iter": 150,
             "step_size": 0.5, "label_weight": 0.0, "init": "gaussian",
             "label_init": "uniform", "solver": "exact"},
-            # entropic_eps defaults to None, which JSON cannot give
             {"coordinates": BarycentricCoordinates.uniform(2), "seed": 0},
             cli.FLOW_CONFIGS["empirical"][1],
             EmpiricalFlowConfig(128, 128, 150, BarycentricCoordinates.uniform(2)),

@@ -7,11 +7,9 @@ from baryflow import ot
 from baryflow.flow_empirical import (
     EmpiricalFlowConfig,
     EmpiricalSampler,
-    FlowState,
     FullBatchSampler,
     GaussianSampler,
     GmmSampler,
-    TraceRecord,
     fixed_point_baseline,
     flow_step,
     run_flow,
@@ -35,15 +33,6 @@ UNIT = BarycentricCoordinates.uniform(1)
 HALF = BarycentricCoordinates.uniform(2)
 
 
-def dummy_record():
-    return TraceRecord(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-
-
-def make_state(points, logits=None):
-    measure = EmpiricalMeasure(points, label_logits=logits)
-    return FlowState(measure, 0, (dummy_record(),))
-
-
 class TestConfigValidation:
     def test_step_size_range(self):
         with pytest.raises(ValueError):
@@ -62,14 +51,6 @@ class TestConfigValidation:
                                 functional=FunctionalSpec(internal_weight=0.1))
 
 
-class TestFlowState:
-    def test_trace_length_invariant(self):
-        m = EmpiricalMeasure(np.zeros((2, 1)))
-        with pytest.raises(ValueError):
-            FlowState(m, 1, (dummy_record(),))
-        FlowState(m, 0, (dummy_record(),))
-
-
 class TestFlowStep:
     def test_fixed_point_batch_equals_particles(self):
         # plan between identical clouds is the identity matching, so the
@@ -77,35 +58,34 @@ class TestFlowStep:
         rng = np.random.default_rng(0)
         pts = rng.standard_normal((8, 2))
         cfg = EmpiricalFlowConfig(8, 8, 1, UNIT, step_size=0.7)
-        state = make_state(pts)
-        new = flow_step(state, [MiniBatch(pts)], cfg)
-        assert np.allclose(new.measure.points, pts, atol=1e-12)
-        assert new.iter == 1 and len(new.trace) == 2
+        new, record = flow_step(EmpiricalMeasure(pts), [MiniBatch(pts)], cfg, 1)
+        assert np.allclose(new.points, pts, atol=1e-12)
+        assert record.iter == 1
 
     def test_full_step_jumps_to_batch(self):
         cfg = EmpiricalFlowConfig(1, 1, 1, UNIT, step_size=1.0)
-        state = make_state(np.array([[0.0]]))
-        new = flow_step(state, [MiniBatch(np.array([[4.0]]))], cfg)
-        assert np.allclose(new.measure.points, [[4.0]])
+        measure = EmpiricalMeasure(np.array([[0.0]]))
+        new, _ = flow_step(measure, [MiniBatch(np.array([[4.0]]))], cfg, 1)
+        assert np.allclose(new.points, [[4.0]])
 
     def test_two_input_convex_combination(self):
         cfg = EmpiricalFlowConfig(1, 1, 1, HALF, step_size=1.0)
-        state = make_state(np.array([[0.0]]))
-        new = flow_step(state, [MiniBatch(np.array([[0.0]])),
-                                MiniBatch(np.array([[4.0]]))], cfg)
-        assert np.allclose(new.measure.points, [[2.0]])
+        measure = EmpiricalMeasure(np.array([[0.0]]))
+        new, _ = flow_step(measure, [MiniBatch(np.array([[0.0]])),
+                                     MiniBatch(np.array([[4.0]]))], cfg, 1)
+        assert np.allclose(new.points, [[2.0]])
 
     def test_wrong_batch_count(self):
         cfg = EmpiricalFlowConfig(1, 1, 1, HALF)
-        state = make_state(np.array([[0.0]]))
+        measure = EmpiricalMeasure(np.array([[0.0]]))
         with pytest.raises(ValueError):
-            flow_step(state, [MiniBatch(np.array([[0.0]]))], cfg)
+            flow_step(measure, [MiniBatch(np.array([[0.0]]))], cfg, 1)
 
     def test_labeled_flow_requires_labeled_batches(self):
         cfg = EmpiricalFlowConfig(2, 2, 1, UNIT, label_weight=1.0)
-        state = make_state(np.zeros((2, 1)), np.zeros((2, 2)))
+        measure = EmpiricalMeasure(np.zeros((2, 1)), label_logits=np.zeros((2, 2)))
         with pytest.raises(ValueError):
-            flow_step(state, [MiniBatch(np.zeros((2, 1)))], cfg)
+            flow_step(measure, [MiniBatch(np.zeros((2, 1)))], cfg, 1)
 
     def test_batches_all_labeled_or_none(self):
         # a step's batches obey the rule of the flow's inputs
@@ -113,7 +93,7 @@ class TestFlowStep:
         batches = [MiniBatch(np.zeros((2, 1))),
                    MiniBatch(np.zeros((2, 1)), one_hot(np.array([0, 1]), 2))]
         with pytest.raises(ValueError, match="all labeled or all unlabeled"):
-            flow_step(make_state(np.zeros((2, 1))), batches, cfg)
+            flow_step(EmpiricalMeasure(np.zeros((2, 1))), batches, cfg, 1)
 
     def test_matches_fixed_point_update_exactly(self):
         # with zero energies and full batches, one step with interpolation
@@ -124,7 +104,7 @@ class TestFlowStep:
                    MiniBatch(rng.standard_normal((16, 2)) - 1.0)]
         alpha = 0.35
         cfg = EmpiricalFlowConfig(16, 16, 1, HALF, step_size=alpha)
-        new = flow_step(make_state(pts), batches, cfg)
+        new, _ = flow_step(EmpiricalMeasure(pts), batches, cfg, 1)
 
         mapped = np.zeros_like(pts)
         for lam, batch in zip(HALF.lam, batches):
@@ -132,18 +112,17 @@ class TestFlowStep:
             plan, _ = ot.solve_exact(np.full(16, 1 / 16), np.full(16, 1 / 16), cost)
             mapped += lam * ot.barycentric_map(plan, batch.points)
         expected = (1 - alpha) * pts + alpha * mapped
-        assert np.max(np.abs(new.measure.points - expected)) <= 1e-10
+        assert np.max(np.abs(new.points - expected)) <= 1e-10
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(2)
         pts = rng.standard_normal((10, 2))
         batch = MiniBatch(rng.standard_normal((10, 2)))
         cfg = EmpiricalFlowConfig(10, 10, 1, UNIT, step_size=0.4)
-        new = flow_step(make_state(pts), [batch], cfg)
+        new, _ = flow_step(EmpiricalMeasure(pts), [batch], cfg, 1)
         perm = rng.permutation(10)
-        new_p = flow_step(make_state(pts[perm]), [batch], cfg)
-        assert np.allclose(new_p.measure.points, new.measure.points[perm],
-                           atol=1e-12)
+        new_p, _ = flow_step(EmpiricalMeasure(pts[perm]), [batch], cfg, 1)
+        assert np.allclose(new_p.points, new.points[perm], atol=1e-12)
 
     def test_label_propagation_direction(self):
         # a particle whose plan mass lands on class-1 batch points should
@@ -152,8 +131,9 @@ class TestFlowStep:
         logits = np.zeros((1, 2))
         cfg = EmpiricalFlowConfig(1, 2, 1, UNIT, step_size=0.5, label_weight=2.0)
         batch = MiniBatch(np.array([[0.0], [0.1]]), one_hot(np.array([1, 1]), 2))
-        new = flow_step(make_state(pts, logits), [batch], cfg)
-        soft = new.measure.soft_labels()
+        measure = EmpiricalMeasure(pts, label_logits=logits)
+        new, _ = flow_step(measure, [batch], cfg, 1)
+        soft = new.soft_labels()
         assert soft[0, 1] > 0.5
 
 
@@ -255,6 +235,36 @@ class TestTraceComposition:
             [rec.b_hat, rec.v, rec.u, rec.f, rec.param_norm],
             [b_hat, v, u, b_hat + v + u, np.linalg.norm(x)], rtol=1e-12)
 
+    def test_steps_by_hand_reproduce_run_flow(self):
+        # the run loop owns the trace: entry 0 of run_flow(n_iter=0), then
+        # the records of flow_step(..., it) for it = 1..3, are bitwise the
+        # trace of run_flow(n_iter=3); labels, both label energies and the
+        # target potential enter every record
+        rng = np.random.default_rng(7)
+        datasets = [EmpiricalMeasure.from_hard_labels(
+            rng.standard_normal((12, 2)) + shift, rng.integers(0, 3, 12), 3)
+            for shift in (0.0, 2.0)]
+        target = EmpiricalMeasure(rng.standard_normal((8, 2)) + 1.0)
+        spec = FunctionalSpec(entropy_weight=0.3, repulsion_weight=0.2,
+                              repulsion_margin=2.0, target_weight=0.5,
+                              target_measure=target)
+        cfg = EmpiricalFlowConfig(12, 12, 0, HALF, label_weight=2.0,
+                                  functional=spec, label_init="random", seed=4)
+        inputs = [FullBatchSampler(d) for d in datasets]
+        measure, trace = run_flow(inputs, cfg)
+        batches = [inp.sample(cfg.batch_size, rng) for inp in inputs]
+        for it in range(1, 4):
+            measure, record = flow_step(measure, batches, cfg, it)
+            assert record.iter == it
+            trace.append(record)
+
+        final, expected = run_flow(inputs, replace(cfg, n_iter=3))
+        assert trace == expected
+        assert all(r.v != 0.0 and r.u != 0.0 for r in trace)
+        for field in ("points", "weights", "label_logits"):
+            np.testing.assert_array_equal(getattr(measure, field),
+                                          getattr(final, field))
+
 
 class TestLinePlans:
     """A feature-only cost in 1-D takes the sorted path of ``solve_exact``;
@@ -282,11 +292,12 @@ class TestLinePlans:
         monkeypatch.setattr(ot, "solve_exact", record)
         # particles at 0 and 1 carry the classes of the batch points at 1
         # and 0, so the joint plan crosses where the sorted one would not
-        state = make_state(np.array([[0.0], [1.0]]),
-                           5.0 * np.array([[-1.0, 1.0], [1.0, -1.0]]))
+        measure = EmpiricalMeasure(
+            np.array([[0.0], [1.0]]),
+            label_logits=5.0 * np.array([[-1.0, 1.0], [1.0, -1.0]]))
         batch = MiniBatch(np.array([[0.0], [1.0]]), one_hot([0, 1], 2))
-        flow_step(state, [batch], EmpiricalFlowConfig(2, 2, 1, UNIT,
-                                                      label_weight=4.0))
+        flow_step(measure, [batch], EmpiricalFlowConfig(2, 2, 1, UNIT,
+                                                        label_weight=4.0), 1)
         assert np.array_equal(plans.pop(), [[0.0, 0.5], [0.5, 0.0]])
 
         rng = np.random.default_rng(11)
@@ -294,8 +305,8 @@ class TestLinePlans:
         logits = 3.0 * rng.standard_normal((8, 3))
         batches = [MiniBatch(rng.standard_normal((8, 1)),
                              one_hot(rng.integers(0, 3, 8), 3)) for _ in range(2)]
-        flow_step(make_state(x, logits), batches,
-                  EmpiricalFlowConfig(8, 8, 1, HALF, label_weight=2.0))
+        flow_step(EmpiricalMeasure(x, label_logits=logits), batches,
+                  EmpiricalFlowConfig(8, 8, 1, HALF, label_weight=2.0), 1)
         assert len(plans) == len(batches)
         for plan, batch in zip(plans, batches):
             joint = ot.joint_cost(x, batch.points, softmax(logits),

@@ -7,7 +7,6 @@ from baryflow import ot
 from baryflow.flow_gmm import (
     GmmFlowConfig,
     fixed_point_gaussian_barycenter,
-    gmm_flow_step,
     mw2_fixed_plan_value_grad,
     run_gmm_flow,
 )
@@ -156,7 +155,7 @@ class TestGmmFlowStep:
         state = LabeledGMM([0.5, 0.5], *zip(random_pd_component(rng, 2),
                                             random_pd_component(rng, 2)))
         cfg = GmmFlowConfig(2, 1, UNIT, step_size=0.2, seed=0)
-        new = gmm_flow_step(state, [state], cfg)
+        new, _ = run_gmm_flow([state], cfg, init=state)
         assert np.max(np.abs(new.means - state.means)) <= 1e-9
         assert np.max(np.abs(new.chols - state.chols)) <= 1e-8
 
@@ -197,7 +196,7 @@ class TestGmmFlowStep:
                     np.diag(rng.uniform(0.5, 2.0, 2))) for _ in range(k))))
         alpha = 0.05
         cfg = GmmFlowConfig(k, 1, UNIT, step_size=alpha, diag_only=True, seed=0)
-        new = gmm_flow_step(state, [q], cfg)
+        new, _ = run_gmm_flow([q], cfg, init=state)
 
         cost = mw2_cost_matrix(state, q)
         plan, _ = ot.solve_exact(state.weights, q.weights, cost)
@@ -218,7 +217,7 @@ class TestGmmFlowStep:
         state = single([0.0], [[1.0]])
         cfg = GmmFlowConfig(1, 1, UNIT, step_size=5.0, seed=0)
         with pytest.warns(RuntimeWarning):
-            new = gmm_flow_step(state, [q1], cfg)
+            new, _ = run_gmm_flow([q1], cfg, init=state)
         assert new.chols[0, 0, 0] >= 1e-6
 
     def test_no_clamp_at_small_scale(self):
@@ -371,15 +370,13 @@ class TestLabelChecks:
 
     @pytest.mark.parametrize("run", [
         lambda inputs, cfg, init: run_gmm_flow(inputs, cfg, init=init),
-        lambda inputs, cfg, init: gmm_flow_step(init, inputs, cfg),
-    ], ids=["run_gmm_flow", "gmm_flow_step"])
+    ], ids=["run_gmm_flow"])
     @pytest.mark.parametrize("init_classes, input_classes, label_weight", [
         (2, 3, 1.0), (None, 3, 1.0), (2, None, 0.0)],
         ids=["2-of-3", "unlabeled-of-3", "2-of-unlabeled"])
     def test_state_class_count_differs_rejected(self, run, init_classes,
                                                 input_classes, label_weight):
-        # the state of run_gmm_flow(init=...) and gmm_flow_step gets the
-        # inputs' label rule
+        # the state of run_gmm_flow(init=...) gets the inputs' label rule
         def mixture(n_classes):
             return single([0.0], [[1.0]]) if n_classes is None else \
                 self.labeled(n_classes)
