@@ -133,6 +133,22 @@ def _get_numbers(d: dict, key: str, ctx: str) -> np.ndarray:
     return np.asarray(val, dtype=float)
 
 
+def _get_choices(d: dict, key: str, ctx: str, choices) -> list:
+    """A list of distinct entries of ``choices``, all of them by default.
+    An empty list would run nothing and a repeated entry would run twice,
+    so both are rejected, as is an unknown entry."""
+    val = _get(d, key, list, ctx, list(choices))
+    if not val:
+        raise ConfigError(f"{ctx}: key {key!r} must not be empty")
+    for v in val:
+        if v not in choices:
+            raise ConfigError(f"{ctx}: key {key!r}: unknown entry {v!r}; "
+                              f"allowed: {list(choices)}")
+    if len(set(val)) < len(val):
+        raise ConfigError(f"{ctx}: key {key!r} repeats an entry: {val}")
+    return val
+
+
 # Parameter annotations a config key can set, and the `_get` type of each.
 _KEY_TYPES = {int: int, float: float, str: str, bool: bool}
 
@@ -223,7 +239,7 @@ def _parse_functional(cfg: dict, ctx: str, target_measure=None) -> FunctionalSpe
 
 
 def _parse_coordinates(cfg: dict, k: int, ctx: str) -> BarycentricCoordinates:
-    if cfg.get("coordinates") is None:
+    if "coordinates" not in cfg:
         return BarycentricCoordinates.uniform(k)
     coords = _get_numbers(cfg, "coordinates", ctx)
     if len(coords) != k:
@@ -419,10 +435,7 @@ def _prepare_toy(cfg: dict, seed: int, ctx: str):
     eval_points = _get(cfg, "eval_points", int, ctx, 500)
     if eval_points < 1:
         raise ConfigError(f"{ctx}: eval_points must be >= 1")
-    solvers = _get(cfg, "solvers", list, ctx, list(TOY_SOLVERS))
-    for s in solvers:
-        if s not in TOY_SOLVERS:
-            raise ConfigError(f"{ctx}: unknown solver {s!r}")
+    solvers = _get_choices(cfg, "solvers", ctx, TOY_SOLVERS)
     coords = BarycentricCoordinates.uniform(k)
     emp_cfg = _parse_flow("empirical", cfg, "flow", ctx, coordinates=coords,
                           seed=seed)
@@ -503,10 +516,7 @@ def _prepare_msda(cfg: dict, seed: int, ctx: str):
     method = _get(cfg, "method", str, ctx, "empirical")
     if method not in BARYCENTER_KINDS:
         raise ConfigError(f"{ctx}: method must be one of {BARYCENTER_KINDS}")
-    combos = _get(cfg, "combos", list, ctx, list(MSDA_COMBOS))
-    for c in combos:
-        if c not in MSDA_COMBOS:
-            raise ConfigError(f"{ctx}: unknown combo {c!r}")
+    combos = _get_choices(cfg, "combos", ctx, MSDA_COMBOS)
     rng = np.random.default_rng(seed)
 
     if "sources_csv" in cfg or "target_csv" in cfg:

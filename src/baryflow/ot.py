@@ -2,14 +2,17 @@
 
 Costs are squared distances (p = 2 throughout), held in plain 2-D arrays.
 The joint feature-label ground metric is
-d(z, z')^2 = ||x - x'||^2 + beta * ||y - y'||^2. Every solver checks its
-cost array the same way, once per solve: 2-D, finite and nonnegative.
+d(z, z')^2 = ||x - x'||^2 + beta * ||y - y'||^2. Every solver that takes a
+cost array checks it the same way, once per solve: 2-D, finite and
+nonnegative.
 
-The exact solver ``solve_exact`` takes one of four paths:
+Between weighted points on the real line, ``solve_line`` takes the points
+themselves, not a cost: its plan is the north-west-corner coupling of the
+sorted points, optimal for any weights, and it prices that plan on its at
+most n + m - 1 cells, so no n x m cost is formed.
 
-- 1-D supports: when the caller passes ``supports=(x, y)``, the points whose
-  squared Euclidean cost ``C`` is, and both are 1-D, the plan is the
-  north-west-corner coupling of the sorted supports, optimal for any weights;
+The exact solver ``solve_exact`` takes one of three paths:
+
 - uniform marginals with L = lcm(n, m) at most ``LCM_RATIO_LIMIT * max(n, m)``:
   an L x L assignment problem (exact and fast). When both sides are
   expanded (L > max(n, m)), a short annealed Sinkhorn on the n x m cost
@@ -27,10 +30,13 @@ entropic solver with eps = 0.05 * median(C): Sinkhorn in the scaling domain,
 with the scalings absorbed into the potentials before they overflow, and
 log-domain updates where the kernel underflows.
 
+A plan already solved is priced at moved points by its moments
+(``_moment_cost``), again without an n x m cost.
+
 This module imports numpy only. The assignment path loads
 ``scipy.optimize`` and the LP path ``scipy.optimize`` and ``scipy.sparse``
-on first use, so the sorted 1-D path, the transportation simplex and
-Sinkhorn never import scipy.
+on first use, so ``solve_line``, the transportation simplex and Sinkhorn
+never import scipy.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ __all__ = [
     "joint_cost",
     "squared_distances",
     "solve_exact",
+    "solve_line",
     "solve_entropic",
     "solve_auto",
     "barycentric_map",
@@ -167,9 +174,11 @@ def _check_cost(C) -> np.ndarray:
 
 def _check_marginals(a: np.ndarray, b: np.ndarray, n: int, m: int) -> None:
     if n == 0 or m == 0:
-        raise ValueError(f"empty transport problem: cost shape ({n}, {m})")
+        raise ValueError(f"empty transport problem: sizes ({n}, {m})")
     if a.shape != (n,) or b.shape != (m,):
-        raise ValueError("marginal sizes do not match the cost matrix")
+        raise ValueError(
+            f"marginal sizes {a.shape}, {b.shape} do not match the problem "
+            f"sizes ({n}, {m})")
     if np.any(a < -1e-12) or np.any(b < -1e-12):
         raise ValueError("marginals must be nonnegative")
     if abs(a.sum() - b.sum()) > 1e-8:
@@ -232,9 +241,10 @@ def _reduced_cost(C: np.ndarray) -> np.ndarray:
 
 
 def _monotone_plan(a: np.ndarray, b: np.ndarray, x: np.ndarray,
-                   y: np.ndarray) -> np.ndarray:
-    """North-west-corner coupling of ``a`` and ``b`` with rows in stable
-    ``argsort(x)`` order and columns in ``argsort(y)`` order.
+                   y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cells of the north-west-corner coupling of ``a`` and ``b`` with rows
+    in stable ``argsort(x)`` order and columns in ``argsort(y)`` order, as
+    (row indices, column indices, masses), at most n + m - 1 of them.
 
     On the real line this monotone coupling is optimal for any convex cost
     of x - y and any weights (Peyre & Cuturi, Computational Optimal
@@ -251,19 +261,19 @@ def _monotone_plan(a: np.ndarray, b: np.ndarray, x: np.ndarray,
     # (column) of positive weight takes the rest
     rows = np.minimum(np.searchsorted(ca, cuts), np.searchsorted(ca, ca[-1]))
     cols = np.minimum(np.searchsorted(cb, cuts), np.searchsorted(cb, cb[-1]))
-    n, m = a.shape[0], b.shape[0]
-    return np.bincount(ix[rows] * m + iy[cols],
-                       weights=np.diff(cuts, prepend=0.0),
-                       minlength=n * m).reshape(n, m)
+    return ix[rows], iy[cols], np.diff(cuts, prepend=0.0)
 
 
-def _line_points(points, size: int) -> np.ndarray | None:
-    """``points`` as a flat array when they lie on a line (shape (size,) or
-    (size, 1)), else None."""
+def _line_points(points) -> np.ndarray:
+    """``points`` as a flat float array; they must be finite and lie on a
+    line, shape (n,) or (n, 1)."""
     p = np.asarray(points, dtype=float)
-    if p.shape[:1] != (size,):
-        raise ValueError("supports do not match the cost matrix")
-    return p.reshape(size) if p.size == size else None
+    if p.ndim not in (1, 2) or p.size != p.shape[0]:
+        raise ValueError(
+            f"points must be 1-D, shape (n,) or (n, 1), got {p.shape}")
+    if not np.all(np.isfinite(p)):
+        raise ValueError("points contain non-finite values")
+    return p.reshape(-1)
 
 
 def _linprog_plan(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -434,37 +444,48 @@ def _tree_path(parent, depth, n: int, p: int, q: int) -> list[tuple[int, int]]:
     return head + tail[::-1]
 
 
-def solve_exact(a, b, C: np.ndarray, supports=None
-                ) -> tuple[TransportPlan, float]:
+def solve_line(a, b, x, y) -> tuple[TransportPlan, float]:
+    """Solve the OT problem between weighted points on the real line
+    exactly, for the squared distance.
+
+    ``x`` (n points) and ``y`` (m points) have shape (n,) or (n, 1), likewise
+    (m,) or (m, 1), and are finite; ``a`` and ``b`` are their weights. The
+    plan is the north-west-corner coupling of the sorted points
+    (``_monotone_plan``), optimal for any weights, and the returned cost is
+    sum w (x_i - y_j)^2 over its at most n + m - 1 cells, so no n x m cost
+    is formed.
+    """
+    x, y = _line_points(x), _line_points(y)
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    n, m = x.shape[0], y.shape[0]
+    _check_marginals(a, b, n, m)
+    rows, cols, mass = _monotone_plan(a, b, x, y)
+    plan = np.bincount(rows * m + cols, weights=mass,
+                       minlength=n * m).reshape(n, m)
+    cost = float(mass @ (x[rows] - y[cols]) ** 2)
+    return TransportPlan(plan, a, b), cost
+
+
+def solve_exact(a, b, C: np.ndarray) -> tuple[TransportPlan, float]:
     """Solve the discrete OT problem exactly.
 
     Returns the optimal coupling and its cost <plan, C>. The path is chosen
-    here: 1-D supports take the sorted north-west-corner coupling; uniform
-    marginals the assignment reduction, while L = lcm(n, m) is at most
-    ``LCM_RATIO_LIMIT * max(n, m)``, solved with Sinkhorn starting prices
-    where L > max(n, m) and on the plain cost where median(C) is not
-    positive or the prices are not finite (``_assignment_plan``); other
-    problems of at most ``SIMPLEX_SIZE_LIMIT`` coupling entries the
-    transportation simplex; and everything else the HiGHS LP.
-
-    ``supports=(x, y)``, optional, are the points of the two sides, with
-    ``C[i, j] = ||x_i - y_j||^2``; the caller vouches for that, it is not
-    checked. They are used only when both are 1-D (shape (n,) or (n, 1),
-    likewise (m,) or (m, 1)); otherwise the call is the same as without
-    them. A label-weighted joint cost must not pass supports.
+    here: uniform marginals take the assignment reduction, while
+    L = lcm(n, m) is at most ``LCM_RATIO_LIMIT * max(n, m)``, solved with
+    Sinkhorn starting prices where L > max(n, m) and on the plain cost where
+    median(C) is not positive or the prices are not finite
+    (``_assignment_plan``); other problems of at most ``SIMPLEX_SIZE_LIMIT``
+    coupling entries the transportation simplex; and everything else the
+    HiGHS LP. Points on a line are solved without a cost by ``solve_line``.
     """
     Cv = _check_cost(C)
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
     n, m = Cv.shape
     _check_marginals(a, b, n, m)
-    x = y = None
-    if supports is not None:
-        x, y = _line_points(supports[0], n), _line_points(supports[1], m)
-    uniform = _is_uniform(a) and _is_uniform(b)
-    if x is not None and y is not None:
-        plan = _monotone_plan(a, b, x, y)
-    elif uniform and math.lcm(n, m) <= LCM_RATIO_LIMIT * max(n, m):
+    if (_is_uniform(a) and _is_uniform(b)
+            and math.lcm(n, m) <= LCM_RATIO_LIMIT * max(n, m)):
         plan = _assignment_plan(Cv)
     elif n * m <= SIMPLEX_SIZE_LIMIT:
         plan = _simplex_plan(Cv, a, b)
@@ -610,6 +631,29 @@ def solve_auto(a, b, C: np.ndarray) -> tuple[TransportPlan, float]:
         return solve_exact(a, b, Cv)
     return solve_entropic(a, b, Cv, epsilon=_default_epsilon(Cv),
                           max_iter=2000, tol=1e-7)
+
+
+def _moment_cost(coupling: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
+    """<P, C> for the coupling P and the squared Euclidean cost
+    C[i, j] = ||x_i - y_j||^2 between the rows of the 2-D float arrays x
+    and y, priced by the
+    moments of P, so no n x m cost is formed:
+    sum_i r_i ||x_i||^2 + sum_j c_j ||y_j||^2 - 2 <x, P y>.
+
+    r and c are the row and column sums of P itself, not the marginals it
+    was solved for, which an entropic plan meets only within its tolerance.
+    Both sides are first centred on the mean of all the plan's mass, the
+    r-weighted x and the c-weighted y together: that centre makes the two
+    square terms as small as any centre can, so they stay near the size of
+    the value even for points far from the origin. Clamped at 0, as each
+    entry of C is.
+    """
+    r, c = coupling.sum(axis=1), coupling.sum(axis=0)
+    centre = (r @ x + c @ y) / (r.sum() + c.sum())
+    xc, yc = x - centre, y - centre
+    value = (r @ (xc * xc).sum(axis=1) + c @ (yc * yc).sum(axis=1)
+             - 2.0 * np.vdot(xc, coupling @ yc))
+    return max(float(value), 0.0)
 
 
 def barycentric_map(plan: TransportPlan, y: np.ndarray) -> np.ndarray:

@@ -4,9 +4,17 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from baryflow import flow_empirical as fe
+from baryflow import ot
 from baryflow.flow_empirical import EmpiricalFlowConfig, GaussianSampler, run_flow
+from baryflow.functionals import _label_energies
 from baryflow.gaussian import _regularized
-from baryflow.measures import BarycentricCoordinates, logsumexp
+from baryflow.measures import (
+    BarycentricCoordinates,
+    EmpiricalMeasure,
+    logsumexp,
+    softmax,
+)
 
 TWO_GAUSSIAN_SEEDS = (0, 1, 2, 3, 4)
 
@@ -75,6 +83,46 @@ def plain_assignment_plan(c: np.ndarray) -> np.ndarray:
     plan = np.zeros((n, m))
     np.add.at(plan, (rows[ri], cols[ci]), 1.0 / L)
     return plan
+
+
+def dense_recost_flow_step(measure, batches, cfg, it):
+    """Reference for ``flow_empirical.flow_step``, with the same arguments
+    and returns: the same plans and update, with the record priced on dense
+    costs, <P, joint_cost(x', y)> for each batch plan and the feature cost
+    for the target plan, in place of the plans' moments."""
+    x = measure.points
+    n = x.shape[0]
+    lam = cfg.coordinates.lam
+    beta = cfg.label_weight
+    spec = cfg.functional
+    logits, soft, results, (_, _, e_gx, e_glog, target_plan) = \
+        fe._plans_and_energies(measure, batches, cfg)
+
+    grad_x = (2.0 / n) * (x - fe._lam_map(lam, results,
+                                          [b.points for b in batches]))
+    raw_step = cfg.step_size * n / 2.0
+    x_new = x - raw_step * (grad_x + e_gx)
+    logits_new = None
+    if logits is not None:
+        grad_logits = np.zeros_like(logits)
+        if beta > 0:
+            resid = soft - fe._lam_map(lam, results, [b.labels for b in batches])
+            grad_logits = (2.0 * beta / n) * (
+                soft * resid - soft * (soft * resid).sum(axis=1, keepdims=True))
+        logits_new = logits - raw_step * (grad_logits + e_glog)
+    new_measure = EmpiricalMeasure(x_new, measure.weights, logits_new,
+                                   measure.class_names)
+
+    soft_new = None if logits_new is None else softmax(logits_new)
+    b_hat = 0.0
+    for l, (plan, _), batch in zip(lam, results, batches):
+        cost = fe._batch_cost(x_new, soft_new, batch, beta)
+        b_hat += l * float((plan.coupling * cost).sum())
+    v, u, _, _ = _label_energies(x_new, logits_new, spec)
+    if target_plan is not None:
+        cost = ot.joint_cost(x_new, spec.target_measure.points)
+        v += spec.target_weight * float((target_plan.coupling * cost).sum())
+    return new_measure, fe._record(it, b_hat, v, u, x_new)
 
 
 # The covariance form of the Gaussian W2 and of the barycenter fixed point:

@@ -293,6 +293,15 @@ class TestValidate:
                      1, id="coordinates-bool"),
         pytest.param(lambda t: dict(bary_with(), coordinates=["0.5", 0.5]),
                      1, id="coordinates-string"),
+        pytest.param(lambda t: dict(bary_with(), coordinates=None),
+                     1, id="coordinates-null"),
+        pytest.param(lambda t: toy_with(solvers=[]), 1, id="toy-solvers-empty"),
+        pytest.param(lambda t: toy_with(solvers=["wgf", "wgf"]), 1,
+                     id="toy-solvers-repeated"),
+        pytest.param(lambda t: {"command": "msda", "combos": []}, 1,
+                     id="msda-combos-empty"),
+        pytest.param(lambda t: {"command": "msda", "combos": ["B", "B+V", "B"]},
+                     1, id="msda-combos-repeated"),
         pytest.param(lambda t: bary_with(inputs=gaussian_pair(mean=[True])),
                      1, id="gaussian-mean-bool"),
         pytest.param(lambda t: bary_with(inputs=gaussian_pair(mean=["0.0"])),
@@ -386,6 +395,23 @@ class TestValidate:
             assert "baryflow-error[config]" in err
             assert "n_classes must be >= 1" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("cfg, key", [
+        (dict(bary_with(), coordinates=None), "coordinates"),
+        (toy_with(solvers=[]), "solvers"),
+        (toy_with(solvers=["wgf", "wgf"]), "solvers"),
+        (toy_with(solvers=["sgd"]), "solvers"),
+        ({"command": "msda", "combos": []}, "combos"),
+        ({"command": "msda", "combos": ["B", "B+V", "B"]}, "combos"),
+        ({"command": "msda", "combos": ["B+W"]}, "combos"),
+    ], ids=["coordinates-null", "solvers-empty", "solvers-repeated",
+            "solvers-unknown", "combos-empty", "combos-repeated",
+            "combos-unknown"])
+    def test_list_error_names_key(self, tmp_path, capsys, cfg, key):
+        cfg = dict(cfg, output_dir=str(tmp_path / "out"))
+        path = write_config(tmp_path, "c.json", cfg)
+        assert main(["validate", path]) == 1
+        assert f"key {key!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("first, key", [
         ({"mean": ["0.0"]}, "mean"), ({"std": [True]}, "std"),

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from baryflow import flow_empirical as fe
 from baryflow import ot
 from baryflow.flow_empirical import (
     EmpiricalFlowConfig,
@@ -28,6 +29,7 @@ from baryflow.measures import (
     one_hot,
     softmax,
 )
+from conftest import dense_recost_flow_step
 
 UNIT = BarycentricCoordinates.uniform(1)
 HALF = BarycentricCoordinates.uniform(2)
@@ -267,13 +269,15 @@ class TestTraceComposition:
 
 
 class TestLinePlans:
-    """A feature-only cost in 1-D takes the sorted path of ``solve_exact``;
-    a label-weighted cost must not."""
+    """An exact feature-only problem in 1-D is solved on the points by
+    ``solve_line``, and the flow forms no cost matrix; a label-weighted
+    cost must not take the sorted path."""
 
     def test_unlabeled_1d_flow_takes_sorted_path(self, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("a 1-D feature-only plan left the sorted path")
-        for name in ("_assignment_plan", "_simplex_plan", "_linprog_plan"):
+        for name in ("_assignment_plan", "_simplex_plan", "_linprog_plan",
+                     "solve_exact", "joint_cost"):
             monkeypatch.setattr(ot, name, fail)
         inputs = [GaussianSampler([0.0], std=1.0), GaussianSampler([4.0], std=1.0)]
         final, trace = run_flow(inputs, EmpiricalFlowConfig(32, 16, 10, HALF))
@@ -313,6 +317,54 @@ class TestLinePlans:
                                   batch.labels, 2.0)
             expected, _ = solve_exact(np.full(8, 1 / 8), np.full(8, 1 / 8), joint)
             assert np.array_equal(plan, expected.coupling)
+
+
+class TestMomentTrace:
+    """The trace prices each step's fixed plans by their moments. The
+    dense re-cost of ``conftest.dense_recost_flow_step`` is its reference:
+    every record within 1e-12, and the same final measure bit for bit."""
+
+    @staticmethod
+    def inputs(labeled, rng):
+        if not labeled:
+            return [GaussianSampler([0.0], std=1.0),
+                    GaussianSampler([4.0], std=0.5)]
+        return [EmpiricalSampler(EmpiricalMeasure.from_hard_labels(
+            rng.standard_normal((30, 2)) + shift, rng.integers(0, 3, 30), 3))
+            for shift in ([4.0, 3.0], [6.0, 1.0])]
+
+    @pytest.mark.parametrize("target", [False, True], ids=["plain", "target"])
+    @pytest.mark.parametrize("labeled", [False, True],
+                             ids=["unlabeled-1d", "labeled-2d"])
+    @pytest.mark.parametrize("solver", ["exact", "entropic"])
+    def test_matches_dense_recost(self, monkeypatch, solver, labeled, target):
+        rng = np.random.default_rng(21)
+        inputs = self.inputs(labeled, rng)
+        d = 2 if labeled else 1
+        functional = FunctionalSpec()
+        if target:
+            functional = FunctionalSpec(
+                target_weight=0.2, target_measure=EmpiricalMeasure(
+                    rng.standard_normal((20, d)) + 2.0))
+        cfg = EmpiricalFlowConfig(
+            24, 16, 8, HALF, solver=solver, functional=functional,
+            label_weight=2.0 if labeled else 0.0,
+            label_init="random", seed=3)
+        final, trace = run_flow(inputs, cfg)
+        monkeypatch.setattr(fe, "flow_step", dense_recost_flow_step)
+        expected_final, expected = run_flow(inputs, cfg)
+
+        assert len(trace) == len(expected) == 9
+        for got, want in zip(trace, expected):
+            assert got.iter == want.iter
+            np.testing.assert_allclose(
+                [got.b_hat, got.v, got.u, got.f, got.param_norm],
+                [want.b_hat, want.v, want.u, want.f, want.param_norm],
+                rtol=1e-12, atol=0.0)
+        assert all(r.v > 0.0 for r in trace) == target
+        for field in ("points", "label_logits"):
+            np.testing.assert_array_equal(getattr(final, field),
+                                          getattr(expected_final, field))
 
 
 class TestEntropicFlow:

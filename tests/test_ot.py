@@ -149,13 +149,6 @@ class TestSolveExact:
         with pytest.raises(ValueError):
             ot.solve_exact([0.6, 0.6], [0.5, 0.5], np.zeros((2, 2)))
 
-    @pytest.mark.parametrize("x, y", [(np.zeros(3), np.zeros(2)),
-                                      (np.zeros((2, 1)), np.zeros(3))])
-    def test_supports_sized_like_cost(self, x, y):
-        with pytest.raises(ValueError, match="supports do not match"):
-            ot.solve_exact([0.5, 0.5], [0.5, 0.5], np.zeros((2, 2)),
-                           supports=(x, y))
-
     def test_plan_feasibility(self):
         rng = np.random.default_rng(5)
         c = rng.random((7, 5))
@@ -164,6 +157,28 @@ class TestSolveExact:
         plan, _ = ot.solve_exact(a, b, c)
         assert np.max(np.abs(plan.coupling.sum(axis=1) - a)) <= 1e-8
         assert np.max(np.abs(plan.coupling.sum(axis=0) - b)) <= 1e-8
+
+
+class TestSolveLine:
+    def test_cost_on_the_plan_cells(self):
+        # weights 0.5/0.5 against 0.25/0.75: sorted, the point 0 sends 0.25
+        # to 1 and 0.25 to 3, and the point 2 sends 0.5 to 3
+        plan, cost = ot.solve_line([0.5, 0.5], [0.75, 0.25], [2.0, 0.0],
+                                   [[3.0], [1.0]])
+        np.testing.assert_array_equal(plan.coupling, [[0.5, 0.0], [0.25, 0.25]])
+        assert cost == 0.5 * 1.0 + 0.25 * 9.0 + 0.25 * 1.0
+
+    @pytest.mark.parametrize("x, y, match", [
+        (np.zeros((2, 2)), np.zeros(2), "points must be 1-D"),
+        (np.zeros(2), np.zeros((2, 1, 1)), "points must be 1-D"),
+        (np.zeros(3), np.zeros(2), "marginal sizes"),
+        (np.zeros((2, 1)), np.zeros(3), "marginal sizes"),
+        (np.array([0.0, np.nan]), np.zeros(2), "non-finite"),
+        (np.zeros(2), np.array([[np.inf], [0.0]]), "non-finite"),
+    ], ids=["x-2d", "y-3d", "x-missized", "y-missized", "x-nan", "y-inf"])
+    def test_points_checked(self, x, y, match):
+        with pytest.raises(ValueError, match=match):
+            ot.solve_line([0.5, 0.5], [0.5, 0.5], x, y)
 
 
 def planar_cost(n, m, far, seed):
@@ -284,8 +299,10 @@ class TestSolveEntropic:
 
 @pytest.mark.parametrize("shape", [(0, 0), (2, 0)])
 @pytest.mark.parametrize("solve", [
-    ot.solve_exact, lambda a, b, c: ot.solve_entropic(a, b, c, epsilon=1.0)],
-    ids=["exact", "entropic"])
+    ot.solve_exact, lambda a, b, c: ot.solve_entropic(a, b, c, epsilon=1.0),
+    lambda a, b, c: ot.solve_line(a, b, np.zeros(c.shape[0]),
+                                  np.zeros(c.shape[1]))],
+    ids=["exact", "entropic", "line"])
 def test_empty_problem_rejected(solve, shape):
     n, m = shape
     with pytest.raises(ValueError, match="empty transport problem"):

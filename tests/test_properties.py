@@ -1,10 +1,11 @@
 """Property tests: the exact transport paths (1-D sorted, assignment,
 transportation simplex, LP) against independent oracles, plan invariants of
-both solvers, the scaling-domain Sinkhorn against its log-domain reference,
-the CSV round trip of labeled measures, finite flows at extreme input
-scales, the Bures values, maps and gradients on Cholesky factors, one pair
-at a time and batched, against their covariance forms, and the numpy
-logsumexp and label entropy against their scipy forms.
+both solvers, the moment price of a fixed plan against its dense cost, the
+scaling-domain Sinkhorn against its log-domain reference, the CSV round
+trip of labeled measures, finite flows at extreme input scales, the Bures
+values, maps and gradients on Cholesky factors, one pair at a time and
+batched, against their covariance forms, and the numpy logsumexp and label
+entropy against their scipy forms.
 
 Examples are derandomized and no example database is kept, so every run
 draws the same cases.
@@ -346,13 +347,13 @@ class TestSimplexPath:
 
 
 class TestLinePath:
-    """``solve_exact`` with 1-D supports: the sorted north-west-corner plan."""
+    """``solve_line``: the sorted north-west-corner plan between 1-D points."""
 
     @SETTINGS
     @given(line_problem())
     def test_matches_linprog(self, problem):
         a, b, x, y, c = problem
-        _, cost = ot.solve_exact(a, b, c, supports=(x, y))
+        _, cost = ot.solve_line(a, b, x, y)
         reference = float((ot._linprog_plan(c, a, b) * c).sum())
         assert cost == pytest.approx(reference, abs=1e-9)
 
@@ -360,7 +361,7 @@ class TestLinePath:
     @given(line_problem())
     def test_plan_invariants(self, problem):
         a, b, x, y, c = problem
-        plan, cost = ot.solve_exact(a, b, c, supports=(x, y))
+        plan, cost = ot.solve_line(a, b, x, y)
         assert_plan_invariants(plan, cost, a, b, c)
 
     @SETTINGS
@@ -373,23 +374,74 @@ class TestLinePath:
         rows = np.arange(n)
         best = min(c[rows, list(p)].sum()
                    for p in itertools.permutations(range(n))) / n
-        _, cost = ot.solve_exact(uniform(n), uniform(n), c, supports=(x, y))
+        _, cost = ot.solve_line(uniform(n), uniform(n), x, y)
         assert cost == pytest.approx(best, abs=1e-9)
 
     @SETTINGS
-    @given(weighted_problem(), st.booleans(), st.integers(2, 3), st.data())
-    def test_higher_dimension_ignores_supports(self, problem, flat, d, data):
-        # flat marginals take the assignment path within the lcm cap
+    @given(weighted_problem(), st.integers(2, 3), st.booleans(), st.data())
+    def test_rejects_points_off_a_line(self, problem, d, x_side, data):
         a, b, _ = problem
-        if flat:
-            a, b = uniform(a.shape[0]), uniform(b.shape[0])
-        x = data.draw(hnp.arrays(float, (a.shape[0], d), elements=coords))
-        y = data.draw(hnp.arrays(float, (b.shape[0], d), elements=coords))
-        c = ot.joint_cost(x, y)
-        plain, plain_cost = ot.solve_exact(a, b, c)
-        plan, cost = ot.solve_exact(a, b, c, supports=(x, y))
-        assert np.array_equal(plan.coupling, plain.coupling)
-        assert cost == plain_cost
+        x = data.draw(line_support(a.shape[0]))
+        y = data.draw(line_support(b.shape[0]))
+        off = data.draw(hnp.arrays(
+            float, ((a if x_side else b).shape[0], d), elements=coords))
+        x, y = (off, y) if x_side else (x, off)
+        with pytest.raises(ValueError, match="points must be 1-D"):
+            ot.solve_line(a, b, x, y)
+
+
+@st.composite
+def priced_plan(draw):
+    """A plan between n and m points of dimension d, the points moved by
+    ``offset`` in every coordinate, with soft labels on the rows, one-hot
+    labels on the columns and a label weight beta (0 included).
+
+    The plan is exact (weighted marginals) or entropic and stopped after one
+    to three Sinkhorn iterations at its epsilon, so its column sums miss its
+    column marginal. Returns (coupling, x, y, labels_x, labels_y, beta,
+    offset).
+    """
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    d, k = draw(st.integers(1, 3)), draw(st.integers(2, 3))
+    x = draw(hnp.arrays(float, (n, d), elements=coords))
+    y = draw(hnp.arrays(float, (m, d), elements=coords))
+    lx = softmax(draw(hnp.arrays(float, (n, k), elements=coords)))
+    ly = np.eye(k)[draw(hnp.arrays(int, m, elements=st.integers(0, k - 1)))]
+    beta = draw(st.sampled_from([0.0, 0.5, 4.0]))
+    a = draw(line_marginal(n))
+    b = draw(line_marginal(m))
+    c = ot.joint_cost(x, y, lx, ly, beta)
+    iters = draw(st.integers(0, 3))
+    if iters == 0:
+        plan, _ = ot.solve_exact(a, b, c)
+    else:
+        plan, _ = ot.solve_entropic(a, b, c, epsilon=1.0, max_iter=iters,
+                                    tol=0.0)
+    offset = draw(st.sampled_from([0.0, 1e3]))
+    return plan.coupling, x + offset, y + offset, lx, ly, beta, offset
+
+
+class TestMomentCost:
+    """``ot._moment_cost`` prices a fixed plan as the dense cost does."""
+
+    @SETTINGS
+    @given(priced_plan())
+    def test_matches_dense_cost(self, problem):
+        g, x, y, lx, ly, beta, offset = problem
+        price = (ot._moment_cost(g, x, y)
+                 + beta * ot._moment_cost(g, lx, ly))
+        # x - offset is exact here, so the reference is the dense cost at
+        # the same points, moved back where squared_distances cancels little
+        xs, ys = x - offset, y - offset
+        reference = float((g * ot.joint_cost(xs, ys, lx, ly, beta)).sum())
+        # both prices round by about 1e-16 of the terms they add up, of the
+        # size of the plan's second moments, whose sum is at least half the
+        # value; they agree within 1e-12 relative to that size
+        size = float(g.sum(axis=1) @ ((xs * xs).sum(axis=1)
+                                      + beta * (lx * lx).sum(axis=1))
+                     + g.sum(axis=0) @ ((ys * ys).sum(axis=1)
+                                        + beta * (ly * ly).sum(axis=1)))
+        assert abs(price - reference) <= 1e-12 * max(reference, size)
 
 
 class TestPlanInvariants:

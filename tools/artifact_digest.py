@@ -38,9 +38,11 @@ two labeled ``swiss_roll`` inputs fitted with two components per class,
 ``barycenter`` with the gmm flow and the two Monte-Carlo energies (target
 potential on a CSV batch this script writes, internal energy),
 ``barycenter`` on two CSV inputs this script writes, labeled with the class
-names {cat, dog, fish}, and ``barycenter`` with the gmm flow on two 1-D
+names {cat, dog, fish}, ``barycenter`` with the gmm flow on two 1-D
 mixtures this script writes at scale 1e-6, whose factors converge below
-1e-6.
+1e-6, and ``barycenter`` with exact plans between 1-D particles and batches
+(the sorted path of ``ot.solve_line``) and the target potential on a 1-D
+CSV batch this script writes.
 """
 
 from __future__ import annotations
@@ -74,6 +76,14 @@ def target_csv(run_dir: Path) -> str:
     path = run_dir / "target.csv"
     path.write_text("f0,f1\n" + "".join(
         f"{0.5 * j - 6.0},{j * 5 % 7 - 3.0}\n" for j in range(24)))
+    return str(path)
+
+
+def line_target_csv(run_dir: Path) -> str:
+    """An unlabeled 1-D target batch of 24 points, written under ``run_dir``."""
+    path = run_dir / "target.csv"
+    path.write_text("f0\n" + "".join(
+        f"{(j * 7 % 24) * 0.25 - 1.0}\n" for j in range(24)))
     return str(path)
 
 
@@ -183,6 +193,13 @@ CONFIGS = {
         "command": "barycenter", "seed": 13, "flow": "gmm",
         "inputs": small_scale_inputs(run_dir),
         "flow_config": {"n_components": 2, "n_iter": 20}},
+    "barycenter-line-target": lambda run_dir: {
+        "command": "barycenter", "seed": 15, "flow": "empirical",
+        "inputs": GAUSSIANS_1D,
+        "flow_config": {"n_particles": 24, "batch_size": 16, "n_iter": 10,
+                        "solver": "exact"},
+        "functional": {"target_weight": 0.2,
+                       "target_csv": line_target_csv(run_dir)}},
 }
 WORKLOADS = ("bary1d", "gmm5d", "msda2d", "entropic2d")
 WORK_TOKEN = "<WORK_DIR>"
