@@ -182,15 +182,16 @@ def _batch_cost(points, soft_labels, batch: MiniBatch, beta: float):
 def _solve_plans(points, soft_labels, batches, cfg: EmpiricalFlowConfig):
     """One uniform-marginal plan per batch at fixed particles, as a list of
     (plan, cost) pairs. An exact, feature-only (label_weight 0) problem
-    between 1-D points is solved on the points by ``ot.solve_line``, with
-    no cost matrix; every other problem builds its cost. The entropic solver
-    takes epsilon = 0.05 median(cost), which follows the cost's scale."""
+    between points on a line (``ot._on_line``) is solved on the points by
+    ``ot.solve_line``, with no cost matrix; every other problem builds its
+    cost. The entropic solver takes epsilon = 0.05 median(cost), which
+    follows the cost's scale."""
     def solve(batch):
         n, m = points.shape[0], batch.points.shape[0]
         a = np.full(n, 1.0 / n)
         b = np.full(m, 1.0 / m)
         if (cfg.solver == "exact" and cfg.label_weight == 0
-                and points.shape[1] == batch.points.shape[1] == 1):
+                and ot._on_line(points, batch.points)):
             return ot.solve_line(a, b, points, batch.points)
         cost = _batch_cost(points, soft_labels, batch, cfg.label_weight)
         if cfg.solver == "exact":
@@ -253,9 +254,11 @@ def flow_step(measure: EmpiricalMeasure, batches, cfg: EmpiricalFlowConfig,
     particles under the plans just solved, i.e. the mid-sweep value of the
     block-coordinate scheme; the next step's plan solve then improves on it.
     This keeps one plan solve per input per step. Each fixed plan is priced
-    at the moved particles by its moments (``ot._moment_cost``), in the
-    features and, times label_weight, in the labels, and so is the target
-    plan of the target potential: the record forms no cost matrix.
+    at the moved particles by ``ot.plan_cost``, in the features and, times
+    label_weight, in the labels, and so is the target plan of the target
+    potential: the record forms no cost matrix, and the step reads each plan
+    in the form its solver gave (cells of an exact plan, the matrix of an
+    entropic one) through ``ot`` alone.
     """
     check_inputs(batches, cfg)
     if cfg.label_weight > 0 and measure.label_logits is None:
@@ -287,15 +290,14 @@ def flow_step(measure: EmpiricalMeasure, batches, cfg: EmpiricalFlowConfig,
     soft_new = None if logits_new is None else softmax(logits_new)
     b_hat = 0.0
     for l, (plan, _), batch in zip(lam, results, batches):
-        price = ot._moment_cost(plan.coupling, x_new, batch.points)
+        price = ot.plan_cost(plan, x_new, batch.points)
         if beta > 0:
-            price += beta * ot._moment_cost(plan.coupling, soft_new,
-                                            batch.labels)
+            price += beta * ot.plan_cost(plan, soft_new, batch.labels)
         b_hat += l * price
     v, u, _, _ = _label_energies(x_new, logits_new, spec)
     if target_plan is not None:
-        v += spec.target_weight * ot._moment_cost(
-            target_plan.coupling, x_new, spec.target_measure.points)
+        v += spec.target_weight * ot.plan_cost(
+            target_plan, x_new, spec.target_measure.points)
     return new_measure, _record(it, b_hat, v, u, x_new)
 
 

@@ -160,15 +160,22 @@ def target_potential(p, target: EmpiricalMeasure
 
     The gradient descends the coupling objective with the optimal plan held
     fixed: at particle i it is 2 w_i (x_i - T(x_i)) with T the barycentric
-    map. Labels do not enter the cost. The optimal plan is returned too, so
-    the value can be re-costed at moved particles without a second solve.
+    map. Labels do not enter the cost. Points on a line (``ot._on_line``)
+    are solved exactly by ``ot.solve_line``, with no cost matrix, at any
+    size; other points by ``ot.solve_auto`` on their cost. The optimal plan
+    is returned too, so the value can be re-costed at moved particles
+    without a second solve.
     """
     points = p.points
     weights = p.weights
     if target.n < 1:
         raise ValueError("target measure is empty")
-    cost = ot.joint_cost(points, target.points)
-    plan, value = ot.solve_auto(weights, target.weights, cost)
+    if ot._on_line(points, target.points):
+        plan, value = ot.solve_line(weights, target.weights, points,
+                                    target.points)
+    else:
+        cost = ot.joint_cost(points, target.points)
+        plan, value = ot.solve_auto(weights, target.weights, cost)
     mapped = ot.barycentric_map(plan, target.points)
     grad_points = 2.0 * weights[:, None] * (points - mapped)
     return float(value), grad_points, plan

@@ -33,9 +33,10 @@ __all__ = [
 LABEL_EPS = 1e-6
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    """A read-only float copy of ``a``: how every value type stores arrays."""
-    out = np.array(a, dtype=float, copy=True)
+def _freeze(a: np.ndarray, dtype=float) -> np.ndarray:
+    """A read-only copy of ``a`` (float unless ``dtype`` says otherwise):
+    how every value type stores arrays."""
+    out = np.array(a, dtype=dtype, copy=True)
     out.flags.writeable = False
     return out
 

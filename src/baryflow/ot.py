@@ -30,8 +30,15 @@ entropic solver with eps = 0.05 * median(C): Sinkhorn in the scaling domain,
 with the scalings absorbed into the potentials before they overflow, and
 log-domain updates where the kernel underflows.
 
-A plan already solved is priced at moved points by its moments
-(``_moment_cost``), again without an n x m cost.
+Plans are held as their solvers produce them (``TransportPlan``). Every
+exact path gives its cells and never scatters them into an n x m array:
+the sorted and simplex plans are vertices of the transport polytope, with
+at most n + m - 1 cells, HiGHS gives the nonzeros of its solution, and the
+lcm assignment one cell per matched pair, L of them. Sinkhorn gives a
+dense matrix, whose every entry is positive. ``barycentric_map`` and
+``plan_cost``, which prices a plan already solved at moved points, read
+either form, so no caller needs to know which it holds, and neither forms
+an n x m cost.
 
 This module imports numpy only. The assignment path loads
 ``scipy.optimize`` and the LP path ``scipy.optimize`` and ``scipy.sparse``
@@ -58,8 +65,12 @@ __all__ = [
     "solve_entropic",
     "solve_auto",
     "barycentric_map",
+    "plan_cost",
     "w2_empirical",
 ]
+
+# The cells of an exact plan: row indices, column indices and masses.
+Cells = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 # Above this many coupling entries, solve_auto switches to the entropic solver.
 EXACT_SIZE_LIMIT = 250_000
@@ -88,32 +99,84 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class TransportPlan:
-    """Nonnegative coupling with prescribed marginals.
+    """Nonnegative coupling with prescribed marginals, held in the form its
+    solver produced.
+
+    Exact plans hold their cells: ``rows``, ``cols`` and ``mass``, the row,
+    column and mass of each entry the solver set, far fewer than the n x m
+    entries (a vertex of the transport polytope has at most n + m - 1
+    nonzeros). The lcm assignment lists a cell once per matched pair of
+    copies, so a cell may repeat, and every reader sums repeated cells.
+    Entropic plans hold the dense n x m ``matrix``: every entry of a
+    Sinkhorn plan is positive, and a cell list of all of them is slower to
+    map and price. A plan is given exactly one of the two forms.
+    ``coupling`` is the dense matrix of either, summed from the cells on
+    demand.
 
     ``marginal_tol`` loosens the feasibility check for entropic plans that
     stopped at max_iter; exact plans use the default 1e-8.
     """
 
-    coupling: np.ndarray
     row_marginal: np.ndarray
     col_marginal: np.ndarray
+    matrix: np.ndarray | None = None
+    rows: np.ndarray | None = None
+    cols: np.ndarray | None = None
+    mass: np.ndarray | None = None
     marginal_tol: float = 1e-8
 
     def __post_init__(self):
-        g = np.asarray(self.coupling, dtype=float)
         a = np.asarray(self.row_marginal, dtype=float)
         b = np.asarray(self.col_marginal, dtype=float)
-        if g.shape != (a.shape[0], b.shape[0]):
-            raise ValueError("coupling shape does not match the marginals")
-        if g.min(initial=0.0) < -1e-12:
+        n, m = a.shape[0], b.shape[0]
+        cells = (self.rows, self.cols, self.mass)
+        if (self.matrix is None) == all(c is None for c in cells):
+            raise ValueError("a plan holds either a matrix or cells")
+        if self.matrix is not None:
+            g = np.asarray(self.matrix, dtype=float)
+            if g.shape != (n, m):
+                raise ValueError("coupling shape does not match the marginals")
+            low = g.min(initial=0.0)
+            row_sums, col_sums = g.sum(axis=1), g.sum(axis=0)
+            object.__setattr__(self, "matrix", _freeze(g))
+        else:
+            rows, cols = np.asarray(self.rows), np.asarray(self.cols)
+            mass = np.asarray(self.mass, dtype=float)
+            if not (rows.ndim == 1 and rows.shape == cols.shape == mass.shape):
+                raise ValueError(
+                    "rows, cols and mass must be 1-D of one length")
+            if not (rows.dtype.kind in "iu" and cols.dtype.kind in "iu"):
+                raise ValueError("cell rows and cols must be integers")
+            if rows.size and not (0 <= rows.min() and rows.max() < n
+                                  and 0 <= cols.min() and cols.max() < m):
+                raise ValueError("cell index out of the plan's range")
+            low = mass.min(initial=0.0)
+            row_sums = np.bincount(rows, weights=mass, minlength=n)
+            col_sums = np.bincount(cols, weights=mass, minlength=m)
+            object.__setattr__(self, "rows", _freeze(rows, np.intp))
+            object.__setattr__(self, "cols", _freeze(cols, np.intp))
+            object.__setattr__(self, "mass", _freeze(mass))
+        if low < -1e-12:
             raise ValueError("coupling has negative entries")
         tol = self.marginal_tol
-        if np.max(np.abs(g.sum(axis=1) - a)) > tol:
+        if np.abs(row_sums - a).max() > tol:
             raise ValueError("row sums do not match the row marginal")
-        if np.max(np.abs(g.sum(axis=0) - b)) > tol:
+        if np.abs(col_sums - b).max() > tol:
             raise ValueError("column sums do not match the column marginal")
-        for name, arr in (("coupling", g), ("row_marginal", a), ("col_marginal", b)):
-            object.__setattr__(self, name, _freeze(arr))
+        object.__setattr__(self, "row_marginal", _freeze(a))
+        object.__setattr__(self, "col_marginal", _freeze(b))
+
+    @property
+    def coupling(self) -> np.ndarray:
+        """The dense n x m coupling, read-only: the matrix of an entropic
+        plan, or the cells of an exact plan summed into one."""
+        if self.matrix is not None:
+            return self.matrix
+        n, m = self.row_marginal.shape[0], self.col_marginal.shape[0]
+        g = np.bincount(self.rows * m + self.cols, weights=self.mass,
+                        minlength=n * m).reshape(n, m)
+        g.flags.writeable = False
+        return g
 
 
 def squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -190,14 +253,16 @@ def _is_uniform(w: np.ndarray) -> bool:
     return bool(np.all(np.abs(w - 1.0 / w.shape[0]) <= 1e-12))
 
 
-def _assignment_plan(C: np.ndarray) -> np.ndarray:
-    """Exact plan for uniform marginals.
+def _assignment_plan(C: np.ndarray) -> Cells:
+    """Cells of an exact plan for uniform marginals.
 
     Rows are repeated L/n times and columns L/m times, L = lcm(n, m), into a
     square assignment problem; Birkhoff's theorem makes the contracted
-    solution optimal for the original LP. With an integer size ratio
-    L = max(n, m), and the plain expanded cost is solved: there starting
-    prices gain no time and reorder tied plans.
+    solution optimal for the original LP. Each of the L matched pairs is one
+    cell of mass 1/L at its original row and column, so a cell repeats when
+    several copies of one row match copies of one column. With an integer
+    size ratio L = max(n, m), and the plain expanded cost is solved: there
+    starting prices gain no time and reorder tied plans.
 
     When both sides are expanded (L > max(n, m)), the solver is given
     starting prices: the expanded cost is the reduced cost
@@ -216,9 +281,7 @@ def _assignment_plan(C: np.ndarray) -> np.ndarray:
     cols = np.repeat(np.arange(m), L // m)
     R = _reduced_cost(C) if L > max(n, m) else C
     ri, ci = linear_sum_assignment(R[np.ix_(rows, cols)])
-    plan = np.zeros((n, m))
-    np.add.at(plan, (rows[ri], cols[ci]), 1.0 / L)
-    return plan
+    return rows[ri], cols[ci], np.full(L, 1.0 / L)
 
 
 def _reduced_cost(C: np.ndarray) -> np.ndarray:
@@ -241,7 +304,7 @@ def _reduced_cost(C: np.ndarray) -> np.ndarray:
 
 
 def _monotone_plan(a: np.ndarray, b: np.ndarray, x: np.ndarray,
-                   y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                   y: np.ndarray) -> Cells:
     """Cells of the north-west-corner coupling of ``a`` and ``b`` with rows
     in stable ``argsort(x)`` order and columns in ``argsort(y)`` order, as
     (row indices, column indices, masses), at most n + m - 1 of them.
@@ -256,12 +319,16 @@ def _monotone_plan(a: np.ndarray, b: np.ndarray, x: np.ndarray,
     iy = np.argsort(y, kind="stable")
     ca = np.cumsum(np.maximum(a[ix], 0.0))
     cb = np.cumsum(np.maximum(b[iy], 0.0))
-    cuts = np.union1d(ca, cb)
+    # the distinct values of both cumulative sums, in order (np.union1d's
+    # values, without its general-purpose overhead)
+    cuts = np.concatenate((ca, cb))
+    cuts.sort()
+    cuts = cuts[np.concatenate(([True], cuts[1:] != cuts[:-1]))]
     # rounding may leave one total a little below the other; the last row
     # (column) of positive weight takes the rest
     rows = np.minimum(np.searchsorted(ca, cuts), np.searchsorted(ca, ca[-1]))
     cols = np.minimum(np.searchsorted(cb, cuts), np.searchsorted(cb, cb[-1]))
-    return ix[rows], iy[cols], np.diff(cuts, prepend=0.0)
+    return ix[rows], iy[cols], cuts - np.concatenate(([0.0], cuts[:-1]))
 
 
 def _line_points(points) -> np.ndarray:
@@ -276,7 +343,11 @@ def _line_points(points) -> np.ndarray:
     return p.reshape(-1)
 
 
-def _linprog_plan(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _linprog_plan(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> Cells:
+    """Cells of an exact plan by HiGHS on the transport LP: the nonzeros of
+    its solution. HiGHS sees the cost scaled to max 1, since its tolerances
+    are absolute, and its solution is clipped at zero and scaled to the row
+    mass."""
     from scipy import sparse
     from scipy.optimize import linprog
 
@@ -290,7 +361,6 @@ def _linprog_plan(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
                           shape=(m, n * m)),
     ]).tocsc()
     b_eq = np.concatenate([a, b])
-    # HiGHS's tolerances are absolute, so it sees the cost scaled to max 1
     top = C.max()
     c = (C / top if top > 0 else C).ravel()
     # drop one redundant constraint so the system has full row rank
@@ -298,15 +368,14 @@ def _linprog_plan(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
                   bounds=(0, None), method="highs")
     if res.status != 0:
         raise ConvergenceError(f"exact OT LP failed: {res.message}")
-    plan = res.x.reshape(n, m)
     # clean tiny solver noise so the plan passes feasibility validation
-    plan = np.maximum(plan, 0.0)
-    plan *= a.sum() / plan.sum()
-    return plan
+    x = np.maximum(res.x, 0.0)
+    k = np.flatnonzero(x)
+    return k // m, k % m, x[k] * (a.sum() / x.sum())
 
 
-def _simplex_plan(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact plan by the transportation simplex (Peyre & Cuturi,
+def _simplex_plan(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> Cells:
+    """Cells of an exact plan by the transportation simplex (Peyre & Cuturi,
     Computational Optimal Transport, 2019, section 3).
 
     The basis is a spanning tree of n + m - 1 cells of the bipartite
@@ -322,7 +391,8 @@ def _simplex_plan(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     cycle it closes in the tree; of the tied leaving cells the first in
     row-major order leaves. This is Bland's rule, so
     degenerate pivots cannot cycle. A mismatch between sum(a) and sum(b)
-    stays in the marginals of the plan, as in the LP.
+    stays in the marginals of the plan, as in the LP. The cells are the
+    n + m - 1 of the final basis, zero-mass ones included.
     """
     n, m = C.shape
     mass = _least_cost_start(C, a, b)
@@ -356,10 +426,8 @@ def _simplex_plan(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         rows[p].append(q)
         cols[q].append(p)
 
-    plan = np.zeros((n, m))
     cells = np.array(list(mass), dtype=np.intp)
-    plan[cells[:, 0], cells[:, 1]] = list(mass.values())
-    return plan
+    return cells[:, 0], cells[:, 1], np.array(list(mass.values()))
 
 
 def _least_cost_start(C: np.ndarray, a: np.ndarray, b: np.ndarray
@@ -451,27 +519,25 @@ def solve_line(a, b, x, y) -> tuple[TransportPlan, float]:
     ``x`` (n points) and ``y`` (m points) have shape (n,) or (n, 1), likewise
     (m,) or (m, 1), and are finite; ``a`` and ``b`` are their weights. The
     plan is the north-west-corner coupling of the sorted points
-    (``_monotone_plan``), optimal for any weights, and the returned cost is
-    sum w (x_i - y_j)^2 over its at most n + m - 1 cells, so no n x m cost
-    is formed.
+    (``_monotone_plan``), optimal for any weights, held as its at most
+    n + m - 1 cells, and the returned cost is sum w (x_i - y_j)^2 over them,
+    so no n x m array is formed.
     """
     x, y = _line_points(x), _line_points(y)
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
-    n, m = x.shape[0], y.shape[0]
-    _check_marginals(a, b, n, m)
+    _check_marginals(a, b, x.shape[0], y.shape[0])
     rows, cols, mass = _monotone_plan(a, b, x, y)
-    plan = np.bincount(rows * m + cols, weights=mass,
-                       minlength=n * m).reshape(n, m)
     cost = float(mass @ (x[rows] - y[cols]) ** 2)
-    return TransportPlan(plan, a, b), cost
+    return TransportPlan(a, b, rows=rows, cols=cols, mass=mass), cost
 
 
 def solve_exact(a, b, C: np.ndarray) -> tuple[TransportPlan, float]:
     """Solve the discrete OT problem exactly.
 
-    Returns the optimal coupling and its cost <plan, C>. The path is chosen
-    here: uniform marginals take the assignment reduction, while
+    Returns the optimal plan, held as the cells its path produced, and its
+    cost sum mass * C[rows, cols] over them. The path is chosen here:
+    uniform marginals take the assignment reduction, while
     L = lcm(n, m) is at most ``LCM_RATIO_LIMIT * max(n, m)``, solved with
     Sinkhorn starting prices where L > max(n, m) and on the plain cost where
     median(C) is not positive or the prices are not finite
@@ -486,13 +552,13 @@ def solve_exact(a, b, C: np.ndarray) -> tuple[TransportPlan, float]:
     _check_marginals(a, b, n, m)
     if (_is_uniform(a) and _is_uniform(b)
             and math.lcm(n, m) <= LCM_RATIO_LIMIT * max(n, m)):
-        plan = _assignment_plan(Cv)
+        rows, cols, mass = _assignment_plan(Cv)
     elif n * m <= SIMPLEX_SIZE_LIMIT:
-        plan = _simplex_plan(Cv, a, b)
+        rows, cols, mass = _simplex_plan(Cv, a, b)
     else:
-        plan = _linprog_plan(Cv, a, b)
-    cost = float((plan * Cv).sum())
-    return TransportPlan(plan, a, b), cost
+        rows, cols, mass = _linprog_plan(Cv, a, b)
+    cost = float(mass @ Cv[rows, cols])
+    return TransportPlan(a, b, rows=rows, cols=cols, mass=mass), cost
 
 
 def solve_entropic(a, b, C: np.ndarray, epsilon: float,
@@ -550,7 +616,8 @@ def solve_entropic(a, b, C: np.ndarray, epsilon: float,
         float(np.max(np.abs(plan.sum(axis=0) - b))),
     )
     cost = float((plan * Cv).sum())
-    return TransportPlan(plan, a, b, marginal_tol=max(1e-8, violation)), cost
+    return TransportPlan(a, b, matrix=plan,
+                         marginal_tol=max(1e-8, violation)), cost
 
 
 def _sinkhorn_potentials(Cv, a, b, f, g, eps, max_iter, tol):
@@ -633,40 +700,63 @@ def solve_auto(a, b, C: np.ndarray) -> tuple[TransportPlan, float]:
                           max_iter=2000, tol=1e-7)
 
 
-def _moment_cost(coupling: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
-    """<P, C> for the coupling P and the squared Euclidean cost
+def plan_cost(plan: TransportPlan, x: np.ndarray, y: np.ndarray) -> float:
+    """<P, C> for the plan P and the squared Euclidean cost
     C[i, j] = ||x_i - y_j||^2 between the rows of the 2-D float arrays x
-    and y, priced by the
-    moments of P, so no n x m cost is formed:
-    sum_i r_i ||x_i||^2 + sum_j c_j ||y_j||^2 - 2 <x, P y>.
+    and y, with no n x m cost formed.
 
-    r and c are the row and column sums of P itself, not the marginals it
-    was solved for, which an entropic plan meets only within its tolerance.
-    Both sides are first centred on the mean of all the plan's mass, the
-    r-weighted x and the c-weighted y together: that centre makes the two
-    square terms as small as any centre can, so they stay near the size of
-    the value even for points far from the origin. Clamped at 0, as each
-    entry of C is.
+    Cells are priced one by one: sum_k mass_k ||x_{rows_k} - y_{cols_k}||^2.
+    A dense plan is priced by its moments:
+    sum_i r_i ||x_i||^2 + sum_j c_j ||y_j||^2 - 2 <x, P y>, with r and c the
+    row and column sums of P itself, not the marginals it was solved for,
+    which an entropic plan meets only within its tolerance. Both sides are
+    first centred on the mean of all the plan's mass, the r-weighted x and
+    the c-weighted y together: that centre makes the two square terms as
+    small as any centre can, so they stay near the size of the value even
+    for points far from the origin. Clamped at 0, as each entry of C is.
     """
-    r, c = coupling.sum(axis=1), coupling.sum(axis=0)
-    centre = (r @ x + c @ y) / (r.sum() + c.sum())
-    xc, yc = x - centre, y - centre
-    value = (r @ (xc * xc).sum(axis=1) + c @ (yc * yc).sum(axis=1)
-             - 2.0 * np.vdot(xc, coupling @ yc))
+    if plan.matrix is None:
+        d = x[plan.rows] - y[plan.cols]
+        value = plan.mass @ (d * d).sum(axis=1)
+    else:
+        g = plan.matrix
+        r, c = g.sum(axis=1), g.sum(axis=0)
+        centre = (r @ x + c @ y) / (r.sum() + c.sum())
+        xc, yc = x - centre, y - centre
+        value = (r @ (xc * xc).sum(axis=1) + c @ (yc * yc).sum(axis=1)
+                 - 2.0 * np.vdot(xc, g @ yc))
     return max(float(value), 0.0)
 
 
 def barycentric_map(plan: TransportPlan, y: np.ndarray) -> np.ndarray:
     """Conditional mean of ``y`` under the plan: row i of the output is
-    sum_j plan_ij y_j / sum_j plan_ij."""
+    sum_j plan_ij y_j / sum_j plan_ij. Cells are summed into their rows by
+    one ``bincount`` over (row, coordinate) slots; a dense plan is one
+    product."""
     y = np.atleast_2d(np.asarray(y, dtype=float))
-    g = plan.coupling
-    if g.shape[1] != y.shape[0]:
+    n, d = plan.row_marginal.shape[0], y.shape[1]
+    if plan.col_marginal.shape[0] != y.shape[0]:
         raise ValueError("plan columns do not match the target points")
-    row_mass = g.sum(axis=1)
+    if plan.matrix is None:
+        rows, mass = plan.rows, plan.mass
+        row_mass = np.bincount(rows, weights=mass, minlength=n)
+        slots = (rows[:, None] * d + np.arange(d)).ravel()
+        moved = (mass[:, None] * y[plan.cols]).ravel()
+        total = np.bincount(slots, weights=moved,
+                            minlength=n * d).reshape(n, d)
+    else:
+        row_mass = plan.matrix.sum(axis=1)
+        total = plan.matrix @ y
     if np.any(row_mass <= 0):
         raise ValueError("plan has a zero row marginal; map is undefined")
-    return (g @ y) / row_mass[:, None]
+    return total / row_mass[:, None]
+
+
+def _on_line(x: np.ndarray, y: np.ndarray) -> bool:
+    """Whether the rows of the 2-D point arrays x and y all lie on the real
+    line: there an exact plan for the squared distance between the points
+    alone (no label term) is ``solve_line``'s, with no cost matrix."""
+    return x.shape[1] == y.shape[1] == 1
 
 
 def w2_empirical(p, q) -> float:

@@ -85,6 +85,118 @@ def plain_assignment_plan(c: np.ndarray) -> np.ndarray:
     return plan
 
 
+def cells_coupling(cells, shape) -> np.ndarray:
+    """The n x m matrix of a solver's cells (rows, cols, mass), repeated
+    cells summed."""
+    rows, cols, mass = cells
+    plan = np.zeros(shape)
+    np.add.at(plan, (rows, cols), mass)
+    return plan
+
+
+def cells_cost(cells, c: np.ndarray) -> float:
+    """<plan, c> of a solver's cells (rows, cols, mass)."""
+    rows, cols, mass = cells
+    return float(mass @ c[rows, cols])
+
+
+# The dense plan builders of the exact paths as they were before the paths
+# returned cells: each scatters its solution into an n x m array. They are
+# the oracles for ``TransportPlan.coupling`` of the cell plans.
+
+def dense_line_plan(a, b, x, y) -> np.ndarray:
+    """The sorted plan of ``ot.solve_line`` between flat points x and y:
+    the north-west-corner coupling of the sorted weights."""
+    ix = np.argsort(x, kind="stable")
+    iy = np.argsort(y, kind="stable")
+    ca = np.cumsum(np.maximum(a[ix], 0.0))
+    cb = np.cumsum(np.maximum(b[iy], 0.0))
+    cuts = np.union1d(ca, cb)
+    rows = np.minimum(np.searchsorted(ca, cuts), np.searchsorted(ca, ca[-1]))
+    cols = np.minimum(np.searchsorted(cb, cuts), np.searchsorted(cb, cb[-1]))
+    n, m = x.shape[0], y.shape[0]
+    return np.bincount(ix[rows] * m + iy[cols],
+                       weights=np.diff(cuts, prepend=0.0),
+                       minlength=n * m).reshape(n, m)
+
+
+def dense_assignment_plan(c: np.ndarray) -> np.ndarray:
+    """``ot._assignment_plan``: the lcm assignment, on the reduced cost
+    where both sides are expanded."""
+    n, m = c.shape
+    L = math.lcm(n, m)
+    rows = np.repeat(np.arange(n), L // n)
+    cols = np.repeat(np.arange(m), L // m)
+    r = ot._reduced_cost(c) if L > max(n, m) else c
+    ri, ci = linear_sum_assignment(r[np.ix_(rows, cols)])
+    plan = np.zeros((n, m))
+    np.add.at(plan, (rows[ri], cols[ci]), 1.0 / L)
+    return plan
+
+
+def dense_simplex_plan(c: np.ndarray, a, b) -> np.ndarray:
+    """``ot._simplex_plan``: the transportation simplex from the least-cost
+    start, pivoted by Bland's rule."""
+    n, m = c.shape
+    mass = ot._least_cost_start(c, a, b)
+    rows = [[] for _ in range(n)]
+    cols = [[] for _ in range(m)]
+    for i, j in mass:
+        rows[i].append(j)
+        cols[j].append(i)
+    cl = c.tolist()
+    tol = 1e-12 * float(c.max())
+    while True:
+        u, v, parent, depth = ot._tree_potentials(cl, rows, cols)
+        r = c - u[:, None] - v[None, :]
+        k = int(np.argmax(r < -tol))
+        if not r.flat[k] < -tol:
+            break
+        p, q = divmod(k, m)
+        path = ot._tree_path(parent, depth, n, p, q)
+        minus, plus = path[0::2], path[1::2]
+        leave = min(minus, key=lambda cell: (mass[cell], cell))
+        theta = mass.pop(leave)
+        for cell in minus:
+            if cell != leave:
+                mass[cell] -= theta
+        for cell in plus:
+            mass[cell] += theta
+        mass[p, q] = theta
+        rows[leave[0]].remove(leave[1])
+        cols[leave[1]].remove(leave[0])
+        rows[p].append(q)
+        cols[q].append(p)
+    plan = np.zeros((n, m))
+    cells = np.array(list(mass), dtype=np.intp)
+    plan[cells[:, 0], cells[:, 1]] = list(mass.values())
+    return plan
+
+
+def dense_linprog_plan(c: np.ndarray, a, b) -> np.ndarray:
+    """``ot._linprog_plan``: HiGHS on the transport LP of c / max(c)."""
+    from scipy import sparse
+    from scipy.optimize import linprog
+
+    n, m = c.shape
+    idx = np.arange(n * m)
+    ones = np.ones(n * m)
+    a_eq = sparse.vstack([
+        sparse.coo_matrix((ones, (np.repeat(np.arange(n), m), idx)),
+                          shape=(n, n * m)),
+        sparse.coo_matrix((ones, (np.tile(np.arange(m), n), idx)),
+                          shape=(m, n * m)),
+    ]).tocsc()
+    b_eq = np.concatenate([a, b])
+    top = c.max()
+    res = linprog((c / top if top > 0 else c).ravel(), A_eq=a_eq[:-1],
+                  b_eq=b_eq[:-1], bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    plan = np.maximum(res.x.reshape(n, m), 0.0)
+    plan *= a.sum() / plan.sum()
+    return plan
+
+
 def dense_recost_flow_step(measure, batches, cfg, it):
     """Reference for ``flow_empirical.flow_step``, with the same arguments
     and returns: the same plans and update, with the record priced on dense

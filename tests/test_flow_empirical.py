@@ -367,6 +367,25 @@ class TestMomentTrace:
                                           getattr(expected_final, field))
 
 
+    @pytest.mark.parametrize("labeled", [False, True],
+                             ids=["unlabeled-1d", "labeled-2d"])
+    @pytest.mark.parametrize("solver", ["exact", "entropic"])
+    def test_step_reads_no_coupling(self, monkeypatch, solver, labeled):
+        # plans are mapped and priced through ot in the form they were solved
+        def fail(plan):
+            raise AssertionError("the flow read a plan's dense coupling")
+        monkeypatch.setattr(ot.TransportPlan, "coupling", property(fail))
+        rng = np.random.default_rng(22)
+        d = 2 if labeled else 1
+        functional = FunctionalSpec(target_weight=0.2, target_measure=(
+            EmpiricalMeasure(rng.standard_normal((20, d)) + 2.0)))
+        cfg = EmpiricalFlowConfig(
+            24, 16, 3, HALF, solver=solver, functional=functional,
+            label_weight=2.0 if labeled else 0.0, label_init="random")
+        _, trace = run_flow(self.inputs(labeled, rng), cfg)
+        assert len(trace) == 4
+
+
 class TestEntropicFlow:
     def test_first_entry_from_public_solver(self):
         rng = np.random.default_rng(5)

@@ -149,6 +149,26 @@ class TestTargetPotential:
         assert value == pytest.approx(float((plan.coupling * cost).sum()), rel=1e-12)
 
 
+    def test_line_target_solved_on_points(self, monkeypatch):
+        # points on a line take the sorted plan, with no cost matrix
+        rng = np.random.default_rng(6)
+        p = EmpiricalMeasure(rng.standard_normal((7, 1)))
+        target = EmpiricalMeasure(rng.standard_normal((5, 1)) + 1.0)
+        cost = ot.joint_cost(p.points, target.points)
+        ref_plan, ref_value = ot.solve_exact(p.weights, target.weights, cost)
+        for name in ("joint_cost", "solve_auto", "solve_exact"):
+            monkeypatch.setattr(ot, name, lambda *args: pytest.fail(
+                "a 1-D target left the sorted path"))
+        value, grad, plan = target_potential(p, target)
+        assert value == pytest.approx(ref_value, rel=1e-12)
+        np.testing.assert_allclose(plan.coupling, ref_plan.coupling,
+                                   rtol=0, atol=1e-15)
+        mapped = ref_plan.coupling @ target.points / p.weights[:, None]
+        np.testing.assert_allclose(
+            grad, 2.0 * p.weights[:, None] * (p.points - mapped),
+            rtol=1e-12, atol=1e-15)
+
+
 class TestInternalEnergyMc:
     def test_standard_normal_entropy(self):
         g = LabeledGMM([1.0], [[0.0]], [[[1.0]]])

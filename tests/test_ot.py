@@ -5,7 +5,14 @@ import pytest
 
 from baryflow import ot
 from baryflow.measures import EmpiricalMeasure
-from conftest import plain_assignment_plan
+from conftest import (
+    cells_cost,
+    dense_assignment_plan,
+    dense_line_plan,
+    dense_linprog_plan,
+    dense_simplex_plan,
+    plain_assignment_plan,
+)
 
 
 def brute_force_uniform(cost: np.ndarray) -> float:
@@ -95,7 +102,7 @@ class TestSolveExact:
             c = rng.random((n, m))
             a, b = np.full(n, 1.0 / n), np.full(m, 1.0 / m)
             _, fast = ot.solve_exact(a, b, c)
-            slow = float((ot._linprog_plan(c, a, b) * c).sum())
+            slow = cells_cost(ot._linprog_plan(c, a, b), c)
             assert abs(fast - slow) <= 1e-9
 
     @pytest.mark.parametrize("n, m, weighted, path", [
@@ -128,7 +135,7 @@ class TestSolveExact:
         a, b = rng.dirichlet(np.ones(11)), rng.dirichlet(np.ones(11))
         c = scale * ot.squared_distances(x, y)
         _, cost = ot.solve_exact(a, b, c)
-        reference = float((ot._simplex_plan(c, a, b) * c).sum())
+        reference = cells_cost(ot._simplex_plan(c, a, b), c)
         assert abs(cost - reference) <= 1e-9 * reference
 
     def test_general_marginals_2x2_closed_form(self):
@@ -206,13 +213,12 @@ class TestWarmAssignment:
         c = planar_cost(n, m, far, seed=n + m)
         a, b = np.full(n, 1.0 / n), np.full(m, 1.0 / m)
         # HiGHS sees C / max C, so one LP plan serves every scale
-        lp_plan = ot._linprog_plan(c, a, b)
+        lp_cells = ot._linprog_plan(c, a, b)
         for scale in (1e-8, 1.0, 1e8):
             cs = scale * c
-            plan = ot._assignment_plan(cs)
-            assert np.array_equal(plan, plain_assignment_plan(cs))
-            cost = float((plan * cs).sum())
-            reference = float((lp_plan * cs).sum())
+            plan, cost = ot.solve_exact(a, b, cs)
+            assert np.array_equal(plan.coupling, plain_assignment_plan(cs))
+            reference = cells_cost(lp_cells, cs)
             assert abs(cost - reference) <= 1e-9 * reference
 
     @pytest.mark.parametrize("n, m, priced", [
@@ -337,26 +343,79 @@ class TestSolveAuto:
 class TestBarycentricMap:
     def test_identity_plan_returns_targets(self):
         y = np.array([[1.0, 0.0], [0.0, 2.0]])
-        plan = ot.TransportPlan(np.eye(2) / 2, [0.5, 0.5], [0.5, 0.5])
+        plan = ot.TransportPlan([0.5, 0.5], [0.5, 0.5], matrix=np.eye(2) / 2)
         assert np.allclose(ot.barycentric_map(plan, y), y)
 
     def test_permutation_plan(self):
-        plan = ot.TransportPlan(np.array([[0.5, 0.0], [0.0, 0.5]]),
-                                [0.5, 0.5], [0.5, 0.5])
+        plan = ot.TransportPlan([0.5, 0.5], [0.5, 0.5], rows=[0, 1],
+                                cols=[1, 0], mass=[0.5, 0.5])
         y = np.array([[1.0], [3.0]])
-        assert np.allclose(ot.barycentric_map(plan, y), [[1.0], [3.0]])
+        assert np.allclose(ot.barycentric_map(plan, y), [[3.0], [1.0]])
 
     def test_normalized_average(self):
-        plan = ot.TransportPlan(np.array([[0.25, 0.25], [0.25, 0.25]]),
-                                [0.5, 0.5], [0.5, 0.5])
+        plan = ot.TransportPlan([0.5, 0.5], [0.5, 0.5],
+                                matrix=np.full((2, 2), 0.25))
         y = np.array([[0.0], [4.0]])
         assert np.allclose(ot.barycentric_map(plan, y), [[2.0], [2.0]])
 
+    def test_repeated_cells_summed(self):
+        # the lcm assignment lists a cell once per matched pair of copies
+        plan = ot.TransportPlan([0.5, 0.5], [0.25, 0.75], rows=[0, 0, 1, 1],
+                                cols=[1, 1, 0, 1], mass=[0.25] * 4)
+        np.testing.assert_array_equal(plan.coupling,
+                                      [[0.0, 0.5], [0.25, 0.25]])
+        y = np.array([[0.0], [4.0]])
+        assert np.allclose(ot.barycentric_map(plan, y), [[4.0], [2.0]])
+
     def test_zero_row_rejected(self):
-        plan = ot.TransportPlan(np.array([[0.0, 0.0], [0.5, 0.5]]),
-                                [0.0, 1.0], [0.5, 0.5])
-        with pytest.raises(ValueError):
-            ot.barycentric_map(plan, np.zeros((2, 1)))
+        for plan in (ot.TransportPlan([0.0, 1.0], [0.5, 0.5],
+                                      matrix=[[0.0, 0.0], [0.5, 0.5]]),
+                     ot.TransportPlan([0.0, 1.0], [0.5, 0.5], rows=[1, 1],
+                                      cols=[0, 1], mass=[0.5, 0.5])):
+            with pytest.raises(ValueError, match="zero row marginal"):
+                ot.barycentric_map(plan, np.zeros((2, 1)))
+
+
+class TestCellPlans:
+    """Every exact path holds its plan as cells; summed into a matrix they
+    give the plan of the path's dense builder in ``conftest``."""
+
+    @pytest.mark.parametrize("n, m, weighted, path", [
+        (6, 3, False, "assign"),      # L = max(n, m)
+        (96, 128, False, "lcm"),      # L = 384, both sides expanded
+        (7, 11, False, "simplex"),    # L = 77 > 4 * 11
+        (6, 6, True, "simplex"),
+        (19, 23, False, "lp"),        # 437 entries
+        (10, 11, True, "lp"),         # 110 > SIMPLEX_SIZE_LIMIT
+    ])
+    def test_coupling_matches_dense_builder(self, n, m, weighted, path):
+        rng = np.random.default_rng(n * m)
+        a, b = np.full(n, 1.0 / n), np.full(m, 1.0 / m)
+        if weighted:
+            a, b = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m))
+        c = planar_cost(n, m, far=True, seed=n + m)
+        plan, cost = ot.solve_exact(a, b, c)
+        reference = {"assign": lambda: dense_assignment_plan(c),
+                     "lcm": lambda: dense_assignment_plan(c),
+                     "simplex": lambda: dense_simplex_plan(c, a, b),
+                     "lp": lambda: dense_linprog_plan(c, a, b)}[path]()
+        assert plan.matrix is None
+        assert np.array_equal(plan.coupling, reference)
+        assert cost == pytest.approx(float((reference * c).sum()), rel=1e-12)
+
+    def test_line_coupling_matches_dense_builder(self):
+        rng = np.random.default_rng(13)
+        x, y = rng.standard_normal(40), rng.standard_normal(25) + 1.0
+        a, b = rng.dirichlet(np.ones(40)), rng.dirichlet(np.ones(25))
+        plan, _ = ot.solve_line(a, b, x, y)
+        assert plan.matrix is None and plan.mass.shape[0] <= 40 + 25 - 1
+        assert np.array_equal(plan.coupling, dense_line_plan(a, b, x, y))
+
+    def test_entropic_plan_is_dense(self):
+        c = planar_cost(6, 4, far=False, seed=0)
+        plan, _ = ot.solve_entropic(np.full(6, 1 / 6), np.full(4, 0.25), c,
+                                    epsilon=1.0)
+        assert plan.rows is None and plan.coupling is plan.matrix
 
 
 class TestW2Empirical:
@@ -413,10 +472,43 @@ class TestW2Empirical:
 
 class TestTransportPlanValidation:
     def test_rejects_marginal_mismatch(self):
-        with pytest.raises(ValueError):
-            ot.TransportPlan(np.eye(2) / 2, [0.7, 0.3], [0.5, 0.5])
+        with pytest.raises(ValueError, match="row sums"):
+            ot.TransportPlan([0.7, 0.3], [0.5, 0.5], matrix=np.eye(2) / 2)
 
     def test_rejects_negative_entries(self):
-        with pytest.raises(ValueError):
-            ot.TransportPlan(np.array([[0.6, -0.1], [0.0, 0.5]]),
-                             [0.5, 0.5], [0.6, 0.4])
+        with pytest.raises(ValueError, match="negative"):
+            ot.TransportPlan([0.5, 0.5], [0.6, 0.4],
+                             matrix=[[0.6, -0.1], [0.0, 0.5]])
+
+    def test_rejects_misshaped_matrix(self):
+        with pytest.raises(ValueError, match="shape"):
+            ot.TransportPlan([0.5, 0.5], [1.0], matrix=np.eye(2) / 2)
+
+    @pytest.mark.parametrize("cells, match", [
+        (([0, 2], [0, 1], [0.5, 0.5]), "out of the plan's range"),
+        (([0, 1], [-1, 1], [0.5, 0.5]), "out of the plan's range"),
+        (([0, 1], [0, 1], [0.5]), "one length"),
+        (([0, 1, 1], [0, 0], [0.5, 0.6, -0.1]), "one length"),
+        (([0, 1, 1], [0, 1, 0], [0.5, 0.6, -0.1]), "negative"),
+        (([0, 1], [0, 1], [0.7, 0.3]), "row sums"),
+        (([0, 1], [0, 0], [0.5, 0.5]), "column sums"),
+        (([0.0, 1.0], [0, 1], [0.5, 0.5]), "integers"),
+    ], ids=["row-out-of-range", "col-negative", "short-mass", "short-cols",
+            "negative-mass", "row-marginal", "col-marginal", "float-index"])
+    def test_rejects_bad_cells(self, cells, match):
+        rows, cols, mass = cells
+        with pytest.raises(ValueError, match=match):
+            ot.TransportPlan([0.5, 0.5], [0.5, 0.5], rows=rows, cols=cols,
+                             mass=mass)
+
+    @pytest.mark.parametrize("forms", [
+        {}, {"matrix": np.eye(2) / 2, "rows": [0, 1], "cols": [0, 1],
+             "mass": [0.5, 0.5]}], ids=["neither", "both"])
+    def test_one_form_required(self, forms):
+        with pytest.raises(ValueError, match="either a matrix or cells"):
+            ot.TransportPlan([0.5, 0.5], [0.5, 0.5], **forms)
+
+    def test_cells_frozen(self):
+        plan, _ = ot.solve_line([0.5, 0.5], [0.5, 0.5], [0.0, 1.0], [2.0, 3.0])
+        for arr in (plan.rows, plan.cols, plan.mass, plan.coupling):
+            assert not arr.flags.writeable

@@ -1,8 +1,8 @@
 """Property tests: the exact transport paths (1-D sorted, assignment,
 transportation simplex, LP) against independent oracles, plan invariants of
-both solvers, the moment price of a fixed plan against its dense cost, the
-scaling-domain Sinkhorn against its log-domain reference, the CSV round
-trip of labeled measures, finite flows at extreme input scales, the Bures
+both solvers, the price and map of a fixed plan, held as cells or as a
+matrix, against its dense coupling, the scaling-domain Sinkhorn against its
+log-domain reference, the CSV round trip of labeled measures, finite flows at extreme input scales, the Bures
 values, maps and gradients on Cholesky factors, one pair at a time and
 batched, against their covariance forms, and the numpy logsumexp and label
 entropy against their scipy forms.
@@ -42,7 +42,13 @@ from baryflow.measures import (
     logsumexp,
     softmax,
 )
-from conftest import bures_w2_sq_cov, plain_assignment_plan
+from conftest import (
+    bures_w2_sq_cov,
+    cells_cost,
+    cells_coupling,
+    dense_line_plan,
+    plain_assignment_plan,
+)
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=100,
                     deadline=None)
@@ -149,7 +155,7 @@ def assert_optimal_against_linprog(plan, cost, a, b, c):
     one-sided: no dearer than HiGHS. HiGHS itself may stop above the
     optimum by its tolerances (1e-7 of the largest cost)."""
     assert_plan_invariants(plan, cost, a, b, c)
-    assert cost <= float((ot._linprog_plan(c, a, b) * c).sum()) + 1e-9
+    assert cost <= cells_cost(ot._linprog_plan(c, a, b), c) + 1e-9
 
 
 class TestExactOracles:
@@ -194,7 +200,7 @@ class TestWarmAssignment:
     def test_matches_plain_assignment(self, c):
         # plans may differ only where another plan costs the same
         warm, plain = ot._assignment_plan(c), plain_assignment_plan(c)
-        gap = float((warm * c).sum()) - float((plain * c).sum())
+        gap = cells_cost(warm, c) - float((plain * c).sum())
         assert abs(gap) <= 1e-12 * max(1.0, c.max())
 
     @SETTINGS
@@ -227,8 +233,9 @@ class TestWarmAssignment:
 
 def simplex_solve(a, b, c):
     """``ot._simplex_plan`` as a validated plan and its cost."""
-    g = ot._simplex_plan(c, a, b)
-    return ot.TransportPlan(g, a, b), float((g * c).sum())
+    rows, cols, mass = cells = ot._simplex_plan(c, a, b)
+    return (ot.TransportPlan(a, b, rows=rows, cols=cols, mass=mass),
+            cells_cost(cells, c))
 
 
 @st.composite
@@ -337,12 +344,12 @@ class TestSimplexPath:
         a, b, c = problem
         scaled = b * (1.0 + delta)
         assert_spanning_tree(ot._least_cost_start(c, a, scaled), *c.shape)
-        g = ot._simplex_plan(c, a, scaled)
+        g = cells_coupling(ot._simplex_plan(c, a, scaled), c.shape)
         assert g.min() >= 0.0
         bound = abs(delta) + 1e-15
         assert np.abs(g.sum(axis=1) - a).max() <= bound
         assert np.abs(g.sum(axis=0) - scaled).max() <= bound
-        reference = float((ot._linprog_plan(c, a, b) * c).sum())
+        reference = cells_cost(ot._linprog_plan(c, a, b), c)
         assert float((g * c).sum()) <= reference + 1e-9 + 2 * bound * c.max()
 
 
@@ -354,7 +361,7 @@ class TestLinePath:
     def test_matches_linprog(self, problem):
         a, b, x, y, c = problem
         _, cost = ot.solve_line(a, b, x, y)
-        reference = float((ot._linprog_plan(c, a, b) * c).sum())
+        reference = cells_cost(ot._linprog_plan(c, a, b), c)
         assert cost == pytest.approx(reference, abs=1e-9)
 
     @SETTINGS
@@ -363,6 +370,14 @@ class TestLinePath:
         a, b, x, y, c = problem
         plan, cost = ot.solve_line(a, b, x, y)
         assert_plan_invariants(plan, cost, a, b, c)
+
+    @SETTINGS
+    @given(line_problem())
+    def test_coupling_matches_dense_builder(self, problem):
+        a, b, x, y, _ = problem
+        plan, _ = ot.solve_line(a, b, x, y)
+        assert np.array_equal(plan.coupling, dense_line_plan(
+            a, b, np.reshape(x, -1), np.reshape(y, -1)))
 
     @SETTINGS
     @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
@@ -396,10 +411,10 @@ def priced_plan(draw):
     ``offset`` in every coordinate, with soft labels on the rows, one-hot
     labels on the columns and a label weight beta (0 included).
 
-    The plan is exact (weighted marginals) or entropic and stopped after one
-    to three Sinkhorn iterations at its epsilon, so its column sums miss its
-    column marginal. Returns (coupling, x, y, labels_x, labels_y, beta,
-    offset).
+    The plan is exact, held as its cells (weighted marginals), or entropic
+    and dense, stopped after one to three Sinkhorn iterations at its
+    epsilon, so its column sums miss its column marginal. Returns (plan, x,
+    y, labels_x, labels_y, beta, offset).
     """
     n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     d, k = draw(st.integers(1, 3)), draw(st.integers(2, 3))
@@ -418,18 +433,19 @@ def priced_plan(draw):
         plan, _ = ot.solve_entropic(a, b, c, epsilon=1.0, max_iter=iters,
                                     tol=0.0)
     offset = draw(st.sampled_from([0.0, 1e3]))
-    return plan.coupling, x + offset, y + offset, lx, ly, beta, offset
+    return plan, x + offset, y + offset, lx, ly, beta, offset
 
 
 class TestMomentCost:
-    """``ot._moment_cost`` prices a fixed plan as the dense cost does."""
+    """``ot.plan_cost`` prices a fixed plan, and ``ot.barycentric_map`` maps
+    it, as the dense coupling does, in either form of the plan."""
 
     @SETTINGS
     @given(priced_plan())
     def test_matches_dense_cost(self, problem):
-        g, x, y, lx, ly, beta, offset = problem
-        price = (ot._moment_cost(g, x, y)
-                 + beta * ot._moment_cost(g, lx, ly))
+        plan, x, y, lx, ly, beta, offset = problem
+        g = plan.coupling
+        price = ot.plan_cost(plan, x, y) + beta * ot.plan_cost(plan, lx, ly)
         # x - offset is exact here, so the reference is the dense cost at
         # the same points, moved back where squared_distances cancels little
         xs, ys = x - offset, y - offset
@@ -442,6 +458,22 @@ class TestMomentCost:
                      + g.sum(axis=0) @ ((ys * ys).sum(axis=1)
                                         + beta * (ly * ly).sum(axis=1)))
         assert abs(price - reference) <= 1e-12 * max(reference, size)
+
+    @SETTINGS
+    @given(priced_plan())
+    def test_map_matches_dense_map(self, problem):
+        plan, _, y, _, ly, _, _ = problem
+        g = plan.coupling
+        r = g.sum(axis=1)
+        for target in (y, ly):
+            if not np.all(r > 0):
+                with pytest.raises(ValueError, match="zero row marginal"):
+                    ot.barycentric_map(plan, target)
+                continue
+            reference = (g @ target) / r[:, None]
+            mapped = ot.barycentric_map(plan, target)
+            assert np.all(np.abs(mapped - reference)
+                          <= 1e-12 * np.abs(target).max())
 
 
 class TestPlanInvariants:

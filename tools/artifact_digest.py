@@ -35,6 +35,9 @@ inputs, ``barycenter`` with exact plans between 96 particles and batches of
 from a random diagonal initial state on two labeled ``swiss_roll`` inputs,
 ``barycenter`` with the gmm flow moving the weights (``flow_weights``) on
 two labeled ``swiss_roll`` inputs fitted with two components per class,
+``barycenter`` with the gmm flow between mixtures of 12 components (three
+per class of two labeled ``swiss_roll`` inputs), whose 144-entry weighted
+plans take the HiGHS LP of ``ot._linprog_plan``,
 ``barycenter`` with the gmm flow and the two Monte-Carlo energies (target
 potential on a CSV batch this script writes, internal energy),
 ``barycenter`` on two CSV inputs this script writes, labeled with the class
@@ -176,6 +179,14 @@ CONFIGS = {
                     "components_per_class": 2}],
         "flow_config": {"n_components": 4, "n_iter": 10, "label_weight": 1.0,
                         "flow_weights": True}},
+    "barycenter-gmm-lp": {
+        "command": "barycenter", "seed": 16, "flow": "gmm",
+        "inputs": [{"kind": "swiss_roll", "n": 120, "noise_std": 0.3,
+                    "components_per_class": 3},
+                   {"kind": "swiss_roll", "n": 120, "noise_std": 0.5,
+                    "components_per_class": 3}],
+        "flow_config": {"n_components": 12, "n_iter": 5,
+                        "label_weight": 1.0}},
     # a callable config is built from its run directory
     "barycenter-gmm-energies": lambda run_dir: {
         "command": "barycenter", "seed": 11, "flow": "gmm",
