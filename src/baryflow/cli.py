@@ -18,13 +18,16 @@ types and their defaults from that signature (``_build``); the CLI supplies
 only the values the library requires. A ValueError the library raises while a
 config is prepared is a config error.
 Exit codes: 0 success, 1 config error (usage errors included), 2 numerical
-failure. Output goes to files under ``output_dir``, which is created only once
-a command's results exist, so a failed run leaves no directory behind; stdout
-carries human-readable progress. Measures and tables are CSV files written by
-``datasets.write_table`` (floats with 17 significant digits, byte-stable for a
-fixed seed), mixtures are GMM JSON files, and ``run_report.json`` is the one
-machine-readable report: the config, versions, wall-clock timings, the
-artifact paths and the command's summary.
+failure. A ValueError the library raises once the run has started is a
+numerical failure: the config passed every check, so a check inside the run
+met a value the run itself produced (a flow that diverged to non-finite costs
+or logits). Output goes to files under ``output_dir``, which is created only
+once a command's results exist, so a failed run leaves no directory behind;
+stdout carries human-readable progress. Measures and tables are CSV files
+written by ``datasets.write_table`` (floats with 17 significant digits,
+byte-stable for a fixed seed), mixtures are GMM JSON files, and
+``run_report.json`` is the one machine-readable report: the config, versions,
+wall-clock timings, the artifact paths and the command's summary.
 
 Importing the CLI loads numpy only. The assignment, LP and kd-tree paths
 import scipy on first use, so ``validate`` and a run that takes none of them
@@ -253,6 +256,8 @@ INPUT_KINDS = ("csv", "gaussian", "gmm_json", "swiss_roll")
 def _parse_input(d: dict, idx: int, rng: np.random.Generator):
     """Returns (sampler, dataset measure or None, gmm or None)."""
     ctx = f"inputs[{idx}]"
+    if not isinstance(d, dict):
+        raise ConfigError(f"{ctx} must be a JSON object")
     kind = _get(d, "kind", str, ctx, required=True)
     if kind == "csv":
         _check_keys(d, ["kind", "path", "label_column", "components_per_class"], ctx)
@@ -688,7 +693,12 @@ def main(argv=None) -> int:
         if args.subcommand == "validate":
             print(f"config ok: command={command}")
             return 0
-        timings, files, summary = run()
+        try:
+            timings, files, summary = run()
+        except ValueError as e:
+            # the config passed; a check in the run met a diverged value
+            print(f"baryflow-error[numeric]: {e}", file=sys.stderr)
+            return 2
         # created only now, so a failed run leaves no directory behind
         out.mkdir(parents=True, exist_ok=True)
         for name, write in files:

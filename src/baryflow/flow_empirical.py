@@ -92,8 +92,8 @@ class EmpiricalFlowConfig:
             raise ValueError("n_particles, batch_size >= 1 and n_iter >= 0 required")
         if not 0.0 < self.step_size <= 1.0:
             raise ValueError("step_size is the interpolation coefficient in (0, 1]")
-        if self.label_weight < 0:
-            raise ValueError("label_weight must be >= 0")
+        if not (np.isfinite(self.label_weight) and self.label_weight >= 0):
+            raise ValueError("label_weight must be finite and >= 0")
         if self.init not in INIT_MODES:
             raise ValueError(f"init must be one of {INIT_MODES}")
         if self.label_init not in LABEL_INIT_MODES:
@@ -172,34 +172,14 @@ class GmmSampler:
 
 # ---------------------------------------------------------------------------
 
-def _batch_cost(points, soft_labels, batch: MiniBatch, beta: float):
-    """Ground cost from particles to a batch; labels enter when beta > 0."""
-    if beta > 0:
-        return ot.joint_cost(points, batch.points, soft_labels, batch.labels, beta)
-    return ot.joint_cost(points, batch.points)
-
-
 def _solve_plans(points, soft_labels, batches, cfg: EmpiricalFlowConfig):
     """One uniform-marginal plan per batch at fixed particles, as a list of
-    (plan, cost) pairs. An exact, feature-only (label_weight 0) problem
-    between points on a line (``ot._on_line``) is solved on the points by
-    ``ot.solve_line``, with no cost matrix; every other problem builds its
-    cost. The entropic solver takes epsilon = 0.05 median(cost), which
-    follows the cost's scale."""
-    def solve(batch):
-        n, m = points.shape[0], batch.points.shape[0]
-        a = np.full(n, 1.0 / n)
-        b = np.full(m, 1.0 / m)
-        if (cfg.solver == "exact" and cfg.label_weight == 0
-                and ot._on_line(points, batch.points)):
-            return ot.solve_line(a, b, points, batch.points)
-        cost = _batch_cost(points, soft_labels, batch, cfg.label_weight)
-        if cfg.solver == "exact":
-            return ot.solve_exact(a, b, cost)
-        return ot.solve_entropic(a, b, cost, epsilon=ot._default_epsilon(cost),
-                                 max_iter=2000, tol=1e-9)
-
-    return [solve(batch) for batch in batches]
+    (plan, cost) pairs by ``ot.solve_points`` with the config's solver,
+    which picks the path; labels enter the cost when label_weight > 0."""
+    return [ot.solve_points(points, batch.points, solver=cfg.solver,
+                            labels_x=soft_labels, labels_y=batch.labels,
+                            beta=cfg.label_weight)
+            for batch in batches]
 
 
 def _lam_map(lam, results, targets):

@@ -70,10 +70,12 @@ class GmmFlowConfig:
     def __post_init__(self):
         if self.n_components < 1 or self.n_iter < 0:
             raise ValueError("n_components >= 1 and n_iter >= 0 required")
-        if self.step_size <= 0:
-            raise ValueError("step_size must be > 0")
-        if self.label_weight < 0 or self.mc_samples < 1 or self.init_samples < 1:
-            raise ValueError("label_weight >= 0 and sample counts >= 1 required")
+        if not (np.isfinite(self.step_size) and self.step_size > 0):
+            raise ValueError("step_size must be finite and > 0")
+        if not (np.isfinite(self.label_weight) and self.label_weight >= 0):
+            raise ValueError("label_weight must be finite and >= 0")
+        if self.mc_samples < 1 or self.init_samples < 1:
+            raise ValueError("sample counts >= 1 required")
         if self.init_mode not in GMM_INIT_MODES:
             raise ValueError(f"init_mode must be one of {GMM_INIT_MODES}")
 

@@ -6,10 +6,12 @@ d(z, z')^2 = ||x - x'||^2 + beta * ||y - y'||^2. Every solver that takes a
 cost array checks it the same way, once per solve: 2-D, finite and
 nonnegative.
 
-Between weighted points on the real line, ``solve_line`` takes the points
-themselves, not a cost: its plan is the north-west-corner coupling of the
-sorted points, optimal for any weights, and it prices that plan on its at
-most n + m - 1 cells, so no n x m cost is formed.
+Plans between point clouds enter through ``solve_points``, which picks the
+path: feature-only points on a line go to ``solve_line``, unless the solver
+is "entropic", and other problems build their ``joint_cost`` for
+``solve_exact``, ``solve_entropic`` or ``solve_auto``. ``solve_line`` takes
+points, not a cost: its plan is the north-west-corner coupling of the sorted
+points, optimal for any weights, priced on its at most n + m - 1 cells.
 
 The exact solver ``solve_exact`` takes one of three paths:
 
@@ -64,6 +66,7 @@ __all__ = [
     "solve_line",
     "solve_entropic",
     "solve_auto",
+    "solve_points",
     "barycentric_map",
     "plan_cost",
     "w2_empirical",
@@ -72,6 +75,7 @@ __all__ = [
 # The cells of an exact plan: row indices, column indices and masses.
 Cells = tuple[np.ndarray, np.ndarray, np.ndarray]
 
+POINT_SOLVERS = ("exact", "entropic", "auto")
 # Above this many coupling entries, solve_auto switches to the entropic solver.
 EXACT_SIZE_LIMIT = 250_000
 # Uniform problems take the assignment path while lcm(n, m) <= this times
@@ -235,7 +239,10 @@ def _check_cost(C) -> np.ndarray:
     return np.maximum(Cv, 0.0) if low < 0 else Cv
 
 
-def _check_marginals(a: np.ndarray, b: np.ndarray, n: int, m: int) -> None:
+def _check_marginals(a, b, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``a`` and ``b`` as float arrays: sizes n and m, nonnegative, one mass."""
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
     if n == 0 or m == 0:
         raise ValueError(f"empty transport problem: sizes ({n}, {m})")
     if a.shape != (n,) or b.shape != (m,):
@@ -247,6 +254,7 @@ def _check_marginals(a: np.ndarray, b: np.ndarray, n: int, m: int) -> None:
     if abs(a.sum() - b.sum()) > 1e-8:
         raise ValueError(
             f"infeasible marginals: masses {a.sum():.12g} vs {b.sum():.12g}")
+    return a, b
 
 
 def _is_uniform(w: np.ndarray) -> bool:
@@ -524,9 +532,7 @@ def solve_line(a, b, x, y) -> tuple[TransportPlan, float]:
     so no n x m array is formed.
     """
     x, y = _line_points(x), _line_points(y)
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    _check_marginals(a, b, x.shape[0], y.shape[0])
+    a, b = _check_marginals(a, b, x.shape[0], y.shape[0])
     rows, cols, mass = _monotone_plan(a, b, x, y)
     cost = float(mass @ (x[rows] - y[cols]) ** 2)
     return TransportPlan(a, b, rows=rows, cols=cols, mass=mass), cost
@@ -546,10 +552,8 @@ def solve_exact(a, b, C: np.ndarray) -> tuple[TransportPlan, float]:
     HiGHS LP. Points on a line are solved without a cost by ``solve_line``.
     """
     Cv = _check_cost(C)
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
     n, m = Cv.shape
-    _check_marginals(a, b, n, m)
+    a, b = _check_marginals(a, b, n, m)
     if (_is_uniform(a) and _is_uniform(b)
             and math.lcm(n, m) <= LCM_RATIO_LIMIT * max(n, m)):
         rows, cols, mass = _assignment_plan(Cv)
@@ -582,10 +586,8 @@ def solve_entropic(a, b, C: np.ndarray, epsilon: float,
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError("tol must be finite and >= 0")
     Cv = _check_cost(C)
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
     n, m = Cv.shape
-    _check_marginals(a, b, n, m)
+    a, b = _check_marginals(a, b, n, m)
 
     rows, cols = np.flatnonzero(a > 0), np.flatnonzero(b > 0)
     support = np.ix_(rows, cols)
@@ -700,6 +702,38 @@ def solve_auto(a, b, C: np.ndarray) -> tuple[TransportPlan, float]:
                           max_iter=2000, tol=1e-7)
 
 
+def solve_points(x, y, a=None, b=None, solver: str = "auto", labels_x=None,
+                 labels_y=None, beta: float = 0.0
+                 ) -> tuple[TransportPlan, float]:
+    """Solve OT between the rows of the 2-D point arrays ``x`` and ``y``,
+    weighted by ``a`` and ``b`` (uniform when None), for ``joint_cost``, whose
+    labels enter only when beta > 0. Points on a line with beta = 0 are
+    solved by ``solve_line`` unless ``solver`` is "entropic"; other problems
+    by ``solve_exact``, ``solve_entropic`` at epsilon 0.05 median(C) or
+    ``solve_auto``, as ``solver`` names.
+    """
+    if solver not in POINT_SOLVERS:
+        raise ValueError(f"solver must be one of {POINT_SOLVERS}")
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.ndim != 2 or y.ndim != 2:
+        raise ValueError(f"points must be 2-D, got {x.shape} and {y.shape}")
+    n, m = x.shape[0], y.shape[0]
+    a = np.ones(n) / n if a is None else a
+    b = np.ones(m) / m if b is None else b
+    if beta == 0:
+        if solver != "entropic" and x.shape[1] == y.shape[1] == 1:
+            return solve_line(a, b, x, y)
+        C = joint_cost(x, y)
+    else:
+        C = joint_cost(x, y, labels_x, labels_y, beta)
+    if solver == "exact":
+        return solve_exact(a, b, C)
+    if solver == "entropic":
+        return solve_entropic(a, b, C, epsilon=_default_epsilon(C),
+                              max_iter=2000, tol=1e-9)
+    return solve_auto(a, b, C)
+
+
 def plan_cost(plan: TransportPlan, x: np.ndarray, y: np.ndarray) -> float:
     """<P, C> for the plan P and the squared Euclidean cost
     C[i, j] = ||x_i - y_j||^2 between the rows of the 2-D float arrays x
@@ -752,17 +786,10 @@ def barycentric_map(plan: TransportPlan, y: np.ndarray) -> np.ndarray:
     return total / row_mass[:, None]
 
 
-def _on_line(x: np.ndarray, y: np.ndarray) -> bool:
-    """Whether the rows of the 2-D point arrays x and y all lie on the real
-    line: there an exact plan for the squared distance between the points
-    alone (no label term) is ``solve_line``'s, with no cost matrix."""
-    return x.shape[1] == y.shape[1] == 1
-
-
 def w2_empirical(p, q) -> float:
     """2-Wasserstein distance between the feature clouds of two measures
-    (labels play no part). Exact plans below EXACT_SIZE_LIMIT entries,
-    entropic above.
+    (labels play no part), by ``solve_points`` with "auto": on the points
+    for clouds on a line, else exact up to EXACT_SIZE_LIMIT entries.
     """
-    _, cost = solve_auto(p.weights, q.weights, joint_cost(p.points, q.points))
+    _, cost = solve_points(p.points, q.points, p.weights, q.weights)
     return float(np.sqrt(max(cost, 0.0)))

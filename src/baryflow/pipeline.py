@@ -1,12 +1,12 @@
 """Desk-scale MSDA evaluation and convergence diagnostics.
 
 The adaptation pipeline: compute a labeled barycenter of the source measures,
-align its support with the target features through exact OT (feature cost
-only, on subsamples capped at 2000 points), push the barycenter particles
-through the barycentric map, train a 1-nearest-neighbor classifier on the
-transported labeled points, and score it on held-out target labels. Target
-labels never enter the adaptation path; they are a separate argument used
-only for scoring.
+align its support with the target features through a uniform exact plan of
+``ot.solve_points`` (feature cost only, on subsamples capped at 2000 points),
+push the barycenter particles through the barycentric map, train a
+1-nearest-neighbor classifier on the transported labeled points, and score
+it on held-out target labels. Target labels never enter the adaptation path;
+they are a separate argument used only for scoring.
 
 For flows run with label weight 0 (unlabeled barycenters) the classifier
 labels are recovered afterwards by propagating the source labels through
@@ -102,17 +102,16 @@ def _subsample_for_plan(n_rows: int, n_avail: int,
 
 def _propagate_labels(points, sources, lam, rng):
     """Soft labels for a support via one-shot OT label transfer from the
-    labeled sources (feature cost only)."""
+    labeled sources: one uniform exact plan per source, feature cost only,
+    by ``ot.solve_points``."""
     n = points.shape[0]
     n_classes = sources[0].n_classes
     y = np.zeros((n, n_classes))
-    a = np.full(n, 1.0 / n)
     for l, src in zip(lam, sources):
         idx = _subsample_for_plan(n, src.n, rng)
         pts = src.points[idx]
         labels = one_hot(src.hard_labels()[idx], n_classes)
-        cost = ot.joint_cost(points, pts)
-        plan, _ = ot.solve_exact(a, np.full(len(idx), 1.0 / len(idx)), cost)
+        plan, _ = ot.solve_points(points, pts, solver="exact")
         y += l * ot.barycentric_map(plan, labels)
     return y
 
@@ -171,9 +170,7 @@ def msda_adapt(sources, target_features: EmpiricalMeasure, eval_labels,
     t0 = time.perf_counter()
     idx = _subsample_for_plan(bary.n, target_features.n, rng)
     tgt_pts = target_features.points[idx]
-    cost = ot.joint_cost(bary.points, tgt_pts)
-    plan, _ = ot.solve_exact(
-        np.full(bary.n, 1.0 / bary.n), np.full(len(idx), 1.0 / len(idx)), cost)
+    plan, _ = ot.solve_points(bary.points, tgt_pts, solver="exact")
     transported = ot.barycentric_map(plan, tgt_pts)
     timings["align_ms"] = 1e3 * (time.perf_counter() - t0)
 

@@ -197,6 +197,57 @@ def dense_linprog_plan(c: np.ndarray, a, b) -> np.ndarray:
     return plan
 
 
+# The point-cloud dispatches of the call sites as they were before
+# ``ot.solve_points`` chose the path for all of them: the references for its
+# plans and costs.
+
+def flow_plan_dispatch(points, soft_labels, batch, beta, solver):
+    """``flow_empirical._solve_plans`` for one batch: uniform weights; the
+    sorted plan for exact feature-only plans on a line, else the joint cost
+    (labels when beta > 0) solved exactly or by Sinkhorn at the default
+    epsilon."""
+    n, m = points.shape[0], batch.points.shape[0]
+    a = np.full(n, 1.0 / n)
+    b = np.full(m, 1.0 / m)
+    if (solver == "exact" and beta == 0
+            and points.shape[1] == batch.points.shape[1] == 1):
+        return ot.solve_line(a, b, points, batch.points)
+    if beta > 0:
+        cost = ot.joint_cost(points, batch.points, soft_labels, batch.labels,
+                             beta)
+    else:
+        cost = ot.joint_cost(points, batch.points)
+    if solver == "exact":
+        return ot.solve_exact(a, b, cost)
+    return ot.solve_entropic(a, b, cost, epsilon=ot._default_epsilon(cost),
+                             max_iter=2000, tol=1e-9)
+
+
+def target_potential_dispatch(p, target):
+    """``functionals.target_potential``'s plan: the sorted plan on a line,
+    else ``solve_auto`` on the feature cost, with the measures' weights."""
+    if p.points.shape[1] == target.points.shape[1] == 1:
+        return ot.solve_line(p.weights, target.weights, p.points,
+                             target.points)
+    cost = ot.joint_cost(p.points, target.points)
+    return ot.solve_auto(p.weights, target.weights, cost)
+
+
+def w2_dispatch(p, q):
+    """``ot.w2_empirical``'s plan: ``solve_auto`` on the feature cost, with
+    the measures' weights, on a line too."""
+    return ot.solve_auto(p.weights, q.weights, ot.joint_cost(p.points, q.points))
+
+
+def uniform_exact_dispatch(x, y):
+    """The plans of ``pipeline._propagate_labels`` and of the alignment in
+    ``pipeline.msda_adapt``: ``solve_exact`` on the feature cost with uniform
+    weights, on a line too."""
+    n, m = x.shape[0], y.shape[0]
+    return ot.solve_exact(np.full(n, 1.0 / n), np.full(m, 1.0 / m),
+                          ot.joint_cost(x, y))
+
+
 def dense_recost_flow_step(measure, batches, cfg, it):
     """Reference for ``flow_empirical.flow_step``, with the same arguments
     and returns: the same plans and update, with the record priced on dense
@@ -228,7 +279,7 @@ def dense_recost_flow_step(measure, batches, cfg, it):
     soft_new = None if logits_new is None else softmax(logits_new)
     b_hat = 0.0
     for l, (plan, _), batch in zip(lam, results, batches):
-        cost = fe._batch_cost(x_new, soft_new, batch, beta)
+        cost = ot.joint_cost(x_new, batch.points, soft_new, batch.labels, beta)
         b_hat += l * float((plan.coupling * cost).sum())
     v, u, _, _ = _label_energies(x_new, logits_new, spec)
     if target_plan is not None:

@@ -456,7 +456,8 @@ def test_criterion_11_ablation_guard_rail(tmp_path):
         cfg_path = tmp_path / f"cfg{seed}.json"
         cfg_path.write_text(json.dumps(cfg))
         assert cli_main(["msda", str(cfg_path)]) == 0
-        rows = list(csv.reader((out / "ablation_table.csv").open()))
+        text = (out / "ablation_table.csv").read_text()
+        rows = list(csv.reader(text.splitlines()))
         assert [r[0] for r in rows[1:]] == ["B", "B+V", "B+U", "B+V+U"]
         table = {r[0]: float(r[1]) for r in rows[1:]}
         acc["B"].append(table["B"])

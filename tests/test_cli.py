@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import csv
 import dataclasses
 import json
@@ -53,6 +54,20 @@ def gaussian_pair(**first):
     """Two 1-D gaussian inputs, the first with its keys changed."""
     return [{"kind": "gaussian", "mean": [0.0], **first},
             {"kind": "gaussian", "mean": [4.0]}]
+
+
+def swiss_pair():
+    """Two labeled 2-D swiss_roll inputs."""
+    return [{"kind": "swiss_roll", "n": 40}, {"kind": "swiss_roll", "n": 40}]
+
+
+# The warnings a row of ``test_rejected_without_traceback`` raises on its way
+# to a numeric failure: a GMM run that fails clamps a Cholesky diagonal
+# first, and a diverging one overflows.
+RUN_WARNINGS = {
+    "gmm-singular-covariance": ["clamped"],
+    "gmm-step-size-diverges": ["clamped", "overflow"],
+}
 
 
 def toy_with(**changes):
@@ -361,16 +376,49 @@ class TestValidate:
         pytest.param(lambda t: bary_with(
             "gmm", inputs=three_component_gmm_inputs(t), n_components=3,
             n_iter=20, step_size=5.0), 2, id="gmm-singular-covariance"),
+        pytest.param(lambda t: bary_with(inputs=[5]), 1, id="input-number"),
+        pytest.param(lambda t: bary_with(inputs=["kind"]), 1,
+                     id="input-string"),
+        pytest.param(lambda t: bary_with(inputs=[None]), 1, id="input-null"),
+        pytest.param(lambda t: bary_with(inputs=[[1, 2]]), 1, id="input-list"),
+        pytest.param(lambda t: bary_with(inputs=swiss_pair(),
+                                         label_weight=float("nan")), 1,
+                     id="empirical-label-weight-nan"),
+        pytest.param(lambda t: bary_with(inputs=swiss_pair(),
+                                         label_weight=float("inf")), 1,
+                     id="empirical-label-weight-inf"),
+        pytest.param(lambda t: bary_with("gmm", inputs=swiss_pair(),
+                                         label_weight=float("nan")), 1,
+                     id="gmm-label-weight-nan"),
+        pytest.param(lambda t: bary_with("gmm", inputs=swiss_pair(),
+                                         label_weight=float("inf")), 1,
+                     id="gmm-label-weight-inf"),
+        pytest.param(lambda t: bary_with("gmm", inputs=swiss_pair(),
+                                         step_size=float("nan")), 1,
+                     id="gmm-step-size-nan"),
+        pytest.param(lambda t: bary_with("gmm", inputs=swiss_pair(),
+                                         step_size=float("inf")), 1,
+                     id="gmm-step-size-inf"),
+        pytest.param(lambda t: bary_with("gmm", inputs=swiss_pair(),
+                                         step_size=1e200), 2,
+                     id="gmm-step-size-diverges"),
+        pytest.param(lambda t: bary_with(inputs=swiss_pair(),
+                                         label_weight=1e308), 2,
+                     id="empirical-label-weight-diverges"),
     ])
-    def test_rejected_without_traceback(self, tmp_path, capsys, make_cfg,
-                                        code):
+    def test_rejected_without_traceback(self, request, tmp_path, capsys,
+                                        make_cfg, code):
         # a config error fails `validate` and the command alike; a numeric
         # failure is found only by running, and exits 2
         out = tmp_path / "out"
         cfg = dict(make_cfg(tmp_path), output_dir=str(out))
         path = write_config(tmp_path, "c.json", cfg)
         assert main(["validate", path]) == (1 if code == 1 else 0)
-        assert main([cfg["command"], path]) == code
+        with contextlib.ExitStack() as expected:
+            for match in RUN_WARNINGS.get(request.node.callspec.id, ()):
+                expected.enter_context(pytest.warns(RuntimeWarning,
+                                                    match=match))
+            assert main([cfg["command"], path]) == code
         tag = "config" if code == 1 else "numeric"
         assert f"baryflow-error[{tag}]" in capsys.readouterr().err
         assert not out.exists()
@@ -593,7 +641,8 @@ class TestBarycenterCommand:
         out = tmp_path / "out"
         path = write_config(tmp_path, "c.json", bary_config(out))
         main(["barycenter", path])
-        rows = list(csv.reader((out / "trace.csv").open()))
+        text = (out / "trace.csv").read_text()
+        rows = list(csv.reader(text.splitlines()))
         assert rows[0] == ["iter", "B_hat", "V", "U", "G", "F", "param_norm"]
         assert len(rows) == 27  # header + n_iter + 1 entries
 
@@ -742,7 +791,8 @@ class TestBarycenterCommand:
         assert main(["barycenter", path]) == 0
         mixture = load_gmm(tmp_path / "out" / "final_mixture.json")
         assert mixture.n_components == 2 and mixture.nu is None
-        rows = list(csv.DictReader((tmp_path / "out" / "trace.csv").open()))
+        text = (tmp_path / "out" / "trace.csv").read_text()
+        rows = list(csv.DictReader(text.splitlines()))
         assert float(rows[-1]["F"]) < float(rows[0]["F"])
 
     def test_coordinates(self, tmp_path, capsys):
@@ -778,7 +828,8 @@ class TestToyCommand:
         out = tmp_path / "out"
         path = write_config(tmp_path, "c.json", self.toy_config(out))
         assert main(["toy", path]) == 0
-        rows = list(csv.reader((out / "toy_table.csv").open()))
+        text = (out / "toy_table.csv").read_text()
+        rows = list(csv.reader(text.splitlines()))
         assert rows[0] == ["solver", "w2_to_ref"]
         assert [r[0] for r in rows[1:]] == ["init", "wgf", "wgf_gmm",
                                             "fixed_point"]
@@ -817,7 +868,8 @@ class TestMsdaCommand:
         out = tmp_path / "out"
         path = write_config(tmp_path, "c.json", self.msda_config(out))
         assert main(["msda", path]) == 0
-        rows = list(csv.reader((out / "ablation_table.csv").open()))
+        text = (out / "ablation_table.csv").read_text()
+        rows = list(csv.reader(text.splitlines()))
         assert rows[0] == ["combo", "accuracy_adapted", "accuracy_source_only"]
         assert [r[0] for r in rows[1:]] == ["B", "B+V", "B+U", "B+V+U"]
 

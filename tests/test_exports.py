@@ -36,3 +36,25 @@ def test_root_names_in_module_all(module):
     missing = sorted(set(names) - set(mod.__all__))
     assert not missing, f"baryflow imports {missing} from {module}, whose " \
                         f"__all__ does not list them"
+
+
+def private_ot_reads(path: Path) -> list[str]:
+    """The private ``ot`` names a module reads: ``ot._name`` attributes and
+    ``from .ot import _name`` imports."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and isinstance(node.value, ast.Name) and node.value.id == "ot"):
+            found.append(node.attr)
+        if isinstance(node, ast.ImportFrom) and node.module == "ot":
+            found += [a.name for a in node.names if a.name.startswith("_")]
+    return found
+
+
+def test_private_ot_names_stay_in_ot():
+    # the plans between point clouds are chosen in ot alone
+    package = Path(baryflow.__file__).parent
+    modules = sorted(p for p in package.glob("*.py") if p.name != "ot.py")
+    assert len(modules) >= 8
+    reads = {p.name: private_ot_reads(p) for p in modules}
+    assert not any(reads.values()), reads

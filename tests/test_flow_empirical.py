@@ -46,6 +46,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             EmpiricalFlowConfig(8, 8, 1, UNIT, solver="magic")
 
+    @pytest.mark.parametrize("label_weight", [np.nan, np.inf, -1.0])
+    def test_label_weight_finite_and_nonnegative(self, label_weight):
+        # NaN > 0 is false, so a NaN weight would switch the label cost off
+        with pytest.raises(ValueError, match="label_weight must be finite"):
+            EmpiricalFlowConfig(8, 8, 1, UNIT, label_weight=label_weight)
+
     def test_internal_energy_rejected(self):
         # the empirical flow has no internal energy; it must not be ignored
         with pytest.raises(ValueError, match="internal_weight"):

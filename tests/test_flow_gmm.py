@@ -38,6 +38,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             GmmFlowConfig(1, 10, UNIT, init_mode="warm")
 
+    @pytest.mark.parametrize("key, value", [
+        ("step_size", np.nan), ("step_size", np.inf), ("step_size", -0.1),
+        ("label_weight", np.nan), ("label_weight", np.inf),
+        ("label_weight", -1.0)])
+    def test_rejects_non_finite_settings(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            GmmFlowConfig(1, 10, UNIT, **{key: value})
+
 
 class TestFixedPointGaussianBarycenter:
     @staticmethod

@@ -4,14 +4,18 @@ import numpy as np
 import pytest
 
 from baryflow import ot
-from baryflow.measures import EmpiricalMeasure
+from baryflow.measures import EmpiricalMeasure, MiniBatch, one_hot, softmax
 from conftest import (
     cells_cost,
     dense_assignment_plan,
     dense_line_plan,
     dense_linprog_plan,
     dense_simplex_plan,
+    flow_plan_dispatch,
     plain_assignment_plan,
+    target_potential_dispatch,
+    uniform_exact_dispatch,
+    w2_dispatch,
 )
 
 
@@ -307,8 +311,10 @@ class TestSolveEntropic:
 @pytest.mark.parametrize("solve", [
     ot.solve_exact, lambda a, b, c: ot.solve_entropic(a, b, c, epsilon=1.0),
     lambda a, b, c: ot.solve_line(a, b, np.zeros(c.shape[0]),
-                                  np.zeros(c.shape[1]))],
-    ids=["exact", "entropic", "line"])
+                                  np.zeros(c.shape[1])),
+    lambda a, b, c: ot.solve_points(np.zeros((c.shape[0], 2)),
+                                    np.zeros((c.shape[1], 2)))],
+    ids=["exact", "entropic", "line", "points"])
 def test_empty_problem_rejected(solve, shape):
     n, m = shape
     with pytest.raises(ValueError, match="empty transport problem"):
@@ -338,6 +344,129 @@ class TestSolveAuto:
         assert len(calls) == 1
         ref, ref_cost = ot.solve_exact(np.full(4, 0.25), np.full(3, 1 / 3), c)
         assert np.array_equal(plan.coupling, ref.coupling) and cost == ref_cost
+
+
+def _measure(n, d, seed, weighted=False):
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.ones(n)) if weighted else None
+    return EmpiricalMeasure(rng.normal(size=(n, d)), weights)
+
+
+def _batch(n, d, seed, n_classes=None):
+    rng = np.random.default_rng(seed)
+    labels = (None if n_classes is None
+              else one_hot(rng.integers(n_classes, size=n), n_classes))
+    return MiniBatch(rng.normal(size=(n, d)), labels)
+
+
+def _soft(n, n_classes, seed):
+    return softmax(np.random.default_rng(seed).normal(size=(n, n_classes)))
+
+
+def _flow_case(n, m, d, solver, beta=0.0, x_classes=None, batch_classes=None):
+    """solve_points against the flow's dispatch for one batch, with soft
+    labels on the particles and one-hot labels on the batch when given a
+    class count."""
+    x = _measure(n, d, 1).points
+    soft = None if x_classes is None else _soft(n, x_classes, 2)
+    batch = _batch(m, d, 3, batch_classes)
+    return (ot.solve_points(x, batch.points, solver=solver, labels_x=soft,
+                            labels_y=batch.labels, beta=beta),
+            flow_plan_dispatch(x, soft, batch, beta, solver))
+
+
+def _weighted_case(n, m, d, reference):
+    """solve_points with "auto" and explicit weights against a dispatch on
+    two weighted measures."""
+    p, q = _measure(n, d, 4, weighted=True), _measure(m, d, 5, weighted=True)
+    return (ot.solve_points(p.points, q.points, p.weights, q.weights),
+            reference(p, q))
+
+
+def _uniform_exact_case(n, m):
+    x, y = _measure(n, 2, 6).points, _measure(m, 2, 7).points
+    return (ot.solve_points(x, y, solver="exact"), uniform_exact_dispatch(x, y))
+
+
+def _auto_entropic_case(monkeypatch):
+    # past the size switch, solve_auto takes Sinkhorn; a small limit keeps
+    # the problem small
+    monkeypatch.setattr(ot, "EXACT_SIZE_LIMIT", 10)
+    p, q = _measure(6, 2, 8), _measure(5, 2, 9)
+    return ot.solve_points(p.points, q.points), w2_dispatch(p, q)
+
+
+class TestSolvePoints:
+    """``solve_points`` gives, bit for bit, the plan and cost of the
+    dispatch each call site made for itself before it took their place."""
+
+    @pytest.mark.parametrize("case", [
+        pytest.param(lambda mp: _flow_case(16, 8, 1, "exact"),
+                     id="line-exact"),
+        pytest.param(lambda mp: _weighted_case(12, 9, 1,
+                                               target_potential_dispatch),
+                     id="line-auto-weighted"),
+        pytest.param(lambda mp: _flow_case(16, 8, 1, "entropic"),
+                     id="line-entropic-builds-cost"),
+        pytest.param(lambda mp: _flow_case(16, 8, 1, "exact", x_classes=3),
+                     id="line-beta-zero-one-sided-labels"),
+        pytest.param(lambda mp: _flow_case(16, 8, 2, "exact"),
+                     id="assign-exact"),
+        pytest.param(lambda mp: _uniform_exact_case(8, 8),
+                     id="assign-exact-square"),
+        pytest.param(lambda mp: _uniform_exact_case(6, 4), id="lcm-exact"),
+        pytest.param(lambda mp: _uniform_exact_case(7, 5),
+                     id="simplex-exact"),
+        pytest.param(lambda mp: _uniform_exact_case(12, 11), id="lp-exact"),
+        pytest.param(lambda mp: _flow_case(16, 8, 2, "entropic"),
+                     id="entropic"),
+        pytest.param(lambda mp: _weighted_case(10, 9, 2,
+                                               target_potential_dispatch),
+                     id="auto-weighted-simplex"),
+        pytest.param(lambda mp: _weighted_case(12, 11, 2, w2_dispatch),
+                     id="auto-weighted-lp"),
+        pytest.param(_auto_entropic_case, id="auto-entropic"),
+        pytest.param(lambda mp: _flow_case(16, 8, 2, "exact", beta=0.5,
+                                           x_classes=3, batch_classes=3),
+                     id="labels-exact"),
+        pytest.param(lambda mp: _flow_case(16, 8, 1, "exact", beta=0.5,
+                                           x_classes=3, batch_classes=3),
+                     id="labels-exact-on-line-builds-cost"),
+        pytest.param(lambda mp: _flow_case(16, 8, 2, "entropic", beta=0.5,
+                                           x_classes=3, batch_classes=3),
+                     id="labels-entropic"),
+    ])
+    def test_matches_call_site_dispatch(self, monkeypatch, case):
+        (plan, cost), (ref, ref_cost) = case(monkeypatch)
+        assert np.float64(cost).tobytes() == np.float64(ref_cost).tobytes()
+        for name in ("row_marginal", "col_marginal", "matrix", "rows",
+                     "cols", "mass"):
+            got, want = getattr(plan, name), getattr(ref, name)
+            assert (got is None) == (want is None), name
+            if got is not None:
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("solver", ["exact", "auto"])
+    def test_line_forms_no_cost(self, monkeypatch, solver):
+        def no_cost(*args, **kwargs):
+            raise AssertionError("a cost was built for points on a line")
+        monkeypatch.setattr(ot, "joint_cost", no_cost)
+        x, y = _measure(16, 1, 1).points, _measure(8, 1, 2).points
+        plan, _ = ot.solve_points(x, y, solver=solver)
+        assert plan.matrix is None
+
+    @pytest.mark.parametrize("solver", ["lp", "sinkhorn", "Exact", None])
+    def test_bad_solver(self, solver):
+        x = _measure(4, 2, 1).points
+        with pytest.raises(ValueError, match="solver must be one of"):
+            ot.solve_points(x, x, solver=solver)
+
+    @pytest.mark.parametrize("x", [np.zeros(4), np.zeros((4, 1, 1))],
+                             ids=["1-d", "3-d"])
+    def test_points_must_be_2d(self, x):
+        with pytest.raises(ValueError, match="points must be 2-D"):
+            ot.solve_points(x, np.zeros((3, 1)))
 
 
 class TestBarycentricMap:
