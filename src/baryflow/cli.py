@@ -29,6 +29,11 @@ byte-stable for a fixed seed), mixtures are GMM JSON files, and
 ``run_report.json`` is the one machine-readable report: the config, versions,
 wall-clock timings, the artifact paths and the command's summary.
 
+The class names of a run's CSV labels stay here: ``datasets.share_classes``
+maps them to ids in one sorted order per run, the library sees ids alone, and
+the names are written back only to ``final_measure.csv``. The label columns
+of ``final_mixture.json`` follow that order.
+
 Importing the CLI loads numpy only. The assignment, LP and kd-tree paths
 import scipy on first use, so ``validate`` and a run that takes none of them
 (the sorted 1-D exact path, a GMM flow) never load it.
@@ -80,6 +85,7 @@ from .flow_gmm import (
 from .functionals import FunctionalSpec, check_inputs
 from .gaussian import (
     LabeledGMM,
+    _per_class_components,
     em_fit,
     load_gmm,
     sample_reparam,
@@ -192,6 +198,13 @@ def _load(loader, raw, ctx: str, *args):
         raise ConfigError(f"{ctx}: {e}") from None
 
 
+def _check_unread(cfg: dict, keys, mode: str, ctx: str) -> None:
+    """Reject the ``keys`` of ``cfg`` that ``mode`` never reads."""
+    for key in keys:
+        if key in cfg:
+            raise ConfigError(f"{ctx}: key {key!r} does not apply to {mode}")
+
+
 def _check_dims(dims, ctx: str) -> None:
     """``dims`` pairs a name with a feature dimension; a run has one."""
     (first, d0), *rest = dims
@@ -236,7 +249,7 @@ def _parse_functional(cfg: dict, ctx: str, target_measure=None) -> FunctionalSpe
     d = _get(cfg, "functional", dict, ctx, {})
     ctx = f"{ctx}: functional"
     if "target_csv" in d:
-        target_measure = _load(load_csv, d["target_csv"], ctx)
+        target_measure, _ = _load(load_csv, d["target_csv"], ctx)
     return _build(FunctionalSpec, d, ctx, None, ("target_csv",),
                   target_measure=target_measure)
 
@@ -254,58 +267,64 @@ INPUT_KINDS = ("csv", "gaussian", "gmm_json", "swiss_roll")
 
 
 def _parse_input(d: dict, idx: int, rng: np.random.Generator):
-    """Returns (sampler, dataset measure or None, gmm or None)."""
+    """Returns (input, class names): the measure of a csv or swiss_roll
+    entry or the mixture of a gaussian or gmm_json one, and the names
+    ``load_csv`` returns for a csv entry, None for the others."""
     ctx = f"inputs[{idx}]"
     if not isinstance(d, dict):
         raise ConfigError(f"{ctx} must be a JSON object")
     kind = _get(d, "kind", str, ctx, required=True)
     if kind == "csv":
         _check_keys(d, ["kind", "path", "label_column", "components_per_class"], ctx)
-        measure = _load(load_csv, _get(d, "path", str, ctx, required=True), ctx,
-                        _get(d, "label_column", str, ctx))
-        return EmpiricalSampler(measure), measure, None
+        return _load(load_csv, _get(d, "path", str, ctx, required=True), ctx,
+                     _get(d, "label_column", str, ctx))
     if kind == "gaussian":
         _check_keys(d, ["kind", "mean", "std"], ctx)
         mean = _get_numbers(d, "mean", ctx)
         std = (_get_numbers(d, "std", ctx) if isinstance(d.get("std"), list)
                else _get(d, "std", float, ctx, 1.0))
-        std = np.broadcast_to(std, mean.shape).copy()
-        gmm = LabeledGMM([1.0], mean[None], np.diag(std)[None])
-        return GaussianSampler(mean, std), None, gmm
+        std = np.broadcast_to(std, mean.shape)
+        return LabeledGMM([1.0], mean[None], np.diag(std)[None]), None
     if kind == "gmm_json":
         _check_keys(d, ["kind", "path"], ctx)
-        gmm = _load(load_gmm, _get(d, "path", str, ctx, required=True), ctx)
-        return GmmSampler(gmm), None, gmm
+        return _load(load_gmm, _get(d, "path", str, ctx, required=True), ctx), None
     if kind == "swiss_roll":
-        measure = _build(swiss_roll, d, ctx, SWISS_ROLL_DEFAULTS,
-                         ("kind", "components_per_class"), seed=rng)
-        return EmpiricalSampler(measure), measure, None
+        return _build(swiss_roll, d, ctx, SWISS_ROLL_DEFAULTS,
+                      ("kind", "components_per_class"), seed=rng), None
     raise ConfigError(f"{ctx}: kind must be one of {INPUT_KINDS}")
 
 
-def _check_every_class(measure, where: str, ctx: str) -> None:
-    """EM fits each class of a labeled measure, so each needs a sample; the
-    error names the class by its name, or by its id for integer labels."""
+# The empirical flow's sampler of an input of each kind; a gaussian input
+# draws without a component choice.
+SAMPLERS = {"csv": EmpiricalSampler, "swiss_roll": EmpiricalSampler,
+            "gmm_json": GmmSampler,
+            "gaussian": lambda g: GaussianSampler(g.means[0],
+                                                  np.diagonal(g.chols[0]))}
+
+
+def _check_em_counts(measure, need: int, where: str, ctx: str,
+                     names) -> None:
+    """EM fits ``need`` components to each class of a labeled measure, and a
+    component needs a sample; the error names the input, the class (by
+    ``names``, or by its id for integer labels) and both counts."""
     counts = np.bincount(measure.hard_labels(), minlength=measure.n_classes)
-    if not counts.all():
-        c = int(np.argmin(counts))
-        name = c if measure.class_names is None else repr(measure.class_names[c])
-        raise ConfigError(f"{ctx}: EM fits every class of every labeled "
-                          f"input; {where} has no sample of class {name}")
+    c = int(np.argmin(counts))
+    if counts[c] < need:
+        found = "no sample" if counts[c] == 0 else f"only {counts[c]} samples"
+        name = c if names is None else repr(names[c])
+        raise ConfigError(f"{ctx}: EM fits {need} component(s) to each class "
+                          f"of every labeled input; {where} has {found} of "
+                          f"class {name}")
 
 
-def _input_to_gmm(d: dict, idx: int, parsed, cfg_gmm_components: int,
-                  rng: np.random.Generator) -> LabeledGMM:
-    _, measure, gmm = parsed
-    if gmm is not None:
-        return gmm
-    if measure.label_logits is not None:
-        per_class = {k: _get(d, k, int, f"inputs[{idx}]") for k in d
-                     if k == "components_per_class"}
-        return em_fit(measure.points, measure.hard_labels(), **per_class,
-                      seed=rng)
-    return em_fit(measure.points, components_per_class=cfg_gmm_components,
-                  seed=rng)
+def _check_em_init(cfg: GmmFlowConfig, n_inputs: int, ctx: str) -> None:
+    """The GMM flow's em init fits ``cfg.n_components`` components to
+    ``cfg.init_samples`` draws of each input, and a component needs one."""
+    pool = cfg.init_samples * n_inputs
+    if cfg.init_mode == "em" and cfg.n_components > pool:
+        raise ConfigError(f"{ctx}: the em init fits {cfg.n_components} "
+                          f"components to init_samples {cfg.init_samples} x "
+                          f"{n_inputs} inputs = {pool} draws")
 
 
 # ---------------------------------------------------------------------------
@@ -376,40 +395,45 @@ def _prepare_barycenter(cfg: dict, seed: int, ctx: str):
                            coordinates=coords, functional=functional, seed=seed)
 
     rng = np.random.default_rng(seed)
-    parsed = [_parse_input(d, i, rng) for i, d in enumerate(inputs_cfg)]
-    # the labeled CSV inputs of a run share one class mapping
-    csv = [i for i, d in enumerate(inputs_cfg) if d["kind"] == "csv"]
-    shared = share_classes([parsed[i][1] for i in csv],
-                           [inputs_cfg[i]["path"] for i in csv])
-    for i, measure in zip(csv, shared):
-        parsed[i] = (EmpiricalSampler(measure), measure, None)
-    for i, (d, (_, measure, _)) in enumerate(zip(inputs_cfg, parsed)):
+    # the labeled inputs of a run share one class mapping
+    items, names = share_classes(
+        *zip(*[_parse_input(d, i, rng) for i, d in enumerate(inputs_cfg)]),
+        [d.get("path", f"inputs[{i}]") for i, d in enumerate(inputs_cfg)])
+    for i, (d, x) in enumerate(zip(inputs_cfg, items)):
         # only the GMM flow fits labeled data by EM, per class
         if "components_per_class" in d and (
-                flow_kind == "empirical"
-                or measure.label_logits is None):
+                flow_kind == "empirical" or x.n_classes is None):
             raise ConfigError(f"inputs[{i}]: components_per_class applies "
                               f"only to a labeled input of the gmm flow")
-    items = [gmm if gmm is not None else measure for _, measure, gmm in parsed]
-    dims = [(f"inputs[{i}]", item.dim) for i, item in enumerate(items)]
+    dims = [(f"inputs[{i}]", x.dim) for i, x in enumerate(items)]
     if functional.target_measure is not None:
         dims.append(("functional: target_csv", functional.target_measure.dim))
     _check_dims(dims, ctx)
     if flow_kind == "empirical":
-        inputs = [p[0] for p in parsed]
+        inputs = [SAMPLERS[d["kind"]](x) for d, x in zip(inputs_cfg, items)]
     else:  # the GMM flow sees the labels of the fitted mixtures
-        for i, (_, measure, _) in enumerate(parsed):
-            if measure is not None and measure.label_logits is not None:
-                _check_every_class(measure, f"inputs[{i}]", ctx)
-        items = inputs = [_input_to_gmm(d, i, p, flow_cfg.n_components, rng)
-                          for i, (d, p) in enumerate(zip(inputs_cfg, parsed))]
+        inputs = []
+        for i, (d, x) in enumerate(zip(inputs_cfg, items)):
+            if isinstance(x, LabeledGMM):
+                inputs.append(x)
+            elif x.n_classes is None:
+                inputs.append(em_fit(x.points, seed=rng,
+                                     components_per_class=flow_cfg.n_components))
+            else:
+                k = _get(d, "components_per_class", int, f"inputs[{i}]", 1)
+                _check_em_counts(x, k, f"inputs[{i}]", ctx, names)
+                inputs.append(em_fit(x.points, x.hard_labels(),
+                                     components_per_class=k, seed=rng))
+        items = inputs
+        _check_em_init(flow_cfg, len(inputs), ctx)
     check_inputs(items, flow_cfg)
 
     def run():
         t0 = time.perf_counter()
         if flow_kind == "empirical":
             final, trace = run_flow(inputs, flow_cfg)
-            final_file = ("final_measure.csv", lambda p: save_csv(final, p))
+            final_file = ("final_measure.csv",
+                          lambda p: save_csv(final, p, names))
         else:
             final, trace = run_gmm_flow(inputs, flow_cfg)
             final_file = ("final_mixture.json", lambda p: save_gmm(final, p))
@@ -435,6 +459,8 @@ def _prepare_toy(cfg: dict, seed: int, ctx: str):
     base = _get(cfg, "base", str, ctx, "gaussian")
     if base not in ("gaussian", "swiss_roll"):
         raise ConfigError(f"{ctx}: base must be 'gaussian' or 'swiss_roll'")
+    if base == "gaussian":
+        _check_unread(cfg, ["noise_std"], "base 'gaussian'", ctx)
     k = _get(cfg, "n_family", int, ctx, 4)
     n = _get(cfg, "n_samples", int, ctx, 256)
     eval_points = _get(cfg, "eval_points", int, ctx, 500)
@@ -525,17 +551,20 @@ def _prepare_msda(cfg: dict, seed: int, ctx: str):
     rng = np.random.default_rng(seed)
 
     if "sources_csv" in cfg or "target_csv" in cfg:
+        _check_unread(cfg, ["task"], "CSV inputs", ctx)
         paths = _get(cfg, "sources_csv", list, ctx, required=True)
         tpath = _get(cfg, "target_csv", str, ctx, required=True)
         label_col = _get(cfg, "label_column", str, ctx, "label")
-        sources = [_load(load_csv, p, ctx, label_col) for p in paths]
-        target = _load(load_csv, tpath, ctx, label_col)
-        if not sources:
+        loaded = [_load(load_csv, p, ctx, label_col) for p in [*paths, tpath]]
+        if not paths:
             raise ConfigError(f"{ctx}: sources_csv must be a non-empty list")
-        *sources, target = share_classes([*sources, target], [*paths, tpath])
+        (*sources, target), names = share_classes(*zip(*loaded),
+                                                  [*paths, tpath])
         target_features = EmpiricalMeasure(target.points, target.weights)
         eval_labels = target.hard_labels()
     else:
+        _check_unread(cfg, ["label_column"], "the synthetic task", ctx)
+        names = None
         specs = _build(synthetic_domain_specs, _get(cfg, "task", dict, ctx, {}),
                        f"{ctx}: task", seed=rng)
         data = synthetic_msda(specs, seed=rng)
@@ -555,12 +584,16 @@ def _prepare_msda(cfg: dict, seed: int, ctx: str):
         raise ConfigError(f"{ctx}: method 'discrete_baseline' applies no "
                           f"energy; functional weights must be 0")
     kind, key = ("gmm", "gmm") if method == "gmm" else ("empirical", "flow")
+    _check_unread(cfg, [k for k in ("gmm", "flow") if k != key],
+                  f"method {method!r}", ctx)
     flow_cfg = _parse_flow(kind, cfg, key, ctx, coordinates=coords,
                            functional=functional, seed=seed)
     check_inputs(sources, flow_cfg)
     if method == "gmm":
+        need = _per_class_components(flow_cfg.n_components, sources[0].n_classes)
         for i, s in enumerate(sources):
-            _check_every_class(s, f"sources[{i}]", ctx)
+            _check_em_counts(s, need, f"sources[{i}]", ctx, names)
+        _check_em_init(flow_cfg, len(sources), ctx)
     runs = [(combo, dataclasses.replace(flow_cfg, functional=functional.with_mask(
         "V" in combo, "U" in combo))) for combo in combos]
 

@@ -4,6 +4,11 @@ All generators are deterministic under a fixed seed. The CSV schema is a
 header row with feature columns f0..f{d-1} and an optional trailing "label"
 column; floats are written with 17 significant digits so files round-trip
 byte-identically through load/save.
+
+Class names are a detail of the CSV format; measures carry class ids.
+``load_csv`` returns a file's names beside its measure, ``share_classes``
+maps a run's inputs to one sorted order of names, and ``save_csv`` writes
+names back.
 """
 
 from __future__ import annotations
@@ -133,8 +138,8 @@ def location_scatter_family(q0, maps) -> list:
     """Pushforwards of one measure under affine maps, labels carried over."""
     if any(m.dim != q0.dim for m in maps):
         raise ValueError("map dimension does not match the measure")
-    return [EmpiricalMeasure(m.apply(q0.points), q0.weights, q0.label_logits,
-                             q0.class_names) for m in maps]
+    return [EmpiricalMeasure(m.apply(q0.points), q0.weights, q0.label_logits)
+            for m in maps]
 
 
 def _rotation(deg: float) -> np.ndarray:
@@ -274,26 +279,26 @@ def write_table(path, header, rows) -> None:
                           for v in row] for row in rows)
 
 
-def save_csv(measure, path) -> None:
-    """Write a measure as CSV (features f0.., optional label column)."""
+def save_csv(measure, path, class_names=None) -> None:
+    """Write a measure as CSV (features f0.., optional label column); the
+    label of class id c is ``class_names[c]``, or c itself without names."""
     header = [f"f{i}" for i in range(measure.points.shape[1])]
     rows = measure.points.tolist()
     if measure.label_logits is not None:
         header.append("label")
-        names = measure.class_names
         for row, c in zip(rows, measure.hard_labels().tolist()):
-            row.append(names[c] if names else c)
+            row.append(class_names[c] if class_names else c)
     write_table(path, header, rows)
 
 
 def load_csv(path, label_column: str | None = None):
-    """Load a measure from CSV, labeled when a label column is requested.
+    """Load (measure, class names) from CSV, labeled by ``label_column``.
 
     Integer labels are class ids, and must be written canonically: ``1``,
     not ``01``, ``+1`` or ``1`` with spaces, else the file is rejected.
     Categorical labels are mapped to contiguous ids in the sorted order of
-    this file's names, recorded on the measure as ``class_names``;
-    ``share_classes`` maps the files of one run into one shared order.
+    this file's names, returned one per id (None for an unlabeled file or
+    integer labels); ``share_classes`` maps a run's files into one order.
     """
     with open(path, newline="") as fh:
         reader = _csv.reader(fh)
@@ -332,7 +337,7 @@ def load_csv(path, label_column: str | None = None):
             raw_labels.append(row[label_idx])
 
     if label_idx is None:
-        return EmpiricalMeasure(feats)
+        return EmpiricalMeasure(feats), None
 
     uniq = sorted(set(raw_labels))
     all_int = all(_is_int(v) for v in uniq)
@@ -349,37 +354,35 @@ def load_csv(path, label_column: str | None = None):
         ids = np.array([mapping[v] for v in raw_labels])
         n_classes = len(uniq)
         names = tuple(uniq)
-    return EmpiricalMeasure.from_hard_labels(feats, ids, n_classes,
-                                             class_names=names)
+    return EmpiricalMeasure.from_hard_labels(feats, ids, n_classes), names
 
 
-def share_classes(measures, paths) -> list:
-    """The labeled measures of one run with one class mapping.
+def share_classes(inputs, names, wheres) -> tuple[list, tuple | None]:
+    """The inputs of one run with one class mapping, and its class names.
 
-    Each measure with ``class_names`` is mapped into the sorted union of the
-    names of all of them, so one name has one id in every file. Measures
-    with integer labels, and unlabeled ones, are returned as they are, and
-    so is a measure whose names already are the union. ``paths`` name the
-    measures' files in errors; a run that mixes name-labeled and
-    integer-labeled measures raises ValueError.
+    ``inputs`` are measures or mixtures, ``names[i]`` the names ``load_csv``
+    gave ``inputs[i]`` and ``wheres[i]`` how errors name it. Each named
+    input is mapped into the sorted union of all names, returned beside the
+    inputs (None when no input is named); other inputs are returned as they
+    are. Named inputs mixed with integer-labeled ones raise ValueError.
     """
-    named = [p for m, p in zip(measures, paths) if m.class_names is not None]
-    numbered = [p for m, p in zip(measures, paths)
-                if m.class_names is None and m.label_logits is not None]
+    named = [w for n, w in zip(names, wheres) if n is not None]
+    numbered = [w for x, n, w in zip(inputs, names, wheres)
+                if n is None and x.n_classes is not None]
     if named and numbered:
         raise ValueError(f"{named[0]} has class names but {numbered[0]} has "
-                         "integer labels; the files of a run need one kind")
-    union = tuple(sorted({c for m in measures for c in m.class_names or ()}))
+                         "integer labels; the inputs of a run need one kind")
+    union = tuple(sorted({c for n in names for c in n or ()}))
     ids = {c: i for i, c in enumerate(union)}
     out = []
-    for m in measures:
-        if m.class_names in (None, union):
-            out.append(m)
+    for x, n in zip(inputs, names):
+        if n in (None, union):
+            out.append(x)
             continue
-        remap = np.array([ids[c] for c in m.class_names])
+        remap = np.array([ids[c] for c in n])
         out.append(EmpiricalMeasure.from_hard_labels(
-            m.points, remap[m.hard_labels()], len(union), m.weights, union))
-    return out
+            x.points, remap[x.hard_labels()], len(union), x.weights))
+    return out, union or None
 
 
 def _is_int(s: str) -> bool:

@@ -127,7 +127,7 @@ class EmpiricalSampler:
         meas = self.measure
         idx = rng.choice(meas.n, size=m, p=meas.weights)
         labels = None if self._labels is None else self._labels[idx]
-        return MiniBatch(meas.points[idx], labels, meas.class_names)
+        return MiniBatch(meas.points[idx], labels)
 
 
 class FullBatchSampler:
@@ -135,8 +135,7 @@ class FullBatchSampler:
 
     def __init__(self, measure):
         self.measure = measure
-        self._batch = MiniBatch(measure.points, _one_hot_labels(measure),
-                                measure.class_names)
+        self._batch = MiniBatch(measure.points, _one_hot_labels(measure))
 
     def sample(self, m: int, rng: np.random.Generator) -> MiniBatch:
         return self._batch
@@ -263,8 +262,7 @@ def flow_step(measure: EmpiricalMeasure, batches, cfg: EmpiricalFlowConfig,
             grad_logits = (2.0 * beta / n) * (
                 soft * resid - soft * (soft * resid).sum(axis=1, keepdims=True))
         logits_new = logits - raw_step * (grad_logits + e_glog)
-    new_measure = EmpiricalMeasure(x_new, measure.weights, logits_new,
-                                   measure.class_names)
+    new_measure = EmpiricalMeasure(x_new, measure.weights, logits_new)
 
     # objective at the new particles under the plans of this step
     soft_new = None if logits_new is None else softmax(logits_new)
@@ -283,10 +281,8 @@ def flow_step(measure: EmpiricalMeasure, batches, cfg: EmpiricalFlowConfig,
 
 def _initial_measure(init_batches, cfg, rng):
     pts = init_batches[0].points
-    # all batches are labeled with one class count, or none is; the inputs
-    # of one run share their class names
+    # all batches are labeled with one class count, or none is
     n_classes = init_batches[0].n_classes
-    names = init_batches[0].class_names
     n, d = cfg.n_particles, pts.shape[1]
 
     if cfg.init == "gaussian":
@@ -294,7 +290,7 @@ def _initial_measure(init_batches, cfg, rng):
         std = np.where(std > 0, std, 1.0)
         x0 = rng.standard_normal((n, d)) * std
         logits0 = None if n_classes is None else _init_logits(n, n_classes, cfg, rng)
-        return EmpiricalMeasure(x0, label_logits=logits0, class_names=names)
+        return EmpiricalMeasure(x0, label_logits=logits0)
     # subsample: pool the first batches pro rata the coordinates
     pool_pts = np.vstack([b.points for b in init_batches])
     if n_classes is None:
@@ -305,7 +301,7 @@ def _initial_measure(init_batches, cfg, rng):
     # moderately sharp logits: decisive in the joint cost, but with enough
     # softmax slope left that the flow can still relabel particles
     return EmpiricalMeasure(pool_pts[idx], label_logits=logits_from_probs(
-        pool_lab[idx], eps=0.02), class_names=names)
+        pool_lab[idx], eps=0.02))
 
 
 def _stratified_choice(hard_labels, n, rng):
@@ -386,5 +382,4 @@ def fixed_point_baseline(datasets, cfg: EmpiricalFlowConfig):
                 lam, results, [b.labels for b in full_batches])
 
     return EmpiricalMeasure(x, measure.weights,
-                            logits_from_probs(y) if labeled else None,
-                            measure.class_names)
+                            logits_from_probs(y) if labeled else None)

@@ -125,11 +125,6 @@ class LabeledGMM:
     def n_classes(self) -> int | None:
         return None if self.nu is None else self.nu.shape[1]
 
-    @property
-    def class_names(self) -> None:
-        """Mixtures carry no class names."""
-        return None
-
 
 def _bures_kernel(mu1, l1, mu2, l2, maps: bool = False):
     """Squared Bures-Wasserstein distances between Gaussians N(mu1, L1 L1^T)
@@ -196,7 +191,9 @@ def mw2_cost_matrix(p: LabeledGMM, q: LabeledGMM, beta: float = 0.0
     one kernel call on the two mixtures' stacks. The label term is dropped
     when either mixture has no labels or beta = 0.
     """
-    cost = _bures_kernel(p.means[:, None], p.chols[:, None], q.means, q.chols)
+    # ot.solve_exact rejects the non-finite cost of a diverged mixture
+    with np.errstate(over="ignore", invalid="ignore"):
+        cost = _bures_kernel(p.means[:, None], p.chols[:, None], q.means, q.chols)
     if beta > 0 and p.nu is not None and q.nu is not None:
         cost = cost + beta * ot.squared_distances(p.nu, q.nu)
     return cost

@@ -5,8 +5,7 @@ marked read-only, so one instance can be shared by every holder.
 An empirical measure is labeled or not: labels are an optional field, stored
 as unconstrained logits; soft labels are recovered with a row-wise softmax
 and hard labels with an argmax (ties broken by lowest index). Measures,
-batches and mixtures all answer ``n_classes`` (None when unlabeled) and
-``class_names`` (None unless the labels are named; always None for a mixture).
+batches and mixtures all answer ``n_classes`` (None when unlabeled).
 """
 
 from __future__ import annotations
@@ -146,32 +145,15 @@ class BarycentricCoordinates:
         return self.lam.shape[0]
 
 
-def _set_class_names(obj, labels) -> None:
-    """Check ``obj.class_names`` against its (n, C) labels and store them as
-    a tuple: one name per label column, and none without labels."""
-    if obj.class_names is None:
-        return
-    if labels is None:
-        raise ValueError("class_names need labels")
-    if len(obj.class_names) != labels.shape[1]:
-        raise ValueError("class_names must have one entry per class")
-    object.__setattr__(obj, "class_names", tuple(obj.class_names))
-
-
 @dataclass(frozen=True)
 class EmpiricalMeasure:
     """Weighted particle cloud: (n, d) support points and simplex weights,
-    with optional (n, C) label logits.
-
-    Weights default to uniform 1/n when omitted. ``class_names`` optionally
-    records the original categorical values of a labeled measure loaded from
-    a file with string labels, one per class.
+    with optional (n, C) label logits. Weights default to uniform 1/n.
     """
 
     points: np.ndarray
     weights: np.ndarray | None = None
     label_logits: np.ndarray | None = None
-    class_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -199,13 +181,12 @@ class EmpiricalMeasure:
             if not np.all(np.isfinite(logits)):
                 raise ValueError("label_logits contain non-finite entries")
             object.__setattr__(self, "label_logits", _freeze(logits))
-        _set_class_names(self, self.label_logits)
 
     @staticmethod
-    def from_hard_labels(points, labels, n_classes, weights=None,
-                         class_names=None) -> "EmpiricalMeasure":
+    def from_hard_labels(points, labels, n_classes,
+                         weights=None) -> "EmpiricalMeasure":
         return EmpiricalMeasure(points, weights,
-                                logits_from_labels(labels, n_classes), class_names)
+                                logits_from_labels(labels, n_classes))
 
     @property
     def n(self) -> int:
@@ -233,15 +214,11 @@ class EmpiricalMeasure:
 
 @dataclass(frozen=True)
 class MiniBatch:
-    """A sampled batch from one input measure.
-
-    ``labels`` rows, when present, are one-hot vectors; ``class_names``, as
-    on ``EmpiricalMeasure``, name their columns.
-    """
+    """A sampled batch from one input measure; ``labels`` rows, when
+    present, are one-hot vectors."""
 
     points: np.ndarray
     labels: np.ndarray | None = None
-    class_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -262,7 +239,6 @@ class MiniBatch:
             if not is_one_hot:
                 raise ValueError("batch label rows must be one-hot vectors")
             object.__setattr__(self, "labels", _freeze(lab))
-        _set_class_names(self, self.labels)
 
     @property
     def n_classes(self) -> int | None:

@@ -273,8 +273,7 @@ def dense_recost_flow_step(measure, batches, cfg, it):
             grad_logits = (2.0 * beta / n) * (
                 soft * resid - soft * (soft * resid).sum(axis=1, keepdims=True))
         logits_new = logits - raw_step * (grad_logits + e_glog)
-    new_measure = EmpiricalMeasure(x_new, measure.weights, logits_new,
-                                   measure.class_names)
+    new_measure = EmpiricalMeasure(x_new, measure.weights, logits_new)
 
     soft_new = None if logits_new is None else softmax(logits_new)
     b_hat = 0.0

@@ -63,10 +63,24 @@ def swiss_pair():
 
 # The warnings a row of ``test_rejected_without_traceback`` raises on its way
 # to a numeric failure: a GMM run that fails clamps a Cholesky diagonal
-# first, and a diverging one overflows.
+# first.
 RUN_WARNINGS = {
     "gmm-singular-covariance": ["clamped"],
-    "gmm-step-size-diverges": ["clamped", "overflow"],
+    "gmm-step-size-diverges": ["clamped"],
+}
+# What the error of a row of ``test_rejected_without_traceback`` names: the
+# inputs, the key and the mode, or the counts.
+ERROR_NAMES = {
+    "csv-names-and-swiss-roll": ["in0.csv", "inputs[1]"],
+    "gmm-em-init-too-few-draws": ["600", "256 x 2 inputs = 512"],
+    "msda-gmm-too-few-per-class": ["200 component(s)", "sources[0] has only"],
+    "msda-gmm-reads-no-flow": ["'flow'", "method 'gmm'"],
+    "msda-empirical-reads-no-gmm": ["'gmm'", "method 'empirical'"],
+    "msda-discrete-baseline-reads-no-gmm": ["'gmm'",
+                                            "method 'discrete_baseline'"],
+    "msda-label-column-without-csv": ["'label_column'", "synthetic task"],
+    "msda-task-with-csv": ["'task'", "CSV inputs"],
+    "toy-gaussian-noise-std": ["'noise_std'", "base 'gaussian'"],
 }
 
 
@@ -358,6 +372,29 @@ class TestValidate:
         pytest.param(lambda t: bary_with(inputs=named_inputs(
             t, ["cat", "dog"]) + [labeled_gmm_json(t)]), 1,
             id="csv-names-and-labeled-gmm-json"),
+        pytest.param(lambda t: bary_with(inputs=named_inputs(
+            t, ["cat", "dog"]) + [{"kind": "swiss_roll", "n": 40}]), 1,
+            id="csv-names-and-swiss-roll"),
+        pytest.param(lambda t: bary_with("gmm", n_components=600), 1,
+                     id="gmm-em-init-too-few-draws"),
+        pytest.param(lambda t: {"command": "msda", "method": "gmm",
+                                "gmm": {"n_components": 600}}, 1,
+                     id="msda-gmm-too-few-per-class"),
+        pytest.param(lambda t: {"command": "msda", "method": "gmm",
+                                "flow": {"n_iter": "bogus"}}, 1,
+                     id="msda-gmm-reads-no-flow"),
+        pytest.param(lambda t: {"command": "msda", "gmm": {"n_iter": 2}}, 1,
+                     id="msda-empirical-reads-no-gmm"),
+        pytest.param(lambda t: {"command": "msda",
+                                "method": "discrete_baseline",
+                                "gmm": {"n_iter": 2}}, 1,
+                     id="msda-discrete-baseline-reads-no-gmm"),
+        pytest.param(lambda t: {"command": "msda", "label_column": "y"}, 1,
+                     id="msda-label-column-without-csv"),
+        pytest.param(lambda t: dict(msda_csv_gap(t), task={"n_samples": 64}),
+                     1, id="msda-task-with-csv"),
+        pytest.param(lambda t: toy_with(noise_std=0.1), 1,
+                     id="toy-gaussian-noise-std"),
         pytest.param(lambda t: {"command": "msda", "method": "gmm", "seed": 0,
                                 "task": {"n_samples": 4}}, 1,
                      id="msda-gmm-synthetic-source-lacks-class"),
@@ -420,7 +457,10 @@ class TestValidate:
                                                     match=match))
             assert main([cfg["command"], path]) == code
         tag = "config" if code == 1 else "numeric"
-        assert f"baryflow-error[{tag}]" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"baryflow-error[{tag}]" in err
+        for named in ERROR_NAMES.get(request.node.callspec.id, ()):
+            assert named in err
         assert not out.exists()
 
     @pytest.mark.parametrize("cfg", [
@@ -984,8 +1024,8 @@ class TestGenCommand:
                "dataset": {"kind": "synthetic_msda", "n_samples": 64}}
         path = write_config(tmp_path, "c.json", cfg)
         assert main(["gen", path]) == 0
-        src = load_csv(out / "source_0.csv", label_column="label")
-        assert src.n == 64
+        src, names = load_csv(out / "source_0.csv", label_column="label")
+        assert src.n == 64 and names is None
 
     def test_location_scatter_gen(self, tmp_path):
         out = tmp_path / "out"

@@ -137,15 +137,15 @@ class TestCsvIo:
         m = swiss_roll(100, 0.05, seed=4)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         save_csv(m, p1)
-        save_csv(load_csv(p1, label_column="label"), p2)
+        save_csv(load_csv(p1, label_column="label")[0], p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_unlabeled_round_trip(self, tmp_path):
         m = EmpiricalMeasure(np.random.default_rng(0).standard_normal((20, 3)))
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         save_csv(m, p1)
-        loaded = load_csv(p1)
-        assert isinstance(loaded, EmpiricalMeasure)
+        loaded, names = load_csv(p1)
+        assert isinstance(loaded, EmpiricalMeasure) and names is None
         save_csv(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
@@ -176,8 +176,8 @@ class TestCsvIo:
     def test_string_labels_mapped_sorted(self, tmp_path):
         p = tmp_path / "x.csv"
         p.write_text("f0,label\n1.0,dog\n2.0,cat\n3.0,dog\n")
-        m = load_csv(p, label_column="label")
-        assert m.class_names == ("cat", "dog")
+        m, names = load_csv(p, label_column="label")
+        assert names == ("cat", "dog")
         assert np.array_equal(m.hard_labels(), [1, 0, 1])
 
     @pytest.mark.parametrize("label", ["01", "+1", " 2", "2 "])
@@ -192,48 +192,53 @@ class TestCsvIo:
         # with one non-integer label, "01" is a class name like any other
         p = tmp_path / "x.csv"
         p.write_text("f0,label\n1.0,01\n2.0,1\n3.0,cat\n")
-        assert load_csv(p, label_column="label").class_names == ("01", "1", "cat")
+        assert load_csv(p, label_column="label")[1] == ("01", "1", "cat")
 
     def test_string_labels_round_trip(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         p1.write_text("f0,label\n1.0,dog\n2.0,cat\n")
-        save_csv(load_csv(p1, label_column="label"), p2)
+        m, names = load_csv(p1, label_column="label")
+        save_csv(m, p2, names)
         assert p2.read_text() == "f0,label\n1,dog\n2,cat\n"
 
 
 class TestShareClasses:
     @staticmethod
     def load(tmp_path, name, labels):
+        """(measure, class names, path) of a CSV file of ``labels``."""
         path = tmp_path / f"{name}.csv"
         path.write_text("f0,label\n" + "".join(
             f"{i}.5,{c}\n" for i, c in enumerate(labels)))
-        return load_csv(path, label_column="label"), str(path)
+        return *load_csv(path, label_column="label"), str(path)
 
     def test_one_id_per_name_across_files(self, tmp_path):
         labels = (["cat", "dog"], ["dog", "fish"], ["cat", "dog", "fish"])
         loaded = [self.load(tmp_path, f"m{i}", l) for i, l in enumerate(labels)]
-        shared = share_classes(*zip(*loaded))
-        for m, (orig, _), names in zip(shared, loaded, labels):
-            assert m.class_names == ("cat", "dog", "fish")
-            assert [m.class_names[c] for c in m.hard_labels()] == names
+        shared, union = share_classes(*zip(*loaded))
+        assert union == ("cat", "dog", "fish")
+        for m, (orig, _, _), names in zip(shared, loaded, labels):
+            assert m.n_classes == 3
+            assert [union[c] for c in m.hard_labels()] == names
             assert np.array_equal(m.points, orig.points)
         dog_ids = {int(m.hard_labels()[names.index("dog")])
                    for m, names in zip(shared, labels)}
         assert dog_ids == {1}
         # the union is sorted, whichever file comes first
-        dog_first = share_classes(*zip(loaded[1], loaded[0]))
-        assert dog_first[0].class_names == ("cat", "dog", "fish")
+        _, dog_first = share_classes(*zip(loaded[1], loaded[0]))
+        assert dog_first == ("cat", "dog", "fish")
 
     def test_shared_label_set_unchanged(self, tmp_path):
         loaded = [self.load(tmp_path, "a", ["cat", "dog"]),
                   self.load(tmp_path, "b", ["dog", "cat", "dog"])]
-        shared = share_classes(*zip(*loaded))
-        assert all(s is m for s, (m, _) in zip(shared, loaded))
+        shared, union = share_classes(*zip(*loaded))
+        assert union == ("cat", "dog")
+        assert all(s is m for s, (m, _, _) in zip(shared, loaded))
 
     def test_integer_labels_unchanged(self, tmp_path):
         loaded = [self.load(tmp_path, "a", [0, 2]), self.load(tmp_path, "b", [1])]
-        shared = share_classes(*zip(*loaded))
-        assert all(s is m for s, (m, _) in zip(shared, loaded))
+        shared, union = share_classes(*zip(*loaded))
+        assert union is None
+        assert all(s is m for s, (m, _, _) in zip(shared, loaded))
 
     def test_names_and_integers_rejected_naming_both(self, tmp_path):
         loaded = [self.load(tmp_path, "named", ["cat", "dog"]),

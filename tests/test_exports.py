@@ -58,3 +58,28 @@ def test_private_ot_names_stay_in_ot():
     assert len(modules) >= 8
     reads = {p.name: private_ot_reads(p) for p in modules}
     assert not any(reads.values()), reads
+
+
+def identifiers(path: Path) -> set[str]:
+    """Every identifier a module names: variables, attributes, parameters
+    and keyword arguments."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.arg, ast.keyword)) and node.arg:
+            found.add(node.arg)
+    return found
+
+
+def test_class_names_stay_at_the_csv_boundary():
+    # measures, batches, mixtures and both flows carry class ids only
+    package = Path(baryflow.__file__).parent
+    modules = sorted(p for p in package.glob("*.py")
+                     if p.name not in ("datasets.py", "cli.py"))
+    assert len(modules) >= 8
+    naming = [p.name for p in modules if "class_names" in identifiers(p)]
+    assert not naming, naming
+    assert "class_names" in identifiers(package / "datasets.py")

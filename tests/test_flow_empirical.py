@@ -190,16 +190,6 @@ class TestRunFlow:
         nearest_blob = (final.points[:, 0] > 4.0).astype(int)
         assert (hard == nearest_blob).mean() >= 0.95
 
-    @pytest.mark.parametrize("init", ["gaussian", "subsample"])
-    def test_final_measure_keeps_class_names(self, init):
-        rng = np.random.default_rng(12)
-        data = EmpiricalMeasure.from_hard_labels(
-            rng.standard_normal((12, 1)), np.arange(12) % 3, 3,
-            class_names=("cat", "dog", "fish"))
-        cfg = EmpiricalFlowConfig(6, 6, 2, UNIT, label_weight=1.0, init=init)
-        final, _ = run_flow([EmpiricalSampler(data)], cfg)
-        assert final.class_names == ("cat", "dog", "fish")
-
     def test_mini_batch_objective_decreases_on_average(self):
         inputs = [GaussianSampler([0.0], std=1.0), GaussianSampler([4.0], std=1.0)]
         cfg = EmpiricalFlowConfig(64, 64, 120, HALF, seed=0)
@@ -422,8 +412,8 @@ class TestEntropicFlow:
 
 
 class TestLabelChecks:
-    """Inputs are all labeled with one class count and equal class names,
-    or all unlabeled; the flow rejects anything else before it solves a plan."""
+    """Inputs are all labeled with one class count, or all unlabeled; the
+    flow rejects anything else before it solves a plan."""
 
     @pytest.fixture(autouse=True)
     def no_solves(self, monkeypatch):
@@ -433,11 +423,10 @@ class TestLabelChecks:
             monkeypatch.setattr(ot, name, fail)
 
     @staticmethod
-    def labeled(n_classes, seed=0, class_names=None):
+    def labeled(n_classes, seed=0):
         rng = np.random.default_rng(seed)
         return EmpiricalMeasure.from_hard_labels(
-            rng.standard_normal((12, 2)), np.arange(12) % n_classes, n_classes,
-            class_names=class_names)
+            rng.standard_normal((12, 2)), np.arange(12) % n_classes, n_classes)
 
     @pytest.mark.parametrize("init", ["gaussian", "subsample"])
     def test_labeled_and_unlabeled_rejected(self, init):
@@ -467,25 +456,6 @@ class TestLabelChecks:
         cfg = EmpiricalFlowConfig(8, 8, 3, HALF)
         with pytest.raises(ValueError, match="one class count"):
             fixed_point_baseline([self.labeled(2), self.labeled(3)], cfg)
-
-    @pytest.mark.parametrize("names", [(("cat", "dog"), ("dog", "fish")),
-                                       (("cat", "dog"), None)])
-    @pytest.mark.parametrize("init", ["gaussian", "subsample"])
-    def test_class_names_differ_rejected(self, init, names):
-        inputs = [EmpiricalSampler(self.labeled(2, seed=i, class_names=n))
-                  for i, n in enumerate(names)]
-        cfg = EmpiricalFlowConfig(8, 8, 3, HALF, init=init)
-        with pytest.raises(ValueError, match="one class_names") as exc:
-            run_flow(inputs, cfg)
-        assert all(repr(n) in str(exc.value) for n in names)
-
-    def test_fixed_point_class_names_differ_rejected(self):
-        cfg = EmpiricalFlowConfig(8, 8, 3, HALF)
-        datasets = [self.labeled(2, class_names=("cat", "dog")),
-                    self.labeled(2, seed=1, class_names=("dog", "fish"))]
-        with pytest.raises(ValueError,
-                           match=r"\('cat', 'dog'\) and \('dog', 'fish'\)"):
-            fixed_point_baseline(datasets, cfg)
 
 
 class TestFullBatchInvariants:
@@ -539,13 +509,6 @@ class TestFixedPointBaseline:
         hard = out.hard_labels()
         nearest = (out.points[:, 0] > 5.0).astype(int)
         assert (hard == nearest).mean() >= 0.95
-
-    def test_keeps_class_names(self):
-        ds = EmpiricalMeasure.from_hard_labels(
-            np.arange(6.0)[:, None], np.arange(6) % 2, 2,
-            class_names=("cat", "dog"))
-        out = fixed_point_baseline([ds], EmpiricalFlowConfig(6, 6, 2, UNIT))
-        assert out.class_names == ("cat", "dog")
 
 
 class TestSamplers:

@@ -302,20 +302,6 @@ class TestCheckInputs:
         with pytest.raises(ValueError, match="act on labels"):
             check_inputs(inputs, cfg)
 
-    @pytest.mark.parametrize("names", [(("cat", "dog"), ("dog", "fish")),
-                                       (("cat", "dog"), None)])
-    def test_class_names_differ(self, flow, names):
-        inputs = [EmpiricalMeasure.from_hard_labels(
-            np.arange(4.0)[:, None], np.arange(4) % 2, 2, class_names=n)
-            for n in names]
-        with pytest.raises(ValueError, match="one class_names") as exc:
-            check_inputs(inputs, FLOW_CONFIGS[flow]())
-        assert all(repr(n) in str(exc.value) for n in names)
-        named = inputs[0]
-        check_inputs([named, named], FLOW_CONFIGS[flow]())
-        with pytest.raises(ValueError, match="one class_names"):
-            check_inputs([named, labeled_gmm(2)], FLOW_CONFIGS[flow]())
-
     def test_labeled_inputs_pass(self, flow):
         cfg = FLOW_CONFIGS[flow](
             label_weight=1.0, functional=FunctionalSpec(entropy_weight=0.1))

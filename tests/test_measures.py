@@ -153,12 +153,3 @@ class TestMiniBatch:
     def test_valid(self):
         b = MiniBatch(np.zeros((2, 2)), labels=np.array([[1.0, 0], [0, 1.0]]))
         assert b.points.shape == (2, 2)
-
-    def test_class_names_one_per_label_column(self):
-        labels = np.array([[1.0, 0], [0, 1.0]])
-        b = MiniBatch(np.zeros((2, 1)), labels, ["cat", "dog"])
-        assert b.class_names == ("cat", "dog")
-        with pytest.raises(ValueError, match="one entry per class"):
-            MiniBatch(np.zeros((2, 1)), labels, ("cat",))
-        with pytest.raises(ValueError, match="need labels"):
-            MiniBatch(np.zeros((2, 1)), class_names=("cat", "dog"))

@@ -622,23 +622,24 @@ def named_measure(draw):
     points = draw(hnp.arrays(float, (n, d), elements=st.floats(
         allow_nan=False, allow_infinity=False)))
     labels = draw(hnp.arrays(int, n, elements=st.integers(0, len(names) - 1)))
-    return EmpiricalMeasure.from_hard_labels(points, labels, len(names),
-                                             class_names=tuple(names))
+    return (EmpiricalMeasure.from_hard_labels(points, labels, len(names)),
+            tuple(names))
 
 
 class TestCsvRoundTrip:
     @SETTINGS
     @given(named_measure())
     def test_class_names_round_trip_byte_identical(self, tmp_path_factory,
-                                                   measure):
+                                                   named):
+        measure, names = named
         tmp = tmp_path_factory.mktemp("csv")
         p1, p2 = tmp / "a.csv", tmp / "b.csv"
-        save_csv(measure, p1)
-        loaded = load_csv(p1, label_column="label")
-        save_csv(loaded, p2)
+        save_csv(measure, p1, names)
+        loaded, loaded_names = load_csv(p1, label_column="label")
+        save_csv(loaded, p2, loaded_names)
         assert p1.read_bytes() == p2.read_bytes()
-        assert ([loaded.class_names[c] for c in loaded.hard_labels()]
-                == [measure.class_names[c] for c in measure.hard_labels()])
+        assert ([loaded_names[c] for c in loaded.hard_labels()]
+                == [names[c] for c in measure.hard_labels()])
 
 
 SCALES = [1e-6, 1.0, 1e6]

@@ -41,7 +41,9 @@ plans take the HiGHS LP of ``ot._linprog_plan``,
 ``barycenter`` with the gmm flow and the two Monte-Carlo energies (target
 potential on a CSV batch this script writes, internal energy),
 ``barycenter`` on two CSV inputs this script writes, labeled with the class
-names {cat, dog, fish}, ``barycenter`` with the gmm flow on two 1-D
+names {cat, dog, fish}, ``barycenter`` with the gmm flow on the same two
+inputs, ``msda`` with ``gmm`` on the same two inputs as sources and the
+first as target, ``barycenter`` with the gmm flow on two 1-D
 mixtures this script writes at scale 1e-6, whose factors converge below
 1e-6, and ``barycenter`` with exact plans between 1-D particles and batches
 (the sorted path of ``ot.solve_line``) and the target potential on a 1-D
@@ -200,6 +202,15 @@ CONFIGS = {
         "inputs": class_name_inputs(run_dir),
         "flow_config": {"n_particles": 12, "batch_size": 12, "n_iter": 10,
                         "label_weight": 1.0, "init": "subsample"}},
+    "barycenter-gmm-csv-class-names": lambda run_dir: {
+        "command": "barycenter", "seed": 17, "flow": "gmm",
+        "inputs": class_name_inputs(run_dir),
+        "flow_config": {"n_components": 3, "n_iter": 10}},
+    "msda-csv-class-names": lambda run_dir: {
+        "command": "msda", "seed": 18, "method": "gmm",
+        "sources_csv": [d["path"] for d in class_name_inputs(run_dir)],
+        "target_csv": str(run_dir / "input_0.csv"),
+        "gmm": {"n_components": 3, "n_iter": 5}},
     "barycenter-gmm-small-scale": lambda run_dir: {
         "command": "barycenter", "seed": 13, "flow": "gmm",
         "inputs": small_scale_inputs(run_dir),
