@@ -21,6 +21,7 @@ from .gaussian import (
     bures_w2_grad,
     bures_w2_sq,
     em_fit,
+    fixed_point_gaussian_barycenter,
     gmm_log_density,
     mw2_sq,
     sample_reparam,
@@ -42,11 +43,7 @@ from .flow_empirical import (
     flow_step,
     run_flow,
 )
-from .flow_gmm import (
-    GmmFlowConfig,
-    fixed_point_gaussian_barycenter,
-    run_gmm_flow,
-)
+from .flow_gmm import GmmFlowConfig, run_gmm_flow
 from .datasets import (
     AffineMap,
     DomainSpec,

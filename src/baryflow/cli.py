@@ -77,16 +77,12 @@ from .flow_empirical import (
     fixed_point_baseline,
     run_flow,
 )
-from .flow_gmm import (
-    GmmFlowConfig,
-    fixed_point_gaussian_barycenter,
-    run_gmm_flow,
-)
+from .flow_gmm import GmmFlowConfig, run_gmm_flow
 from .functionals import FunctionalSpec, check_inputs
 from .gaussian import (
     LabeledGMM,
-    _per_class_components,
     em_fit,
+    fixed_point_gaussian_barycenter,
     load_gmm,
     sample_reparam,
     save_gmm,
@@ -281,9 +277,13 @@ def _parse_input(d: dict, idx: int, rng: np.random.Generator):
     if kind == "gaussian":
         _check_keys(d, ["kind", "mean", "std"], ctx)
         mean = _get_numbers(d, "mean", ctx)
-        std = (_get_numbers(d, "std", ctx) if isinstance(d.get("std"), list)
-               else _get(d, "std", float, ctx, 1.0))
-        std = np.broadcast_to(std, mean.shape)
+        if isinstance(d.get("std"), list):
+            std = _get_numbers(d, "std", ctx)
+            if std.shape != mean.shape:
+                raise ConfigError(f"{ctx}: std needs one entry per coordinate "
+                                  f"of mean")
+        else:
+            std = np.full(mean.shape, _get(d, "std", float, ctx, 1.0))
         return LabeledGMM([1.0], mean[None], np.diag(std)[None]), None
     if kind == "gmm_json":
         _check_keys(d, ["kind", "path"], ctx)
@@ -315,16 +315,6 @@ def _check_em_counts(measure, need: int, where: str, ctx: str,
         raise ConfigError(f"{ctx}: EM fits {need} component(s) to each class "
                           f"of every labeled input; {where} has {found} of "
                           f"class {name}")
-
-
-def _check_em_init(cfg: GmmFlowConfig, n_inputs: int, ctx: str) -> None:
-    """The GMM flow's em init fits ``cfg.n_components`` components to
-    ``cfg.init_samples`` draws of each input, and a component needs one."""
-    pool = cfg.init_samples * n_inputs
-    if cfg.init_mode == "em" and cfg.n_components > pool:
-        raise ConfigError(f"{ctx}: the em init fits {cfg.n_components} "
-                          f"components to init_samples {cfg.init_samples} x "
-                          f"{n_inputs} inputs = {pool} draws")
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +415,10 @@ def _prepare_barycenter(cfg: dict, seed: int, ctx: str):
                 inputs.append(em_fit(x.points, x.hard_labels(),
                                      components_per_class=k, seed=rng))
         items = inputs
-        _check_em_init(flow_cfg, len(inputs), ctx)
     check_inputs(items, flow_cfg)
+    n_classes = items[0].n_classes
+    if flow_kind == "gmm" and flow_cfg.init_mode == "em" and n_classes is not None:
+        flow_cfg.per_class(n_classes)  # the em init's split over the classes
 
     def run():
         t0 = time.perf_counter()
@@ -464,8 +456,10 @@ def _prepare_toy(cfg: dict, seed: int, ctx: str):
     k = _get(cfg, "n_family", int, ctx, 4)
     n = _get(cfg, "n_samples", int, ctx, 256)
     eval_points = _get(cfg, "eval_points", int, ctx, 500)
-    if eval_points < 1:
-        raise ConfigError(f"{ctx}: eval_points must be >= 1")
+    for key, val in (("n_family", k), ("n_samples", n),
+                     ("eval_points", eval_points)):
+        if val < 1:
+            raise ConfigError(f"{ctx}: {key} must be >= 1")
     solvers = _get_choices(cfg, "solvers", ctx, TOY_SOLVERS)
     coords = BarycentricCoordinates.uniform(k)
     emp_cfg = _parse_flow("empirical", cfg, "flow", ctx, coordinates=coords,
@@ -499,7 +493,10 @@ def _prepare_toy(cfg: dict, seed: int, ctx: str):
     inputs = location_scatter_family(q0, maps)
     check_inputs(inputs, emp_cfg)
     if "wgf_gmm" in solvers:  # its mixtures are EM fits of the points alone
-        check_inputs([EmpiricalMeasure(m.points) for m in inputs], gmm_cfg)
+        gmms = [em_fit(m.points, components_per_class=gmm_cfg.n_components,
+                       seed=np.random.default_rng(seed + 17 * i))
+                for i, m in enumerate(inputs)]
+        check_inputs(gmms, gmm_cfg)
 
     def run():
         rows = []
@@ -515,9 +512,6 @@ def _prepare_toy(cfg: dict, seed: int, ctx: str):
             elif solver == "fixed_point":
                 result = fixed_point_baseline(inputs, emp_cfg)
             else:
-                gmms = [em_fit(m.points, components_per_class=gmm_cfg.n_components,
-                               seed=np.random.default_rng(seed + 17 * i))
-                        for i, m in enumerate(inputs)]
                 mixture, _ = run_gmm_flow(gmms, gmm_cfg)
                 pts, _, _ = sample_reparam(mixture, n, np.random.default_rng(seed + 1))
                 result = EmpiricalMeasure(pts)
@@ -590,10 +584,9 @@ def _prepare_msda(cfg: dict, seed: int, ctx: str):
                            functional=functional, seed=seed)
     check_inputs(sources, flow_cfg)
     if method == "gmm":
-        need = _per_class_components(flow_cfg.n_components, sources[0].n_classes)
+        need = flow_cfg.per_class(sources[0].n_classes)
         for i, s in enumerate(sources):
             _check_em_counts(s, need, f"sources[{i}]", ctx, names)
-        _check_em_init(flow_cfg, len(sources), ctx)
     runs = [(combo, dataclasses.replace(flow_cfg, functional=functional.with_mask(
         "V" in combo, "U" in combo))) for combo in combos]
 
@@ -711,6 +704,8 @@ def main(argv=None) -> int:
         ctx = f"{command} config"
         _check_keys(cfg, COMMON_KEYS + keys, ctx)
         seed = _get(cfg, "seed", int, ctx, 0)
+        if seed < 0:
+            raise ConfigError(f"{ctx}: seed must be >= 0")
         out = Path(_get(cfg, "output_dir", str, ctx, required=True))
         # the directory is made after the run, so a file in its way is
         # found now

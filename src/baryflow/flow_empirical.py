@@ -75,6 +75,25 @@ class TraceRecord:
 
 @dataclass(frozen=True)
 class EmpiricalFlowConfig:
+    """Settings of ``run_flow``; the CLI's ``flow``/``flow_config`` keys.
+
+    n_particles: particles of the barycenter measure.
+    batch_size: points drawn from each input per step.
+    n_iter: flow steps.
+    coordinates: barycentric coordinates, one per input.
+    step_size: fixed-point interpolation coefficient in (0, 1]; no units.
+    label_weight: beta of the joint cost |x - y|^2 + beta |l - l'|^2;
+        units of length^2.
+    functional: the energies' weights (``FunctionalSpec``).
+    init: "gaussian" draws the particles around the origin with the first
+        batch's per-axis spread; "subsample" takes them from the first
+        batches.
+    label_init: label logits of the "gaussian" init, "uniform" (zero) or
+        "random" (small).
+    seed: seeds the batches and the initialization.
+    solver: "exact" or "entropic" plans between particles and batches.
+    """
+
     n_particles: int
     batch_size: int
     n_iter: int

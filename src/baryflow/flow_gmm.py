@@ -4,9 +4,9 @@ Each step solves the component coupling of the mixture distance for every
 input at the current parameters, holds those couplings fixed (envelope
 treatment of the inner argmin), and takes one descent step on the means,
 Cholesky factors, component label logits, and optionally the weight logits.
-Energies that lack a closed form on mixtures (target potential, internal
-energy) are estimated by Monte-Carlo through the reparametrization trick, so
-their gradients reach mu and L along the sampling path.
+The Bures values and gradients come from ``gaussian`` and the energies,
+with the two Monte-Carlo ones on mixtures, from ``functionals``; this module
+holds the flow's config, initialization and steps.
 """
 
 from __future__ import annotations
@@ -23,28 +23,20 @@ from .functionals import (
     _label_energies,
     check_inputs,
     internal_energy_mc,
-    target_potential,
+    target_potential_mc,
 )
 from .functionals import hinge_repulsion  # noqa: F401  (bench/tests trace it here)
 from .gaussian import (
     LabeledGMM,
-    _bures_kernel,
-    _check_factors,
-    _pathwise_grads,
-    _per_class_components,
     em_fit,
     mw2_cost_matrix,
+    mw2_fixed_plan_value_grad,
     sample_reparam,
 )
 from .gaussian import bures_w2_grad, bures_w2_sq  # noqa: F401  (bench/tests trace them here)
-from .measures import BarycentricCoordinates, EmpiricalMeasure, softmax
+from .measures import BarycentricCoordinates, softmax
 
-__all__ = [
-    "GmmFlowConfig",
-    "run_gmm_flow",
-    "fixed_point_gaussian_barycenter",
-    "mw2_fixed_plan_value_grad",
-]
+__all__ = ["GmmFlowConfig", "run_gmm_flow"]
 
 # a step clamps Cholesky diagonals at this fraction of the largest diagonal
 # of the state and the inputs, so the clamp does not depend on their units
@@ -54,6 +46,27 @@ GMM_INIT_MODES = ("em", "random")
 
 @dataclass(frozen=True)
 class GmmFlowConfig:
+    """Settings of ``run_gmm_flow``; the CLI's ``gmm``/``flow_config`` keys.
+
+    n_components: components of the barycenter mixture. A labeled em init
+        fits ``per_class(C)`` of them to each of the C classes.
+    n_iter: descent steps.
+    coordinates: barycentric coordinates, one per input mixture.
+    step_size: gradient step on means, factors and logits; no units.
+    label_weight: beta of the component cost W2^2 + beta ||nu_i - nu_j||^2;
+        units of length^2.
+    mc_samples: draws per Monte-Carlo energy per step.
+    functional: the energies' weights (``FunctionalSpec``).
+    diag_only: keep the factors diagonal.
+    flow_weights: also move the component weights.
+    init_mode: "em" fits the initial mixture by EM to a pool of
+        ``init_samples`` draws of each input; "random" takes
+        ``n_components`` pooled draws as means, with the pool's per-axis
+        spread as factors.
+    init_samples: draws of each input in the initial pool.
+    seed: seeds the initial pool and the Monte-Carlo draws.
+    """
+
     n_components: int
     n_iter: int
     coordinates: BarycentricCoordinates
@@ -78,43 +91,21 @@ class GmmFlowConfig:
             raise ValueError("sample counts >= 1 required")
         if self.init_mode not in GMM_INIT_MODES:
             raise ValueError(f"init_mode must be one of {GMM_INIT_MODES}")
+        # an em fit needs a draw per component
+        pool = self.init_samples * len(self.coordinates)
+        if self.init_mode == "em" and self.n_components > pool:
+            raise ValueError(f"the em init fits {self.n_components} components "
+                             f"to init_samples {self.init_samples} x "
+                             f"{len(self.coordinates)} inputs = {pool} draws")
 
-
-def mw2_fixed_plan_value_grad(state: LabeledGMM, other: LabeledGMM,
-                              omega: np.ndarray, beta: float = 0.0):
-    """Value and gradients of the coupling objective at a fixed plan.
-
-    Objective: sum_ij omega_ij (W2(P_i, Q_j)^2 + beta ||nu_i - nu_j||^2),
-    differentiated w.r.t. the state's means, Cholesky factors, and component
-    label vectors (returned w.r.t. nu directly, before any logit chain rule).
-    One Bures kernel call gives the value and transport map T_ij of each
-    pair with omega_ij != 0; with row sums r, grad_mu = 2 (r mu - omega mu')
-    and grad_L_i = tril((D_i + D_i^T) L_i), D_i = r_i I - sum_j omega_ij T_ij.
-    A relatively singular factor of a state component with mass in omega
-    raises LinAlgError (see ``bures_w2_grad``).
-    """
-    omega = np.asarray(omega, dtype=float)
-    n, m = state.n_components, other.n_components
-    if omega.shape != (n, m):
-        raise ValueError("omega shape does not match the component counts")
-    # only the nonzero pairs of the plan carry a value and a map; an exact
-    # plan is sparse (a vertex has at most n + m - 1 nonzeros)
-    i, j = np.nonzero(omega)
-    values, tmaps = _bures_kernel(state.means[i], state.chols[i],
-                                  other.means[j], other.chols[j], maps=True)
-    w = omega[i, j]
-    value = float(w @ values)
-    rows = omega.sum(axis=1)
-    grad_mu = 2.0 * (rows[:, None] * state.means - omega @ other.means)
-    dsigma = rows[:, None, None] * np.eye(state.dim)
-    np.add.at(dsigma, i, -w[:, None, None] * tmaps)
-    grad_l = np.tril((dsigma + dsigma.transpose(0, 2, 1)) @ state.chols)
-    grad_nu = None
-    if beta > 0 and state.nu is not None and other.nu is not None:
-        diff_sq = ot.squared_distances(state.nu, other.nu)
-        value += beta * float((omega * diff_sq).sum())
-        grad_nu = 2.0 * beta * (rows[:, None] * state.nu - omega @ other.nu)
-    return value, grad_mu, grad_l, grad_nu
+    def per_class(self, n_classes: int) -> int:
+        """Components a labeled em fit gives each of ``n_classes`` classes:
+        ``n_components // n_classes``; ValueError below one per class."""
+        if self.n_components < n_classes:
+            raise ValueError(f"n_components {self.n_components} is below the "
+                             f"class count {n_classes}; a labeled fit needs "
+                             f"a component per class")
+        return self.n_components // n_classes
 
 
 def _nu_logits(nu: np.ndarray) -> np.ndarray:
@@ -138,10 +129,9 @@ def _energy_grads(state: LabeledGMM, cfg: GmmFlowConfig, rng):
     g_l = np.zeros((k, d, d))
     g_w = np.zeros(k)
     if spec.target_weight > 0:
-        z, idx, eps = sample_reparam(state, cfg.mc_samples, rng)
-        tv, tg, _ = target_potential(EmpiricalMeasure(z), spec.target_measure)
+        tv, t_mu, t_l = target_potential_mc(state, spec.target_measure,
+                                            cfg.mc_samples, rng)
         v += spec.target_weight * tv
-        t_mu, t_l = _pathwise_grads(tg, idx, eps, k)
         g_mu = g_mu + spec.target_weight * t_mu
         g_l = g_l + spec.target_weight * t_l
     if spec.internal_weight > 0:
@@ -267,7 +257,14 @@ def _init_state(inputs, cfg: GmmFlowConfig, rng) -> LabeledGMM:
             # EM fits the classes drawn; one that was not drawn gets no
             # component, and its column of nu stays 0
             present, labels = np.unique(labels, return_inverse=True)
-            per_class = _per_class_components(cfg.n_components, n_classes)
+            per_class = cfg.per_class(n_classes)
+            drawn = np.bincount(labels)
+            c = int(np.argmin(drawn))
+            if drawn[c] < per_class:
+                raise ValueError(
+                    f"the em init drew class {present[c]} {drawn[c]} times "
+                    f"in init_samples {cfg.init_samples} x {len(inputs)} "
+                    f"inputs, but fits {per_class} components per class")
             fit = em_fit(pool, labels, components_per_class=per_class,
                          seed=rng, diag=cfg.diag_only)
             nu = np.zeros((fit.n_components, n_classes))
@@ -307,40 +304,3 @@ def run_gmm_flow(inputs, cfg: GmmFlowConfig, init: LabeledGMM | None = None):
     trace.append(_evaluate(state, inputs, cfg, rng, cfg.n_iter)[0])
     return state, trace
 
-
-def fixed_point_gaussian_barycenter(means, chols, lam=None, tol: float = 1e-10,
-                                    max_iter: int = 500) -> LabeledGMM:
-    """Barycenter of the Gaussians N(means[k], chols[k] chols[k]^T) with
-    coordinates ``lam`` (uniform by default), as a one-component LabeledGMM.
-
-    The mean is the coordinate-weighted average of means; the covariance
-    iterates S <- M S M with M = sum_k lam_k T_k, T_k the optimal map from
-    N(0, S) to the k-th Gaussian (Alvarez-Esteban, del Barrio,
-    Cuesta-Albertos & Matran, 2016), on a factor L of S: L <- M L, with the
-    T_k from the Bures kernel on L. M is also the optimal map from S to
-    M S M, so the W2 change between iterates is ||(I - M) L||_F, which has
-    no cancellation; the iteration stops once it drops below tol. A singular
-    iterate raises ConvergenceError.
-    """
-    means = np.asarray(means, dtype=float)
-    chols = _check_factors(means, np.asarray(chols, dtype=float))
-    k = means.shape[0]
-    lam = np.full(k, 1.0 / k) if lam is None else np.asarray(lam, dtype=float)
-    if lam.shape != (k,):
-        raise ValueError("need one coordinate per Gaussian")
-    mean = lam @ means
-    try:
-        factor = np.linalg.cholesky(
-            np.einsum("k,kij->ij", lam, chols @ chols.transpose(0, 2, 1)))
-        for _ in range(max_iter):
-            _, tmaps = _bures_kernel(mean, factor, means, chols, maps=True)
-            moved = np.einsum("k,kij->ij", lam, tmaps) @ factor
-            change = np.sqrt(((moved - factor) ** 2).sum())
-            factor = moved
-            if change < tol:
-                return LabeledGMM([1.0], mean[None],
-                                  np.linalg.cholesky(factor @ factor.T)[None])
-    except np.linalg.LinAlgError:
-        raise ot.ConvergenceError("fixed-point iterate became singular") from None
-    raise ot.ConvergenceError(
-        f"Gaussian barycenter fixed point did not converge in {max_iter} iterations")

@@ -9,11 +9,14 @@ Three potential/interaction terms act on particle representations:
 * target potential — squared W2 to a fixed target batch, differentiated by
   holding the optimal plan fixed (envelope theorem).
 
-A fourth, the internal energy, is defined for mixtures only and is estimated
-by Monte-Carlo through the reparametrization trick; its value is the mean
-mixture log density at the drawn samples (the negative differential entropy).
-All gradients are gradients of the evaluated estimator, so with common random
-numbers they match finite differences of the same estimator.
+On mixtures, both energies without a closed form are estimated here by
+Monte-Carlo through the reparametrization trick, so their gradients reach
+the means and factors along the sampling path: the target potential at the
+drawn samples, and the internal energy, defined for mixtures only, whose
+value is the mean mixture log density at the drawn samples (the negative
+differential entropy). All gradients are gradients of the evaluated
+estimator, so with common random numbers they match finite differences of
+the same estimator.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ __all__ = [
     "entropy_potential",
     "hinge_repulsion",
     "target_potential",
+    "target_potential_mc",
     "internal_energy_mc",
     "check_inputs",
 ]
@@ -40,10 +44,19 @@ REPULSION_METRICS = ("euclidean", "cosine")
 
 @dataclass(frozen=True)
 class FunctionalSpec:
-    """Weights and parameters of the regularizing energies.
+    """Weights and parameters of the regularizing energies; the CLI's
+    ``functional`` keys.
 
-    All weights default to zero (pure barycenter flow). ``target_measure``
-    must be set whenever ``target_weight`` is positive.
+    All weights default to zero (pure barycenter flow). Units are powers
+    of the features' length:
+    entropy_weight: weight of the label entropy; length^2.
+    repulsion_weight: weight of the hinge repulsion; length.
+    repulsion_margin: hinge margin on the repulsion distance; length under
+        "euclidean", none under "cosine" (a distance in [0, 2]).
+    repulsion_metric: "euclidean" or "cosine".
+    target_weight: weight of the squared W2 to ``target_measure``; no units.
+    target_measure: the target batch; required when target_weight > 0.
+    internal_weight: weight of the mixture internal energy; length^2.
     """
 
     entropy_weight: float = 0.0
@@ -173,6 +186,16 @@ def target_potential(p, target: EmpiricalMeasure
     mapped = ot.barycentric_map(plan, target.points)
     grad_points = 2.0 * p.weights[:, None] * (p.points - mapped)
     return float(value), grad_points, plan
+
+
+def target_potential_mc(gmm: LabeledGMM, target: EmpiricalMeasure,
+                        n_samples: int, seed=None
+                        ) -> tuple[float, np.ndarray, np.ndarray]:
+    """``target_potential`` of a mixture, at ``n_samples`` reparametrized
+    draws, with its gradients chained onto the means and factors."""
+    z, idx, eps = sample_reparam(gmm, n_samples, seed)
+    value, grad, _ = target_potential(EmpiricalMeasure(z), target)
+    return (value, *_pathwise_grads(grad, idx, eps, gmm.n_components))
 
 
 def check_inputs(inputs, cfg) -> None:

@@ -1,4 +1,5 @@
-"""Gaussian and Gaussian-mixture machinery.
+"""Gaussian and Gaussian-mixture machinery, and every formula built on the
+Bures kernel.
 
 Covariances are parametrized by lower-triangular Cholesky factors L with
 positive diagonal (Sigma = L L^T), which is what the mixture flow optimizes
@@ -10,8 +11,10 @@ of a stack of factors.
 
 Provides the closed-form squared 2-Wasserstein distance between Gaussians
 (Bures metric) with its analytic gradient, the component-level mixture
-distance MW2 (with an optional label term on component label vectors),
-EM fitting, reparametrized sampling, and JSON (de)serialization.
+distance MW2 (with an optional label term on component label vectors), its
+value and gradients at a fixed component plan, the fixed-point barycenter
+of Gaussians, EM fitting, reparametrized sampling, and JSON
+(de)serialization.
 
 Every Bures value and transport map comes from one kernel on two stacks of
 factors, through the Procrustes identity (Bhatia, Jain & Lim, Expo. Math.
@@ -38,6 +41,8 @@ __all__ = [
     "bures_w2_grad",
     "mw2_sq",
     "mw2_cost_matrix",
+    "mw2_fixed_plan_value_grad",
+    "fixed_point_gaussian_barycenter",
     "em_fit",
     "sample_reparam",
     "gmm_log_density",
@@ -199,6 +204,81 @@ def mw2_cost_matrix(p: LabeledGMM, q: LabeledGMM, beta: float = 0.0
     return cost
 
 
+def mw2_fixed_plan_value_grad(state: LabeledGMM, other: LabeledGMM,
+                              omega: np.ndarray, beta: float = 0.0):
+    """Value and gradients of the coupling objective at a fixed plan.
+
+    Objective: sum_ij omega_ij (W2(P_i, Q_j)^2 + beta ||nu_i - nu_j||^2),
+    differentiated w.r.t. the state's means, Cholesky factors, and component
+    label vectors (returned w.r.t. nu directly, before any logit chain rule).
+    One Bures kernel call gives the value and transport map T_ij of each
+    pair with omega_ij != 0; with row sums r, grad_mu = 2 (r mu - omega mu')
+    and grad_L_i = tril((D_i + D_i^T) L_i), D_i = r_i I - sum_j omega_ij T_ij.
+    A relatively singular factor of a state component with mass in omega
+    raises LinAlgError (see ``bures_w2_grad``).
+    """
+    omega = np.asarray(omega, dtype=float)
+    n, m = state.n_components, other.n_components
+    if omega.shape != (n, m):
+        raise ValueError("omega shape does not match the component counts")
+    # only the nonzero pairs of the plan carry a value and a map; an exact
+    # plan is sparse (a vertex has at most n + m - 1 nonzeros)
+    i, j = np.nonzero(omega)
+    values, tmaps = _bures_kernel(state.means[i], state.chols[i],
+                                  other.means[j], other.chols[j], maps=True)
+    w = omega[i, j]
+    value = float(w @ values)
+    rows = omega.sum(axis=1)
+    grad_mu = 2.0 * (rows[:, None] * state.means - omega @ other.means)
+    dsigma = rows[:, None, None] * np.eye(state.dim)
+    np.add.at(dsigma, i, -w[:, None, None] * tmaps)
+    grad_l = np.tril((dsigma + dsigma.transpose(0, 2, 1)) @ state.chols)
+    grad_nu = None
+    if beta > 0 and state.nu is not None and other.nu is not None:
+        diff_sq = ot.squared_distances(state.nu, other.nu)
+        value += beta * float((omega * diff_sq).sum())
+        grad_nu = 2.0 * beta * (rows[:, None] * state.nu - omega @ other.nu)
+    return value, grad_mu, grad_l, grad_nu
+
+
+def fixed_point_gaussian_barycenter(means, chols, lam=None, tol: float = 1e-10,
+                                    max_iter: int = 500) -> LabeledGMM:
+    """Barycenter of the Gaussians N(means[k], chols[k] chols[k]^T) with
+    coordinates ``lam`` (uniform by default), as a one-component LabeledGMM.
+
+    The mean is the coordinate-weighted average of means; the covariance
+    iterates S <- M S M with M = sum_k lam_k T_k, T_k the optimal map from
+    N(0, S) to the k-th Gaussian (Alvarez-Esteban, del Barrio,
+    Cuesta-Albertos & Matran, 2016), on a factor L of S: L <- M L, with the
+    T_k from the Bures kernel on L. M is also the optimal map from S to
+    M S M, so the W2 change between iterates is ||(I - M) L||_F, which has
+    no cancellation; the iteration stops once it drops below tol. A singular
+    iterate raises ConvergenceError.
+    """
+    means = np.asarray(means, dtype=float)
+    chols = _check_factors(means, np.asarray(chols, dtype=float))
+    k = means.shape[0]
+    lam = np.full(k, 1.0 / k) if lam is None else np.asarray(lam, dtype=float)
+    if lam.shape != (k,):
+        raise ValueError("need one coordinate per Gaussian")
+    mean = lam @ means
+    try:
+        factor = np.linalg.cholesky(
+            np.einsum("k,kij->ij", lam, chols @ chols.transpose(0, 2, 1)))
+        for _ in range(max_iter):
+            _, tmaps = _bures_kernel(mean, factor, means, chols, maps=True)
+            moved = np.einsum("k,kij->ij", lam, tmaps) @ factor
+            change = np.sqrt(((moved - factor) ** 2).sum())
+            factor = moved
+            if change < tol:
+                return LabeledGMM([1.0], mean[None],
+                                  np.linalg.cholesky(factor @ factor.T)[None])
+    except np.linalg.LinAlgError:
+        raise ot.ConvergenceError("fixed-point iterate became singular") from None
+    raise ot.ConvergenceError(
+        f"Gaussian barycenter fixed point did not converge in {max_iter} iterations")
+
+
 def mw2_sq(p: LabeledGMM, q: LabeledGMM, beta: float = 0.0
            ) -> tuple[float, ot.TransportPlan]:
     """Squared mixture-Wasserstein distance and its component coupling.
@@ -320,13 +400,6 @@ def _regularized(covs: np.ndarray, diag: bool) -> np.ndarray:
     eye = np.eye(d)
     covs = covs + lift[:, None, None] * eye
     return np.where(eye == 1.0, covs, 0.0) if diag else covs
-
-
-def _per_class_components(n_components: int, n_classes: int) -> int:
-    """Components per class that ``em_fit`` fits when a flow asks for
-    ``n_components`` on ``n_classes`` classes: the floor of the ratio, at
-    least 1."""
-    return max(1, n_components // n_classes)
 
 
 def em_fit(data, labels=None, components_per_class: int = 1, seed=None,

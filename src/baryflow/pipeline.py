@@ -31,7 +31,7 @@ from .flow_empirical import (
     run_flow,
 )
 from .flow_gmm import GmmFlowConfig, run_gmm_flow
-from .gaussian import _per_class_components, em_fit, sample_reparam
+from .gaussian import em_fit, sample_reparam
 from .measures import EmpiricalMeasure, logits_from_probs, one_hot
 
 __all__ = [
@@ -119,7 +119,7 @@ def _propagate_labels(points, sources, lam, rng):
 def _gmm_barycenter_particles(sources, cfg: GmmFlowConfig,
                               rng) -> EmpiricalMeasure:
     n_classes = sources[0].n_classes
-    per_class = _per_class_components(cfg.n_components, n_classes)
+    per_class = cfg.per_class(n_classes)
     fitted = [em_fit(s.points, s.hard_labels(), components_per_class=per_class,
                      seed=rng, diag=cfg.diag_only) for s in sources]
     mixture, _ = run_gmm_flow(fitted, cfg)

@@ -13,12 +13,7 @@ from baryflow import ot
 from baryflow.cli import main as cli_main
 from baryflow.datasets import synthetic_domain_specs, synthetic_msda
 from baryflow.flow_empirical import EmpiricalFlowConfig, flow_step
-from baryflow.flow_gmm import (
-    GmmFlowConfig,
-    fixed_point_gaussian_barycenter,
-    mw2_fixed_plan_value_grad,
-    run_gmm_flow,
-)
+from baryflow.flow_gmm import GmmFlowConfig, run_gmm_flow
 from baryflow.functionals import (
     entropy_potential,
     hinge_repulsion,
@@ -29,6 +24,8 @@ from baryflow.gaussian import (
     LabeledGMM,
     bures_w2_grad,
     bures_w2_sq,
+    fixed_point_gaussian_barycenter,
+    mw2_fixed_plan_value_grad,
     mw2_sq,
     sample_reparam,
 )

@@ -81,6 +81,19 @@ ERROR_NAMES = {
     "msda-label-column-without-csv": ["'label_column'", "synthetic task"],
     "msda-task-with-csv": ["'task'", "CSV inputs"],
     "toy-gaussian-noise-std": ["'noise_std'", "base 'gaussian'"],
+    "gmm-fewer-components-than-classes": ["n_components 3",
+                                          "class count 4"],
+    "gmm-em-init-class-drawn-too-few": ["the em init drew class",
+                                        "init_samples 256",
+                                        "127 components per class"],
+    "toy-gmm-too-few-samples": ["need at least 40 points"],
+    "toy-gmm-em-init-too-few-draws": ["20 components",
+                                      "4 x 2 inputs = 8 draws"],
+    "seed-negative": ["seed must be >= 0"],
+    "gaussian-std-length": ["inputs[0]: std needs one entry per coordinate"],
+    "toy-n-samples-negative": ["n_samples must be >= 1"],
+    "toy-n-samples-zero": ["n_samples must be >= 1"],
+    "toy-n-family-zero": ["n_family must be >= 1"],
 }
 
 
@@ -378,7 +391,8 @@ class TestValidate:
         pytest.param(lambda t: bary_with("gmm", n_components=600), 1,
                      id="gmm-em-init-too-few-draws"),
         pytest.param(lambda t: {"command": "msda", "method": "gmm",
-                                "gmm": {"n_components": 600}}, 1,
+                                "gmm": {"n_components": 600,
+                                        "init_samples": 512}}, 1,
                      id="msda-gmm-too-few-per-class"),
         pytest.param(lambda t: {"command": "msda", "method": "gmm",
                                 "flow": {"n_iter": "bogus"}}, 1,
@@ -437,8 +451,32 @@ class TestValidate:
                                          step_size=float("inf")), 1,
                      id="gmm-step-size-inf"),
         pytest.param(lambda t: bary_with("gmm", inputs=swiss_pair(),
-                                         step_size=1e200), 2,
+                                         n_components=4, step_size=1e200), 2,
                      id="gmm-step-size-diverges"),
+        pytest.param(lambda t: bary_with("gmm", inputs=swiss_pair(),
+                                         n_components=3), 1,
+                     id="gmm-fewer-components-than-classes"),
+        pytest.param(lambda t: bary_with("gmm", inputs=[
+            {"kind": "swiss_roll", "n": 400}] * 2, n_components=508), 2,
+                     id="gmm-em-init-class-drawn-too-few"),
+        pytest.param(lambda t: toy_with(solvers=["wgf_gmm"],
+                                        gmm={"n_components": 40}), 1,
+                     id="toy-gmm-too-few-samples"),
+        pytest.param(lambda t: toy_with(solvers=["wgf_gmm"], gmm={
+            "n_components": 20, "init_samples": 4}), 1,
+                     id="toy-gmm-em-init-too-few-draws"),
+        pytest.param(lambda t: dict(bary_with(), seed=-1), 1,
+                     id="seed-negative"),
+        pytest.param(lambda t: bary_with(inputs=[
+            {"kind": "gaussian", "mean": [0.0, 0.0], "std": [1.0, 1.0, 1.0]},
+            {"kind": "gaussian", "mean": [4.0, 0.0]}]), 1,
+                     id="gaussian-std-length"),
+        pytest.param(lambda t: toy_with(n_samples=-3), 1,
+                     id="toy-n-samples-negative"),
+        pytest.param(lambda t: toy_with(n_samples=0), 1,
+                     id="toy-n-samples-zero"),
+        pytest.param(lambda t: toy_with(n_family=0), 1,
+                     id="toy-n-family-zero"),
         pytest.param(lambda t: bary_with(inputs=swiss_pair(),
                                          label_weight=1e308), 2,
                      id="empirical-label-weight-diverges"),

@@ -38,26 +38,41 @@ def test_root_names_in_module_all(module):
                         f"__all__ does not list them"
 
 
-def private_ot_reads(path: Path) -> list[str]:
-    """The private ``ot`` names a module reads: ``ot._name`` attributes and
-    ``from .ot import _name`` imports."""
+def private_reads(path: Path, module: str) -> list[str]:
+    """The private names of package module ``module`` that a module reads:
+    ``module._name`` attributes and ``from .module import _name`` imports."""
     found = []
     for node in ast.walk(ast.parse(path.read_text())):
         if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
-                and isinstance(node.value, ast.Name) and node.value.id == "ot"):
+                and isinstance(node.value, ast.Name) and node.value.id == module):
             found.append(node.attr)
-        if isinstance(node, ast.ImportFrom) and node.module == "ot":
+        if isinstance(node, ast.ImportFrom) and node.module == module:
             found += [a.name for a in node.names if a.name.startswith("_")]
     return found
 
 
+def package_modules(*skip: str) -> list[Path]:
+    package = Path(baryflow.__file__).parent
+    modules = sorted(p for p in package.glob("*.py") if p.name not in skip)
+    assert len(modules) >= 8
+    return modules
+
+
 def test_private_ot_names_stay_in_ot():
     # the plans between point clouds are chosen in ot alone
-    package = Path(baryflow.__file__).parent
-    modules = sorted(p for p in package.glob("*.py") if p.name != "ot.py")
-    assert len(modules) >= 8
-    reads = {p.name: private_ot_reads(p) for p in modules}
+    reads = {p.name: private_reads(p, "ot") for p in package_modules("ot.py")}
     assert not any(reads.values()), reads
+
+
+def test_private_gaussian_names():
+    # the Bures math lives in gaussian; functionals' Monte-Carlo energies
+    # chain their draws with its sampler's helpers, and datasets checks
+    # factors as mixtures do
+    reads = {p.name: sorted(set(private_reads(p, "gaussian")))
+             for p in package_modules("gaussian.py")}
+    assert {name: r for name, r in reads.items() if r} == {
+        "datasets.py": ["_check_factors"],
+        "functionals.py": ["_pathwise_grads", "_whiten"]}
 
 
 def identifiers(path: Path) -> set[str]:
@@ -76,10 +91,8 @@ def identifiers(path: Path) -> set[str]:
 
 def test_class_names_stay_at_the_csv_boundary():
     # measures, batches, mixtures and both flows carry class ids only
-    package = Path(baryflow.__file__).parent
-    modules = sorted(p for p in package.glob("*.py")
-                     if p.name not in ("datasets.py", "cli.py"))
-    assert len(modules) >= 8
+    modules = package_modules("datasets.py", "cli.py")
     naming = [p.name for p in modules if "class_names" in identifiers(p)]
     assert not naming, naming
+    package = Path(baryflow.__file__).parent
     assert "class_names" in identifiers(package / "datasets.py")

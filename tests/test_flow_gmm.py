@@ -4,16 +4,13 @@ import numpy as np
 import pytest
 
 from baryflow import ot
-from baryflow.flow_gmm import (
-    GmmFlowConfig,
-    fixed_point_gaussian_barycenter,
-    mw2_fixed_plan_value_grad,
-    run_gmm_flow,
-)
+from baryflow.flow_gmm import GmmFlowConfig, run_gmm_flow
 from baryflow.functionals import FunctionalSpec, hinge_repulsion
 from baryflow.gaussian import (
     LabeledGMM,
+    fixed_point_gaussian_barycenter,
     mw2_cost_matrix,
+    mw2_fixed_plan_value_grad,
     mw2_sq,
 )
 from baryflow.measures import BarycentricCoordinates, EmpiricalMeasure
@@ -45,6 +42,20 @@ class TestConfigValidation:
     def test_rejects_non_finite_settings(self, key, value):
         with pytest.raises(ValueError, match=f"{key} must be finite"):
             GmmFlowConfig(1, 10, UNIT, **{key: value})
+
+    def test_em_init_needs_a_draw_per_component(self):
+        with pytest.raises(ValueError, match="fits 600 components to "
+                           "init_samples 256 x 2 inputs = 512 draws"):
+            GmmFlowConfig(600, 1, HALF)
+        GmmFlowConfig(600, 1, HALF, init_samples=300)
+        GmmFlowConfig(600, 1, HALF, init_mode="random")
+
+    def test_per_class_split(self):
+        assert GmmFlowConfig(8, 1, HALF).per_class(4) == 2
+        assert GmmFlowConfig(5, 1, HALF).per_class(4) == 1
+        with pytest.raises(ValueError, match="n_components 3 is below the "
+                           "class count 4"):
+            GmmFlowConfig(3, 1, HALF).per_class(4)
 
 
 class TestFixedPointGaussianBarycenter:
@@ -401,3 +412,20 @@ class TestEmInit:
         assert final.nu is not None
         assert sorted(np.argmax(final.nu, axis=1).tolist()) == [0, 1]
         assert len(trace) == 1
+
+    def test_class_drawn_too_few_reported(self):
+        # class 1 holds 5% of the mass, so 40 draws give it fewer than the
+        # 5 components per class that 10 components on 2 classes need
+        rare = LabeledGMM([0.95, 0.05], [[0.0], [6.0]], [[[1.0]], [[1.0]]],
+                          nu=np.eye(2))
+        cfg = GmmFlowConfig(10, 0, HALF, init_samples=20, seed=1)
+        with pytest.raises(ValueError, match=r"drew class 1 [1-4] times in "
+                           r"init_samples 20 x 2 inputs, but fits 5 "
+                           r"components per class"):
+            run_gmm_flow([rare, rare], cfg)
+
+    def test_fewer_components_than_classes_rejected(self):
+        labeled = LabeledGMM([0.5, 0.5], [[0.0], [6.0]], [[[1.0]], [[1.0]]],
+                             nu=np.eye(2))
+        with pytest.raises(ValueError, match="class count 2"):
+            run_gmm_flow([labeled, labeled], GmmFlowConfig(1, 0, HALF))

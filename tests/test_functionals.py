@@ -11,6 +11,7 @@ from baryflow.functionals import (
     hinge_repulsion,
     internal_energy_mc,
     target_potential,
+    target_potential_mc,
 )
 from baryflow.gaussian import LabeledGMM
 from baryflow.measures import (
@@ -167,6 +168,35 @@ class TestTargetPotential:
         np.testing.assert_allclose(
             grad, 2.0 * p.weights[:, None] * (p.points - mapped),
             rtol=1e-12, atol=1e-15)
+
+
+class TestTargetPotentialMc:
+    def test_finite_differences_common_random_numbers(self):
+        # with the draws fixed, the estimator is the squared W2 from the
+        # samples to the target, whose gradient the optimal plan gives
+        rng = np.random.default_rng(11)
+        k, d, n = 2, 2, 16
+        mus = rng.standard_normal((k, d))
+        chols = np.stack([random_pd_component(rng, d)[1] for _ in range(k)])
+        target = EmpiricalMeasure(rng.standard_normal((n, d)) + 2.0)
+
+        def value(mus_, chols_):
+            gmm = LabeledGMM([0.4, 0.6], mus_, chols_)
+            return target_potential_mc(gmm, target, n, seed=5)
+
+        _, gm, gl = value(mus, chols)
+        h = 1e-6
+        for i in range(k):
+            for j in range(d):
+                e = np.zeros((k, d))
+                e[i, j] = h
+                fd = (value(mus + e, chols)[0] - value(mus - e, chols)[0]) / (2 * h)
+                assert fd == pytest.approx(gm[i, j], rel=1e-5, abs=1e-7)
+            for r, c in zip(*np.tril_indices(d)):
+                e = np.zeros((k, d, d))
+                e[i, r, c] = h
+                fd = (value(mus, chols + e)[0] - value(mus, chols - e)[0]) / (2 * h)
+                assert fd == pytest.approx(gl[i, r, c], rel=1e-5, abs=1e-7)
 
 
 class TestInternalEnergyMc:

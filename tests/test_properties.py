@@ -26,7 +26,7 @@ from hypothesis.extra import numpy as hnp
 from baryflow import ot
 from baryflow.datasets import load_csv, save_csv
 from baryflow.flow_empirical import EmpiricalFlowConfig, EmpiricalSampler, run_flow
-from baryflow.flow_gmm import GmmFlowConfig, mw2_fixed_plan_value_grad, run_gmm_flow
+from baryflow.flow_gmm import GmmFlowConfig, run_gmm_flow
 from baryflow.functionals import entropy_potential
 from baryflow.gaussian import (
     LabeledGMM,
@@ -35,6 +35,7 @@ from baryflow.gaussian import (
     bures_w2_grad,
     bures_w2_sq,
     mw2_cost_matrix,
+    mw2_fixed_plan_value_grad,
 )
 from baryflow.measures import (
     BarycentricCoordinates,

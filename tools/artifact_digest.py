@@ -47,7 +47,9 @@ first as target, ``barycenter`` with the gmm flow on two 1-D
 mixtures this script writes at scale 1e-6, whose factors converge below
 1e-6, and ``barycenter`` with exact plans between 1-D particles and batches
 (the sorted path of ``ot.solve_line``) and the target potential on a 1-D
-CSV batch this script writes.
+CSV batch this script writes, and ``barycenter`` with the empirical flow
+drawing from two labeled 2-D mixtures this script writes (``GmmSampler``),
+with label entropy and cosine repulsion.
 """
 
 from __future__ import annotations
@@ -100,6 +102,23 @@ def small_scale_inputs(run_dir: Path) -> list[dict]:
         doc = {"weights": [0.5, 0.5],
                "means": [[1e-6 * shift], [1e-6 * (shift + 10.0)]],
                "cholesky_rows": [[[1e-6 * s]] for s in stds]}
+        path = run_dir / f"input_{i}.json"
+        path.write_text(json.dumps(doc))
+        inputs.append({"kind": "gmm_json", "path": str(path)})
+    return inputs
+
+
+def labeled_mixture_inputs(run_dir: Path) -> list[dict]:
+    """Two 2-D two-component mixtures of ``gmm_json`` files under
+    ``run_dir``, one component per class of two, both in the first
+    quadrant, so the cosine distances of differently labeled draws fall
+    below a margin of 1."""
+    inputs = []
+    for i in range(2):
+        doc = {"weights": [0.5, 0.5],
+               "means": [[3.0 + i, 1.0], [1.0, 3.0 + i]],
+               "cholesky_rows": [[[0.5, 0.0], [0.1 * i, 0.4]]] * 2,
+               "labels": [[1.0, 0.0], [0.0, 1.0]]}
         path = run_dir / f"input_{i}.json"
         path.write_text(json.dumps(doc))
         inputs.append({"kind": "gmm_json", "path": str(path)})
@@ -215,6 +234,13 @@ CONFIGS = {
         "command": "barycenter", "seed": 13, "flow": "gmm",
         "inputs": small_scale_inputs(run_dir),
         "flow_config": {"n_components": 2, "n_iter": 20}},
+    "barycenter-empirical-gmm-json": lambda run_dir: {
+        "command": "barycenter", "seed": 19, "flow": "empirical",
+        "inputs": labeled_mixture_inputs(run_dir),
+        "flow_config": {"n_particles": 32, "batch_size": 32, "n_iter": 10,
+                        "label_weight": 1.0},
+        "functional": {"entropy_weight": 0.01, "repulsion_weight": 0.1,
+                       "repulsion_metric": "cosine"}},
     "barycenter-line-target": lambda run_dir: {
         "command": "barycenter", "seed": 15, "flow": "empirical",
         "inputs": GAUSSIANS_1D,
