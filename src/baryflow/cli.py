@@ -284,6 +284,8 @@ def _parse_input(d: dict, idx: int, rng: np.random.Generator):
                                   f"of mean")
         else:
             std = np.full(mean.shape, _get(d, "std", float, ctx, 1.0))
+        if not np.all(std > 0):
+            raise ConfigError(f"{ctx}: std must be > 0")
         return LabeledGMM([1.0], mean[None], np.diag(std)[None]), None
     if kind == "gmm_json":
         _check_keys(d, ["kind", "path"], ctx)
@@ -493,6 +495,10 @@ def _prepare_toy(cfg: dict, seed: int, ctx: str):
     inputs = location_scatter_family(q0, maps)
     check_inputs(inputs, emp_cfg)
     if "wgf_gmm" in solvers:  # its mixtures are EM fits of the points alone
+        if gmm_cfg.n_components > n:
+            raise ConfigError(
+                f"{ctx}: gmm: n_components {gmm_cfg.n_components} exceeds "
+                f"n_samples {n}: EM needs a point per component")
         gmms = [em_fit(m.points, components_per_class=gmm_cfg.n_components,
                        seed=np.random.default_rng(seed + 17 * i))
                 for i, m in enumerate(inputs)]

@@ -183,15 +183,15 @@ def _step(state: LabeledGMM, inputs, cfg: GmmFlowConfig, rng, it: int):
     grad_nu_total = np.zeros_like(nu) if nu is not None else None
     grad_pi = np.zeros(k)
     for l, q, (cost, plan, _) in zip(lam, inputs, solved):
-        omega = plan.coupling  # formed from the plan's cells on each read
-        _, gm, gl, gn = mw2_fixed_plan_value_grad(state, q, omega, beta)
+        _, gm, gl, gn = mw2_fixed_plan_value_grad(state, q, plan, beta)
         grad_mu += l * gm
         grad_l += l * gl
         if gn is not None:
             grad_nu_total += l * gn
         if cfg.flow_weights:
             # envelope by row scaling: d cost / d pi_i at fixed conditionals
-            grad_pi += l * (omega * cost).sum(axis=1) / state.weights
+            priced = plan.mass * cost[plan.rows, plan.cols]
+            grad_pi += l * np.bincount(plan.rows, priced, k) / state.weights
 
     grad_mu += e_mu
     grad_l += e_l

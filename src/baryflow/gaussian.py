@@ -19,8 +19,8 @@ of Gaussians, EM fitting, reparametrized sampling, and JSON
 Every Bures value and transport map comes from one kernel on two stacks of
 factors, through the Procrustes identity (Bhatia, Jain & Lim, Expo. Math.
 2019): W2^2 = ||mu1 - mu2||^2 + ||L1||_F^2 + ||L2||_F^2 - 2 ||L1^T L2||_*.
-A (k, m) cost matrix, or the maps of a gradient pass at the nonzero entries
-of a plan, take one batched SVD of the stacked products L1^T L2 and no
+A (k, m) cost matrix, or the maps of a gradient pass at the cells of a
+plan, take one batched SVD of the stacked products L1^T L2 and no
 covariance square root; the one-pair ``bures_w2_sq`` and ``bures_w2_grad``
 call the same kernel on one pair.
 """
@@ -205,39 +205,39 @@ def mw2_cost_matrix(p: LabeledGMM, q: LabeledGMM, beta: float = 0.0
 
 
 def mw2_fixed_plan_value_grad(state: LabeledGMM, other: LabeledGMM,
-                              omega: np.ndarray, beta: float = 0.0):
-    """Value and gradients of the coupling objective at a fixed plan.
+                              plan: ot.TransportPlan, beta: float = 0.0):
+    """Value and gradients of the coupling objective at a fixed exact plan.
 
-    Objective: sum_ij omega_ij (W2(P_i, Q_j)^2 + beta ||nu_i - nu_j||^2),
-    differentiated w.r.t. the state's means, Cholesky factors, and component
-    label vectors (returned w.r.t. nu directly, before any logit chain rule).
-    One Bures kernel call gives the value and transport map T_ij of each
-    pair with omega_ij != 0; with row sums r, grad_mu = 2 (r mu - omega mu')
-    and grad_L_i = tril((D_i + D_i^T) L_i), D_i = r_i I - sum_j omega_ij T_ij.
-    A relatively singular factor of a state component with mass in omega
-    raises LinAlgError (see ``bures_w2_grad``).
+    Objective: sum over the plan's cells (i, j, w), repeated cells added, of
+    w (W2(P_i, Q_j)^2 + beta ||nu_i - nu_j||^2), w.r.t. the state's means,
+    Cholesky factors and label vectors nu (before any logit chain rule). One
+    Bures kernel call gives each cell's value and map T. With r_i the mass
+    of row i and sums over its cells, grad_mu_i = 2 (r_i mu_i - sum w mu'_j),
+    grad_L_i = tril((D_i + D_i^T) L_i), D_i = r_i I - sum w T. Raises
+    ValueError on a plan without cells and LinAlgError as ``bures_w2_grad``.
     """
-    omega = np.asarray(omega, dtype=float)
-    n, m = state.n_components, other.n_components
-    if omega.shape != (n, m):
-        raise ValueError("omega shape does not match the component counts")
-    # only the nonzero pairs of the plan carry a value and a map; an exact
-    # plan is sparse (a vertex has at most n + m - 1 nonzeros)
-    i, j = np.nonzero(omega)
+    k, m = state.n_components, other.n_components
+    if plan.matrix is not None:
+        raise ValueError("need an exact plan: an entropic one has no cells")
+    if (plan.row_marginal.size, plan.col_marginal.size) != (k, m):
+        raise ValueError("plan sizes do not match the component counts")
+    i, j, w = plan.rows, plan.cols, plan.mass
     values, tmaps = _bures_kernel(state.means[i], state.chols[i],
                                   other.means[j], other.chols[j], maps=True)
-    w = omega[i, j]
     value = float(w @ values)
-    rows = omega.sum(axis=1)
-    grad_mu = 2.0 * (rows[:, None] * state.means - omega @ other.means)
+    rows = np.bincount(i, w, minlength=k)
+    moved = np.zeros((k, state.dim))
+    np.add.at(moved, i, w[:, None] * other.means[j])
+    grad_mu = 2.0 * (rows[:, None] * state.means - moved)
     dsigma = rows[:, None, None] * np.eye(state.dim)
     np.add.at(dsigma, i, -w[:, None, None] * tmaps)
     grad_l = np.tril((dsigma + dsigma.transpose(0, 2, 1)) @ state.chols)
     grad_nu = None
     if beta > 0 and state.nu is not None and other.nu is not None:
-        diff_sq = ot.squared_distances(state.nu, other.nu)
-        value += beta * float((omega * diff_sq).sum())
-        grad_nu = 2.0 * beta * (rows[:, None] * state.nu - omega @ other.nu)
+        value += beta * float(w @ ((state.nu[i] - other.nu[j]) ** 2).sum(1))
+        moved = np.zeros(state.nu.shape)
+        np.add.at(moved, i, w[:, None] * other.nu[j])
+        grad_nu = 2.0 * beta * (rows[:, None] * state.nu - moved)
     return value, grad_mu, grad_l, grad_nu
 
 

@@ -115,7 +115,8 @@ class TransportPlan:
     Sinkhorn plan is positive, and a cell list of all of them is slower to
     map and price. A plan is given exactly one of the two forms.
     ``coupling`` is the dense matrix of either, summed from the cells on
-    demand.
+    demand: a view that tests and the benchmark compare, which no module of
+    the package reads.
 
     ``marginal_tol`` loosens the feasibility check for entropic plans that
     stopped at max_iter; exact plans use the default 1e-8.

@@ -214,7 +214,7 @@ def test_criterion_04_gradient_suite():
         beta = 1.1
         _, plan = mw2_sq(state, other, beta=beta)
         omega = plan.coupling
-        _, gm, gl, gn = mw2_fixed_plan_value_grad(state, other, omega, beta)
+        _, gm, gl, gn = mw2_fixed_plan_value_grad(state, other, plan, beta)
 
         def objective(mus, chols, nus):
             # priced in the covariance form, independent of the Bures kernel

@@ -86,11 +86,13 @@ ERROR_NAMES = {
     "gmm-em-init-class-drawn-too-few": ["the em init drew class",
                                         "init_samples 256",
                                         "127 components per class"],
-    "toy-gmm-too-few-samples": ["need at least 40 points"],
+    "toy-gmm-too-few-samples": ["gmm: n_components 40", "n_samples 32"],
     "toy-gmm-em-init-too-few-draws": ["20 components",
                                       "4 x 2 inputs = 8 draws"],
     "seed-negative": ["seed must be >= 0"],
     "gaussian-std-length": ["inputs[0]: std needs one entry per coordinate"],
+    "gaussian-std-negative": ["inputs[0]: std must be > 0"],
+    "gaussian-std-zero-entry": ["inputs[0]: std must be > 0"],
     "toy-n-samples-negative": ["n_samples must be >= 1"],
     "toy-n-samples-zero": ["n_samples must be >= 1"],
     "toy-n-family-zero": ["n_family must be >= 1"],
@@ -471,6 +473,12 @@ class TestValidate:
             {"kind": "gaussian", "mean": [0.0, 0.0], "std": [1.0, 1.0, 1.0]},
             {"kind": "gaussian", "mean": [4.0, 0.0]}]), 1,
                      id="gaussian-std-length"),
+        pytest.param(lambda t: bary_with(inputs=gaussian_pair(std=-1.0)), 1,
+                     id="gaussian-std-negative"),
+        pytest.param(lambda t: bary_with(inputs=[
+            {"kind": "gaussian", "mean": [0.0, 0.0], "std": [1.0, 0.0]},
+            {"kind": "gaussian", "mean": [4.0, 0.0]}]), 1,
+                     id="gaussian-std-zero-entry"),
         pytest.param(lambda t: toy_with(n_samples=-3), 1,
                      id="toy-n-samples-negative"),
         pytest.param(lambda t: toy_with(n_samples=0), 1,

@@ -96,3 +96,13 @@ def test_class_names_stay_at_the_csv_boundary():
     assert not naming, naming
     package = Path(baryflow.__file__).parent
     assert "class_names" in identifiers(package / "datasets.py")
+
+
+def test_no_module_reads_a_dense_coupling():
+    # exact plans are read as their cells; ``TransportPlan.coupling`` is the
+    # dense view that tests and the benchmark compare
+    reads = {p.name: [node.lineno for node in ast.walk(ast.parse(p.read_text()))
+                      if isinstance(node, ast.Attribute)
+                      and node.attr == "coupling"]
+             for p in package_modules()}
+    assert {name: lines for name, lines in reads.items() if lines} == {}

@@ -145,7 +145,7 @@ class TestEnvelopeGradient:
                 return val
 
             mus, chols, nu = state.means, state.chols, np.array(state.nu)
-            _, gm, gl, gn = mw2_fixed_plan_value_grad(state, other, omega, beta)
+            _, gm, gl, gn = mw2_fixed_plan_value_grad(state, other, plan, beta)
             for i in range(k):
                 for j in range(d):
                     e = np.zeros((k, d))

@@ -36,6 +36,7 @@ from baryflow.gaussian import (
     bures_w2_sq,
     mw2_cost_matrix,
     mw2_fixed_plan_value_grad,
+    mw2_sq,
 )
 from baryflow.measures import (
     BarycentricCoordinates,
@@ -741,14 +742,16 @@ def gaussian_pair(draw, min_dim=1):
 
 
 @st.composite
-def gaussian_stacks(draw, min_dim=1):
-    """Two mixtures of k != m Gaussians (1 to 4 each) in one dimension d
-    from min_dim to 5, with uniform weights, all at one scale 2^-20, 1 or
-    2^20."""
+def gaussian_stacks(draw, min_dim=1, sizes=None):
+    """Two mixtures of k != m Gaussians (1 to 4 each, or ``sizes``) in one
+    dimension d from min_dim to 5, with uniform weights, all at one scale
+    2^-20, 1 or 2^20."""
     d = draw(st.integers(min_dim, 5))
     scale = draw(st.sampled_from([2.0 ** -20, 1.0, 2.0 ** 20]))
-    k = draw(st.integers(1, 4))
-    m = draw(st.integers(1, 4).filter(lambda m: m != k))
+    if sizes is None:
+        k = draw(st.integers(1, 4))
+        sizes = k, draw(st.integers(1, 4).filter(lambda m: m != k))
+    k, m = sizes
 
     def stack(n):
         means, chols = zip(*(draw(gaussian(d, scale)) for _ in range(n)))
@@ -762,6 +765,23 @@ def pairs(p, q):
     for i, j in itertools.product(range(p.n_components), range(q.n_components)):
         l1, l2 = p.chols[i], q.chols[j]
         yield i, j, p.means[i], l1, l1 @ l1.T, q.means[j], l2 @ l2.T
+
+
+@st.composite
+def cell_plan(draw, k, m):
+    """A k x m plan of 1 to 2km cells, repeats allowed, with masses in
+    [0, 1]; its marginals are its row and column sums."""
+    n = draw(st.integers(1, 2 * k * m))
+    rows = draw(hnp.arrays(np.intp, n, elements=st.integers(0, k - 1)))
+    cols = draw(hnp.arrays(np.intp, n, elements=st.integers(0, m - 1)))
+    mass = draw(hnp.arrays(float, n, elements=st.floats(0.0, 1.0)))
+    return ot.TransportPlan(np.bincount(rows, mass, k),
+                            np.bincount(cols, mass, m),
+                            rows=rows, cols=cols, mass=mass)
+
+
+def with_labels(g, nu):
+    return LabeledGMM(g.weights, g.means, g.chols, nu=nu)
 
 
 def eigh_transport_map(s1, s2):
@@ -833,14 +853,15 @@ class TestBuresKernel:
             assert (np.abs(tmaps[i, j] - reference).max()
                     <= 1e-10 * np.abs(reference).max())
 
-    @SETTINGS
-    @given(gaussian_stacks(), st.data())
-    def test_fixed_plan_grad_matches_pair_loop(self, stacks, data):
-        p, q = stacks
-        k, m, d = p.n_components, q.n_components, p.dim
-        omega = data.draw(hnp.arrays(float, (k, m), elements=st.floats(0.0, 1.0)))
-        value, gm, gl, gn = mw2_fixed_plan_value_grad(p, q, omega)
+    @staticmethod
+    def assert_fixed_plan_grad_matches_pair_loop(p, q, plan, beta=0.0):
+        """``mw2_fixed_plan_value_grad`` on the plan's cells against a loop
+        over the pairs of its dense coupling, with eigh maps."""
+        k, d = p.n_components, p.dim
+        omega = plan.coupling
+        value, gm, gl, gn = mw2_fixed_plan_value_grad(p, q, plan, beta)
         ref_value, ref_mu, ref_l = 0.0, np.zeros((k, d)), np.zeros((k, d, d))
+        ref_nu = None if beta == 0 else np.zeros(p.nu.shape)
         size = 0.0
         for i, j, mu1, l1, cov1, mu2, cov2 in pairs(p, q):
             w = omega[i, j]
@@ -850,7 +871,11 @@ class TestBuresKernel:
             ref_l[i] += w * np.tril((dsigma + dsigma.T) @ l1)
             size += w * (((mu1 - mu2) ** 2).sum() + np.trace(cov1)
                          + np.trace(cov2))
-        assert gn is None
+            if beta > 0:
+                diff = p.nu[i] - q.nu[j]
+                ref_value += w * beta * (diff ** 2).sum()
+                ref_nu[i] += w * 2.0 * beta * diff
+                size += w * beta * (p.nu[i] ** 2 + q.nu[j] ** 2).sum()
         assert abs(value - ref_value) <= 1e-12 * size
         mu_size = 2.0 * omega.sum() * max(np.abs(p.means).max(),
                                           np.abs(q.means).max())
@@ -859,6 +884,52 @@ class TestBuresKernel:
         l_size = max(np.abs(ref_l).max(),
                      2.0 * omega.sum() * np.abs(p.chols).max())
         assert np.abs(gl - ref_l).max() <= 1e-10 * l_size
+        if ref_nu is None:
+            assert gn is None
+        else:
+            # label vectors lie on the simplex: entries at most 1
+            assert np.abs(gn - ref_nu).max() <= 1e-12 * 2.0 * beta * omega.sum()
+
+    @SETTINGS
+    @given(gaussian_stacks(), st.booleans(), st.data())
+    def test_fixed_plan_grad_matches_pair_loop(self, stacks, labeled, data):
+        p, q = stacks
+        k, m = p.n_components, q.n_components
+        plan = data.draw(cell_plan(k, m))
+        beta = 0.0
+        if labeled:
+            def labels(n):  # n label vectors on the simplex of 3 classes
+                v = data.draw(hnp.arrays(float, (n, 3),
+                                         elements=st.floats(0.01, 1.0)))
+                return v / v.sum(axis=1, keepdims=True)
+            p, q = with_labels(p, labels(k)), with_labels(q, labels(m))
+            beta = data.draw(st.floats(0.1, 10.0))
+        self.assert_fixed_plan_grad_matches_pair_loop(p, q, plan, beta)
+
+    @SETTINGS
+    @given(gaussian_stacks(sizes=(3, 2)))
+    def test_fixed_plan_grad_sums_repeated_cells(self, stacks):
+        # the lcm assignment matches 6 copies; a label cost above 1.5 times
+        # every Bures cost sends both copies of p's component 1 to q's
+        # component 1, so that cell repeats
+        p, q = stacks
+        p, q = with_labels(p, np.eye(2)[[0, 1, 0]]), with_labels(q, np.eye(2))
+        beta = 1.0 + 2.0 * mw2_cost_matrix(p, q).max()
+        plan, _ = ot.solve_exact(p.weights, q.weights,
+                                 mw2_cost_matrix(p, q, beta))
+        assert np.sum((plan.rows == 1) & (plan.cols == 1)) == 2
+        self.assert_fixed_plan_grad_matches_pair_loop(p, q, plan, beta)
+
+    def test_fixed_plan_grad_needs_cells_of_its_sizes(self):
+        p = LabeledGMM([0.5, 0.5], [[0.0], [1.0]], [[[1.0]], [[2.0]]])
+        q = LabeledGMM([1.0], [[0.5]], [[[1.5]]])
+        entropic, _ = ot.solve_entropic(p.weights, p.weights,
+                                        mw2_cost_matrix(p, p), 0.5)
+        with pytest.raises(ValueError, match="entropic one has no cells"):
+            mw2_fixed_plan_value_grad(p, p, entropic)
+        flipped, _ = ot.solve_exact(q.weights, p.weights, mw2_cost_matrix(q, p))
+        with pytest.raises(ValueError, match="plan sizes"):
+            mw2_fixed_plan_value_grad(p, q, flipped)
 
     @SETTINGS
     @given(gaussian_stacks(min_dim=2), st.data())
@@ -872,7 +943,7 @@ class TestBuresKernel:
         chols[i, j, j] = 1e-7 * np.delete(np.diag(chols[i]), j).max()
         state = LabeledGMM(p.weights, p.means, chols)
         with pytest.raises(np.linalg.LinAlgError):
-            mw2_fixed_plan_value_grad(state, q, np.outer(p.weights, q.weights))
+            mw2_fixed_plan_value_grad(state, q, mw2_sq(state, q)[1])
 
 
 @st.composite

@@ -49,7 +49,9 @@ mixtures this script writes at scale 1e-6, whose factors converge below
 (the sorted path of ``ot.solve_line``) and the target potential on a 1-D
 CSV batch this script writes, and ``barycenter`` with the empirical flow
 drawing from two labeled 2-D mixtures this script writes (``GmmSampler``),
-with label entropy and cosine repulsion.
+with label entropy and cosine repulsion, and ``barycenter`` with the gmm
+flow from a random 3-component state on the same two mixtures, whose plans
+against the 2-component inputs take the lcm assignment and repeat cells.
 """
 
 from __future__ import annotations
@@ -241,6 +243,11 @@ CONFIGS = {
                         "label_weight": 1.0},
         "functional": {"entropy_weight": 0.01, "repulsion_weight": 0.1,
                        "repulsion_metric": "cosine"}},
+    "barycenter-gmm-lcm": lambda run_dir: {
+        "command": "barycenter", "seed": 20, "flow": "gmm",
+        "inputs": labeled_mixture_inputs(run_dir),
+        "flow_config": {"n_components": 3, "n_iter": 10,
+                        "init_mode": "random", "label_weight": 1.0}},
     "barycenter-line-target": lambda run_dir: {
         "command": "barycenter", "seed": 15, "flow": "empirical",
         "inputs": GAUSSIANS_1D,
